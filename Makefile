@@ -1,4 +1,4 @@
-.PHONY: install test lint chaos bench bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint chaos perf perf-selftest bench bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -17,6 +17,15 @@ lint:
 chaos:
 	PYTHONPATH=src python -m pytest tests/integration/test_chaos.py -q -k "storm"
 	PYTHONPATH=src python -m pytest tests/integration/test_chaos.py -q -k "flaky"
+
+# the one benchmark (BENCHMARK.json): four seeded workloads on both
+# clocks with the per-layer split; see perf/README.md.  ~5 min; writes
+# perf/results/last.json.  perf-selftest tests the tool itself (~4 s).
+perf:
+	python3 perf/run.py
+
+perf-selftest:
+	python3 perf/selftest.py
 
 bench:
 	pytest benchmarks/ --benchmark-only

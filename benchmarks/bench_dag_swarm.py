@@ -29,12 +29,14 @@ JSONL.  Run via ``make bench-dag-swarm``; writes
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
 
 import repro as pw
 from repro.core.environment import CloudEnvironment
+from repro.cos.client import COSClient
 from repro.dag import DagBuilder
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -46,13 +48,45 @@ WIDE, DEEP = 12, 12
 OUTPUT = os.path.join(os.path.dirname(__file__), "..", "BENCH_dag_swarm.json")
 
 
+@contextlib.contextmanager
+def schedule_reads():
+    """Byte counts of every worker read of a swarm schedule object.
+
+    Measured at the COS client boundary by object key, so a whole-object
+    GET and a slice range-read are counted alike.
+    """
+    reads: list[int] = []
+
+    def counting(method):
+        def steps(self, bucket, key, *args, **kwargs):
+            blob = yield from method(self, bucket, key, *args, **kwargs)
+            if key.endswith("/swarm/schedule.pickle"):
+                reads.append(len(blob))
+            return blob
+
+        return steps
+
+    originals = {
+        name: getattr(COSClient, name)
+        for name in ("get_object_steps", "read_range_steps")
+    }
+    for name, method in originals.items():
+        setattr(COSClient, name, counting(method))
+    try:
+        yield reads
+    finally:
+        for name, method in originals.items():
+            setattr(COSClient, name, method)
+
+
 def run_shape(build, check, scheduler, trace=False):
     """One seeded run of ``build``'s graph under ``scheduler``.
 
     Returns (report, normalized trace JSONL).  ``client_invocations``
     counts invocations issued through the executor's WAN gateway; worker
     handoffs go through the in-cloud trusted gateway and show up only in
-    the activation total.
+    the activation total.  ``schedule_bytes_read`` sums what workers read
+    of the shipped schedule: O(N + E) under swarm, 0 centralized.
     """
     env = CloudEnvironment.create(seed=SEED, trace=trace)
 
@@ -71,13 +105,15 @@ def run_shape(build, check, scheduler, trace=False):
             jsonl,
         )
 
-    value, activations, client_invocations, executor_id, jsonl = env.run(main)
+    with schedule_reads() as reads:
+        value, activations, client_invocations, executor_id, jsonl = env.run(main)
     check(value)
     report = {
         "makespan_s": round(env.now(), 1),
         "activations": activations,
         "client_invocations": client_invocations,
         "worker_invocations": activations - client_invocations,
+        "schedule_bytes_read": sum(reads),
     }
     return report, jsonl.replace(executor_id, "EXEC")
 
@@ -136,6 +172,7 @@ def main() -> int:
                 ),
                 "centralized_client_invocations": central["client_invocations"],
                 "swarm_client_invocations": swarm["client_invocations"],
+                "swarm_schedule_bytes_read": swarm["schedule_bytes_read"],
             }
         )
     chain_central = next(s for s in sweep if s["depth"] == 100)

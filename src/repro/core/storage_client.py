@@ -349,17 +349,24 @@ class InternalStorage:
         return f"{self.swarm_prefix(executor_id, dag_id)}/{node_key}/fire.token"
 
     def put_swarm_schedule(
-        self, executor_id: str, dag_id: str, schedule: dict[str, Any]
+        self, executor_id: str, dag_id: str, blob: bytes
     ) -> str:
-        """Ship the static schedule once at submit (client side, one PUT)."""
+        """Ship the static schedule once at submit (client side, one PUT):
+        the concatenated per-node blocks of ``swarm.build_schedule``."""
         key = self.swarm_schedule_key(executor_id, dag_id)
-        self.cos.put_object(self.bucket, key, serializer.serialize(schedule))
+        self.cos.put_object(self.bucket, key, blob)
         return key
 
-    def get_swarm_schedule_steps(self, executor_id: str, dag_id: str):
-        """Steps twin: workers fetch the schedule over the in-cloud link."""
-        blob = yield from self.cos.get_object_steps(
-            self.bucket, self.swarm_schedule_key(executor_id, dag_id)
+    def get_swarm_slice_steps(
+        self, executor_id: str, dag_id: str, offset: int, length: int
+    ):
+        """A worker range-reads one schedule block — its own slice,
+        O(out-degree) bytes — over the in-cloud link, never the graph."""
+        blob = yield from self.cos.read_range_steps(
+            self.bucket,
+            self.swarm_schedule_key(executor_id, dag_id),
+            offset,
+            offset + length,
         )
         return serializer.deserialize(blob)
 

@@ -298,34 +298,25 @@ class DagScheduler:
                     validate_runtime(fn, executor._runtime_image)
 
     def _ship_schedule(self, dag: Dag, dag_id: str) -> None:
-        """Stamp params with their swarm fan-out and ship the schedule.
+        """Stamp every node's params and ship the schedule object.
 
-        The stamp rides inside every node's call parameters (so both
-        client- and worker-issued invocations carry it), then the frozen
-        schedule — stamped params included — goes to COS as one object.
-        Workers whose node has no drivable dependents skip the schedule
-        fetch entirely thanks to the ``fan_out`` field.
+        The stamp (``dag_id`` + the node's own schedule slice range)
+        rides inside ``node.call_params``, so client-issued invocations —
+        roots, ``node_retries``, orphan re-drives — and worker-issued ones
+        carry the same range.  Workers whose node has no drivable
+        dependents (``slice`` is ``None``) skip the schedule read.
         """
         from repro.dag import swarm as _swarm
 
         executor = self.executor
-        for node in dag.internal_nodes:
-            fan_out = sum(
-                1 for dep in node.dependents if _swarm.is_drivable(dep)
-            )
-            params = {
-                **node.call_params,
-                "swarm": {"dag_id": dag_id, "fan_out": fan_out},
-            }
-            node.call_params = params
-            node.future._call_params = params
-        schedule = _swarm.build_schedule(
-            dag, dag_id,
-            namespace=executor.config.namespace,
-            action=executor._runner_action,
-        )
         executor._storage.put_swarm_schedule(
-            executor.executor_id, dag_id, schedule
+            executor.executor_id,
+            dag_id,
+            _swarm.build_schedule(
+                dag, dag_id,
+                namespace=executor.config.namespace,
+                action=executor._runner_action,
+            ),
         )
 
     def _payload(self, node: DagNode) -> dict[str, Any]:

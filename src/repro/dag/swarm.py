@@ -4,9 +4,10 @@ The centralized :class:`~repro.dag.DagScheduler` discovers every node
 completion from the client, so each graph edge costs at least one WAN
 round-trip (~250 ms) plus up to a poll interval before the dependent can
 launch.  Wukong-style swarm scheduling moves that hot path into the
-cloud: the client ships one *static schedule* to COS at submit (per-node
-dependency counts, call parameter refs, worker fan-out), and each worker,
-after winning its node's status commit, decrements its dependents'
+cloud: the client ships one *static schedule* object to COS at submit,
+laid out as one slice per node (its dependents' dependency counts and
+call parameter refs), and each worker, after winning its node's status
+commit, range-reads only its own slice, decrements its dependents'
 dependency counters and directly invokes every dependent that became
 ready — over the in-cloud link (~4 ms), carrying a placement hint for its
 own invoker node so the dependent lands where the freshly written output
@@ -35,8 +36,9 @@ commit makes the duplicate invocation harmless.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Mapping, Optional
 
+from repro.core import serializer
 from repro.dag.graph import Dag
 from repro.dag.node import DagNode
 
@@ -84,41 +86,63 @@ def build_schedule(
     *,
     namespace: str,
     action: str,
-) -> dict[str, Any]:
-    """Freeze the graph into the schedule object shipped to COS.
+) -> bytes:
+    """Stamp every node and freeze the graph into the schedule object.
 
-    Every internal node gets an entry keyed by :func:`node_key`: its
-    already-prepared call parameters (payload refs into the uploaded
-    aggdata, swarm stamp included), its dependency count, its dependency
-    ids (for counters and residency-ranked placement), and the keys of
-    the *drivable* dependents its worker must try to fire.  The schedule
-    is immutable for the run — retries and re-drives reuse the same
-    entries.
+    The object is a concatenation of independently pickled blocks.  Each
+    node with drivable dependents gets a *slice* holding only what its
+    worker needs to hand off: its display name, the invoke target, and
+    per dependent the dependency count and the already-prepared call
+    parameters.  Every node's params get a ``swarm`` stamp carrying its
+    own slice ``[offset, length]`` (``None``: nothing to fire), so a
+    finishing worker range-reads O(out-degree) bytes and the whole run
+    reads O(N + E).  A fan-in node's dependency ids (needed only by the
+    one worker that fires it, for residency-ranked placement) are stored
+    once in a block of their own, referenced by range from its parents'
+    slices, not copied into each.  Blocks are laid out sinks-first: a
+    dependent's stamp and ranges — which ride inside its parents' slices
+    — are final before any parent is pickled.  Immutable for the run;
+    client retries and re-drives reuse the stamped params.
     """
-    nodes: dict[str, dict[str, Any]] = {}
-    for node in dag.internal_nodes:
-        future = node.future
-        key = node_key(future.callset_id, future.call_id)
-        nodes[key] = {
-            "name": node.display_name,
-            "params": node.call_params,
-            "dep_count": len(node.deps),
-            "deps": [
-                [dep.future.callset_id, dep.future.call_id]
-                for dep in node.deps
-            ],
-            "dependents": [
-                node_key(dep.future.callset_id, dep.future.call_id)
-                for dep in node.dependents
-                if is_drivable(dep)
-            ],
+    blocks: list[bytes] = []
+    size = 0
+
+    def place(obj: Any) -> list[int]:
+        nonlocal size
+        blob = serializer.serialize(obj)
+        blocks.append(blob)
+        size += len(blob)
+        return [size - len(blob), len(blob)]
+
+    deps_at: dict[int, list[int]] = {}
+    for node in sorted(dag.internal_nodes, key=lambda n: (-n.level, n.node_id)):
+        dependents = {
+            node_key(dep.future.callset_id, dep.future.call_id): {
+                "name": dep.display_name,
+                "params": dep.call_params,
+                "dep_count": len(dep.deps),
+                "deps": deps_at.get(dep.node_id),
+            }
+            for dep in node.dependents
+            if is_drivable(dep)
         }
-    return {
-        "dag_id": dag_id,
-        "namespace": namespace,
-        "action": action,
-        "nodes": nodes,
-    }
+        span = None
+        if dependents:
+            span = place({
+                "name": node.display_name,
+                "namespace": namespace,
+                "action": action,
+                "dependents": dependents,
+            })
+        if len(node.deps) > 1 and is_drivable(node):
+            deps_at[node.node_id] = place(
+                [[d.future.callset_id, d.future.call_id] for d in node.deps]
+            )
+        node.call_params = node.future._call_params = {
+            **node.call_params,
+            "swarm": {"dag_id": dag_id, "slice": span},
+        }
+    return b"".join(blocks)
 
 
 class StorageSwarmStore:
@@ -149,11 +173,12 @@ class StorageSwarmStore:
 
 
 def ready_dependents_steps(
-    store, schedule_nodes: dict[str, dict], done_key: str, payload: dict
+    store, dependents: Mapping[str, dict], done_key: str, payload: dict
 ):
     """The counter-decrement protocol, as a steps generator.
 
-    Runs after ``done_key``'s status commit won.  For each drivable
+    Runs after ``done_key``'s status commit won, over the ``dependents``
+    of its own slice — no global view of the graph is needed.  For each
     dependent: create the edge's done marker (skip the dependent entirely
     if a duplicate run of this node already owns the edge), count markers,
     and when the count reaches the dependency total race for the fire
@@ -166,8 +191,7 @@ def ready_dependents_steps(
     is testable under arbitrary interleavings and mid-protocol crashes.
     """
     won: list[str] = []
-    for child_key in schedule_nodes[done_key]["dependents"]:
-        child = schedule_nodes[child_key]
+    for child_key, child in dependents.items():
         if child["dep_count"] > 1:
             created = yield from store.put_marker_steps(
                 child_key, done_key, payload
@@ -188,20 +212,22 @@ def ready_dependents_steps(
 def swarm_handoff_steps(params: dict[str, Any], ctx, storage, status: dict):
     """Worker-side handoff, run after a *winning, successful* status commit.
 
-    Fetches the schedule over the in-cloud link (skipped when this node
-    has no drivable dependents), runs the counter protocol, and invokes
-    every won dependent through ``ctx.functions`` — the same trusted
-    in-cloud gateway path the massive invoker uses — with a placement
-    hint aimed at this worker's own invoker node.
+    Range-reads this node's own schedule slice over the in-cloud link
+    (skipped when it has no drivable dependents), runs the counter
+    protocol, and invokes every won dependent through ``ctx.functions``
+    — the same trusted in-cloud gateway path the massive invoker uses —
+    with a placement hint aimed at this worker's own invoker node.
     """
     info = params["swarm"]
-    if not info.get("fan_out"):
+    if info["slice"] is None:
         return
     executor_id = params["executor_id"]
     dag_id = info["dag_id"]
     me = node_key(params["callset_id"], params["call_id"])
-    schedule = yield from storage.get_swarm_schedule_steps(executor_id, dag_id)
-    nodes = schedule["nodes"]
+    record = yield from storage.get_swarm_slice_steps(
+        executor_id, dag_id, *info["slice"]
+    )
+    dependents = record["dependents"]
     store = StorageSwarmStore(storage, executor_id, dag_id)
     payload = {
         "by": me,
@@ -212,11 +238,13 @@ def swarm_handoff_steps(params: dict[str, Any], ctx, storage, status: dict):
     if tracer is not None and not tracer.enabled:
         tracer = None
 
-    won = yield from ready_dependents_steps(store, nodes, me, payload)
+    won = yield from ready_dependents_steps(store, dependents, me, payload)
     for child_key in won:
-        child = nodes[child_key]
+        child = dependents[child_key]
         child_params = dict(child["params"])
-        hint = _handoff_hint(child, executor_id, ctx.record.invoker_id, storage)
+        hint = yield from _handoff_hint_steps(
+            child, executor_id, dag_id, ctx.record.invoker_id, storage
+        )
         if hint:
             child_params["placement_hint"] = hint
         callset_id, call_id = split_key(child_key)
@@ -230,47 +258,53 @@ def swarm_handoff_steps(params: dict[str, Any], ctx, storage, status: dict):
             tracer.point(
                 "swarm.ready", "swarm", ids=ids,
                 node=child["name"],
-                by=nodes[me]["name"],
+                by=record["name"],
                 deps=child["dep_count"],
             )
         t0 = ctx.kernel.now()
         activation_id = yield from ctx.functions.invoke_steps(
-            schedule["namespace"], schedule["action"], child_params
+            record["namespace"], record["action"], child_params
         )
         if tracer is not None:
             tracer.span_at(
                 "swarm.invoke", "swarm", t0, ctx.kernel.now(),
                 ids={**ids, "activation_id": activation_id},
                 node=child["name"],
-                by=nodes[me]["name"],
+                by=record["name"],
                 invoker_id=ctx.record.invoker_id,
             )
     return
 
 
-def _handoff_hint(
+def _handoff_hint_steps(
     child: dict[str, Any],
     executor_id: str,
+    dag_id: str,
     own_invoker: Optional[int],
     storage,
-) -> Optional[list[int]]:
+):
     """Placement hint for a worker-fired dependent.
 
     The firing worker's own invoker node leads — its result blob was
     written through the bound exchange an instant ago, so for linear
     chains the dependent reads its input without the data ever leaving
     the node.  When the bound exchange backend provides a locality
-    directory, the dependent's *other* inputs upgrade the tail of the
-    hint by current memory residency (same ranking the centralized
-    scheduler uses).
+    directory, a fan-in dependent's *other* inputs (one more range read:
+    its dependency-id block) upgrade the tail of the hint by current
+    memory residency (same ranking the centralized scheduler uses).
     """
     from repro.dag.locality import MAX_HINT
 
     hint: list[int] = [] if own_invoker is None else [own_invoker]
     exchange = getattr(storage, "exchange", None)
-    if exchange is not None and getattr(exchange, "provides_locality", False):
+    if child["deps"] is not None and getattr(
+        exchange, "provides_locality", False
+    ):
+        deps = yield from storage.get_swarm_slice_steps(
+            executor_id, dag_id, *child["deps"]
+        )
         resident: dict[int, int] = {}
-        for callset_id, call_id in child["deps"]:
+        for callset_id, call_id in deps:
             key = storage.result_key(executor_id, callset_id, call_id)
             for invoker, nbytes in exchange.locate(key):
                 if invoker == own_invoker:

@@ -56,6 +56,23 @@ def test_merge_tree_swarm_traced_runs_are_deterministic(bench):
     assert trace_a and trace_a == trace_b
 
 
+def test_schedule_bytes_read_scale_linearly(bench, monkeypatch):
+    """Each handoff range-reads its own O(out-degree) slice, so doubling
+    the merge tree doubles the schedule bytes read (a whole-graph fetch
+    per handoff quadruples them)."""
+    totals = {}
+    for leaves in (32, 64):
+        monkeypatch.setattr(bench.shapes, "N_LEAVES", leaves)
+        monkeypatch.setattr(bench.shapes, "CHUNK", 8)
+        with bench.schedule_reads() as reads:
+            report, _ = bench.run_merge_tree("swarm")
+        assert report["schedule_bytes_read"] == sum(reads)
+        assert len(reads) == 2 * leaves - 2  # every non-root node, once
+        assert max(reads) <= 1024 * (1 + 1)  # binary tree: out-degree 1
+        totals[leaves] = sum(reads)
+    assert totals[64] <= 2.5 * totals[32]
+
+
 def test_shape_builders_are_shared_with_pipeline_bench(bench):
     shapes = sys.modules["bench_dag_pipeline"]
     assert bench.shapes is shapes

@@ -15,10 +15,14 @@ import pytest
 
 import repro as pw
 from repro.config import DagConfig
+from repro.core import serializer
 from repro.core.environment import CloudEnvironment
+from repro.core.storage_client import InternalStorage
 from repro.dag import DagBuilder, DagScheduler
+from repro.dag.swarm import is_drivable, node_key
 
 from tests.dag.swarm_golden_workload import GOLDEN_PATH, run_traced
+from tests.dag.test_scheduler import flaky_once
 
 GOLDEN = pathlib.Path(GOLDEN_PATH)
 
@@ -162,6 +166,164 @@ class TestExecution:
             return run.expose(top).result()
 
         assert env.run(main) == 11 + 2
+
+
+class TestScheduleSlices:
+    def test_each_slice_holds_only_its_own_dependents(self, env):
+        """The shipped object is one independently decodable record per
+        fan-out node: exactly its drivable dependents (stamped params
+        included), O(out-degree) bytes — nothing for sinks, and a fan-in
+        node's dependency ids once, not once per parent."""
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            src = builder.call(inc, 1)
+            fan = [builder.call(inc, src, fusable=False) for _ in range(6)]
+            top = builder.reduce(total, fan)
+            tail = top.then(double, fusable=False)
+            run = builder.submit(executor, fuse=False, scheduler="swarm")
+            value = run.expose(tail).result()
+            storage = executor._storage
+            blob = storage.get_blob(
+                storage.swarm_schedule_key(executor.executor_id, run.dag_id)
+            )
+            return value, run.dag, blob
+
+        value, dag, blob = env.run(main)
+        assert value == 6 * 3 * 2
+
+        def key_of(node):
+            return node_key(node.future.callset_id, node.future.call_id)
+
+        def decode(span):
+            return serializer.deserialize(blob[span[0]:span[0] + span[1]])
+
+        spans = set()
+        for node in dag.internal_nodes:
+            drivable = [d for d in node.dependents if is_drivable(d)]
+            span = node.call_params["swarm"]["slice"]
+            if not drivable:
+                assert span is None
+                continue
+            assert span[1] <= 1024 * (1 + len(drivable))
+            record = decode(span)
+            spans.add(tuple(span))
+            assert record["name"] == node.display_name
+            assert set(record["dependents"]) == {key_of(d) for d in drivable}
+            for dep in drivable:
+                child = record["dependents"][key_of(dep)]
+                assert child["params"] == dep.call_params
+                assert child["dep_count"] == len(dep.deps)
+                if len(dep.deps) == 1:
+                    assert child["deps"] is None  # the finishing node itself
+                else:
+                    spans.add(tuple(child["deps"]))
+                    assert decode(child["deps"]) == [
+                        [d.future.callset_id, d.future.call_id]
+                        for d in dep.deps
+                    ]
+        # blocks tile the object exactly: nothing is stored twice
+        assert sum(length for _, length in spans) == len(blob)
+
+    @pytest.mark.parametrize("cached, block_reads", [(False, 4), (True, 5)])
+    def test_fan_in_dependency_ids_are_read_on_demand(
+        self, monkeypatch, cached, block_reads
+    ):
+        """Every leaf reads its own slice; only under a locality-providing
+        exchange does the one worker that fires the fan-in node also read
+        its dependency-id block — and placement still leads with that
+        worker's own invoker."""
+        from repro.config import CacheConfig
+
+        env = CloudEnvironment.create(
+            seed=123, cache=CacheConfig(enabled=cached)
+        )
+        read_slice = InternalStorage.get_swarm_slice_steps
+        reads = []
+
+        def recording(self, executor_id, dag_id, offset, length):
+            reads.append((offset, length))
+            block = yield from read_slice(
+                self, executor_id, dag_id, offset, length
+            )
+            return block
+
+        monkeypatch.setattr(
+            InternalStorage, "get_swarm_slice_steps", recording
+        )
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            leaves = [builder.call(inc, i, fusable=False) for i in range(4)]
+            top = builder.reduce(total, leaves)
+            run = builder.submit(executor, fuse=False, scheduler="swarm")
+            value = run.expose(top).result()
+            statuses = [run.future(leaf).status() for leaf in leaves]
+            return value, statuses, run.future(top).status()
+
+        value, leaf_statuses, top_status = env.run(main)
+        assert value == 1 + 2 + 3 + 4
+        assert len(reads) == len(set(reads)) == block_reads
+        last = max(leaf_statuses, key=lambda s: s["end_time"])
+        assert top_status["invoker_id"] == last["invoker_id"]
+
+
+class TestSupervisor:
+    """Client-issued re-invocations carry the node's slice range, so the
+    re-driven worker still fires its own dependents in-cloud."""
+
+    def test_killed_handoff_is_redriven_with_its_slice(self, monkeypatch):
+        env = CloudEnvironment.create(seed=123, trace=True)
+        env.config = env.config.with_overrides(
+            dag=DagConfig(scheduler="swarm", orphan_grace_s=2.0)
+        )
+        claim = InternalStorage.claim_swarm_token_steps
+        killed = []
+
+        def dying_claim(self, executor_id, dag_id, key, payload):
+            if key == "D002-00000" and not killed:
+                killed.append(key)  # status committed, dependent never fired
+                raise RuntimeError("worker died mid-handoff")
+            won = yield from claim(self, executor_id, dag_id, key, payload)
+            return won
+
+        monkeypatch.setattr(
+            InternalStorage, "claim_swarm_token_steps", dying_claim
+        )
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            tail = _build_chain(builder, depth=5)
+            run = builder.submit(executor, fuse=False)
+            value = run.expose(tail).result()
+            return value, executor._functions.invocations, executor.trace_jsonl()
+
+        value, client_invocations, jsonl = env.run(main)
+        assert value == 5
+        assert killed == ["D002-00000"]
+        assert len(_runner_activations(env)) == 5  # every node exactly once
+        assert jsonl.count('"swarm.redrive"') == 1
+        assert client_invocations == 1 + 1  # the root + the one redrive
+        # D001 before the kill, D003 and D004 by the re-driven node's line
+        assert jsonl.count('"swarm.invoke"') == 3
+
+    def test_node_retry_keeps_firing_dependents(self, env):
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            head = builder.call(inc, 0, fusable=False)
+            tail = head.then(flaky_once, fusable=False).then(inc, fusable=False)
+            scheduler = DagScheduler(executor, scheduler="swarm", node_retries=1)
+            run = scheduler.submit(builder.build(fuse=False))
+            run.join()
+            return run.future(tail).result(), executor._functions.invocations
+
+        value, client_invocations = env.run(main)
+        assert value == 1 + 100 + 1
+        assert client_invocations == 1 + 1  # the root + the one retry
 
 
 class TestConfig:

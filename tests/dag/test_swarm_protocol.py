@@ -5,7 +5,9 @@ The protocol under test is :func:`repro.dag.swarm.ready_dependents_steps`
 primitive.  Here it runs against an in-memory twin of the conditional
 store whose operations are the generator's yield points, so hypothesis
 can schedule *arbitrary interleavings* of concurrent handoffs and kill
-workers at any point mid-protocol.
+workers at any point mid-protocol.  Each handoff is handed only the
+finishing node's own slice (:class:`NeighbourSlice`), proving the
+counter protocol needs no global view of the graph.
 
 Invariants, per drawn DAG + schedule + crash pattern:
 
@@ -60,6 +62,26 @@ class MemoryConditionalStore:
         return ("token", key) in self.objects
 
 
+class NeighbourSlice(dict):
+    """The finishing node's schedule slice: its drivable dependents only.
+
+    A worker never sees more of the graph than this, so any lookup of a
+    non-neighbour key is a protocol bug, not a ``KeyError`` to swallow.
+    """
+
+    def __init__(self, nodes: dict[str, dict], done_key: str) -> None:
+        super().__init__(
+            (child, {"dep_count": nodes[child]["dep_count"]})
+            for child in nodes[done_key]["dependents"]
+        )
+        self._done_key = done_key
+
+    def __missing__(self, key):
+        raise AssertionError(
+            f"handoff of {self._done_key} looked up non-neighbour {key!r}"
+        )
+
+
 def dags(draw) -> dict[str, dict]:
     """A random schedule: nodes ``n0..nK``, edges only forward."""
     n = draw(st.integers(min_value=1, max_value=10))
@@ -103,7 +125,8 @@ def test_every_node_fires_exactly_once_under_crashes(data):
         completed.add(done_key)
         if nodes[done_key]["dependents"]:
             handoffs[done_key] = ready_dependents_steps(
-                store, nodes, done_key, {"by": done_key}
+                store, NeighbourSlice(nodes, done_key), done_key,
+                {"by": done_key},
             )
 
     # roots are client-invoked at submit; model them as already running
