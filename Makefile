@@ -1,4 +1,4 @@
-.PHONY: install test lint chaos perf perf-selftest bench bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint chaos perf perf-selftest perf-trace bench bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -26,6 +26,12 @@ perf:
 
 perf-selftest:
 	python3 perf/selftest.py
+
+# what leaving the trace spine on costs: 10,000-call map, spine off then
+# on; the last stdout line is a JSON record whose trace.overhead_pct the
+# nightly CI job holds under 45 (expected 20-30).  ~40 s.
+perf-trace:
+	python3 perf/run.py --workload map_fanout --seconds 20 --trace 1
 
 bench:
 	pytest benchmarks/ --benchmark-only

@@ -752,13 +752,12 @@ class FunctionExecutor:
             # the progress bar sits on the spine: the wait loop emits
             # ``client.progress`` points and a subscriber renders them
             def _on_trace_event(event) -> None:
-                if (
-                    event.name == "client.progress"
-                    and event.get_id("executor_id") == self.executor_id
-                ):
+                if event.get_id("executor_id") == self.executor_id:
                     _render(event.get_attr("done", 0))
 
-            unsubscribe = tracer.subscribe(_on_trace_event)
+            unsubscribe = tracer.subscribe(
+                _on_trace_event, names=("client.progress",)
+            )
 
             def _on_progress(done: int, total: int) -> None:
                 tracer.point(

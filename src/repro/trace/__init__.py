@@ -11,9 +11,11 @@ attempt``.
 
 The spine has three parts:
 
-* :mod:`repro.trace.tracer` — the process-wide :class:`Tracer` collecting
-  :class:`~repro.trace.events.TraceEvent` records with near-zero overhead
-  when disabled (every emission site guards on ``tracer.enabled``);
+* :mod:`repro.trace.tracer` — the per-environment :class:`Tracer`: near-zero
+  overhead when disabled (every emission site guards on ``tracer.enabled``),
+  one flat lock-free append per event when enabled, with
+  :class:`~repro.trace.events.TraceEvent` records built when the stream is
+  read;
 * :mod:`repro.trace.derive` — consumers: job statistics, billing totals
   and execution intervals derived *from the stream*, matching the values
   the legacy per-layer counters produce;

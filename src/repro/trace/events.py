@@ -1,15 +1,18 @@
 """The trace event model: structured spans and points on the virtual clock.
 
-Events are immutable and content-comparable: ids and attributes are stored
-as sorted tuples, so two runs that produce the same causal history produce
-*equal* events, and a deterministically sorted stream is byte-stable across
-runs of the same seed.
+Emission is raw and the canonical form is built on read: the tracer records
+an event's seven fields as they were passed (``ids`` and ``attrs`` still
+mappings) and a :class:`TraceEvent` is materialised from them only when the
+stream is read.  An event holds them as dicts and sorts them into ``(key,
+value)`` tuples whenever they are asked for, so two runs that produce the
+same causal history produce *equal* events, and a deterministically sorted
+stream is byte-stable across runs of the same seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from itertools import groupby
+from typing import Any, Iterable, Mapping, Optional, Union
 
 #: the layers of the emulated cloud that emit onto the spine, in stack order
 LAYERS = (
@@ -35,30 +38,63 @@ KIND_SPAN = "span"
 KIND_POINT = "point"
 
 
-def _as_items(mapping: Optional[Mapping[str, Any]]) -> tuple[tuple[str, Any], ...]:
-    if not mapping:
-        return ()
-    return tuple(sorted(mapping.items()))
+_Items = tuple[tuple[str, Any], ...]
 
 
-@dataclass(frozen=True)
 class TraceEvent:
     """One span or point event on the trace spine.
 
     ``ids`` carries the causal hierarchy (``executor_id``, ``callset_id``,
     ``call_id``, ``activation_id``, ``attempt`` — whichever the emitting
     layer knows); ``attrs`` carries layer-specific payload (byte counts,
-    action names, success flags).  Both are sorted ``(key, value)`` tuples
-    so events hash, compare and serialize deterministically.
+    action names, success flags).  Both read as sorted ``(key, value)``
+    tuples so events hash, compare and serialize deterministically.  They
+    are held as dicts and sorted when read; a dict passed in is kept, not
+    copied (the tracer shares one ambient-ids dict between events), so
+    neither it nor the event may be mutated afterwards.
     """
 
-    t: float
-    name: str
-    layer: str
-    kind: str = KIND_POINT
-    dur: Optional[float] = None
-    ids: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
-    attrs: tuple[tuple[str, Any], ...] = field(default_factory=tuple)
+    __slots__ = ("t", "name", "layer", "kind", "dur", "_ids", "_attrs")
+
+    def __init__(
+        self, t: float, name: str, layer: str, kind: str = KIND_POINT,
+        dur: Optional[float] = None,
+        ids: Union[Mapping[str, Any], _Items, None] = (),
+        attrs: Union[Mapping[str, Any], _Items, None] = (),
+    ) -> None:
+        self.t = t
+        self.name = name
+        self.layer = layer
+        self.kind = kind
+        self.dur = dur
+        self._ids = ids if type(ids) is dict else dict(ids or ())
+        self._attrs = attrs if type(attrs) is dict else dict(attrs or ())
+
+    @property
+    def ids(self) -> _Items:
+        return tuple(sorted(self._ids.items()))
+
+    @property
+    def attrs(self) -> _Items:
+        return tuple(sorted(self._attrs.items()))
+
+    def _content(self) -> tuple:
+        return (self.t, self.name, self.layer, self.kind, self.dur,
+                self.ids, self.attrs)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not TraceEvent:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+    def __repr__(self) -> str:
+        return (
+            "TraceEvent(t={!r}, name={!r}, layer={!r}, kind={!r}, dur={!r}, "
+            "ids={!r}, attrs={!r})".format(*self._content())
+        )
 
     @property
     def end(self) -> float:
@@ -66,22 +102,25 @@ class TraceEvent:
         return self.t + (self.dur or 0.0)
 
     def id_dict(self) -> dict[str, Any]:
-        return dict(self.ids)
+        return dict(self._ids)
 
     def attr_dict(self) -> dict[str, Any]:
-        return dict(self.attrs)
+        return dict(self._attrs)
 
     def get_id(self, key: str, default: Any = None) -> Any:
-        for k, v in self.ids:
-            if k == key:
-                return v
-        return default
+        return self._ids.get(key, default)
 
     def get_attr(self, key: str, default: Any = None) -> Any:
-        for k, v in self.attrs:
-            if k == key:
-                return v
-        return default
+        return self._attrs.get(key, default)
+
+    def _sort_prefix(self) -> tuple:
+        return (
+            self.t,
+            self.layer,
+            self.name,
+            self.kind,
+            self.dur if self.dur is not None else -1.0,
+        )
 
     def sort_key(self) -> tuple:
         """Deterministic total order independent of emission interleaving.
@@ -89,51 +128,40 @@ class TraceEvent:
         Ties on time are broken by content, so an event multiset sorts to
         the same sequence no matter which thread appended first.
         """
-        return (
-            self.t,
-            self.layer,
-            self.name,
-            self.kind,
-            self.dur if self.dur is not None else -1.0,
-            repr(self.ids),
-            repr(self.attrs),
-        )
+        return self._sort_prefix() + (repr(self.ids), repr(self.attrs))
+
+
+def sort_events(events: Iterable[TraceEvent]) -> list[TraceEvent]:
+    """``sorted(events, key=TraceEvent.sort_key)``, paying the key's two
+    ``repr`` only among events that tie on everything before them."""
+    prefix = TraceEvent._sort_prefix
+    ordered: list[TraceEvent] = []
+    for _, ties in groupby(sorted(events, key=prefix), prefix):
+        run = list(ties)
+        if len(run) > 1:
+            run.sort(key=lambda e: (repr(e.ids), repr(e.attrs)))
+        ordered += run
+    return ordered
 
 
 def span(
-    name: str,
-    layer: str,
-    t0: float,
-    t1: float,
+    name: str, layer: str, t0: float, t1: float,
     ids: Optional[Mapping[str, Any]] = None,
     attrs: Optional[Mapping[str, Any]] = None,
 ) -> TraceEvent:
     """Build a span event covering ``[t0, t1]``."""
     return TraceEvent(
-        t=t0,
-        name=name,
-        layer=layer,
-        kind=KIND_SPAN,
-        dur=max(0.0, t1 - t0),
-        ids=_as_items(ids),
-        attrs=_as_items(attrs),
+        t0, name, layer, KIND_SPAN, max(0.0, t1 - t0),
+        dict(ids or ()), dict(attrs or ()),
     )
 
 
 def point(
-    name: str,
-    layer: str,
-    t: float,
+    name: str, layer: str, t: float,
     ids: Optional[Mapping[str, Any]] = None,
     attrs: Optional[Mapping[str, Any]] = None,
 ) -> TraceEvent:
     """Build an instantaneous point event."""
     return TraceEvent(
-        t=t,
-        name=name,
-        layer=layer,
-        kind=KIND_POINT,
-        dur=None,
-        ids=_as_items(ids),
-        attrs=_as_items(attrs),
+        t, name, layer, KIND_POINT, None, dict(ids or ()), dict(attrs or ())
     )

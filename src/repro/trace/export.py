@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 from typing import Iterable, Sequence
 
-from repro.trace.events import KIND_POINT, KIND_SPAN, LAYERS, TraceEvent
-
-
-def _sorted(events: Iterable[TraceEvent]) -> list[TraceEvent]:
-    return sorted(events, key=TraceEvent.sort_key)
+from repro.trace.events import (
+    KIND_POINT, KIND_SPAN, LAYERS, TraceEvent, sort_events,
+)
 
 
 # ----------------------------------------------------------------------
@@ -33,10 +31,11 @@ def event_to_dict(event: TraceEvent) -> dict:
     }
     if event.dur is not None:
         out["dur"] = event.dur
-    if event.ids:
-        out["ids"] = event.id_dict()
-    if event.attrs:
-        out["attrs"] = event.attr_dict()
+    ids, attrs = event.id_dict(), event.attr_dict()
+    if ids:
+        out["ids"] = ids
+    if attrs:
+        out["attrs"] = attrs
     return out
 
 
@@ -48,8 +47,8 @@ def event_from_dict(data: dict) -> TraceEvent:
         layer=data["layer"],
         kind=data.get("kind", KIND_POINT),
         dur=data.get("dur"),
-        ids=tuple(sorted(data.get("ids", {}).items())),
-        attrs=tuple(sorted(data.get("attrs", {}).items())),
+        ids=data.get("ids"),
+        attrs=data.get("attrs"),
     )
 
 
@@ -57,7 +56,7 @@ def to_jsonl(events: Iterable[TraceEvent]) -> str:
     """Serialize events to deterministic JSON-lines text."""
     lines = [
         json.dumps(event_to_dict(e), sort_keys=True, separators=(",", ":"))
-        for e in _sorted(events)
+        for e in sort_events(events)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -89,7 +88,7 @@ def to_chrome_trace(events: Iterable[TraceEvent]) -> dict:
     Virtual seconds map to trace microseconds; each layer gets its own
     thread track, named via ``thread_name`` metadata.
     """
-    ordered = _sorted(events)
+    ordered = sort_events(events)
     trace_events: list[dict] = []
     seen_layers: set[str] = set()
     for event in ordered:

@@ -1,21 +1,32 @@
-"""The :class:`Tracer`: thread-safe event collection on the virtual clock.
+"""The :class:`Tracer`: event collection on the virtual clock, cheap enough
+to leave on.
 
 One tracer per :class:`~repro.core.environment.CloudEnvironment`; every
 layer holds a reference and guards emission with ``tracer is not None and
 tracer.enabled`` so a disabled spine costs two attribute loads per site.
+
+An enabled one costs one flat append per event: the seven raw fields
+``(t, name, layer, kind, dur, ids, attrs)`` go onto one list in a single
+``list.extend`` — atomic under the interpreter lock, so emitters take no
+lock — and nothing is sorted, copied or wrapped.  Reading (:meth:`Tracer.
+events`, :meth:`Tracer.raw_events`) folds the pending records into
+:class:`TraceEvent` objects and keeps the sorted snapshot until the next
+emission, so the canonical form is paid for once, by the reader.
 
 Causal ids flow *ambiently*: :meth:`Tracer.bind` pushes an id mapping onto
 a thread-local stack that the virtual-time kernel propagates into spawned
 tasks (the same mechanism ``repro.core.context`` uses), so a COS request
 issued deep inside a running cloud function is automatically stamped with
 the job/call/activation ids the controller bound around the handler.
+**An ambient ids dict is never mutated**: ``bind`` builds a new one, and
+tasks and events share the one they were handed.
 """
 
 from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Any, Callable, Iterator, Mapping, Optional
+from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.trace import events as ev
 from repro.vtime.kernel import Kernel, register_context_propagator
@@ -28,49 +39,55 @@ def _current_ids() -> Optional[dict[str, Any]]:
     return getattr(_BOUND, "ids", None)
 
 
-def _capture_ids() -> Optional[dict[str, Any]]:
-    return _current_ids()
-
-
 def _install_ids(token: Optional[dict[str, Any]]) -> None:
-    _BOUND.ids = dict(token) if token else None
+    _BOUND.ids = token
 
 
 def _uninstall_ids(_token: Optional[dict[str, Any]]) -> None:
     _BOUND.ids = None
 
 
-register_context_propagator(_capture_ids, _install_ids, _uninstall_ids)
+register_context_propagator(_current_ids, _install_ids, _uninstall_ids)
+
+
+#: fields of one raw record in ``Tracer._pending``
+_FIELDS = 7
 
 
 class Tracer:
-    """Append-only, thread-safe collector of :class:`TraceEvent` records."""
+    """Append-only collector of trace events; emission is lock-free."""
 
     def __init__(self, kernel: Kernel, enabled: bool = False) -> None:
         self.kernel = kernel
         #: the master switch every emission site checks first
         self.enabled = bool(enabled)
-        self._events: list[ev.TraceEvent] = []
-        self._lock = threading.Lock()
-        self._subscribers: list[Callable[[ev.TraceEvent], None]] = []
+        #: raw records not read yet, ``_FIELDS`` slots each: floats, strings
+        #: and shared or atomic-valued dicts — nothing the collector tracks
+        self._pending: list[Any] = []
+        self._lock = threading.Lock()  # readers and subscribe(); never emitters
+        self._seen: list[ev.TraceEvent] = []    # materialised, append order
+        self._sorted: list[ev.TraceEvent] = []  # the same events, sort_key order
+        #: copy-on-write ``(callback, names or None)`` pairs
+        self._subscribers: tuple[tuple[Callable, Optional[frozenset]], ...] = ()
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def _merged_ids(self, ids: Optional[Mapping[str, Any]]) -> dict[str, Any]:
+    def _record(
+        self, t: float, name: str, layer: str, kind: str, dur: Optional[float],
+        ids: Optional[Mapping[str, Any]], attrs: dict[str, Any],
+    ) -> None:
         ambient = _current_ids()
-        if ambient and ids:
-            return {**ambient, **ids}
-        if ambient:
-            return dict(ambient)
-        return dict(ids) if ids else {}
-
-    def _append(self, event: ev.TraceEvent) -> None:
-        with self._lock:
-            self._events.append(event)
-            subscribers = list(self._subscribers)
-        for callback in subscribers:
-            callback(event)
+        if not ids:
+            ids = ambient
+        elif ambient:
+            ids = {**ambient, **ids}
+        else:
+            ids = dict(ids)
+        self._pending.extend((t, name, layer, kind, dur, ids, attrs))
+        for callback, names in self._subscribers:
+            if names is None or name in names:
+                callback(ev.TraceEvent(t, name, layer, kind, dur, ids, attrs))
 
     def point(
         self,
@@ -84,7 +101,7 @@ class Tracer:
         if not self.enabled:
             return
         when = self.kernel.now() if t is None else t
-        self._append(ev.point(name, layer, when, self._merged_ids(ids), attrs))
+        self._record(when, name, layer, ev.KIND_POINT, None, ids, attrs)
 
     def span_at(
         self,
@@ -98,7 +115,7 @@ class Tracer:
         """Record a span with explicit endpoints (no-op when disabled)."""
         if not self.enabled:
             return
-        self._append(ev.span(name, layer, t0, t1, self._merged_ids(ids), attrs))
+        self._record(t0, name, layer, ev.KIND_SPAN, max(0.0, t1 - t0), ids, attrs)
 
     @contextlib.contextmanager
     def span(
@@ -135,38 +152,60 @@ class Tracer:
     # Consumption
     # ------------------------------------------------------------------
     def subscribe(
-        self, callback: Callable[[ev.TraceEvent], None]
+        self,
+        callback: Callable[[ev.TraceEvent], None],
+        names: Optional[Iterable[str]] = None,
     ) -> Callable[[], None]:
         """Register a live listener; returns an unsubscribe function.
 
-        Listeners run synchronously on the emitting task — keep them cheap
-        (the progress bar is the canonical subscriber).
+        ``names`` limits it to events of those names: an event is built for
+        a listener only when one wants it, so say which.  Listeners run
+        synchronously on the emitting task — keep them cheap (the progress
+        bar is the canonical subscriber).
         """
+        if isinstance(names, str):
+            names = (names,)
+        entry = (callback, None if names is None else frozenset(names))
         with self._lock:
-            self._subscribers.append(callback)
+            self._subscribers += (entry,)
 
         def _unsubscribe() -> None:
             with self._lock:
-                if callback in self._subscribers:
-                    self._subscribers.remove(callback)
+                self._subscribers = tuple(
+                    e for e in self._subscribers if e is not entry
+                )
 
         return _unsubscribe
 
+    def _fold_pending(self) -> None:
+        """Materialise the records emitted since the last read (lock held).
+        Emitters may append meanwhile: only the slots copied are dropped."""
+        fields = iter(self._pending[:])
+        fresh = list(map(ev.TraceEvent, *[fields] * _FIELDS))
+        del self._pending[: len(fresh) * _FIELDS]
+        self._seen += fresh
+
     def events(self) -> list[ev.TraceEvent]:
-        """All events in deterministic (time, content) order."""
+        """All events in deterministic (time, content) order.  The sorted
+        snapshot is kept: a read with nothing new emitted sorts nothing."""
         with self._lock:
-            snapshot = list(self._events)
-        return sorted(snapshot, key=ev.TraceEvent.sort_key)
+            self._fold_pending()
+            unsorted = self._seen[len(self._sorted):]
+            if unsorted:
+                self._sorted = ev.sort_events(self._sorted + unsorted)
+            return list(self._sorted)
 
     def raw_events(self) -> list[ev.TraceEvent]:
         """All events in append order (interleaving-dependent)."""
         with self._lock:
-            return list(self._events)
+            self._fold_pending()
+            return list(self._seen)
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._events)
+            return len(self._seen) + len(self._pending) // _FIELDS
 
     def clear(self) -> None:
         with self._lock:
-            self._events.clear()
+            del self._pending[:]
+            self._seen, self._sorted = [], []

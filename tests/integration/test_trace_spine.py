@@ -8,6 +8,8 @@ trace match what the legacy per-layer counters report.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import repro as pw
@@ -16,7 +18,7 @@ from repro.config import InvokerMode
 from repro.core.environment import CloudEnvironment
 from repro.core.stats import collect_job_stats
 from repro.faas.limits import SystemLimits
-from repro.trace import derive
+from repro.trace import TraceEvent, derive, export
 
 
 def _traced_env(seed: int = 7) -> CloudEnvironment:
@@ -69,7 +71,7 @@ class TestGoldenDeterminismAtScale:
 
     N = 1_000
 
-    def _run_scale_map(self, seed: int) -> str:
+    def _run_scale_env(self, seed: int) -> tuple[CloudEnvironment, str]:
         limits = SystemLimits(max_concurrent=self.N + 64, invoker_count=10)
         env = CloudEnvironment.create(seed=seed, limits=limits, trace=True)
 
@@ -82,7 +84,10 @@ class TestGoldenDeterminismAtScale:
             return executor.executor_id, executor.trace_jsonl()
 
         executor_id, jsonl = env.run(main)
-        return jsonl.replace(executor_id, "EXEC")
+        return env, jsonl.replace(executor_id, "EXEC")
+
+    def _run_scale_map(self, seed: int) -> str:
+        return self._run_scale_env(seed)[1]
 
     def test_same_seed_1k_run_is_byte_identical(self):
         first = self._run_scale_map(seed=21)
@@ -90,6 +95,30 @@ class TestGoldenDeterminismAtScale:
         assert first != ""
         assert first.count("\n") > self.N  # at least one event per call
         assert first == second
+
+
+    def test_read_side_matches_the_eager_canonical_form(self):
+        """Canonical form is built on read; on a >= 20k-event stream it must
+        be what the emit-time form was: ``sort_key`` order, and JSONL text
+        equal to the old exporter's (sorted pair tuples -> dicts)."""
+        tracer = self._run_scale_env(seed=21)[0].tracer
+        events = tracer.events()
+        assert len(events) >= 20_000
+        assert events == sorted(tracer.raw_events(), key=TraceEvent.sort_key)
+
+        def eager_line(e: TraceEvent) -> str:
+            out = {"t": e.t, "name": e.name, "layer": e.layer, "kind": e.kind}
+            if e.dur is not None:
+                out["dur"] = e.dur
+            if e.ids:
+                out["ids"] = dict(e.ids)
+            if e.attrs:
+                out["attrs"] = dict(e.attrs)
+            return json.dumps(out, sort_keys=True, separators=(",", ":"))
+
+        reference = "".join(eager_line(e) + "\n" for e in events)
+        assert export.to_jsonl(tracer.raw_events()) == reference
+        assert export.from_jsonl(reference) == events
 
 
 class TestConsumerEquivalence:
