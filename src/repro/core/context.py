@@ -3,15 +3,22 @@
 ``pw.ibm_cf_executor()`` works both on the client *and inside a running
 cloud function* (that is how §4.4's dynamic composition works: any function
 may spin up an executor and fan out).  The binding between the calling
-thread and its cloud environment is kept here: ``CloudEnvironment.run``
-registers the client thread, and the runner worker registers each function
-execution thread with ``in_cloud=True`` so nested executors get in-cloud
-network links automatically.
+code and its cloud environment is kept here: ``CloudEnvironment.run``
+registers the client task, and the runner worker registers each function
+execution with ``in_cloud=True`` so nested executors get in-cloud network
+links automatically.
+
+The stack of bindings is one context variable holding an immutable tuple.
+A kernel task runs in its own copy of its spawner's context
+(:mod:`repro.vtime.kernel`), so a task spawned with an active environment
+inherits it — client code may fan out its own kernel tasks and still call
+``ibm_cf_executor()`` inside them — and pushes made afterwards stay with
+the side that made them.
 """
 
 from __future__ import annotations
 
-import threading
+import contextvars
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -35,8 +42,9 @@ class AmbientContext:
     execution_context: Any = None
 
 
-_ACTIVE: dict[int, list[AmbientContext]] = {}
-_LOCK = threading.Lock()
+_STACK: contextvars.ContextVar[tuple[AmbientContext, ...]] = contextvars.ContextVar(
+    "repro.core.context.stack", default=()
+)
 
 
 def push_context(
@@ -46,26 +54,19 @@ def push_context(
     execution_context: Any = None,
 ) -> None:
     ctx = AmbientContext(environment, in_cloud, call_info, execution_context)
-    ident = threading.get_ident()
-    with _LOCK:
-        _ACTIVE.setdefault(ident, []).append(ctx)
+    _STACK.set(_STACK.get() + (ctx,))
 
 
 def pop_context() -> None:
-    ident = threading.get_ident()
-    with _LOCK:
-        stack = _ACTIVE.get(ident)
-        if not stack:
-            raise RuntimeError("pop_context() with no pushed context")
-        stack.pop()
-        if not stack:
-            del _ACTIVE[ident]
+    stack = _STACK.get()
+    if not stack:
+        raise RuntimeError("pop_context() with no pushed context")
+    _STACK.set(stack[:-1])
 
 
 def current_context() -> Optional[AmbientContext]:
-    with _LOCK:
-        stack = _ACTIVE.get(threading.get_ident())
-        return stack[-1] if stack else None
+    stack = _STACK.get()
+    return stack[-1] if stack else None
 
 
 def require_context() -> AmbientContext:
@@ -76,37 +77,3 @@ def require_context() -> AmbientContext:
             "through CloudEnvironment.run() or pass environment= explicitly"
         )
     return ctx
-
-
-# ---------------------------------------------------------------------------
-# Propagation into spawned kernel tasks: a task spawned from a thread with
-# an active environment inherits it (so client code may fan out its own
-# kernel tasks and still call ibm_cf_executor() inside them).
-# ---------------------------------------------------------------------------
-def _capture_stack() -> list[AmbientContext]:
-    with _LOCK:
-        return list(_ACTIVE.get(threading.get_ident(), []))
-
-
-def _install_stack(stack: list[AmbientContext]) -> None:
-    if not stack:
-        return
-    ident = threading.get_ident()
-    with _LOCK:
-        _ACTIVE.setdefault(ident, []).extend(stack)
-
-
-def _uninstall_stack(stack: list[AmbientContext]) -> None:
-    if not stack:
-        return
-    ident = threading.get_ident()
-    with _LOCK:
-        current = _ACTIVE.get(ident, [])
-        del current[len(current) - len(stack):]
-        if not current:
-            _ACTIVE.pop(ident, None)
-
-
-from repro.vtime.kernel import register_context_propagator  # noqa: E402
-
-register_context_propagator(_capture_stack, _install_stack, _uninstall_stack)

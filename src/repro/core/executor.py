@@ -424,7 +424,7 @@ class FunctionExecutor:
             key = (f.callset_id, f.call_id)
             if key in self._journal_seen:
                 continue
-            if f._status is not None or getattr(f, "_status_seen", False):
+            if f.status_known:
                 self._journal_seen.add(key)
                 success = (
                     bool(f._status.get("success"))
@@ -500,7 +500,7 @@ class FunctionExecutor:
             if not future.bound:
                 future.bind(self._storage, self.config.poll_interval)
             key = (future.callset_id, future.call_id)
-            if future._status is not None or getattr(future, "_status_seen", False):
+            if future.status_known:
                 continue
             buffered = self._push_buffer.pop(key, None)
             if buffered is not None:
@@ -601,9 +601,9 @@ class FunctionExecutor:
         """
         candidates: dict[tuple[str, str], ResponseFuture] = {}
         for future in list(pending) + self.futures:
-            if future.activation_id is None or getattr(future, "_exhausted", False):
+            if future.activation_id is None or future._exhausted:
                 continue
-            if future._status is not None or getattr(future, "_status_seen", False):
+            if future.status_known:
                 continue
             candidates.setdefault((future.callset_id, future.call_id), future)
         if not candidates:

@@ -134,6 +134,11 @@ class FailureReport:
 class ResponseFuture:
     """Handle for one function executor's eventual result."""
 
+    # Class-level defaults, not ``__init__`` assignments: ``__getstate__``
+    # pickles the instance dict, and pickled size feeds modelled transfer time.
+    _status_seen = False
+    _exhausted = False
+
     def __init__(
         self,
         executor_id: str,
@@ -207,9 +212,14 @@ class ResponseFuture:
         """
         self._status_seen = True
 
+    @property
+    def status_known(self) -> bool:
+        """Whether a status object is known to exist (fetched, or only seen)."""
+        return self._status is not None or self._status_seen
+
     def done(self) -> bool:
         """One status check (no blocking)."""
-        if self._status is not None or getattr(self, "_status_seen", False):
+        if self.status_known:
             return True
         status = self._require_storage().get_status(
             self.executor_id, self.callset_id, self.call_id

@@ -25,23 +25,20 @@ __all__ = ["wait", "ALWAYS", "ANY_COMPLETED", "ALL_COMPLETED"]
 
 
 def _poll_round(
-    futures: Sequence[ResponseFuture], storage: InternalStorage
+    pending: Sequence[ResponseFuture], storage: InternalStorage
 ) -> None:
     """Mark futures whose status objects now exist (one LIST per callset)."""
     pending_by_callset: dict[tuple[str, str], list[ResponseFuture]] = {}
-    for future in futures:
-        if not _is_done(future):
+    for future in pending:
+        if not future.status_known:  # a hook may have buried or ingested it
             key = (future.executor_id, future.callset_id)
             pending_by_callset.setdefault(key, []).append(future)
     for (executor_id, callset_id), group in pending_by_callset.items():
         done_ids = storage.list_done_call_ids(executor_id, callset_id)
-        for future in group:
-            if future.call_id in done_ids:
-                future.mark_done()
-
-
-def _is_done(future: ResponseFuture) -> bool:
-    return future._status is not None or getattr(future, "_status_seen", False)
+        if done_ids:
+            for future in group:
+                if future.call_id in done_ids:
+                    future.mark_done()
 
 
 def wait(
@@ -84,20 +81,24 @@ def wait(
             future.bind(storage, poll_interval)
 
     deadline = None if timeout is None else vtime.now() + timeout
+    # carried from round to round in the original order, so a round costs
+    # O(pending) and callsets are LISTed in the order of their first
+    # still-pending future
+    not_done = futures
     while True:
-        _poll_round(futures, storage)
+        _poll_round(not_done, storage)
         if on_round is not None:
             on_round(futures)
-        done = [f for f in futures if _is_done(f)]
-        not_done = [f for f in futures if not _is_done(f)]
+        not_done = [f for f in not_done if not f.status_known]
+        done_count = len(futures) - len(not_done)
         if on_progress is not None:
-            on_progress(len(done), len(futures))
-        if return_when == ALWAYS:
-            return done, not_done
-        if return_when == ANY_COMPLETED and done:
-            return done, not_done
-        if return_when == ALL_COMPLETED and not not_done:
-            return done, not_done
+            on_progress(done_count, len(futures))
+        if (
+            return_when == ALWAYS
+            or (return_when == ANY_COMPLETED and done_count)
+            or (return_when == ALL_COMPLETED and not not_done)
+        ):
+            return [f for f in futures if f.status_known], not_done
         if deadline is not None and vtime.now() >= deadline:
             raise ResultTimeoutError(
                 f"wait() timed out with {len(not_done)} of "

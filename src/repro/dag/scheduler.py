@@ -435,20 +435,14 @@ class DagScheduler:
             ).append(node)
         for key in sorted(groups):
             nodes = groups[key]
-            if all(
-                n.future._status is not None
-                or getattr(n.future, "_status_seen", False)
-                for n in nodes
-            ):
+            if all(n.future.status_known for n in nodes):
                 done_ids = None  # statuses already known; skip the LIST
             else:
                 done_ids = storage.list_done_call_ids(*key)
             for node in nodes:
                 future = node.future
-                if (
-                    future._status is not None
-                    or getattr(future, "_status_seen", False)
-                    or (done_ids is not None and future.call_id in done_ids)
+                if future.status_known or (
+                    done_ids is not None and future.call_id in done_ids
                 ):
                     self._complete(run, node)
 

@@ -16,6 +16,7 @@ from typing import Callable, Optional
 from repro.config import RetryConfig
 from repro.cos.errors import ServiceUnavailable, SlowDown
 from repro.net.latency import TransientNetworkError
+from repro.vtime.kernel import vsleep
 
 #: errors a client may safely retry: the request either never reached the
 #: service or was rejected before any state change.  ThrottledError (the
@@ -122,8 +123,6 @@ class RetryPolicy:
         yielded as ops instead of blocking, so the whole retry loop can run
         as — or inside — a model task, or be driven by a thread task.
         """
-        from repro.vtime.kernel import vsleep
-
         attempt = 1
         while True:
             try:

@@ -13,41 +13,31 @@ events`, :meth:`Tracer.raw_events`) folds the pending records into
 :class:`TraceEvent` objects and keeps the sorted snapshot until the next
 emission, so the canonical form is paid for once, by the reader.
 
-Causal ids flow *ambiently*: :meth:`Tracer.bind` pushes an id mapping onto
-a thread-local stack that the virtual-time kernel propagates into spawned
-tasks (the same mechanism ``repro.core.context`` uses), so a COS request
-issued deep inside a running cloud function is automatically stamped with
-the job/call/activation ids the controller bound around the handler.
-**An ambient ids dict is never mutated**: ``bind`` builds a new one, and
-tasks and events share the one they were handed.
+Causal ids flow *ambiently*: :meth:`Tracer.bind` sets one context variable
+to a new id mapping for the enclosed block.  Every kernel task runs in its
+own copy of its spawner's context (:mod:`repro.vtime.kernel`; the same
+mechanism ``repro.core.context`` uses), so a spawned task starts with the
+ids bound at its spawn, a bind held across a yield follows its task, and a
+COS request issued deep inside a running cloud function is automatically
+stamped with the job/call/activation ids the controller bound around the
+handler.  **An ambient ids dict is never mutated**: ``bind`` builds a new
+one, and tasks and events share the one they were handed.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.trace import events as ev
-from repro.vtime.kernel import Kernel, register_context_propagator
+from repro.vtime.kernel import Kernel
 
-# Thread-local ambient ids, propagated into kernel tasks at spawn.
-_BOUND = threading.local()
-
-
-def _current_ids() -> Optional[dict[str, Any]]:
-    return getattr(_BOUND, "ids", None)
-
-
-def _install_ids(token: Optional[dict[str, Any]]) -> None:
-    _BOUND.ids = token
-
-
-def _uninstall_ids(_token: Optional[dict[str, Any]]) -> None:
-    _BOUND.ids = None
-
-
-register_context_propagator(_current_ids, _install_ids, _uninstall_ids)
+#: the ambient ids of the calling code: a shared dict, or ``None``
+_IDS: contextvars.ContextVar[Optional[dict[str, Any]]] = contextvars.ContextVar(
+    "repro.trace.ids", default=None
+)
 
 
 #: fields of one raw record in ``Tracer._pending``
@@ -77,7 +67,7 @@ class Tracer:
         self, t: float, name: str, layer: str, kind: str, dur: Optional[float],
         ids: Optional[Mapping[str, Any]], attrs: dict[str, Any],
     ) -> None:
-        ambient = _current_ids()
+        ambient = _IDS.get()
         if not ids:
             ids = ambient
         elif ambient:
@@ -141,12 +131,12 @@ class Tracer:
         if not self.enabled or not ids:
             yield
             return
-        previous = _current_ids()
-        _BOUND.ids = {**previous, **ids} if previous else dict(ids)
+        previous = _IDS.get()
+        _IDS.set({**previous, **ids} if previous else dict(ids))
         try:
             yield
         finally:
-            _BOUND.ids = previous
+            _IDS.set(previous)
 
     # ------------------------------------------------------------------
     # Consumption

@@ -32,16 +32,23 @@ blocked/running accounting:
 
 The same "steps" generator can serve both worlds: a thread task runs it to
 completion with :meth:`Kernel.drive` (blocking at each op), while a model
-task delegates with ``yield from``.  Ambient context (trace ids, the active
-cloud environment) propagates identically into both kinds: thread tasks
-install captured tokens once around their function; model tasks install
-them around every step and re-capture afterwards, so bindings held across a
-yield survive interleaving with other model tasks.
+task delegates with ``yield from``.
+
+Ambient state (trace ids, the active cloud environment, the current task
+itself) lives in ``contextvars``.  Every task owns one
+:class:`contextvars.Context`, copied from its spawner at spawn — a child
+sees the spawner's state as it was then, and later changes on either side
+stay invisible to the other.  A thread task's function runs inside
+``context.run``; every resume and throw of a model task's generator is one
+``context.run`` too, so a binding held across a yield follows its task and
+is never seen by the next task stepped on the loop thread or by a recycled
+pool worker.
 """
 
 from __future__ import annotations
 
 import collections
+import contextvars
 import heapq
 import itertools
 import threading
@@ -70,12 +77,11 @@ __all__ = [
     "live_kernels",
 ]
 
-# Maps OS thread ident -> task, for every live kernel task in the process.
-# Keyed globally (not per kernel) so ambient helpers like ``repro.sleep``
-# can find the kernel owning the calling thread.  While the model loop steps
-# a model task, the loop thread's ident maps to that task.
-_THREAD_TASKS: dict[int, Any] = {}
-_THREAD_TASKS_LOCK = threading.Lock()
+# The task the calling code runs as: set once, inside the task's own
+# context, so ambient helpers like ``repro.sleep`` can find their kernel.
+_CURRENT_TASK: contextvars.ContextVar[Optional[Any]] = contextvars.ContextVar(
+    "repro.vtime.current_task", default=None
+)
 
 # Every kernel constructed in this process (weakly referenced): the test
 # suite's thread-hygiene fixture uses this to shut down kernels a test
@@ -84,9 +90,8 @@ _LIVE_KERNELS: "weakref.WeakSet[Kernel]" = weakref.WeakSet()
 
 
 def current_task() -> Optional[Any]:
-    """Return the kernel task running on this thread, or ``None``."""
-    with _THREAD_TASKS_LOCK:
-        return _THREAD_TASKS.get(threading.get_ident())
+    """Return the kernel task the calling code runs as, or ``None``."""
+    return _CURRENT_TASK.get()
 
 
 def current_kernel() -> Optional["Kernel"]:
@@ -100,30 +105,11 @@ def live_kernels() -> list["Kernel"]:
     return list(_LIVE_KERNELS)
 
 
-# Ambient-context propagation: higher layers (e.g. repro.core.context)
-# register capture/install/uninstall hooks so state bound to the *spawning*
-# thread follows into spawned tasks — the way contextvars follow asyncio
-# tasks.  Each propagator is (capture() -> token, install(token),
-# uninstall(token)).  Propagators must restore a pristine (empty) thread
-# state when ``uninstall`` is handed the token ``capture`` just returned —
-# the model loop relies on that to context-switch between tasks per step.
-_CONTEXT_PROPAGATORS: list[tuple[Callable[[], Any], Callable[[Any], None], Callable[[Any], None]]] = []
-
-
-def register_context_propagator(
-    capture: Callable[[], Any],
-    install: Callable[[Any], None],
-    uninstall: Callable[[Any], None],
-) -> None:
-    """Register a thread-context propagator applied around every task."""
-    _CONTEXT_PROPAGATORS.append((capture, install, uninstall))
-
-
-def _capture_context() -> list[tuple[Callable[[Any], None], Callable[[Any], None], Any]]:
-    return [
-        (install, uninstall, capture())
-        for capture, install, uninstall in _CONTEXT_PROPAGATORS
-    ]
+def _task_context(task: Any) -> contextvars.Context:
+    """The calling code's ambient state as of now, with ``task`` current."""
+    context = contextvars.copy_context()
+    context.run(_CURRENT_TASK.set, task)
+    return context
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +194,9 @@ class Task:
         self.task_id = task_id
         self.daemon = False
         self._state = Task._RUNNING
+        # the spawner's ambient state, snapshotted now; dropped at finish
+        # (task -> context -> current-task variable -> task is a cycle)
+        self._context: Optional[contextvars.Context] = _task_context(self)
         self._wake = threading.Event()
         self._wake_exc: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
@@ -274,9 +263,8 @@ class ModelTask:
         self._gen: Optional[Generator[Any, Any, Any]] = None
         self._pending_exc: Optional[BaseException] = None
         self._resume_value_fn: Optional[Callable[[], Any]] = None
-        # ambient-context tokens, re-captured after every step:
-        # [(capture, install, uninstall, token), ...]
-        self._tokens: list[tuple] = []
+        # as Task._context: snapshot at spawn, dropped at finish
+        self._context: Optional[contextvars.Context] = _task_context(self)
         self._outcome_ready = threading.Event()
         self._result: Any = None
         self._exception: Optional[BaseException] = None
@@ -343,7 +331,7 @@ class _PoolWorker:
     def __init__(self) -> None:
         self.thread: Optional[threading.Thread] = None
         self.ready = threading.Event()
-        # (task, fn, args, kwargs, tokens) while assigned; None = stop signal
+        # (task, fn, args, kwargs) while assigned; None = stop signal
         self.job: Optional[tuple] = None
 
 
@@ -463,9 +451,7 @@ class Kernel:
             if worker is not None:
                 self._threads_recycled += 1
 
-        # capture the spawning thread's ambient context for the child
-        tokens = _capture_context()
-        job = (task, fn, args, kwargs, tokens)
+        job = (task, fn, args, kwargs)
         if worker is None:
             self._start_worker(job)
         else:
@@ -506,8 +492,7 @@ class Kernel:
             job, worker.job = worker.job, None
             if job is None:  # stop signal from shutdown
                 break
-            task, fn, args, kwargs, tokens = job
-            self._run_task_on_thread(task, fn, args, kwargs, tokens)
+            self._run_task_on_thread(*job)
             with self._lock:
                 if self._dead or len(self._pool_idle) >= self._pool_size:
                     break
@@ -517,27 +502,13 @@ class Kernel:
             self._live_worker_threads -= 1
 
     def _run_task_on_thread(
-        self, task: Task, fn: Callable[..., Any], args: tuple, kwargs: dict, tokens: list
+        self, task: Task, fn: Callable[..., Any], args: tuple, kwargs: dict
     ) -> None:
-        ident = threading.get_ident()
-        with _THREAD_TASKS_LOCK:
-            _THREAD_TASKS[ident] = task
-        installed: list[tuple[Callable[[Any], None], Any]] = []
         try:
-            for install, uninstall, token in tokens:
-                install(token)
-                installed.append((uninstall, token))
-            task._result = fn(*args, **kwargs)
+            task._result = task._context.run(fn, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
             task._exception = exc
         finally:
-            for uninstall, token in reversed(installed):
-                try:
-                    uninstall(token)
-                except Exception:  # pragma: no cover - cleanup best effort
-                    pass
-            with _THREAD_TASKS_LOCK:
-                _THREAD_TASKS.pop(ident, None)
             self._finish_task(task)
 
     # ------------------------------------------------------------------
@@ -563,17 +534,12 @@ class Kernel:
                 f"spawn_model() needs a generator function; {fn!r} returned "
                 f"{type(gen).__name__}"
             )
-        tokens = [
-            (capture, install, uninstall, capture())
-            for capture, install, uninstall in _CONTEXT_PROPAGATORS
-        ]
         with self._lock:
             if self._dead:
                 raise KernelShutdownError("kernel has been shut down")
             task = ModelTask(self, name or fn.__name__, next(self._task_ids))
             task.daemon = daemon
             task._gen = gen
-            task._tokens = tokens
             self._tasks[task.task_id] = task
             self._running += 1
             self._spawned_total += 1
@@ -626,46 +592,28 @@ class Kernel:
     def _step_model(self, task: ModelTask) -> None:
         """Run one step of ``task`` on the loop thread.
 
-        The task's ambient-context tokens are installed before the step and
-        re-captured afterwards, so context mutated *during* the step (e.g. a
-        ``tracer.bind`` held across a yield) follows the task, not the loop
-        thread.  This relies on propagators restoring pristine thread state
-        when uninstalled with their own freshly captured token.
+        The resume (or throw) runs inside the task's own context, so ambient
+        state changed *during* the step (e.g. a ``tracer.bind`` held across a
+        yield) stays with the task; the loop thread's own context is never
+        touched.
         """
-        ident = threading.get_ident()
-        with _THREAD_TASKS_LOCK:
-            _THREAD_TASKS[ident] = task
-        for _capture, install, _uninstall, token in task._tokens:
-            install(token)
         op: Any = None
         finished = False
+        run = task._context.run
         try:
             if task._pending_exc is not None:
                 exc, task._pending_exc = task._pending_exc, None
-                op = task._gen.throw(exc)
+                op = run(task._gen.throw, exc)
             else:
                 fn = task._resume_value_fn
                 task._resume_value_fn = None
-                op = task._gen.send(fn() if fn is not None else None)
+                op = run(task._gen.send, fn() if fn is not None else None)
         except StopIteration as stop:
             task._result = stop.value
             finished = True
         except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
             task._exception = exc
             finished = True
-        finally:
-            new_tokens = [
-                (capture, install, uninstall, capture())
-                for capture, install, uninstall, _old in task._tokens
-            ]
-            for _capture, _install, uninstall, token in reversed(new_tokens):
-                try:
-                    uninstall(token)
-                except Exception:  # pragma: no cover - cleanup best effort
-                    pass
-            task._tokens = new_tokens
-            with _THREAD_TASKS_LOCK:
-                _THREAD_TASKS.pop(ident, None)
         if finished:
             self._finish_model(task)
         else:
@@ -747,6 +695,7 @@ class Kernel:
             if self._running == 0:
                 self._advance_locked()
         task._gen = None
+        task._context = None
         task._outcome_ready.set()
 
     # ------------------------------------------------------------------
@@ -825,6 +774,7 @@ class Kernel:
                 self._consume_waiter(waiter)
             if self._running == 0:
                 self._advance_locked()
+        task._context = None
         task._outcome_ready.set()
 
     def _join_task(self, task: Any, timeout: Optional[float]) -> bool:

@@ -157,6 +157,16 @@ class TestResponseFuture:
         assert restored.call_id == "00001"
         assert restored.metadata == {"k": "v"}
 
+    def test_status_flags_cost_no_pickled_bytes_until_set(self, storage):
+        """Pickled size feeds modelled transfer time: the flags are class
+        defaults, present in the instance state only once set."""
+        future = make_future(storage)
+        assert not future.status_known
+        assert not {"_status_seen", "_exhausted"} & set(future.__getstate__())
+        future.mark_done()
+        assert future.status_known
+        assert pickle.loads(pickle.dumps(future)).status_known
+
     def test_status_contains_worker_fields(self, kernel, storage):
         def main():
             future = make_future(storage)
@@ -284,3 +294,49 @@ class TestWait:
 
         calls = kernel.run(main)
         assert calls[-1] == (2, 2)
+
+    def test_rounds_list_only_pending_callsets_in_first_pending_order(
+        self, kernel, storage
+    ):
+        """Per round: one LIST per callset that still has a pending future,
+        in the order of each callset's first pending future in the caller's
+        list; a future settled by a hook is dropped before the next LIST;
+        ``done`` / ``not_done`` keep the caller's order."""
+        listed, progress, lost_seen = [], [], []
+        list_done = storage.list_done_call_ids
+
+        def spy(executor_id, callset_id):
+            listed.append(callset_id)
+            return list_done(executor_id, callset_id)
+
+        storage.list_done_call_ids = spy
+
+        def main():
+            r0, m0, r1, m1, x0 = futures = [
+                make_future(storage, call_id, callset)
+                for callset, call_id in [
+                    ("R000", "00000"), ("M000", "00000"), ("R000", "00001"),
+                    ("M000", "00001"), ("X000", "00000"),
+                ]
+            ]
+            for future in (m0, m1):
+                complete_call(storage, future, value=0).join()
+            complete_call(storage, r0, value=0, delay=0.7)
+            complete_call(storage, r1, value=0, delay=1.2)
+
+            def lost_detector(not_done):
+                lost_seen.append(list(not_done))
+                if not x0.status_known:  # never ran: bury it
+                    x0._ingest_status({"success": False, "lost": True})
+
+            done, not_done = wait(
+                futures, storage, poll_interval=0.5,
+                on_progress=lambda d, t: progress.append((d, t)),
+                lost_detector=lost_detector,
+            )
+            assert lost_seen == [[r0, r1, x0], [r0, r1], [r1]]
+            return done == futures and not_done == []
+
+        assert kernel.run(main)
+        assert listed == ["R000", "M000", "X000", "R000", "R000", "R000"]
+        assert progress == [(2, 5), (3, 5), (4, 5), (5, 5)]
