@@ -10,7 +10,7 @@ best-of-N per mode to suppress host scheduler noise.
 
 We also measure time-to-recover: kill the driver mid-wait with
 client-crash chaos, then time a fresh executor's ``reattach`` — journal
-replay, COS reconcile, re-armed trigger rules — through to results.
+replay, COS reconcile, DAG adoption — through to results.
 
 Run via ``make bench-resume``; writes ``BENCH_resume_overhead.json``.
 """

@@ -4,10 +4,10 @@ Runs the Fig. 4-shaped DAG mergesort with the event journal enabled and a
 ``client-crash`` chaos profile that kills the client at a fixed virtual
 time — after the leaf sorts are submitted, before the merge tree is done.
 A fresh executor then ``reattach``es the job: it replays the journal from
-COS, reconciles against committed call statuses (nothing committed is
-ever re-invoked), re-arms the DAG trigger rules, and fires the pending
-merges to completion.  The resumed result is identical to what the dead
-driver would have produced.
+COS, folds the journaled calls and DAG edges back into a graph,
+reconciles it against committed call statuses (nothing committed is ever
+re-invoked), and fires the pending merges to completion.  The resumed
+result is identical to what the dead driver would have produced.
 
 Run:  python examples/resume_mergesort.py
 """

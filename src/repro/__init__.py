@@ -69,8 +69,6 @@ from repro.events import (
     EventRecord,
     JournalConflictError,
     ResumedJob,
-    TriggerEngine,
-    TriggerRule,
 )
 from repro.faas import FairDispatchQueue, TenantRegistry
 from repro.retry import RetryPolicy
@@ -147,8 +145,6 @@ __all__ = [
     "EventsConfig",
     "EventRecord",
     "EventJournal",
-    "TriggerRule",
-    "TriggerEngine",
     "ResumedJob",
     "JournalConflictError",
     "CallFailure",

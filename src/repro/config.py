@@ -267,13 +267,13 @@ class EventsConfig:
     externally-visible executor/DAG transition (job submitted, calls
     invoked, status committed, node fired/buried, results collected) is
     appended as a deterministic :class:`repro.events.EventRecord` to a
-    durable journal, and DAG trigger rules ("when all N dependency
-    statuses commit, fire the node") are evaluated from the log via
-    :class:`repro.events.TriggerEngine` instead of in-memory watcher
-    state.  A crashed client can then be replaced:
-    ``FunctionExecutor.reattach(job_id)`` replays the journal,
-    reconciles against committed statuses in COS and completes the run
-    (see :mod:`repro.events.resume`).
+    durable journal — including every DAG's edges ("when all N
+    dependency statuses commit, fire the node"), so the workflow's
+    control state no longer lives only in watcher memory.  A crashed
+    client can then be replaced: ``FunctionExecutor.reattach(job_id)``
+    folds the journal back into a DAG, reconciles it against committed
+    statuses in COS and completes the run (see
+    :mod:`repro.events.resume`).
     """
 
     #: build the journal at all

@@ -32,6 +32,7 @@ from repro.core.futures import (
     CallState,
     FailureReport,
     ResponseFuture,
+    synthetic_status,
 )
 from repro.core.invokers import Invoker, LocalInvoker, MassiveInvoker, RemoteInvoker
 from repro.core.partitioner import StoragePartition, build_partitions
@@ -130,6 +131,7 @@ class FunctionExecutor:
 
         self.futures: list[ResponseFuture] = []
         self._callset_seq = 0
+        self._dag_seq = 0
         self._uploaded_funcs: set[str] = set()
 
         # Lost-call recovery: "auto" switches it on only when a fault plane
@@ -340,9 +342,8 @@ class FunctionExecutor:
         """One reducer node depending on all its map futures.
 
         The DAG scheduler's dependency watcher submits the reducer when
-        the last map status commits — the reducer activation starts with
-        its inputs already resolved rather than burning cloud time in the
-        legacy in-cloud wait loop.
+        the last map status commits, so the reducer activation starts with
+        its inputs already resolved and spends no cloud time waiting.
         """
         from repro.dag import DagBuilder, DagScheduler
 
@@ -652,19 +653,16 @@ class FunctionExecutor:
         attempt that already committed a real status wins the race.
         """
         future._exhausted = True
-        status = {
-            "executor_id": self.executor_id,
-            "callset_id": future.callset_id,
-            "call_id": future.call_id,
-            "success": False,
-            "error": record.error or "activation lost",
-            "lost": True,
-            "start_time": record.start_time,
-            "end_time": record.end_time,
-            "activation_id": record.activation_id,
-            "container_id": record.container_id,
-            "cold_start": record.cold_start,
-        }
+        status = synthetic_status(
+            future,
+            record.error or "activation lost",
+            "lost",
+            record.start_time,
+            record.end_time,
+            activation_id=record.activation_id,
+            container_id=record.container_id,
+            cold_start=record.cold_start,
+        )
         if self._storage.commit_status(
             self.executor_id, future.callset_id, future.call_id, status
         ):
@@ -851,12 +849,14 @@ class FunctionExecutor:
         """Adopt an orphaned journaled job and drive it to completion.
 
         ``job_id`` is the executor id of a (presumed-dead) driver that ran
-        with ``events.enabled=True``.  Replays its journal, reconciles
-        against committed statuses in COS — the conditional status PUT
-        guarantees a committed call is never re-executed — re-arms the
-        pending trigger rules and re-invokes only what never committed.
-        Returns a :class:`repro.events.ResumedJob`; call ``get_result()``
-        on it as if this executor had submitted the job itself.
+        with ``events.enabled=True``.  Folds its journal into an ordinary
+        DAG of already-prepared calls and hands that to
+        :meth:`repro.dag.DagScheduler.adopt`, which reconciles it against
+        the statuses committed in COS — the conditional status PUT
+        guarantees a committed call is never re-executed — and invokes
+        only what never committed.  Returns a
+        :class:`repro.events.ResumedJob`; call ``get_result()`` on it as
+        if this executor had submitted the job itself.
         """
         from repro.events.resume import attach
 
@@ -961,30 +961,7 @@ class FunctionExecutor:
                     f"future {future.call_id} was not submitted by this "
                     "process; cannot retry"
                 )
-            future._status = None
-            future._status_seen = False
-            future._value_loaded = False
-            future._value = None
-            future._state = "invoked"
-            self._push_buffer.pop((future.callset_id, future.call_id), None)
-            # remove the failed attempt's status/result so completion
-            # discovery only fires for the new attempt
-            from repro.cos.errors import NoSuchKey
-
-            for key in (
-                self._storage.status_key(
-                    self.executor_id, future.callset_id, future.call_id
-                ),
-                self._storage.result_key(
-                    self.executor_id, future.callset_id, future.call_id
-                ),
-            ):
-                try:
-                    self._cos.delete_object(self.config.storage_bucket, key)
-                except NoSuchKey:
-                    pass
-                # exchange-tier copies of the deleted objects are stale now
-                self.environment.exchange.invalidate(key)
+            self._discard_attempt(future)
             retried.append(future)
             calls.append(params)
         if retried:
@@ -992,6 +969,36 @@ class FunctionExecutor:
                 self.config.namespace, self._runner_action, calls, retried
             )
         return retried
+
+    def _discard_attempt(self, future: ResponseFuture) -> None:
+        """Forget ``future``'s finished attempt so a new one can run.
+
+        Resets the future to "invoked, nothing known" and removes the old
+        attempt's status and result objects, so completion discovery only
+        fires for the new attempt.
+        """
+        from repro.cos.errors import NoSuchKey
+
+        future._status = None
+        future._status_seen = False
+        future._value_loaded = False
+        future._value = None
+        future._state = CallState.INVOKED
+        self._push_buffer.pop((future.callset_id, future.call_id), None)
+        for key in (
+            self._storage.status_key(
+                future.executor_id, future.callset_id, future.call_id
+            ),
+            self._storage.result_key(
+                future.executor_id, future.callset_id, future.call_id
+            ),
+        ):
+            try:
+                self._cos.delete_object(self.config.storage_bucket, key)
+            except NoSuchKey:
+                pass
+            # exchange-tier copies of the deleted objects are stale now
+            self.environment.exchange.invalidate(key)
 
     def retry_missing(
         self, futures: Sequence[ResponseFuture]

@@ -131,6 +131,38 @@ class FailureReport:
         )
 
 
+def synthetic_status(
+    future: "ResponseFuture",
+    error: str,
+    flag: str,
+    start_time: float,
+    end_time: float,
+    activation_id: Optional[str] = None,
+    container_id: Optional[str] = None,
+    cold_start: bool = False,
+) -> dict[str, Any]:
+    """The failed terminal status of a call that will never write its own.
+
+    ``flag`` says who gave up on it: ``"lost"`` (every activation died,
+    retry budget spent) or ``"buried"`` (an upstream DAG node failed, or
+    the scheduler aborted).  Key order is part of the contract — statuses
+    are pickled and their size feeds modelled transfer time.
+    """
+    return {
+        "executor_id": future.executor_id,
+        "callset_id": future.callset_id,
+        "call_id": future.call_id,
+        "success": False,
+        "error": error,
+        flag: True,
+        "start_time": start_time,
+        "end_time": end_time,
+        "activation_id": activation_id,
+        "container_id": container_id,
+        "cold_start": cold_start,
+    }
+
+
 class ResponseFuture:
     """Handle for one function executor's eventual result."""
 

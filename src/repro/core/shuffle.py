@@ -9,13 +9,13 @@ primitives:
 * each **map** task applies the user function (which emits ``(key, value)``
   pairs), hash-partitions the pairs into R buckets, and writes each bucket
   as a COS object under its own call prefix;
-* each of the R **reducers** waits for all maps, reads *its* bucket from
-  every map's output, groups by key, and applies the user reduce function
-  per key.
+* each of the R **reducers** reads *its* bucket from every map's output,
+  groups by key, and applies the user reduce function per key.
 
 Everything — the map shim, the reducers, the completion signalling — rides
 the ordinary executor machinery: shims are plain functions serialized by
-value; reducers are `call_async` calls shipping the map futures.
+value; reducers are DAG nodes over the map futures, invoked by the
+dependency watcher once the last map status commits.
 
 The shims never name a data plane: ``put_shuffle_partition`` and
 ``get_shuffle_partition`` route through the environment's pluggable
@@ -32,8 +32,7 @@ import hashlib
 from typing import Any, Callable, Iterable
 
 from repro.core import context as ambient
-from repro.core.futures import ALL_COMPLETED, ResponseFuture
-from repro.core.wait import wait as wait_on
+from repro.core.futures import ResponseFuture
 
 #: map output pair: (key, value)
 Pair = tuple[Any, Any]
@@ -89,41 +88,6 @@ def make_shuffle_map(
     return shuffle_map
 
 
-def make_shuffle_reduce(
-    reduce_function: Callable[[Any, list[Any]], Any],
-    reducer_index: int,
-    map_futures: list[ResponseFuture],
-    poll_interval: float,
-):
-    """Build one reducer's shim: fetch bucket ``reducer_index`` everywhere,
-    group by key, reduce per key.  Returns ``{key: reduced_value}``."""
-
-    def shuffle_reduce(_: Any) -> dict[Any, Any]:
-        context = ambient.require_context()
-        storage = context.environment.internal_storage_in_cloud()
-        for future in map_futures:
-            future.bind(storage, poll_interval)
-        wait_on(map_futures, storage, ALL_COMPLETED, poll_interval)
-        for future in map_futures:
-            future.result()  # surface map failures in this reducer
-
-        grouped: dict[Any, list[Any]] = {}
-        for future in map_futures:
-            bucket = storage.get_shuffle_partition(
-                future.executor_id,
-                future.callset_id,
-                future.call_id,
-                reducer_index,
-            )
-            for key, value in bucket:
-                grouped.setdefault(key, []).append(value)
-        return {
-            key: reduce_function(key, values) for key, values in grouped.items()
-        }
-
-    return shuffle_reduce
-
-
 def make_shuffle_reduce_fetch(
     reduce_function: Callable[[Any, list[Any]], Any],
     reducer_index: int,
@@ -131,8 +95,7 @@ def make_shuffle_reduce_fetch(
     """Build one reducer's *fetch-only* shim for the DAG scheduler.
 
     The scheduler only invokes a reducer node once every map status has
-    committed, so — unlike :func:`make_shuffle_reduce`, which burns cloud
-    seconds polling — this shim goes straight to its buckets.  It receives
+    committed, so this shim goes straight to its buckets.  It receives
     the map futures as its argument (a ``pass_futures`` DAG node) and
     reads bucket ``reducer_index`` from each map's shuffle prefix without
     downloading any map results.

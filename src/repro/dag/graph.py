@@ -156,7 +156,7 @@ class DagBuilder:
                 dep.dependents.append(node)
         if fuse:
             nodes = _fuse_chains(nodes)
-        _compute_levels(nodes)
+        compute_levels(nodes)
         return Dag(nodes)
 
     def submit(
@@ -241,7 +241,7 @@ def _fuse_chains(nodes: list[DagNode]) -> list[DagNode]:
     return [n for n in nodes if n.node_id not in removed]
 
 
-def _compute_levels(nodes: list[DagNode]) -> None:
+def compute_levels(nodes: list[DagNode]) -> None:
     """Topological levels: sources at 0, else 1 + max over in-edges.
 
     Builder order is already topological (a node can only depend on nodes

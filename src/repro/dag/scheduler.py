@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core import context as ambient
+from repro.core.futures import synthetic_status
 from repro.dag import locality as _locality
 from repro.dag.graph import Dag
 from repro.dag.node import ARG_DEP, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
@@ -34,10 +35,9 @@ from repro.vtime.kernel import vjoin, vsleep
 def _dag_node_call(payload: dict[str, Any]) -> Any:
     """DAG node shim executed *as a cloud function*.
 
-    Unlike the legacy in-cloud reducer shim there is no wait loop here:
-    the scheduler only invokes a node once its dependencies' statuses are
-    committed, so resolving each shipped future costs exactly one status
-    GET and one result GET.
+    There is no wait loop here: the scheduler only invokes a node once
+    its dependencies' statuses are committed, so resolving each shipped
+    future costs exactly one status GET and one result GET.
     """
     mode = payload["mode"]
     if mode == ARG_VALUE:
@@ -60,6 +60,15 @@ def _dag_node_call(payload: dict[str, Any]) -> Any:
     return value
 
 
+def _by_callset(nodes) -> dict[tuple[str, str], list[DagNode]]:
+    """``nodes`` grouped by ``(executor_id, callset_id)``: one LIST each."""
+    groups: dict[tuple[str, str], list[DagNode]] = {}
+    for node in nodes:
+        future = node.future
+        groups.setdefault((future.executor_id, future.callset_id), []).append(node)
+    return groups
+
+
 class DagRun:
     """Handle on a submitted DAG: per-node futures plus completion."""
 
@@ -74,6 +83,9 @@ class DagRun:
         self._obs_batch: list[list] = []
         self._fired_batch: list[list] = []
         self._buried_batch: list[list] = []
+        #: adoption only: the ``[callset, call, success]`` rows the
+        #: reconcile pass found already committed in COS
+        self.reconciled: list[list] = []
 
     @property
     def finished(self) -> bool:
@@ -167,15 +179,9 @@ class DagScheduler:
             executor.config.retry, seed=executor.environment.seed
         )
         #: the executor's event journal (``None`` when events are off or
-        #: this is an in-cloud executor); when set, node readiness is
-        #: judged by the :class:`~repro.events.TriggerEngine` fed from
-        #: journaled commits instead of the in-memory unresolved counter
+        #: this is an in-cloud executor); when set, every round's
+        #: observations, firings and burials are appended to it
         self.journal = executor.journal
-        self.engine = None
-        if self.journal is not None:
-            from repro.events.triggers import TriggerEngine
-
-            self.engine = TriggerEngine()
 
     # ------------------------------------------------------------------
     # Submission
@@ -188,10 +194,8 @@ class DagScheduler:
     def _submit_inner(self, dag: Dag) -> DagRun:
         executor = self.executor
         executor._check_client()
-        seq = getattr(executor, "_dag_seq", 0)
-        executor._dag_seq = seq + 1
-        dag_id = f"dag{seq:03d}"
-        run = DagRun(dag, self, dag_id)
+        run = DagRun(dag, self, self._next_dag_id())
+        dag_id = run.dag_id
 
         for node in dag.nodes:
             if node.external:
@@ -245,10 +249,10 @@ class DagScheduler:
             )
 
         if self.journal is not None:
-            # Journal the graph's edges as trigger rules.  Replay folds
-            # these back into a TriggerEngine, which is how a resumed
-            # driver knows "when all N map statuses commit, fire the
-            # reducer" without any surviving in-memory watcher state.
+            # Journal the graph's edges.  Replay folds them back into a
+            # Dag (``JobLedger.to_dag``), which is how a resumed driver
+            # knows "when all N map statuses commit, fire the reducer"
+            # without any surviving in-memory watcher state.
             from repro.events import records as ev
 
             specs = []
@@ -265,8 +269,6 @@ class DagScheduler:
                     "external": bool(node.external),
                     "retries": future.max_retries,
                 })
-                if not node.external and node.deps:
-                    self.engine.add_rule(tuple(key), [tuple(d) for d in deps])
             self.journal.append(
                 ev.DAG_SUBMITTED,
                 dag_id=dag_id,
@@ -284,6 +286,12 @@ class DagScheduler:
             )
         return run
 
+    def _next_dag_id(self) -> str:
+        executor = self.executor
+        dag_id = f"dag{executor._dag_seq:03d}"
+        executor._dag_seq += 1
+        return dag_id
+
     def _validate_functions(self, nodes: list[DagNode]) -> None:
         import types as _types
 
@@ -296,6 +304,92 @@ class DagScheduler:
             for fn in node.fns:
                 if isinstance(fn, _types.FunctionType):
                     validate_runtime(fn, executor._runtime_image)
+
+    # ------------------------------------------------------------------
+    # Adoption
+    # ------------------------------------------------------------------
+    def adopt(self, dag: Dag) -> DagRun:
+        """Drive a graph somebody else prepared — and maybe half ran.
+
+        Every node arrives with its ``future`` and ``call_params`` set
+        (``JobLedger.to_dag`` folds a dead driver's journal into such a
+        graph), so nothing is serialized, uploaded or journaled as
+        submitted.  One reconcile pass finds what committed while nobody
+        was watching; what remains is seeded from the futures — a known
+        activation id is in flight (lost-call recovery can probe it), an
+        invocation without one went through a fire-and-forget invoker and
+        is re-issued once (safe: a surviving twin wins the conditional
+        status PUT and the duplicate changes nothing), a call never
+        invoked waits for its dependencies — and the ordinary rounds take
+        over from there.
+        """
+        executor = self.executor
+        run = DagRun(dag, self, self._next_dag_id())
+        with executor._trace_scope():
+            self._reconcile(run)
+            for node in dag.nodes:
+                if node.state in NodeState.TERMINAL:
+                    continue
+                future = node.future
+                if future.activation_id is not None:
+                    node.state = NodeState.SUBMITTED
+                elif future.invoke_count or node.unresolved == 0:
+                    node.state = NodeState.READY
+                else:
+                    node.state = NodeState.PENDING
+            self._drive(run)
+        if not run.finished:
+            self.kernel.spawn_model(
+                self._watch_steps, run, name=f"dag-watch-{run.dag_id}"
+            )
+        return run
+
+    def _reconcile(self, run: DagRun) -> None:
+        """Fold the statuses already committed in COS into ``run``.
+
+        COS is ground truth: a call with a committed status object is
+        final whatever the journal last said about it, so *every* callset
+        is LISTed, not just the ones believed in flight.  Statuses are
+        all ingested before any is judged, dependents first, so a failure
+        never re-buries a dependent whose burial already committed.
+        """
+        from repro.events import records as ev
+
+        executor = self.executor
+        storage = executor._storage
+        groups = _by_callset(run.dag.nodes)
+        committed: list[DagNode] = []
+        for key in sorted(groups):
+            done_ids = storage.list_done_call_ids(*key)
+            for node in groups[key]:
+                future = node.future
+                if future.call_id not in done_ids:
+                    continue
+                status = storage.get_status(*key, future.call_id)
+                if status is not None:
+                    future._ingest_status(status)
+                    committed.append(node)
+        for node in sorted(committed, key=lambda n: n.node_id, reverse=True):
+            self._complete(run, node)
+        # journaled as the reconciliation, not as this round's observations
+        run._obs_batch = []
+        run.reconciled = [
+            [n.future.callset_id, n.future.call_id, n.state == NodeState.DONE]
+            for n in committed
+        ]
+        pending = len(run.dag.nodes) - len(committed)
+        if self.journal is not None:
+            self.journal.append(
+                ev.RESUME_RECONCILED, committed=run.reconciled, pending=pending
+            )
+        tracer = executor.tracer
+        if tracer is not None and tracer.enabled:
+            tracer.point(
+                "events.reconcile", layer="events",
+                ids={"executor_id": executor.executor_id},
+                committed=len(committed),
+                pending=pending,
+            )
 
     def _ship_schedule(self, dag: Dag, dag_id: str) -> None:
         """Stamp every node's params and ship the schedule object.
@@ -379,26 +473,31 @@ class DagScheduler:
             return
         with executor._trace_scope():
             self._poll(run)
-            if executor._recover_lost_enabled:
-                in_flight = [
-                    n.future
-                    for n in run.dag.nodes
-                    if n.state == NodeState.SUBMITTED and not n.external
-                ]
-                if in_flight:
-                    executor._recover_lost(in_flight)
-                    # recovery buries exhausted calls by ingesting a
-                    # synthetic status directly — pick those up now
-                    for node in run.dag.nodes:
-                        if (
-                            node.state == NodeState.SUBMITTED
-                            and node.future._status is not None
-                        ):
-                            self._complete(run, node)
-            self._submit_ready(run)
-            self._journal_flush(run)
-            if run.finished:
-                run._finish()
+            self._drive(run)
+
+    def _drive(self, run: DagRun) -> None:
+        """What a round does with what it discovered: recover, fire, journal."""
+        executor = self.executor
+        if executor._recover_lost_enabled:
+            in_flight = [
+                n.future
+                for n in run.dag.nodes
+                if n.state == NodeState.SUBMITTED and not n.external
+            ]
+            if in_flight:
+                executor._recover_lost(in_flight)
+                # recovery buries exhausted calls by ingesting a
+                # synthetic status directly — pick those up now
+                for node in run.dag.nodes:
+                    if (
+                        node.state == NodeState.SUBMITTED
+                        and node.future._status is not None
+                    ):
+                        self._complete(run, node)
+        self._submit_ready(run)
+        self._journal_flush(run)
+        if run.finished:
+            run._finish()
 
     def _journal_flush(self, run: DagRun) -> None:
         """Batch-append this round's transitions (O(rounds) journal cost)."""
@@ -425,14 +524,9 @@ class DagScheduler:
     def _poll(self, run: DagRun) -> None:
         """One LIST per in-flight callset, then judge newly-done nodes."""
         storage = self.executor._storage
-        groups: dict[tuple[str, str], list[DagNode]] = {}
-        for node in run.dag.nodes:
-            if node.state not in NodeState.IN_FLIGHT:
-                continue
-            future = node.future
-            groups.setdefault(
-                (future.executor_id, future.callset_id), []
-            ).append(node)
+        groups = _by_callset(
+            n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT
+        )
         for key in sorted(groups):
             nodes = groups[key]
             if all(n.future.status_known for n in nodes):
@@ -457,9 +551,8 @@ class DagScheduler:
             future._ingest_status(status)
         status = future._status
         success = bool(status.get("success"))
-        if self.engine is not None:
+        if self.journal is not None:
             key = (future.callset_id, future.call_id)
-            self.engine.note_commit(key, success)
             if key not in self.executor._journal_seen:
                 self.executor._journal_seen.add(key)
                 run._obs_batch.append([key[0], key[1], success])
@@ -469,8 +562,9 @@ class DagScheduler:
             self._trace_node(run, node, status, "done")
             for dependent in node.dependents:
                 dependent.unresolved -= 1
-                if dependent.state == NodeState.PENDING and self._node_ready(
-                    dependent
+                if (
+                    dependent.state == NodeState.PENDING
+                    and dependent.unresolved == 0
                 ):
                     dependent.state = self._ready_state(dependent)
         else:
@@ -493,19 +587,6 @@ class DagScheduler:
                 return NodeState.DELEGATED
         return NodeState.READY
 
-    def _node_ready(self, node: DagNode) -> bool:
-        """Readiness of a pending node after one of its deps resolved.
-
-        With the journal on, readiness is the TriggerEngine's call — the
-        same log-derived judgement a resumed driver would make — instead
-        of the in-memory ``unresolved`` counter.
-        """
-        if self.engine is not None:
-            key = (node.future.callset_id, node.future.call_id)
-            if self.engine.rule_for(key) is not None:
-                return self.engine.satisfied(key)
-        return node.unresolved == 0
-
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
@@ -519,7 +600,7 @@ class DagScheduler:
             and node.error_attempts < self.node_retries
         ):
             node.error_attempts += 1
-            self._reset_for_retry(node)
+            executor._discard_attempt(node.future)
             node.retry_at = vtime.now() + self._policy.backoff(node.error_attempts)
             node.state = NodeState.READY
             executor._retries_total += 1
@@ -541,34 +622,6 @@ class DagScheduler:
         node.state = NodeState.FAILED
         self._trace_node(run, node, status, "failed")
         self._bury_dependents(run, node, status)
-
-    def _reset_for_retry(self, node: DagNode) -> None:
-        """Same reset as ``retry_failed``: clear state, drop stale objects."""
-        from repro.cos.errors import NoSuchKey
-
-        executor = self.executor
-        future = node.future
-        future._status = None
-        future._status_seen = False
-        future._value_loaded = False
-        future._value = None
-        future._state = "invoked"
-        executor._push_buffer.pop((future.callset_id, future.call_id), None)
-        for key in (
-            executor._storage.status_key(
-                future.executor_id, future.callset_id, future.call_id
-            ),
-            executor._storage.result_key(
-                future.executor_id, future.callset_id, future.call_id
-            ),
-        ):
-            try:
-                executor._cos.delete_object(executor.config.storage_bucket, key)
-            except NoSuchKey:
-                pass
-            # the retry will rewrite these objects; stale exchange-tier
-            # copies on other nodes must not satisfy future reads
-            executor.environment.exchange.invalidate(key)
 
     def _bury_dependents(self, run: DagRun, node: DagNode, status: dict) -> None:
         reason = (
@@ -606,28 +659,15 @@ class DagScheduler:
         storage.put_result(
             future.executor_id, future.callset_id, future.call_id, (None, reason)
         )
-        status = {
-            "executor_id": future.executor_id,
-            "callset_id": future.callset_id,
-            "call_id": future.call_id,
-            "success": False,
-            "error": reason,
-            "buried": True,
-            "start_time": now,
-            "end_time": now,
-            "activation_id": None,
-            "container_id": None,
-            "cold_start": False,
-        }
+        status = synthetic_status(future, reason, "buried", now, now)
         if storage.commit_status(
             future.executor_id, future.callset_id, future.call_id, status
         ):
             future._ingest_status(status)
         else:
             future._status_seen = True  # a real status exists; use it
-        if self.engine is not None:
+        if self.journal is not None:
             key = (future.callset_id, future.call_id)
-            self.engine.note_commit(key, False)
             self.executor._journal_seen.add(key)
             run._buried_batch.append([key[0], key[1]])
         self._trace_node(run, node, status, "buried")
@@ -673,12 +713,10 @@ class DagScheduler:
         executor._make_invoker().invoke_calls(
             executor.config.namespace, executor._runner_action, calls, futures
         )
-        if self.engine is not None:
+        if self.journal is not None:
             for future in futures:
-                key = (future.callset_id, future.call_id)
-                self.engine.mark_fired(key)
                 run._fired_batch.append(
-                    [key[0], key[1], future.activation_id,
+                    [future.callset_id, future.call_id, future.activation_id,
                      max(1, future.invoke_count)]
                 )
 

@@ -3,13 +3,14 @@
 Everything the driver does that matters beyond its own process — jobs
 submitted, calls invoked, statuses committed, DAG nodes fired or buried,
 results collected — is appended to a durable journal as deterministic
-:class:`EventRecord` entries.  Trigger rules ("when all N map statuses
-commit, fire the reducer") are evaluated from the log through the
-:class:`TriggerEngine`, so the workflow's control state survives the
-client: after a crash, :func:`repro.events.resume.attach` (via
-``FunctionExecutor.reattach(job_id)``) replays the journal, reconciles
-against committed statuses in COS and completes the run with zero lost
-work.
+:class:`EventRecord` entries.  A DAG's edges ("when all N map statuses
+commit, fire the reducer") are journaled with it, so the workflow's
+control state survives the client: after a crash,
+:func:`repro.events.resume.attach` (via
+``FunctionExecutor.reattach(job_id)``) folds the journal back into an
+ordinary DAG, which :meth:`repro.dag.DagScheduler.adopt` reconciles
+against committed statuses in COS and drives to completion with zero
+lost work.
 
 Off by default (``EventsConfig.enabled=False``): nothing here runs and
 no request pattern changes unless the journal is switched on.
@@ -23,7 +24,6 @@ from repro.events.journal import (
 )
 from repro.events.records import EventRecord, from_jsonl, to_jsonl
 from repro.events.resume import CallEntry, JobLedger, ResumedJob, attach
-from repro.events.triggers import TriggerEngine, TriggerRule
 
 __all__ = [
     "EventRecord",
@@ -31,8 +31,6 @@ __all__ = [
     "COSJournalBackend",
     "MQJournalBackend",
     "JournalConflictError",
-    "TriggerRule",
-    "TriggerEngine",
     "JobLedger",
     "CallEntry",
     "ResumedJob",

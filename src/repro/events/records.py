@@ -47,9 +47,9 @@ JOB_SUBMITTED = "job.submitted"
 CALLS_INVOKED = "calls.invoked"
 #: futures became user-visible results, in exposure order
 FUTURES_EXPOSED = "futures.exposed"
-#: a DAG was submitted: node -> dependency edges (the trigger rules)
+#: a DAG was submitted: node -> dependency edges
 DAG_SUBMITTED = "dag.submitted"
-#: trigger rule fired: dependent node(s) invoked
+#: dependencies all committed: dependent node(s) invoked
 NODE_FIRED = "node.fired"
 #: node buried after an upstream terminal failure
 NODE_BURIED = "node.buried"

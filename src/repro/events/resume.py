@@ -5,18 +5,22 @@ events resume``):
 
 1. **Replay** the dead driver's journal into a :class:`JobLedger` — every
    call ever prepared (with its params, still referencing code and data
-   durably in COS), every invocation issued, every trigger rule armed,
-   every exposure.
-2. **Reconcile** against COS: one LIST per callset finds the statuses
-   that committed while nobody was watching.  Committed calls are final —
-   PR 1's conditional status PUT means no replacement attempt can ever
-   overwrite them, so *committed work is never re-executed*.
-3. **Re-arm** the pending trigger rules in a fresh
-   :class:`~repro.events.TriggerEngine` and keep driving rounds exactly
-   like the DAG watcher: probe journaled activation ids through the
-   executor's lost-call recovery, re-invoke calls whose activations are
-   unknown or dead (safe: a surviving twin loses the conditional PUT),
-   fire nodes whose dependencies are now all committed, bury the
+   durably in COS), every invocation issued, every DAG edge, every
+   exposure.
+2. **Fold** the ledger into an ordinary :class:`~repro.dag.Dag`
+   (:meth:`JobLedger.to_dag`): one node per journaled call, arriving with
+   its future and call params already set, edges from the journaled
+   ``dag.submitted`` records.  A plain ``map`` call is simply a node with
+   no dependencies.
+3. **Adopt** it (:meth:`repro.dag.DagScheduler.adopt`): one LIST per
+   callset finds the statuses that committed while nobody was watching.
+   Committed calls are final — PR 1's conditional status PUT means no
+   replacement attempt can ever overwrite them, so *committed work is
+   never re-executed*.  From there the same rounds that drive a freshly
+   submitted DAG drive this one: probe journaled activation ids through
+   the executor's lost-call recovery, re-invoke calls whose activations
+   are unknown or dead (safe: a surviving twin loses the conditional
+   PUT), fire nodes whose dependencies are now all committed, bury the
    dependents of terminal failures.
 
 The adopting executor *becomes* the dead driver: it takes over its
@@ -33,12 +37,22 @@ from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.core.errors import PyWrenError
+from repro.core.futures import CallState, ResponseFuture
+from repro.dag.graph import Dag, compute_levels
+from repro.dag.node import ARG_VALUE, DagNode
+from repro.dag.scheduler import DagRun, DagScheduler
 from repro.events import records as ev
 from repro.events.journal import EventJournal
 from repro.events.records import EventRecord
-from repro.events.triggers import CallKey, TriggerEngine
-from repro.vtime import VEvent
-from repro.vtime.kernel import vjoin, vsleep
+
+#: a call within one executor's namespace: ``(callset_id, call_id)``
+CallKey = tuple[str, str]
+
+
+def _trailing_number(text: str) -> int:
+    """``"M012"`` -> 12, ``"dag003"`` -> 3: position in a per-executor counter."""
+    match = re.search(r"(\d+)$", text)
+    return int(match.group(1)) if match else -1
 
 
 @dataclass
@@ -53,13 +67,9 @@ class CallEntry:
     invoke_count: int = 0
     #: last journaled activation id (``None`` for fire-and-forget invokers)
     activation_id: Optional[str] = None
-    #: trigger dependencies (empty for plain calls and DAG roots)
+    #: DAG dependencies (empty for plain calls and DAG roots)
     deps: tuple[CallKey, ...] = ()
     node_name: Optional[str] = None
-
-    @property
-    def key(self) -> CallKey:
-        return (self.callset_id, self.call_id)
 
     @property
     def invoked(self) -> bool:
@@ -67,14 +77,14 @@ class CallEntry:
 
 
 class JobLedger:
-    """The fold of a journal: calls, rules, exposures, observations."""
+    """The fold of a journal: calls, edges, exposures, id counters."""
 
     def __init__(self) -> None:
         self.calls: dict[CallKey, CallEntry] = {}
         #: user-visible futures in exposure order
         self.exposed: list[CallKey] = []
-        #: last advisory observation per call (COS remains ground truth)
-        self.observed: dict[CallKey, Optional[bool]] = {}
+        #: highest journaled DAG sequence number (``-1``: none)
+        self.last_dag = -1
         self.last_seq = -1
         self.resumes = 0
         self.records = 0
@@ -91,6 +101,10 @@ class JobLedger:
             ledger.last_seq = max(ledger.last_seq, record.seq)
             ledger.records += 1
             data = record.data
+            if "dag_id" in data:
+                ledger.last_dag = max(
+                    ledger.last_dag, _trailing_number(data["dag_id"])
+                )
             if record.kind == ev.JOB_SUBMITTED:
                 callset_id = data["callset_id"]
                 retries = int(data.get("retries", 0))
@@ -116,15 +130,46 @@ class JobLedger:
                     entry = ledger.entry((cs, call_id))
                     entry.deps = tuple((d[0], d[1]) for d in spec["deps"])
                     entry.node_name = spec.get("name")
-            elif record.kind == ev.STATUS_OBSERVED:
-                for cs, call_id, success in data.get("calls", []):
-                    ledger.observed[(cs, call_id)] = success
-            elif record.kind == ev.NODE_BURIED:
-                for cs, call_id in data.get("calls", []):
-                    ledger.observed[(cs, call_id)] = False
             elif record.kind == ev.RESUME_STARTED:
                 ledger.resumes += 1
         return ledger
+
+    def to_dag(self, executor) -> Dag:
+        """The journaled job as an ordinary graph of already-prepared nodes.
+
+        One node per call, its future (bound to ``executor``'s storage,
+        carrying the journaled attempts and activation id) and call params
+        set, so :meth:`~repro.dag.DagScheduler.adopt` has nothing to
+        serialize or upload.  Callsets are numbered from one per-executor
+        counter and a dependent is always prepared after its dependencies,
+        so callset order is a topological order.
+        """
+        nodes: dict[CallKey, DagNode] = {}
+        for key in sorted(self.calls, key=lambda k: (_trailing_number(k[0]), k)):
+            entry = self.calls[key]
+            future = ResponseFuture(executor.executor_id, *key)
+            future.bind(executor._storage, executor.config.poll_interval)
+            future.max_retries = entry.max_retries
+            future._call_params = entry.params
+            if entry.invoked:
+                future._state = CallState.INVOKED
+                future.invoke_count = entry.invoke_count
+                future.activation_id = entry.activation_id
+            node = DagNode(
+                None, len(nodes), None, ARG_VALUE,
+                # a dependency this journal never prepared belongs to
+                # another executor; the node's own shim waits for it
+                deps=[nodes[dep] for dep in entry.deps if dep in nodes],
+                name=entry.node_name or "/".join(key),
+            )
+            node.future = future
+            node.call_params = entry.params
+            for dep in node.deps:
+                dep.dependents.append(node)
+            nodes[key] = node
+        ordered = list(nodes.values())
+        compute_levels(ordered)
+        return Dag(ordered)
 
 
 def attach(executor, job_id: str) -> "ResumedJob":
@@ -143,34 +188,34 @@ def attach(executor, job_id: str) -> "ResumedJob":
     if chaos is not None:
         executor._chaos_epoch = chaos.begin_new_client()
 
-    previous_id = executor.executor_id
-    executor.executor_id = job_id
+    previous_id, executor.executor_id = executor.executor_id, job_id
     try:
         replayed = EventJournal.replay_for(executor)
+        if not replayed:
+            raise PyWrenError(f"no event journal found for job {job_id!r}")
     except BaseException:
+        # a failed reattach must not hijack the executor's identity
         executor.executor_id = previous_id
         raise
-    if not replayed:
-        executor.executor_id = previous_id
-        raise PyWrenError(f"no event journal found for job {job_id!r}")
     ledger = JobLedger.from_records(replayed)
 
     # Take over the dead driver's identity end to end: journal (appending
     # after the replayed tail), monitor queue (pre-crash workers already
-    # published there), callset counter (new submissions must not collide)
-    # and uploaded-function digests (skip redundant WAN uploads).
+    # published there), callset and DAG counters (new submissions must not
+    # collide — a reused dag id would overwrite the swarm schedule object
+    # the dead driver's workers still read) and uploaded-function digests
+    # (skip redundant WAN uploads).
     executor.journal = EventJournal.for_executor(
         executor, start_seq=ledger.last_seq + 1
     )
     if executor._monitor_queue is not None:
         executor._monitor_queue = f"pywren-monitor-{job_id}"
         executor._mq.declare_queue(executor._monitor_queue)
-    max_callset = -1
-    for callset_id, _ in ledger.calls:
-        match = re.match(r"^[A-Za-z]+(\d+)$", callset_id)
-        if match:
-            max_callset = max(max_callset, int(match.group(1)))
-    executor._callset_seq = max_callset + 1
+    executor._callset_seq = 1 + max(
+        (_trailing_number(callset_id) for callset_id, _ in ledger.calls),
+        default=-1,
+    )
+    executor._dag_seq = ledger.last_dag + 1
     for entry in ledger.calls.values():
         func_key = entry.params.get("func_key", "")
         match = re.search(r"funcs/([0-9a-f]+)\.pickle$", func_key)
@@ -185,398 +230,27 @@ def attach(executor, job_id: str) -> "ResumedJob":
         resumes=ledger.resumes + 1,
     )
 
-    watcher = ResumeWatcher(executor, ledger)
-    return watcher.start()
-
-
-class ResumeWatcher:
-    """Drives an adopted job to completion, DAG-watcher style."""
-
-    def __init__(self, executor, ledger: JobLedger) -> None:
-        self.executor = executor
-        self.kernel = executor.kernel
-        self.ledger = ledger
-        self.poll_interval = executor.config.poll_interval
-        self.engine = TriggerEngine()
-        for entry in ledger.calls.values():
-            if entry.deps:
-                self.engine.add_rule(entry.key, entry.deps)
-        self.futures: dict[CallKey, Any] = {}
-        self._terminal: set[CallKey] = set()
-        #: keys this process has (re-)issued, so rounds do not repeat
-        self._issued: set[CallKey] = set()
-        self._obs_batch: list[list] = []
-        self._event = VEvent(self.kernel)
-        self.error: Optional[BaseException] = None
-        self.stats = {
-            "calls": len(ledger.calls),
-            "already_committed": 0,
-            "reinvoked": 0,
-            "refired": 0,
-            "buried": 0,
-            "events_replayed": ledger.records,
-        }
-        self._build_futures()
-
-    def _build_futures(self) -> None:
-        from repro.core.futures import CallState, ResponseFuture
-
-        executor = self.executor
-        for key in sorted(self.ledger.calls):
-            entry = self.ledger.calls[key]
-            future = ResponseFuture(
-                executor.executor_id, entry.callset_id, entry.call_id
-            )
-            future.bind(executor._storage, executor.config.poll_interval)
-            future.max_retries = entry.max_retries
-            future._call_params = entry.params
-            if entry.invoked:
-                future._state = CallState.INVOKED
-                future.invoke_count = entry.invoke_count
-                future.activation_id = entry.activation_id
-            self.futures[key] = future
-        # the journaled exposure order *is* the public result shape
-        executor.futures = [
-            self.futures[key]
-            for key in self.ledger.exposed
-            if key in self.futures
-        ]
-
-    @property
-    def finished(self) -> bool:
-        return len(self._terminal) == len(self.futures)
-
-    def start(self) -> "ResumedJob":
-        with self.executor._trace_scope():
-            self._reconcile()
-            self._round_inner()
-        if not self.finished:
-            self.kernel.spawn_model(
-                self._watch_steps,
-                name=f"resume-watch-{self.executor.executor_id}",
-            )
-        else:
-            self._event.set()
-        return ResumedJob(self)
-
-    # ------------------------------------------------------------------
-    # Reconciliation
-    # ------------------------------------------------------------------
-    def _reconcile(self) -> None:
-        """Fold the committed COS statuses into the replayed state.
-
-        COS is ground truth: anything with a committed status object is
-        final regardless of what the journal last observed, because the
-        conditional PUT made that commit the call's one true outcome.
-        """
-        executor = self.executor
-        committed: list[list] = []
-        by_callset: dict[str, list[CallKey]] = {}
-        for key in sorted(self.futures):
-            by_callset.setdefault(key[0], []).append(key)
-        for callset_id in sorted(by_callset):
-            done_ids = executor._storage.list_done_call_ids(
-                executor.executor_id, callset_id
-            )
-            for key in by_callset[callset_id]:
-                if key[1] not in done_ids:
-                    continue
-                future = self.futures[key]
-                status = executor._storage.get_status(
-                    executor.executor_id, key[0], key[1]
-                )
-                if status is None:
-                    continue
-                future._ingest_status(status)
-                success = bool(status.get("success"))
-                self.engine.note_commit(key, success)
-                self._terminal.add(key)
-                executor._journal_seen.add(key)
-                committed.append([key[0], key[1], success])
-        self.stats["already_committed"] = len(committed)
-        if executor.journal is not None:
-            executor.journal.append(
-                ev.RESUME_RECONCILED,
-                committed=committed,
-                pending=len(self.futures) - len(committed),
-            )
-        tracer = executor.tracer
-        if tracer is not None and tracer.enabled:
-            tracer.point(
-                "events.reconcile", layer="events",
-                ids={"executor_id": executor.executor_id},
-                committed=len(committed),
-                pending=len(self.futures) - len(committed),
-            )
-
-    # ------------------------------------------------------------------
-    # Rounds
-    # ------------------------------------------------------------------
-    def _watch_steps(self):
-        while not self.finished:
-            yield vsleep(self.poll_interval)
-            task = self.kernel.spawn(
-                self._round_guard, name="resume-round"
-            )
-            yield vjoin(task)
-            if self.error is not None:
-                break
-
-    def _round_guard(self) -> None:
-        try:
-            with self.executor._trace_scope():
-                self._round_inner()
-        except BaseException as exc:
-            self.error = exc
-            self._abort(f"resume watcher aborted: {exc!r}")
-
-    def _round_inner(self) -> None:
-        self._poll()
-        self._recover()
-        self._bury_blocked()
-        self._fire()
-        self._flush()
-        if self.finished:
-            self._event.set()
-
-    def _pending_invoked(self) -> list[CallKey]:
-        return [
-            key
-            for key in sorted(self.futures)
-            if key not in self._terminal
-            and (self.ledger.calls[key].invoked or key in self._issued)
-        ]
-
-    def _finalize(self, key: CallKey) -> None:
-        executor = self.executor
-        future = self.futures[key]
-        if future._status is None:
-            status = executor._storage.get_status(
-                executor.executor_id, key[0], key[1]
-            )
-            if status is None:
-                return  # raced a partial commit; next round sees it
-            future._ingest_status(status)
-        success = bool(future._status.get("success"))
-        self.engine.note_commit(key, success)
-        self._terminal.add(key)
-        if key not in executor._journal_seen:
-            executor._journal_seen.add(key)
-            self._obs_batch.append([key[0], key[1], success])
-
-    def _poll(self) -> None:
-        """One LIST per callset with in-flight calls, then finalize."""
-        executor = self.executor
-        groups: dict[str, list[CallKey]] = {}
-        for key in self._pending_invoked():
-            groups.setdefault(key[0], []).append(key)
-        for callset_id in sorted(groups):
-            keys = groups[callset_id]
-            if all(self.futures[k]._status is not None for k in keys):
-                done_ids = None  # statuses already ingested; skip the LIST
-            else:
-                done_ids = executor._storage.list_done_call_ids(
-                    executor.executor_id, callset_id
-                )
-            for key in keys:
-                future = self.futures[key]
-                if future._status is not None or (
-                    done_ids is not None and key[1] in done_ids
-                ):
-                    self._finalize(key)
-
-    def _recover(self) -> None:
-        """Probe journaled activation ids; re-invoke calls we cannot probe.
-
-        Calls invoked by the dead driver through a fire-and-forget invoker
-        have no activation id in the journal — they may be running, done,
-        or dead, and the gateway cannot tell us.  Re-invoking them once is
-        always safe: if a surviving twin commits first, the duplicate
-        loses the conditional status PUT and changes nothing.
-        """
-        executor = self.executor
-        pending = [
-            self.futures[key]
-            for key in self._pending_invoked()
-            if self.futures[key]._status is None
-        ]
-        if not pending:
-            return
-        probeable = [f for f in pending if f.activation_id is not None]
-        if probeable and executor._recover_lost_enabled:
-            executor._recover_lost(probeable)
-            for future in probeable:
-                key = (future.callset_id, future.call_id)
-                if future._status is not None and key not in self._terminal:
-                    # recovery buried it (synthetic lost status)
-                    self.engine.note_commit(key, False)
-                    self._terminal.add(key)
-                    self.stats["buried"] += 1
-        blind = [
-            f for f in pending
-            if f.activation_id is None
-            and (f.callset_id, f.call_id) not in self._issued
-        ]
-        if blind:
-            calls = [f._call_params for f in blind]
-            executor._make_invoker().invoke_calls(
-                executor.config.namespace, executor._runner_action,
-                calls, blind,
-            )
-            for future in blind:
-                self._issued.add((future.callset_id, future.call_id))
-            self.stats["reinvoked"] += len(blind)
-            executor._retries_total += len(blind)
-            executor._journal_invoked(blind, recovered=True)
-
-    def _bury_blocked(self) -> None:
-        """Bury (transitively) every pending node with a failed dependency."""
-        from repro import vtime
-
-        executor = self.executor
-        changed = True
-        while changed:
-            changed = False
-            for key in sorted(self.futures):
-                if key in self._terminal:
-                    continue
-                entry = self.ledger.calls[key]
-                if not entry.deps:
-                    continue
-                blocker = self.engine.blocked_by(key)
-                if blocker is None:
-                    continue
-                future = self.futures[key]
-                reason = (
-                    f"upstream DAG node '{entry.node_name or blocker}' "
-                    "failed (buried during resume)"
-                )
-                now = vtime.now()
-                executor._storage.put_result(
-                    executor.executor_id, key[0], key[1], (None, reason)
-                )
-                status = {
-                    "executor_id": executor.executor_id,
-                    "callset_id": key[0],
-                    "call_id": key[1],
-                    "success": False,
-                    "error": reason,
-                    "buried": True,
-                    "start_time": now,
-                    "end_time": now,
-                    "activation_id": None,
-                    "container_id": None,
-                    "cold_start": False,
-                }
-                if executor._storage.commit_status(
-                    executor.executor_id, key[0], key[1], status
-                ):
-                    future._ingest_status(status)
-                else:
-                    future._status_seen = True
-                    self._finalize(key)
-                if future._status is not None:
-                    self.engine.note_commit(
-                        key, bool(future._status.get("success"))
-                    )
-                self._terminal.add(key)
-                executor._journal_seen.add(key)
-                self.stats["buried"] += 1
-                changed = True
-                if executor.journal is not None:
-                    executor.journal.append(
-                        ev.NODE_BURIED, calls=[[key[0], key[1]]],
-                        resumed=True,
-                    )
-
-    def _fire(self) -> None:
-        """Invoke every call whose trigger rule is now satisfied.
-
-        Also covers calls journaled as submitted but never invoked (the
-        crash landed between upload and invocation): they have no rule
-        and no attempts, so they fire immediately.
-        """
-        executor = self.executor
-        ready: list[CallKey] = []
-        for key in sorted(self.futures):
-            if key in self._terminal or key in self._issued:
-                continue
-            entry = self.ledger.calls[key]
-            if entry.invoked:
-                continue
-            if entry.deps:
-                if not self.engine.satisfied(key):
-                    continue
-            ready.append(key)
-        if not ready:
-            return
-        futures = [self.futures[key] for key in ready]
-        calls = [f._call_params for f in futures]
-        executor._make_invoker().invoke_calls(
-            executor.config.namespace, executor._runner_action, calls, futures
-        )
-        for key in ready:
-            self._issued.add(key)
-            self.engine.mark_fired(key)
-        self.stats["refired"] += len(ready)
-        if executor.journal is not None:
-            executor.journal.append(
-                ev.NODE_FIRED,
-                calls=[
-                    [f.callset_id, f.call_id, f.activation_id,
-                     max(1, f.invoke_count)]
-                    for f in futures
-                ],
-                resumed=True,
-            )
-
-    def _flush(self) -> None:
-        if self._obs_batch and self.executor.journal is not None:
-            self.executor.journal.append(
-                ev.STATUS_OBSERVED, calls=self._obs_batch, resumed=True
-            )
-        self._obs_batch = []
-
-    def _abort(self, reason: str) -> None:
-        """A broken round must not leave waiters hanging in virtual time."""
-        executor = self.executor
-        for key in sorted(self.futures):
-            if key in self._terminal:
-                continue
-            future = self.futures[key]
-            status = {
-                "executor_id": executor.executor_id,
-                "callset_id": key[0],
-                "call_id": key[1],
-                "success": False,
-                "error": reason,
-                "buried": True,
-                "start_time": 0.0,
-                "end_time": 0.0,
-                "activation_id": None,
-                "container_id": None,
-                "cold_start": False,
-            }
-            if executor._storage.commit_status(
-                executor.executor_id, key[0], key[1], status
-            ):
-                future._ingest_status(status)
-            else:
-                future._status_seen = True
-            self._terminal.add(key)
-        self._event.set()
-
-    def join(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
+    dag = ledger.to_dag(executor)
+    by_key = {(n.future.callset_id, n.future.call_id): n for n in dag.nodes}
+    # the journaled exposure order *is* the public result shape
+    executor.futures = [
+        by_key[key].future for key in ledger.exposed if key in by_key
+    ]
+    # Centrally driven whatever the dead driver used: a swarm's workers
+    # kept firing dependents on their own and need no supervisor to be
+    # finished — only somebody to notice, and to cover what they dropped.
+    run = DagScheduler(executor, scheduler="centralized").adopt(dag)
+    return ResumedJob(executor, ledger, run)
 
 
 class ResumedJob:
     """Handle on an adopted job: journaled futures plus completion."""
 
-    def __init__(self, watcher: ResumeWatcher) -> None:
-        self._watcher = watcher
-        self.executor = watcher.executor
-        self.job_id = watcher.executor.executor_id
+    def __init__(self, executor, ledger: JobLedger, run: DagRun) -> None:
+        self.executor = executor
+        self.job_id = executor.executor_id
+        self._ledger = ledger
+        self._run = run
 
     @property
     def futures(self) -> list:
@@ -585,16 +259,49 @@ class ResumedJob:
 
     @property
     def stats(self) -> dict[str, Any]:
-        """Recovery accounting: committed/reinvoked/refired/buried counts."""
-        return dict(self._watcher.stats)
+        """Recovery accounting: committed/reinvoked/refired/buried counts.
+
+        Read off the run's nodes against what the journal said of them:
+        an invocation beyond the journaled attempts of a call with no
+        journaled activation id is this driver's doing — ``reinvoked``
+        when the dead driver had issued it blind, ``refired`` when it had
+        never been invoked at all.
+        """
+        reconciled = {(cs, call_id) for cs, call_id, _ in self._run.reconciled}
+        reinvoked = refired = buried = 0
+        for node in self._run.dag.nodes:
+            future = node.future
+            key = (future.callset_id, future.call_id)
+            entry = self._ledger.calls[key]
+            if (
+                entry.activation_id is None
+                and future.invoke_count > entry.invoke_count
+            ):
+                if entry.invoked:
+                    reinvoked += 1
+                else:
+                    refired += 1
+            status = future._status or {}
+            if key not in reconciled and (
+                status.get("buried") or status.get("lost")
+            ):
+                buried += 1
+        return {
+            "calls": len(self._ledger.calls),
+            "already_committed": len(reconciled),
+            "reinvoked": reinvoked,
+            "refired": refired,
+            "buried": buried,
+            "events_replayed": self._ledger.records,
+        }
 
     @property
     def error(self) -> Optional[BaseException]:
-        return self._watcher.error
+        return self._run.error
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Block (virtual time) until every journaled call is terminal."""
-        return self._watcher.join(timeout)
+        return self._run.join(timeout)
 
     def get_result(
         self, timeout: Optional[float] = None, throw_except: bool = True

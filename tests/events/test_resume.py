@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import repro as pw
 from repro.chaos import ChaosProfile
-from repro.config import EventsConfig
+from repro.config import DagConfig, EventsConfig, PyWrenConfig
 from repro.core.environment import CloudEnvironment
-from repro.core.errors import PyWrenError
+from repro.core.errors import FunctionError, PyWrenError
 from repro.events import records as ev
 from repro.events import to_jsonl
 
@@ -34,28 +34,43 @@ def _square(x):
     return x * x
 
 
+def _slow_square(x):
+    pw.sleep(20)  # still running when the adopter arrives
+    return x * x
+
+
+def _square_unless_three(x):
+    pw.sleep(2)  # commits after the driver died, before the adopter looks
+    if x == 3:
+        raise ValueError("three is right out")
+    return x * x
+
+
 def _total(values):
     return sum(values)
 
 
-def _make_env(crash_at: float, seed: int = 123) -> CloudEnvironment:
+def _make_env(crash_at: float, seed: int = 123, **config) -> CloudEnvironment:
     """Identical environments except for the crash instant (same chaos
-    profile in both, so every latency draw lines up)."""
+    profile in both, so every latency draw lines up).  ``config`` fields
+    (``invoker_mode=``, ``dag=``) apply to the doomed driver and its
+    adopter alike."""
     return CloudEnvironment.create(
         seed=seed,
         events=True,
         chaos=ChaosProfile("client-crash", seed=7, client_crash_at_s=crash_at),
+        config=PyWrenConfig(**config) if config else None,
     )
 
 
-def _run_map_reduce(env: CloudEnvironment, items: list[int]):
+def _run_map_reduce(env: CloudEnvironment, items: list[int], map_fn=_square):
     """Returns (outcome, result, records, stats) for one driver's life."""
 
     def main():
         executor = pw.ibm_cf_executor()
         job_id = executor.executor_id
         try:
-            executor.map_reduce(_square, items, _total)
+            executor.map_reduce(map_fn, items, _total)
             result = executor.get_result()
             return "done", result, executor.journal.replay(), None
         except pw.ClientCrashError:
@@ -133,6 +148,98 @@ class TestKillMidMapReduce:
         assert stats["buried"] == 0
         _assert_no_reexecution(crash_records)
 
+    @pytest.mark.parametrize("invoker_mode", ["local", "remote", "massive"])
+    def test_resume_with_maps_in_flight(self, invoker_mode):
+        """Same, with the maps still running when the adopter arrives.
+        A journaled activation id is probed, never re-issued; a call the
+        dead driver handed to a fire-and-forget invoker has none and is
+        re-invoked blind, exactly once."""
+
+        def run(crash_at):
+            return _run_map_reduce(
+                _make_env(crash_at, invoker_mode=invoker_mode),
+                self.ITEMS,
+                map_fn=_slow_square,
+            )
+
+        outcome, baseline, records, _ = run(NEVER)
+        assert outcome == "done"
+        exposed, end = _submission_window(records)
+        outcome, resumed, crash_records, stats = run((exposed + end) / 2.0)
+        assert outcome == "resumed"
+        assert pickle.dumps(resumed) == pickle.dumps(baseline)
+        assert stats["already_committed"] == 0
+        assert stats["reinvoked"] == (
+            0 if invoker_mode == "local" else len(self.ITEMS)
+        )
+        assert stats["refired"] == 1  # the reducer, once its maps commit
+        assert stats["buried"] == 0
+        _assert_no_reexecution(crash_records)
+
+    def test_failed_map_found_on_adoption_buries_the_reducer(self):
+        """A failure that committed while nobody watched is judged by the
+        adopter: the reducer it blocks is buried, never invoked."""
+
+        def run(crash_at):
+            env = _make_env(crash_at)
+
+            def main():
+                executor = pw.ibm_cf_executor()
+                job_id = executor.executor_id
+                try:
+                    executor.map_reduce(_square_unless_three, self.ITEMS, _total)
+                    collected = executor.get_result(throw_except=False)
+                    return collected, None, executor.journal.replay()
+                except pw.ClientCrashError:
+                    adopter = env.executor()
+                    job = adopter.reattach(job_id)
+                    collected = job.get_result(throw_except=False)
+                    return collected, job.stats, adopter.journal.replay()
+
+            return env.run(main)
+
+        (baseline, _), _, records = run(NEVER)
+        assert baseline == [1, 4, None, 16, None]
+        # die right after promising the reducer, before any map committed
+        exposed = max(r.t for r in records if r.kind == ev.FUTURES_EXPOSED)
+        (values, report), stats, crash_records = run(exposed + 0.05)
+        assert values == baseline
+        assert [f.call_id for f in report.failures] == ["00002", "00000"]
+        assert "upstream DAG node" in report.failures[1].error
+        assert stats["already_committed"] == len(self.ITEMS)
+        assert (stats["refired"], stats["buried"]) == (0, 1)
+        _assert_no_reexecution(crash_records)
+
+    def test_failing_round_surfaces_as_function_error(self, monkeypatch):
+        """A resume round that raises must fail the job's calls the way a
+        DAG abort does — result blob, then status — so ``get_result``
+        raises a ``FunctionError`` naming the abort, not a ``NoSuchKey``
+        for a result that was never written."""
+        _, records = self._baseline()
+        exposed, end = _submission_window(records)
+        env = _make_env((exposed + end) / 2.0)
+
+        def boom(*_args):
+            raise RuntimeError("boom")
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            job_id = executor.executor_id
+            with pytest.raises(pw.ClientCrashError):
+                executor.map_reduce(_slow_square, self.ITEMS, _total)
+                executor.get_result()
+            adopter = env.executor()
+            job = adopter.reattach(job_id)
+            # reattach ran the first round; the second one breaks
+            with monkeypatch.context() as patch:
+                patch.setattr(adopter._storage, "list_done_call_ids", boom)
+                assert job.join(timeout=30)
+            assert isinstance(job.error, RuntimeError)
+            with pytest.raises(FunctionError, match="aborted.*boom"):
+                job.get_result()
+
+        env.run(main)
+
     def test_crash_during_submission_resumes_durable_prefix(self):
         baseline, records = self._baseline()
         # die between the maps' exposure and the reducer DAG's journal
@@ -171,7 +278,7 @@ class TestKillMidDag:
 
     N_LEAVES = 4
 
-    def _run(self, env: CloudEnvironment):
+    def _run(self, env: CloudEnvironment, scheduler=None, after_reattach=None):
         from repro.dag import DagBuilder, DagScheduler
 
         def chunk_sort(spec):
@@ -222,13 +329,17 @@ class TestKillMidDag:
             executor = pw.ibm_cf_executor()
             job_id = executor.executor_id
             try:
-                run = DagScheduler(executor).submit(builder.build())
+                run = DagScheduler(executor, scheduler=scheduler).submit(
+                    builder.build()
+                )
                 run.expose(root)
                 result = executor.get_result()
                 return "done", result, executor.journal.replay(), None
             except pw.ClientCrashError:
                 adopter = env.executor()
                 job = adopter.reattach(job_id)
+                if after_reattach is not None:
+                    after_reattach(adopter)
                 result = job.get_result()
                 return "resumed", result, adopter.journal.replay(), job.stats
 
@@ -252,6 +363,102 @@ class TestKillMidDag:
         assert stats["refired"] >= 1
         assert stats["reinvoked"] == 0
         _assert_no_reexecution(crash_records)
+
+    def test_dag_submitted_after_reattach_gets_an_unused_id(self):
+        """The adopter continues the dead driver's DAG numbering: a reused
+        ``dag_id`` would overwrite the swarm schedule object its workers
+        may still be range-reading their slices from."""
+        from repro.dag import DagBuilder
+
+        (_, _, records, _), _ = self._run(_make_env(NEVER), scheduler="swarm")
+        exposed = max(r.t for r in records if r.kind == ev.FUTURES_EXPOSED)
+        last_obs = max(r.t for r in records if r.kind == ev.STATUS_OBSERVED)
+        seen = {}
+
+        def submit_another(adopter):
+            storage = adopter._storage
+            key = storage.swarm_schedule_key(adopter.executor_id, "dag000")
+            before = storage.get_blob(key)
+            builder = DagBuilder()
+            node = builder.call(_square, 7).then(_square, fusable=False)
+            run = builder.submit(adopter, scheduler="swarm")
+            seen["dag_id"] = run.dag_id
+            seen["value"] = run.future(node).result()
+            seen["untouched"] = storage.get_blob(key) == before
+
+        (outcome, _, crash_records, _), _ = self._run(
+            _make_env(exposed + (last_obs - exposed) / 3.0),
+            scheduler="swarm",
+            after_reattach=submit_another,
+        )
+        assert outcome == "resumed"
+        assert seen["value"] == 7 ** 4
+        assert seen["untouched"]
+        (submitted,) = [
+            r.seq
+            for r in crash_records
+            if r.kind == ev.DAG_SUBMITTED and r.data["dag_id"] == seen["dag_id"]
+        ]
+        used_before = {
+            r.data["dag_id"]
+            for r in crash_records
+            if r.seq < submitted and "dag_id" in r.data
+        }
+        assert "dag000" in used_before
+        assert seen["dag_id"] not in used_before
+
+
+class TestKillAtEveryRecordBoundary:
+    """Crash the driver just after, and midway to the next of, every
+    record of the uninterrupted run's journal.  Whatever the instant, the
+    adopter returns the durable prefix of the uninterrupted result, every
+    exposed value is real, and nothing committed runs twice."""
+
+    ITEMS = [1, 2, 3, 4]
+
+    @staticmethod
+    def _crash_times(records) -> list[float]:
+        times = sorted({r.t for r in records})
+        out = []
+        for t, nxt in zip(times, times[1:] + [times[-1] + 1.0]):
+            out += [t + 1e-6, (t + nxt) / 2.0]
+        return out
+
+    def _sweep(self, run, owed) -> None:
+        """``run(crash_at)`` -> (outcome, result, records, stats);
+        ``owed(result, baseline)``: is this what the adopter owed?"""
+        outcome, baseline, records, _ = run(NEVER)
+        assert outcome == "done"
+        resumed_runs = 0
+        for crash_at in self._crash_times(records):
+            outcome, result, crash_records, _ = run(crash_at)
+            if outcome == "done":  # died after its last checkpoint
+                assert result == baseline
+                continue
+            resumed_runs += 1
+            assert owed(result, baseline), f"crash@{crash_at}"
+            _assert_no_reexecution(crash_records)
+        assert resumed_runs >= len(records)
+
+    @pytest.mark.parametrize("scheduler", DagConfig.SCHEDULERS)
+    def test_map_reduce(self, scheduler):
+        def run(crash_at):
+            env = _make_env(crash_at, dag=DagConfig(scheduler=scheduler))
+            return _run_map_reduce(env, self.ITEMS)
+
+        def owed(result, baseline):
+            result = result or []  # nothing exposed before the crash
+            return result == baseline[: len(result)] and None not in result
+
+        self._sweep(run, owed)
+
+    @pytest.mark.parametrize("scheduler", DagConfig.SCHEDULERS)
+    def test_mergesort_dag(self, scheduler):
+        def run(crash_at):
+            return TestKillMidDag()._run(_make_env(crash_at), scheduler)[0]
+
+        # only the root is ever exposed: all of it or nothing
+        self._sweep(run, lambda result, baseline: result in (None, baseline))
 
 
 class TestReattachApi:
