@@ -1,4 +1,4 @@
-.PHONY: install test lint chaos perf perf-selftest perf-trace bench bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint chaos perf perf-selftest perf-trace bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -35,6 +35,12 @@ perf-trace:
 
 bench:
 	pytest benchmarks/ --benchmark-only
+
+# the paper's figures as a build (CI job paper-figures, ~80 s): Fig. 2-5,
+# Table 3 and the ablations assert their paper shapes; Table 3 is a
+# strict xfail until ROADMAP item 1 restores its > 100x headline
+paper-check:
+	PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
 
 # tracing overhead: same workload with the spine disabled vs enabled;
 # writes BENCH_trace_overhead.json (acceptance: disabled adds <5%)

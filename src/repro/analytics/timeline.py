@@ -75,101 +75,30 @@ def intervals_from_events(
     return derive.execution_intervals(events, executor_id, callset_id)
 
 
-def render_execution_timeline(
-    intervals: Sequence[tuple[float, float]],
-    title: str = "Function executions",
-    resolution: float = 1.0,
-) -> str:
-    """Render execution intervals + concurrency curve as an SVG document."""
-    intervals = sorted(intervals)
-    safe_title = escape(str(title))
-    header = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
-        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
-        f'<rect width="100%" height="100%" fill="#ffffff"/>'
-        f'<text x="{_MARGIN}" y="24" font-size="15" '
-        f'font-family="sans-serif">{safe_title} ({len(intervals)} functions)</text>'
-    )
-    if not intervals:
-        return header + "</svg>"
-
-    t0 = min(start for start, _ in intervals)
-    t1 = max(end for _, end in intervals)
-    span = (t1 - t0) or 1.0
-    n = len(intervals)
-
-    def _x(t: float) -> float:
-        return _MARGIN + (t - t0) / span * (_WIDTH - 2 * _MARGIN)
-
-    def _y_row(i: int) -> float:
-        return _HEIGHT - _MARGIN - (i + 1) / n * (_HEIGHT - 2 * _MARGIN)
-
-    rows = [
-        f'<line x1="{_x(start):.1f}" y1="{_y_row(i):.1f}" '
-        f'x2="{_x(end):.1f}" y2="{_y_row(i):.1f}" '
-        f'stroke="#bbbbbb" stroke-width="1"/>'
-        for i, (start, end) in enumerate(intervals)
-    ]
-
-    timeline = concurrency_timeline(intervals, resolution=resolution, t0=t0)
-    peak = max(level for _t, level in timeline) or 1
-
-    def _xy(t: float, level: int) -> str:
-        return (
-            f"{_x(t0 + t):.1f},"
-            f"{_HEIGHT - _MARGIN - level / peak * (_HEIGHT - 2 * _MARGIN):.1f}"
-        )
-
-    # step curve: hold each level until the next change point
-    vertices: list[str] = []
-    prev_level: Optional[int] = None
-    for t, level in timeline:
-        if prev_level is not None:
-            vertices.append(_xy(t, prev_level))
-        vertices.append(_xy(t, level))
-        prev_level = level
-    curve = (
-        f'<polyline points="{" ".join(vertices)}" fill="none" stroke="#111111" '
-        f'stroke-width="2"/>'
-    )
-    axis = (
-        f'<line x1="{_MARGIN}" y1="{_HEIGHT - _MARGIN}" x2="{_WIDTH - _MARGIN}" '
-        f'y2="{_HEIGHT - _MARGIN}" stroke="#333333"/>'
-        f'<text x="{_MARGIN}" y="{_HEIGHT - 14}" font-size="12" '
-        f'font-family="sans-serif">0s</text>'
-        f'<text x="{_WIDTH - _MARGIN - 40}" y="{_HEIGHT - 14}" font-size="12" '
-        f'font-family="sans-serif">{span:.0f}s</text>'
-        f'<text x="{_WIDTH - _MARGIN - 120}" y="40" font-size="12" '
-        f'font-family="sans-serif">peak concurrency: {peak}</text>'
-    )
-    return header + "".join(rows) + curve + axis + "</svg>"
-
-
 #: per-stage line colors for the DAG-grouped timeline, cycled in order
 _STAGE_COLORS = ("#2563eb", "#16a34a", "#ca8a04", "#dc2626", "#7c3aed", "#0891b2")
 
 
-def render_staged_timeline(
-    groups: Sequence[tuple[str, Sequence[tuple[float, float]]]],
-    title: str = "DAG execution",
+def _render(
+    bands: Sequence[tuple[Optional[str], str, int, Sequence[tuple[float, float]]]],
+    heading: str,
 ) -> str:
-    """Fig. 3-style timeline with rows grouped (and colored) by DAG stage.
+    """The one SVG timeline: stacked bands of rows + the concurrency curve.
 
-    ``groups`` is an ordered list of ``(stage_name, intervals)``; rows are
-    stacked stage by stage with a label per band, and the black total-
-    concurrency curve spans all stages.  This is what ``python -m repro
-    trace --svg`` renders when the trace carries ``dag.node`` spans.
+    ``bands`` is an ordered list of ``(label, color, stroke_width,
+    intervals)``; rows are stacked band by band in each band's sorted
+    order, a non-empty band with a label gets it printed at its top row,
+    and the black total-concurrency curve spans all bands.  ``heading`` is
+    the (already escaped) title line.
     """
-    groups = [(name, sorted(intervals)) for name, intervals in groups]
-    all_intervals = [iv for _name, ivs in groups for iv in ivs]
-    safe_title = escape(str(title))
+    bands = [(label, color, width, sorted(ivs)) for label, color, width, ivs in bands]
+    all_intervals = [iv for *_band, ivs in bands for iv in ivs]
     header = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
         f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
         f'<rect width="100%" height="100%" fill="#ffffff"/>'
         f'<text x="{_MARGIN}" y="24" font-size="15" '
-        f'font-family="sans-serif">{safe_title} '
-        f"({len(all_intervals)} nodes, {len(groups)} stages)</text>"
+        f'font-family="sans-serif">{heading}</text>'
     )
     if not all_intervals:
         return header + "</svg>"
@@ -187,22 +116,20 @@ def render_staged_timeline(
 
     parts: list[str] = []
     row = 0
-    for group_index, (name, intervals) in enumerate(groups):
-        color = _STAGE_COLORS[group_index % len(_STAGE_COLORS)]
-        band_top = _y_row(row + len(intervals) - 1) if intervals else None
+    for label, color, width, intervals in bands:
         for start, end in intervals:
             y = _y_row(row)
             parts.append(
                 f'<line x1="{_x(start):.1f}" y1="{y:.1f}" '
                 f'x2="{_x(end):.1f}" y2="{y:.1f}" '
-                f'stroke="{color}" stroke-width="2"/>'
+                f'stroke="{color}" stroke-width="{width}"/>'
             )
             row += 1
-        if band_top is not None:
+        if label is not None and intervals:
             parts.append(
-                f'<text x="4" y="{band_top + 4:.1f}" font-size="11" '
+                f'<text x="4" y="{_y_row(row - 1) + 4:.1f}" font-size="11" '
                 f'fill="{color}" font-family="sans-serif">'
-                f"{escape(str(name))}</text>"
+                f"{escape(str(label))}</text>"
             )
 
     timeline = concurrency_timeline(all_intervals, t0=t0)
@@ -214,13 +141,10 @@ def render_staged_timeline(
             f"{_HEIGHT - _MARGIN - level / peak * (_HEIGHT - 2 * _MARGIN):.1f}"
         )
 
-    vertices: list[str] = []
-    prev_level: Optional[int] = None
-    for t, level in timeline:
-        if prev_level is not None:
-            vertices.append(_xy(t, prev_level))
-        vertices.append(_xy(t, level))
-        prev_level = level
+    # step curve: hold each level until the next change point
+    vertices = [_xy(*timeline[0])]
+    for (_t, held), (t, level) in zip(timeline, timeline[1:]):
+        vertices += [_xy(t, held), _xy(t, level)]
     curve = (
         f'<polyline points="{" ".join(vertices)}" fill="none" stroke="#111111" '
         f'stroke-width="2"/>'
@@ -236,6 +160,45 @@ def render_staged_timeline(
         f'font-family="sans-serif">peak concurrency: {peak}</text>'
     )
     return header + "".join(parts) + curve + axis + "</svg>"
+
+
+def render_execution_timeline(
+    intervals: Sequence[tuple[float, float]],
+    title: str = "Function executions",
+    resolution: float = 1.0,
+) -> str:
+    """Render execution intervals + concurrency curve as an SVG document.
+
+    One unlabelled gray band.  ``resolution`` is kept for API
+    compatibility and ignored (see :func:`concurrency_timeline`).
+    """
+    intervals = list(intervals)
+    return _render(
+        [(None, "#bbbbbb", 1, intervals)],
+        f"{escape(str(title))} ({len(intervals)} functions)",
+    )
+
+
+def render_staged_timeline(
+    groups: Sequence[tuple[str, Sequence[tuple[float, float]]]],
+    title: str = "DAG execution",
+) -> str:
+    """Fig. 3-style timeline with rows grouped (and colored) by DAG stage.
+
+    ``groups`` is an ordered list of ``(stage_name, intervals)``; rows are
+    stacked stage by stage with a label per band, and the black total-
+    concurrency curve spans all stages.  This is what ``python -m repro
+    trace --svg`` renders when the trace carries ``dag.node`` spans.
+    """
+    groups = [(name, list(intervals)) for name, intervals in groups]
+    nodes = sum(len(intervals) for _name, intervals in groups)
+    return _render(
+        [
+            (name, _STAGE_COLORS[index % len(_STAGE_COLORS)], 2, intervals)
+            for index, (name, intervals) in enumerate(groups)
+        ],
+        f"{escape(str(title))} ({nodes} nodes, {len(groups)} stages)",
+    )
 
 
 def dag_stage_groups(events: Iterable) -> list[tuple[str, list[tuple[float, float]]]]:

@@ -26,8 +26,6 @@ from repro.core import serializer
 from repro.core.errors import PyWrenError
 from repro.core.futures import (
     ALL_COMPLETED,
-    ALWAYS,
-    ANY_COMPLETED,
     CallFailure,
     CallState,
     FailureReport,
@@ -39,7 +37,7 @@ from repro.core.partitioner import StoragePartition, build_partitions
 from repro.core.pool import run_pool
 from repro.core.progress import ProgressBar
 from repro.core.storage_client import InternalStorage
-from repro.core.wait import wait as wait_on
+from repro.core.wait import ListSource, QueueSource, _wait as wait_loop
 from repro.config import InvokerMode, MonitoringTransport, PyWrenConfig
 from repro.cos.client import COSClient
 from repro.faas.activation import ActivationStatus
@@ -121,13 +119,7 @@ class FunctionExecutor:
         if self.config.invoker_mode != InvokerMode.LOCAL:
             environment.ensure_remote_invoker_action()
 
-        self._monitor_queue: Optional[str] = None
-        self._mq = None
-        self._push_buffer: dict[tuple[str, str], dict[str, Any]] = {}
-        if self.config.monitoring == MonitoringTransport.MQ_PUSH:
-            self._monitor_queue = f"pywren-monitor-{self.executor_id}"
-            self._mq = environment.mq_client(in_cloud=in_cloud)
-            self._mq.declare_queue(self._monitor_queue)
+        self._completions = self._completion_source()
 
         self.futures: list[ResponseFuture] = []
         self._callset_seq = 0
@@ -292,7 +284,6 @@ class FunctionExecutor:
         :func:`repro.core.shuffle.merge_shuffle_results`.
         """
         from repro.core.shuffle import make_shuffle_map, make_shuffle_reduce_fetch
-        from repro.dag import DagBuilder, DagScheduler
 
         if n_reducers <= 0:
             raise ValueError("n_reducers must be positive")
@@ -304,33 +295,22 @@ class FunctionExecutor:
         )
         if not map_futures:
             raise PyWrenError("map_reduce_shuffle over an empty dataset")
-        # All reducers ride one DAG: a single dependency watcher invokes
-        # every reducer the moment the last map status commits, instead of
-        # each reducer polling for the whole map phase from inside a
-        # cloud function.
-        builder = DagBuilder()
-        inputs = [
-            builder.external(future, name=f"map:{future.call_id}", stage="map")
-            for future in map_futures
-        ]
-        nodes = [
-            builder.reduce(
-                make_shuffle_reduce_fetch(reduce_function, reducer_index),
-                inputs,
-                pass_futures=True,
-                name=f"shuffle-reduce[{reducer_index}]",
-                stage="reduce",
-            )
-            for reducer_index in range(n_reducers)
-        ]
-        run = DagScheduler(self, label="S", retries=retries).submit(
-            builder.build()
+        # all reducers ride one DAG, fetching their partitions by future
+        reducers = self._reduce_stage(
+            map_futures,
+            [
+                (
+                    make_shuffle_reduce_fetch(reduce_function, reducer_index),
+                    f"shuffle-reduce[{reducer_index}]",
+                )
+                for reducer_index in range(n_reducers)
+            ],
+            label="S",
+            retries=retries,
+            pass_futures=True,
         )
-        reducers = []
-        for reducer_index, node in enumerate(nodes):
-            future = run.expose(node)
+        for reducer_index, future in enumerate(reducers):
             future.metadata["reducer_index"] = reducer_index
-            reducers.append(future)
         return reducers
 
     def _spawn_reducer(
@@ -339,11 +319,26 @@ class FunctionExecutor:
         map_futures: list[ResponseFuture],
         retries: Optional[int] = None,
     ) -> ResponseFuture:
-        """One reducer node depending on all its map futures.
+        """One reducer depending on all its map futures (its own DAG)."""
+        name = getattr(reduce_function, "__name__", "reduce")
+        return self._reduce_stage(
+            map_futures, [(reduce_function, name)], label="R", retries=retries
+        )[0]
 
-        The DAG scheduler's dependency watcher submits the reducer when
-        the last map status commits, so the reducer activation starts with
-        its inputs already resolved and spends no cloud time waiting.
+    def _reduce_stage(
+        self,
+        map_futures: list[ResponseFuture],
+        reducers: list[tuple[Callable[..., Any], str]],
+        label: str,
+        retries: Optional[int],
+        pass_futures: bool = False,
+    ) -> list[ResponseFuture]:
+        """One DAG: every ``(function, name)`` reducer depends on all maps.
+
+        A single dependency watcher submits the reducers the moment the
+        last map status commits, so a reducer activation starts with its
+        inputs already resolved and spends no cloud time polling for the
+        whole map phase.  Returns the exposed reducer futures, in order.
         """
         from repro.dag import DagBuilder, DagScheduler
 
@@ -352,16 +347,16 @@ class FunctionExecutor:
             builder.external(future, name=f"map:{future.call_id}", stage="map")
             for future in map_futures
         ]
-        node = builder.reduce(
-            reduce_function,
-            inputs,
-            name=getattr(reduce_function, "__name__", "reduce"),
-            stage="reduce",
-        )
-        run = DagScheduler(self, label="R", retries=retries).submit(
+        nodes = [
+            builder.reduce(
+                fn, inputs, pass_futures=pass_futures, name=name, stage="reduce"
+            )
+            for fn, name in reducers
+        ]
+        run = DagScheduler(self, label=label, retries=retries).submit(
             builder.build()
         )
-        return run.expose(node)
+        return [run.expose(node) for node in nodes]
 
     # ------------------------------------------------------------------
     # Event journal plumbing
@@ -457,6 +452,17 @@ class FunctionExecutor:
             return tracer.bind(executor_id=self.executor_id)
         return contextlib.nullcontext()
 
+    def _completion_source(self) -> ListSource:
+        """How this executor learns that calls are over (``config.monitoring``).
+
+        ``reattach`` calls it again once it has taken the dead driver's id,
+        and with it the queue that driver's workers already published to.
+        """
+        if self.config.monitoring != MonitoringTransport.MQ_PUSH:
+            return ListSource(self._storage)
+        mq = self.environment.mq_client(in_cloud=self.in_cloud)
+        return QueueSource(self._storage, mq, self.executor_id)
+
     def _wait(
         self,
         fs: list[ResponseFuture],
@@ -465,11 +471,9 @@ class FunctionExecutor:
         on_progress=None,
     ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
         with self._trace_scope():
-            if self._mq is not None:
-                return self._wait_push(fs, return_when, timeout, on_progress)
-            return wait_on(
+            return wait_loop(
                 fs,
-                self._storage,
+                self._completions,
                 return_when=return_when,
                 poll_interval=self.config.poll_interval,
                 timeout=timeout,
@@ -479,110 +483,6 @@ class FunctionExecutor:
                 ),
                 on_round=self._journal_round,
             )
-
-    def _wait_push(
-        self,
-        fs: list[ResponseFuture],
-        return_when: int,
-        timeout: Optional[float],
-        on_progress=None,
-    ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
-        """Push-monitoring wait: consume status messages instead of polling.
-
-        Messages for futures outside the waited set (other callsets of this
-        executor) are buffered and applied when those futures are waited on.
-        """
-        from repro import vtime
-        from repro.core.errors import ResultTimeoutError
-        from repro.vtime import QueueEmpty
-
-        pending: dict[tuple[str, str], ResponseFuture] = {}
-        for future in fs:
-            if not future.bound:
-                future.bind(self._storage, self.config.poll_interval)
-            key = (future.callset_id, future.call_id)
-            if future.status_known:
-                continue
-            buffered = self._push_buffer.pop(key, None)
-            if buffered is not None:
-                future._ingest_status(buffered)
-                continue
-            pending[key] = future
-
-        deadline = None if timeout is None else vtime.now() + timeout
-
-        def _apply(message: dict[str, Any]) -> None:
-            key = (message["callset_id"], message["call_id"])
-            future = pending.pop(key, None)
-            if future is not None:
-                future._ingest_status(dict(message))
-            else:
-                self._push_buffer[key] = dict(message)
-            if self.journal is not None and key not in self._journal_seen:
-                self._journal_seen.add(key)
-                from repro.events import records as ev
-
-                self.journal.append(
-                    ev.STATUS_OBSERVED,
-                    calls=[[key[0], key[1], bool(message.get("success"))]],
-                )
-
-        # drain everything already delivered (needed for ALWAYS semantics)
-        while pending:
-            try:
-                _apply(self._mq.consume(self._monitor_queue, timeout=0))
-            except QueueEmpty:
-                break
-
-        def _policy_met() -> bool:
-            done_count = len(fs) - len(pending)
-            if on_progress is not None:
-                on_progress(done_count, len(fs))
-            if return_when == ALWAYS:
-                return True
-            if return_when == ANY_COMPLETED:
-                return done_count > 0
-            return not pending
-
-        detect = self._recover_lost if self._recover_lost_enabled else None
-        while not _policy_met():
-            self._check_client()
-            remaining = None if deadline is None else deadline - vtime.now()
-            if remaining is not None and remaining <= 0:
-                raise ResultTimeoutError(
-                    f"push wait timed out with {len(pending)} futures pending"
-                )
-            if detect is None:
-                try:
-                    message = self._mq.consume(
-                        self._monitor_queue, timeout=remaining
-                    )
-                except QueueEmpty:
-                    raise ResultTimeoutError(
-                        f"push wait timed out with {len(pending)} futures pending"
-                    ) from None
-                _apply(message)
-                continue
-            # With recovery on, a lost call produces no push message at all —
-            # consume in poll_interval slices and scan between them.
-            step = (
-                self.config.poll_interval
-                if remaining is None
-                else min(remaining, self.config.poll_interval)
-            )
-            try:
-                message = self._mq.consume(self._monitor_queue, timeout=step)
-            except QueueEmpty:
-                detect(list(pending.values()))
-                # buried calls got a synthetic status ingested directly
-                for key, future in list(pending.items()):
-                    if future._status is not None:
-                        pending.pop(key)
-                continue
-            _apply(message)
-        done = [f for f in fs if (f.callset_id, f.call_id) not in pending]
-        not_done = list(pending.values())
-        return done, not_done
 
     # ------------------------------------------------------------------
     # Lost-call recovery
@@ -769,10 +669,8 @@ class FunctionExecutor:
 
         try:
             self._wait(fs, ALL_COMPLETED, timeout, on_progress=_on_progress)
-        except KeyboardInterrupt:
-            # §4.2: keyboard interruption cancels the retrieval of results.
-            raise
         finally:
+            # also on §4.2's keyboard interruption, which cancels retrieval
             progress.close()
             if unsubscribe is not None:
                 unsubscribe()
@@ -950,25 +848,32 @@ class FunctionExecutor:
         to pending); the caller waits on them again.  Futures must be
         finished (wait first).
         """
-        retried: list[ResponseFuture] = []
-        calls: list[dict[str, Any]] = []
+        return self._reinvoke(
+            [f for f in futures if not f.status().get("success")], discard=True
+        )
+
+    def _reinvoke(
+        self, futures: list[ResponseFuture], discard: bool
+    ) -> list[ResponseFuture]:
+        """Invoke ``futures``' calls again, first discarding the finished
+        attempt when ``discard``; nothing is touched if any is foreign."""
         for future in futures:
-            if future.status().get("success"):
-                continue
-            params = getattr(future, "_call_params", None)
-            if params is None:
+            if getattr(future, "_call_params", None) is None:
                 raise PyWrenError(
                     f"future {future.call_id} was not submitted by this "
                     "process; cannot retry"
                 )
-            self._discard_attempt(future)
-            retried.append(future)
-            calls.append(params)
-        if retried:
+        if discard:
+            for future in futures:
+                self._discard_attempt(future)
+        if futures:
             self._make_invoker().invoke_calls(
-                self.config.namespace, self._runner_action, calls, retried
+                self.config.namespace,
+                self._runner_action,
+                [future._call_params for future in futures],
+                futures,
             )
-        return retried
+        return futures
 
     def _discard_attempt(self, future: ResponseFuture) -> None:
         """Forget ``future``'s finished attempt so a new one can run.
@@ -984,7 +889,7 @@ class FunctionExecutor:
         future._value_loaded = False
         future._value = None
         future._state = CallState.INVOKED
-        self._push_buffer.pop((future.callset_id, future.call_id), None)
+        self._completions.forget(future)
         for key in (
             self._storage.status_key(
                 future.executor_id, future.callset_id, future.call_id
@@ -1011,24 +916,7 @@ class FunctionExecutor:
         is re-invoked.  Duplicate execution of a slow-but-alive call is
         possible and harmless — both attempts write the same keys.
         """
-        missing: list[ResponseFuture] = []
-        calls: list[dict[str, Any]] = []
-        for future in futures:
-            if future.done():
-                continue
-            params = getattr(future, "_call_params", None)
-            if params is None:
-                raise PyWrenError(
-                    f"future {future.call_id} was not submitted by this "
-                    "process; cannot retry"
-                )
-            missing.append(future)
-            calls.append(params)
-        if missing:
-            self._make_invoker().invoke_calls(
-                self.config.namespace, self._runner_action, calls, missing
-            )
-        return missing
+        return self._reinvoke([f for f in futures if not f.done()], discard=False)
 
     # ------------------------------------------------------------------
     # Cleanup
@@ -1067,37 +955,26 @@ class FunctionExecutor:
         retries: Optional[int] = None,
     ) -> list[ResponseFuture]:
         """Serialize + upload code and data, then invoke all calls."""
-        with self._trace_scope():
-            return self._submit_inner(func, items, partitions, label, retries)
-
-    def _submit_inner(
-        self,
-        func: Callable[[Any], Any],
-        items: Optional[list[Any]],
-        partitions: Optional[list[StoragePartition]],
-        label: str,
-        retries: Optional[int],
-    ) -> list[ResponseFuture]:
         import types as _types
 
-        if self.config.validate_runtime_packages and isinstance(
-            func, _types.FunctionType
-        ):
-            from repro.core.modules import validate_runtime
+        with self._trace_scope():
+            if self.config.validate_runtime_packages and isinstance(
+                func, _types.FunctionType
+            ):
+                from repro.core.modules import validate_runtime
 
-            validate_runtime(func, self._runtime_image)
-        self._check_client()
-        _, calls, futures = self._prepare_calls(
-            func, items=items, partitions=partitions, label=label,
-            retries=retries,
-        )
-        invoker = self._make_invoker()
-        invoker.invoke_calls(
-            self.config.namespace, self._runner_action, calls, futures
-        )
-        self.futures.extend(futures)
-        self._journal_invoked(futures)
-        self._journal_exposed(futures)
+                validate_runtime(func, self._runtime_image)
+            self._check_client()
+            _, calls, futures = self._prepare_calls(
+                func, items=items, partitions=partitions, label=label,
+                retries=retries,
+            )
+            self._make_invoker().invoke_calls(
+                self.config.namespace, self._runner_action, calls, futures
+            )
+            self.futures.extend(futures)
+            self._journal_invoked(futures)
+            self._journal_exposed(futures)
         return futures
 
     def _prepare_calls(
@@ -1112,7 +989,7 @@ class FunctionExecutor:
 
         Uploads the (content-addressed) function blob and the aggregated
         data object, then builds the call-params dicts and bound futures.
-        ``_submit_inner`` invokes the calls immediately; the DAG scheduler
+        ``_submit`` invokes the calls immediately; the DAG scheduler
         instead holds them and invokes each one when its dependencies
         resolve.  The prepared futures are *not* registered on
         ``self.futures`` — that is the caller's decision.
@@ -1138,8 +1015,8 @@ class FunctionExecutor:
             "prefix": self.config.storage_prefix,
             "func_key": func_key,
         }
-        if self._monitor_queue is not None:
-            common["monitor_queue"] = self._monitor_queue
+        if self._completions.queue is not None:
+            common["monitor_queue"] = self._completions.queue
 
         if partitions is not None:
             for i, partition in enumerate(partitions):

@@ -145,8 +145,12 @@ def synthetic_status(
 
     ``flag`` says who gave up on it: ``"lost"`` (every activation died,
     retry budget spent) or ``"buried"`` (an upstream DAG node failed, or
-    the scheduler aborted).  Key order is part of the contract — statuses
-    are pickled and their size feeds modelled transfer time.
+    the scheduler aborted).  Giving up is one conditional status PUT of
+    this dict and *no* result blob — :meth:`ResponseFuture.result` derives
+    ``(None, error)`` from the status — so a late attempt of the call has
+    no second object to overwrite, and one that committed first keeps its
+    real outcome.  Key order is part of the contract — statuses are
+    pickled and their size feeds modelled transfer time.
     """
     return {
         "executor_id": future.executor_id,
@@ -290,9 +294,9 @@ class ResponseFuture:
         """
         status = self.status(timeout)
         if not self._value_loaded:
-            if status.get("lost"):
-                # synthetic status for a call whose activations all died
-                # without writing anything — there is no result blob
+            if status.get("lost") or status.get("buried"):
+                # synthetic status: the call was given up on, there is no
+                # result blob — or only a late attempt's, not this outcome's
                 raw: Any = (None, status.get("error"))
             else:
                 raw = self._require_storage().get_result(

@@ -1,4 +1,4 @@
-"""The ``wait()`` API method (§4.2).
+"""The ``wait()`` API method (§4.2): one loop over one completion source.
 
 Three unlock policies, verbatim from the paper:
 
@@ -7,14 +7,26 @@ Three unlock policies, verbatim from the paper:
 2. ``ANY_COMPLETED`` — resume as soon as at least one invocation finished;
 3. ``ALL_COMPLETED`` — resume when every result is available in COS.
 
-Completion is discovered with one LIST request per callset per polling
-round, not one HEAD per future, which is what makes waiting on thousands of
-futures cheap.
+The loop (:func:`_wait`) owns everything that defines *when a call is
+over*: binding, the policies, the deadline, progress, the executor's
+per-round journal hook and its lost-call scan.  *How* completions are
+learned sits behind a completion source with two operations, built once
+per executor from ``config.monitoring``:
+
+``discover(pending)``
+    yield ``(future, status_or_None)`` for each pending future whose status
+    exists by now.  The loop records a pair the moment it is yielded, so a
+    future found by one LIST is marked before the next LIST goes out —
+    futures are shared (a ``map_reduce`` reducer future also belongs to its
+    DAG watcher, which skips its own LIST once the status is known).
+``idle(seconds, pending, need)``
+    let up to ``seconds`` pass; a source that hears completions meanwhile
+    may return once ``need`` of ``pending`` have finished.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro import vtime
 from repro.core.errors import ResultTimeoutError
@@ -23,27 +35,120 @@ from repro.core.storage_client import InternalStorage
 
 __all__ = ["wait", "ALWAYS", "ANY_COMPLETED", "ALL_COMPLETED"]
 
-
-def _poll_round(
-    pending: Sequence[ResponseFuture], storage: InternalStorage
-) -> None:
-    """Mark futures whose status objects now exist (one LIST per callset)."""
-    pending_by_callset: dict[tuple[str, str], list[ResponseFuture]] = {}
-    for future in pending:
-        if not future.status_known:  # a hook may have buried or ingested it
-            key = (future.executor_id, future.callset_id)
-            pending_by_callset.setdefault(key, []).append(future)
-    for (executor_id, callset_id), group in pending_by_callset.items():
-        done_ids = storage.list_done_call_ids(executor_id, callset_id)
-        if done_ids:
-            for future in group:
-                if future.call_id in done_ids:
-                    future.mark_done()
+Discovery = Iterator[tuple[ResponseFuture, Optional[dict[str, Any]]]]
 
 
-def wait(
-    futures: Iterable[ResponseFuture],
-    storage: Optional[InternalStorage] = None,
+class ListSource:
+    """``cos_polling``, the paper's design: the status object is the signal.
+
+    One LIST request per callset per round, not one HEAD per future, is
+    what makes waiting on thousands of futures cheap.
+    """
+
+    #: the queue workers must publish their status to (``None``: none)
+    queue: Optional[str] = None
+
+    def __init__(self, storage: InternalStorage) -> None:
+        self.storage = storage
+
+    def discover(self, pending: Sequence[ResponseFuture]) -> Discovery:
+        """One LIST per callset that still has a pending future."""
+        by_callset: dict[tuple[str, str], list[ResponseFuture]] = {}
+        for future in pending:
+            if not future.status_known:  # a hook may have buried or ingested it
+                key = (future.executor_id, future.callset_id)
+                by_callset.setdefault(key, []).append(future)
+        for (executor_id, callset_id), group in by_callset.items():
+            done_ids = self.storage.list_done_call_ids(executor_id, callset_id)
+            if done_ids:
+                for future in group:
+                    if future.call_id in done_ids:
+                        yield future, None
+
+    def idle(self, seconds: float, pending, need: int) -> None:
+        vtime.sleep(seconds)
+
+    def forget(self, future: ResponseFuture) -> None:
+        """Drop anything learned about ``future``'s discarded attempt."""
+
+
+class QueueSource(ListSource):
+    """``mq_push``: workers publish their committed status to ``queue``.
+
+    One queue per executor, shared by every waiter on it: a consumed
+    message nobody in *this* waited set asked for is kept in ``_delivered``
+    for the waiter that does (a later callset, another client thread).
+    Futures of another executor are never announced here: they are LISTed.
+    """
+
+    def __init__(self, storage: InternalStorage, mq, executor_id: str) -> None:
+        super().__init__(storage)
+        self.queue = f"pywren-monitor-{executor_id}"
+        self._mq = mq
+        self._executor_id = executor_id
+        mq.declare_queue(self.queue)
+        #: consumed, not yet claimed: ``(callset_id, call_id) -> status``
+        self._delivered: dict[tuple[str, str], dict[str, Any]] = {}
+
+    def _receive(self, timeout: Optional[float]):
+        """Consume one message (charges no request); raises ``QueueEmpty``."""
+        status = self._mq.consume(self.queue, timeout=timeout)
+        return (status["callset_id"], status["call_id"]), status
+
+    def discover(self, pending: Sequence[ResponseFuture]) -> Discovery:
+        waiting: dict[tuple[str, str], ResponseFuture] = {}
+        for future in pending:
+            if future.status_known or future.executor_id != self._executor_id:
+                continue
+            key = (future.callset_id, future.call_id)
+            status = self._delivered.pop(key, None)
+            if status is not None:
+                yield future, status
+            else:
+                waiting[key] = future
+        # drain what has been delivered since (ALWAYS must see it)
+        while waiting:
+            try:
+                key, status = self._receive(0)
+            except vtime.QueueEmpty:
+                break
+            future = waiting.pop(key, None)
+            if future is not None:
+                yield future, status
+            else:
+                self._delivered[key] = status
+        yield from super().discover(
+            [f for f in pending if f.executor_id != self._executor_id]
+        )
+
+    def idle(self, seconds: float, pending, need: int) -> None:
+        """Block on the queue; return once ``need`` of ``pending`` arrived."""
+        waiting = {
+            (future.callset_id, future.call_id)
+            for future in pending
+            if future.executor_id == self._executor_id
+        }
+        end = vtime.now() + seconds
+        while need > 0:
+            remaining = end - vtime.now()
+            if remaining <= 0:
+                return
+            try:
+                key, status = self._receive(remaining)
+            except vtime.QueueEmpty:
+                return
+            self._delivered[key] = status
+            if key in waiting:
+                waiting.discard(key)
+                need -= 1
+
+    def forget(self, future: ResponseFuture) -> None:
+        self._delivered.pop((future.callset_id, future.call_id), None)
+
+
+def _wait(
+    futures: list[ResponseFuture],
+    source: ListSource,
     return_when: int = ALL_COMPLETED,
     poll_interval: float = 1.0,
     timeout: Optional[float] = None,
@@ -51,34 +156,16 @@ def wait(
     lost_detector=None,
     on_round=None,
 ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
-    """Wait on futures; returns the 2-tuple ``(done, not_done)`` of §4.2.
+    """The one wait loop; :func:`wait` documents the hooks.
 
-    ``storage`` defaults to the binding of the first future.  ``timeout``
-    bounds the blocking policies and raises :class:`ResultTimeoutError`.
-    ``on_progress(done_count, total)`` is called once per polling round —
-    ``get_result`` drives its progress bar with it.
-
-    ``lost_detector(not_done)`` is called once per polling round with the
-    still-pending futures.  The executor hooks its lost-call recovery in
-    here: activations that died without writing a status object get
-    re-invoked (or declared dead), otherwise ``ALL_COMPLETED`` would block
-    forever on a crashed container.
-
-    ``on_round(futures)`` is called right after each polling round, before
-    the unlock policy is evaluated.  The executor hooks client-crash chaos
-    checks (it may raise) and event-journal status observation in here.
+    A round is: discover (recording each completion as it is found) →
+    ``on_round`` → policy → deadline → ``lost_detector`` → idle.
     """
-    futures = list(futures)
     if not futures:
         return [], []
-    if storage is None:
-        bound = next((f for f in futures if f.bound), None)
-        if bound is None:
-            raise RuntimeError("wait() needs bound futures or an explicit storage")
-        storage = bound._storage
     for future in futures:
         if not future.bound:
-            future.bind(storage, poll_interval)
+            future.bind(source.storage, poll_interval)
 
     deadline = None if timeout is None else vtime.now() + timeout
     # carried from round to round in the original order, so a round costs
@@ -86,7 +173,11 @@ def wait(
     # still-pending future
     not_done = futures
     while True:
-        _poll_round(not_done, storage)
+        for future, status in source.discover(not_done):
+            if status is None:
+                future.mark_done()
+            else:
+                future._ingest_status(status)
         if on_round is not None:
             on_round(futures)
         not_done = [f for f in not_done if not f.status_known]
@@ -106,4 +197,53 @@ def wait(
             )
         if lost_detector is not None:
             lost_detector(not_done)
-        vtime.sleep(poll_interval)
+            # an exhausted call got its synthetic status ingested directly
+            not_done = [f for f in not_done if not f.status_known]
+        step = poll_interval
+        if deadline is not None:
+            # the last idle before the deadline is clipped to it
+            step = min(step, max(0.0, deadline - vtime.now()))
+        need = 1 if return_when == ANY_COMPLETED else len(not_done)
+        source.idle(step, not_done, need)
+
+
+def wait(
+    futures: Iterable[ResponseFuture],
+    storage: Optional[InternalStorage] = None,
+    return_when: int = ALL_COMPLETED,
+    poll_interval: float = 1.0,
+    timeout: Optional[float] = None,
+    on_progress=None,
+    lost_detector=None,
+    on_round=None,
+) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
+    """Wait on futures; returns the 2-tuple ``(done, not_done)`` of §4.2.
+
+    Completion is polled from COS (``executor.wait`` runs the same loop
+    over the executor's own completion source).  ``storage`` defaults to
+    the binding of the first future.  ``timeout`` bounds the blocking
+    policies and raises :class:`ResultTimeoutError` at the deadline.
+    ``on_progress(done_count, total)`` is called once per round —
+    ``get_result`` drives its progress bar with it.
+
+    ``lost_detector(not_done)`` is called once per round with the
+    still-pending futures.  The executor hooks its lost-call recovery in
+    here: activations that died without writing a status object get
+    re-invoked (or declared dead), otherwise ``ALL_COMPLETED`` would block
+    forever on a crashed container.
+
+    ``on_round(futures)`` is called right after each round's discovery,
+    before the unlock policy is evaluated.  The executor hooks client-crash
+    chaos checks (it may raise) and event-journal status observation in
+    here.
+    """
+    futures = list(futures)
+    if storage is None and futures:
+        bound = next((f for f in futures if f.bound), None)
+        if bound is None:
+            raise RuntimeError("wait() needs bound futures or an explicit storage")
+        storage = bound._storage
+    return _wait(
+        futures, ListSource(storage), return_when, poll_interval, timeout,
+        on_progress, lost_detector, on_round,
+    )

@@ -646,9 +646,9 @@ class DagScheduler:
     def _bury_node(self, run: DagRun, node: DagNode, reason: str) -> None:
         """Synthesize an error status so every waiter unblocks.
 
-        Result first, then the conditional status commit (the worker's
-        ordering): if a real status landed in the meantime the commit
-        loses and the real outcome wins.
+        One conditional status commit and no result blob (see
+        :func:`~repro.core.futures.synthetic_status`): a real status that
+        landed first wins; a still-running node's late result is ignored.
         """
         from repro import vtime
 
@@ -656,9 +656,6 @@ class DagScheduler:
         future = node.future
         node.state = NodeState.FAILED
         now = vtime.now()
-        storage.put_result(
-            future.executor_id, future.callset_id, future.call_id, (None, reason)
-        )
         status = synthetic_status(future, reason, "buried", now, now)
         if storage.commit_status(
             future.executor_id, future.callset_id, future.call_id, status

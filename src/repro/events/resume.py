@@ -208,9 +208,7 @@ def attach(executor, job_id: str) -> "ResumedJob":
     executor.journal = EventJournal.for_executor(
         executor, start_seq=ledger.last_seq + 1
     )
-    if executor._monitor_queue is not None:
-        executor._monitor_queue = f"pywren-monitor-{job_id}"
-        executor._mq.declare_queue(executor._monitor_queue)
+    executor._completions = executor._completion_source()
     executor._callset_seq = 1 + max(
         (_trailing_number(callset_id) for callset_id, _ in ledger.calls),
         default=-1,

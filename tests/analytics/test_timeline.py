@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import repro as pw
@@ -9,6 +11,7 @@ from repro.analytics.timeline import (
     concurrency_timeline,
     intervals_from_records,
     render_execution_timeline,
+    render_staged_timeline,
 )
 
 
@@ -88,6 +91,59 @@ class TestRenderTimeline:
     def test_plain_title_unchanged(self):
         svg = render_execution_timeline([(0, 1)], title="Executor exec-1")
         assert "Executor exec-1 (1 functions)" in svg
+
+
+_FIXED_300 = [
+    ((i * 37 % 101) * 0.5, (i * 37 % 101) * 0.5 + 1.0 + (i * 13 % 17) * 0.75)
+    for i in range(300)
+]
+
+
+class TestSvgBytesPinned:
+    """Both entry points render through one ``_render``; these are the
+    bytes each produced when they were two copies (sha256 recorded at the
+    commit before the merge)."""
+
+    @pytest.mark.parametrize(
+        "intervals, title, flat_sha, staged_sha",
+        [
+            pytest.param(
+                _FIXED_300, "Fig. 3 run",
+                "636474d080b34718e3ea59613caeb616527645bfc1e6d922f50d9059df2d17f9",
+                "43c8e8ea69dc7eb886030d591d7832f3e188b91c3d3469fc9638923e684d8e6b",
+                id="fixed-300",
+            ),
+            pytest.param(
+                [], "Nothing ran",
+                "6b4fd39e463192869d47e5f8d49d63b81ed35e597e9ed23d2dbb6261702d68d3",
+                "9b25fe90db68c74fe8f63e851eacc2f70701e3d9a220936bc18e0a6972a2501c",
+                id="empty",
+            ),
+            pytest.param(
+                [(5.0, 5.0)], "Instant",
+                "1838faf76d4d824d75b01ff73e01e83565fc562e6df7e8b222f9e829c9cc0efd",
+                "13efbec9b3f7233d414d289a95a5f798947cba2a3042c9b091f47dbc22d45b16",
+                id="zero-length",
+            ),
+            pytest.param(
+                [(0.0, 1.0), (0.5, 2.0)], "<&> run",
+                "84fd8a1abdbf8f372d7eeaef3ccc5fefaa1a291285b83746f03de3cf4702be09",
+                "c0704a52883cfc103545efacae815b3da5e9802720118ba36390461f420cacd7",
+                id="escaped",
+            ),
+        ],
+    )
+    def test_exact_bytes(self, intervals, title, flat_sha, staged_sha):
+        def sha(svg):
+            return hashlib.sha256(svg.encode()).hexdigest()
+
+        groups = [
+            ("map", intervals[0::3]),
+            ("<&> shuffle", intervals[1::3]),
+            ("reduce", intervals[2::3]),
+        ]
+        assert sha(render_execution_timeline(intervals, title=title)) == flat_sha
+        assert sha(render_staged_timeline(groups, title=title)) == staged_sha
 
 
 class TestIntervalsFromRecords:

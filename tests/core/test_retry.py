@@ -80,6 +80,27 @@ class TestRetryFailed:
 
         assert env.run(main)
 
+    def test_foreign_future_rejected_before_any_attempt_is_discarded(self, env):
+        from repro.core.futures import ResponseFuture
+
+        def main():
+            executor = pw.ibm_cf_executor()
+
+            def bad(_):
+                raise ValueError("nope")
+
+            own = executor.map(bad, [0])
+            executor.wait(own)
+            foreign = ResponseFuture("exec-x", "M000", "00000")
+            foreign.bind(executor._storage)
+            foreign._status = {"success": False}
+            with pytest.raises(PyWrenError, match="cannot retry"):
+                executor.retry_failed(own + [foreign])
+            # the rejected batch left the finished attempt alone
+            return own[0].state, own[0].done()
+
+        assert env.run(main) == ("error", True)
+
     def test_retry_under_push_monitoring(self, env):
         env.storage.create_bucket("markers")
 

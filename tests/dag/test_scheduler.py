@@ -205,6 +205,44 @@ class TestFailureSemantics:
         assert results["mid"] == "error"
         assert results["top"] == "error"
 
+    def test_abort_buries_a_running_node_with_a_status_and_no_blob(
+        self, env, monkeypatch
+    ):
+        """A burial is one synthetic status and no result blob, so the
+        node's own late result cannot be mistaken for the burial's:
+        ``result()`` reads ``(None, error)`` off the status."""
+        from repro.core.futures import ResponseFuture
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            storage = executor._storage
+            list_done = storage.list_done_call_ids
+            calls = []
+
+            def third_list_breaks(*args):
+                calls.append(args)
+                if len(calls) == 3:
+                    raise RuntimeError("boom")
+                return list_done(*args)
+
+            monkeypatch.setattr(storage, "list_done_call_ids", third_list_breaks)
+            builder = DagBuilder()
+            node = builder.call(staged_task, {"sleep": 30, "value": 7})
+            run = DagScheduler(executor).submit(builder.build())
+            assert run.join(timeout=20)  # aborted while the node still runs
+            assert isinstance(run.error, RuntimeError)
+            future = run.future(node)
+            ids = (future.executor_id, future.callset_id, future.call_id)
+            blob_after_abort = env.storage.object_exists(
+                executor.config.storage_bucket, storage.result_key(*ids)
+            )
+            pw.sleep(60)  # the node finishes: result blob, lost status commit
+            with pytest.raises(FunctionError, match="aborted.*boom"):
+                ResponseFuture(*ids).bind(storage).result()
+            return blob_after_abort
+
+        assert env.run(main) is False
+
     def test_node_retries_rerun_failed_node(self, env):
         def main():
             executor = pw.ibm_cf_executor()

@@ -212,7 +212,7 @@ class TestKillMidMapReduce:
 
     def test_failing_round_surfaces_as_function_error(self, monkeypatch):
         """A resume round that raises must fail the job's calls the way a
-        DAG abort does — result blob, then status — so ``get_result``
+        DAG abort does — one synthetic ``buried`` status — so ``get_result``
         raises a ``FunctionError`` naming the abort, not a ``NoSuchKey``
         for a result that was never written."""
         _, records = self._baseline()
