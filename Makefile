@@ -1,4 +1,4 @@
-.PHONY: install test lint chaos perf perf-selftest perf-trace bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint chaos perf perf-selftest perf-trace perf-shuffle bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -32,6 +32,13 @@ perf-selftest:
 # nightly CI job holds under 45 (expected 20-30).  ~40 s.
 perf-trace:
 	python3 perf/run.py --workload map_fanout --seconds 20 --trace 1
+
+# where the shuffle data plane's host CPU goes: the last stdout line is a
+# JSON record whose core.shuffle.host_cpu_self_s (partitioning) the
+# nightly CI job holds under 1.3 x core.serializer.host_cpu_self_s
+# (pickling the same pairs) — a ratio inside one run (expected ~0.8).  ~40 s.
+perf-shuffle:
+	python3 perf/run.py --workload shuffle_wordcount --seconds 20 --trace 1
 
 bench:
 	pytest benchmarks/ --benchmark-only

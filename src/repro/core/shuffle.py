@@ -43,16 +43,41 @@ def stable_key_hash(key: Any) -> int:
 
     Built on the ``repr`` of the key, which is stable for the hashable
     primitives (str/int/float/tuples thereof) sensible as shuffle keys.
+
+    The routing contract is therefore *by repr*, not by equality: keys
+    that compare equal but print differently (``1`` / ``1.0`` / ``True``,
+    ``0.0`` / ``-0.0``, ``(1,)`` / ``(1.0,)``) may reach different
+    reducers, each of which reports the key, and
+    :func:`merge_shuffle_results` rejects the overlap.  Emit one
+    spelling per key.
     """
     digest = hashlib.md5(repr(key).encode("utf-8", "backslashreplace")).digest()
     return int.from_bytes(digest[:8], "big")
 
 
 def partition_pairs(pairs: Iterable[Pair], n_reducers: int) -> list[list[Pair]]:
-    """Split emitted pairs into ``n_reducers`` buckets by key hash."""
+    """Split emitted pairs into ``n_reducers`` buckets by key hash.
+
+    A key is hashed once per call, not once per pair: its reducer slot
+    is remembered until the call returns.
+    """
     buckets: list[list[Pair]] = [[] for _ in range(n_reducers)]
+    # Two keys may share a remembered slot only when their repr is equal
+    # (the routing contract), so only an exact str or int stands for its
+    # own repr; 1 / 1.0 / True, NaN and unhashable keys go by repr(key).
+    # The memos are separate because the str "1" is not the int 1's repr.
+    by_value: dict[Any, int] = {}
+    by_repr: dict[str, int] = {}
     for key, value in pairs:
-        buckets[stable_key_hash(key) % n_reducers].append((key, value))
+        cls = type(key)
+        if cls is str or cls is int:
+            memo, name = by_value, key
+        else:
+            memo, name = by_repr, repr(key)
+        slot = memo.get(name)
+        if slot is None:
+            slot = memo[name] = stable_key_hash(key) % n_reducers
+        buckets[slot].append((key, value))
     return buckets
 
 
@@ -128,7 +153,7 @@ def merge_shuffle_results(results: Iterable[dict[Any, Any]]) -> dict[Any, Any]:
         overlap = merged.keys() & result.keys()
         if overlap:
             raise ValueError(
-                f"shuffle invariant violated: keys {sorted(overlap)!r} "
+                f"shuffle invariant violated: keys {sorted(overlap, key=repr)!r} "
                 "appeared in more than one reducer"
             )
         merged.update(result)

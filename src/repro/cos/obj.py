@@ -9,6 +9,7 @@ range.
 from __future__ import annotations
 
 import hashlib
+from functools import cached_property
 from typing import Callable, Optional
 
 ContentFn = Callable[[int, int], bytes]
@@ -35,14 +36,12 @@ class StoredObject:
             self._data: Optional[bytes] = bytes(data)
             self.size = len(self._data)
             self._content_fn: Optional[ContentFn] = None
-            self.etag = hashlib.md5(self._data).hexdigest()
         else:
             if size is None or size < 0:
                 raise ValueError("virtual objects require a non-negative size")
             self._data = None
             self.size = int(size)
             self._content_fn = content_fn
-            self.etag = hashlib.md5(f"virtual:{key}:{size}".encode()).hexdigest()
         self.key = key
         self.metadata = dict(metadata or {})
         self.last_modified = last_modified
@@ -50,6 +49,17 @@ class StoredObject:
     @property
     def is_virtual(self) -> bool:
         return self._data is None
+
+    @cached_property
+    def etag(self) -> str:
+        """Content hash, computed on first read and kept: only HEAD and
+        LIST ask for it, so a PUT does not pay to hash every byte."""
+        content = (
+            self._data
+            if self._data is not None
+            else f"virtual:{self.key}:{self.size}".encode()
+        )
+        return hashlib.md5(content).hexdigest()
 
     def read(self, start: int = 0, end: Optional[int] = None) -> bytes:
         """Read bytes ``[start, end)``; ``end=None`` means end of object."""

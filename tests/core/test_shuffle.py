@@ -54,6 +54,12 @@ class TestMergeResults:
         with pytest.raises(ValueError, match="invariant"):
             merge_shuffle_results([{"a": 1}, {"a": 2}])
 
+    def test_overlap_of_mixed_type_keys_still_names_the_invariant(self):
+        # 1 and "a" do not order: the report sorts by repr, or a
+        # TypeError would hide the error that matters
+        with pytest.raises(ValueError, match=r"invariant violated: keys \['a', 1"):
+            merge_shuffle_results([{1: 1, "a": 2}, {1.0: 3, "a": 4}])
+
     def test_empty(self):
         assert merge_shuffle_results([]) == {}
 

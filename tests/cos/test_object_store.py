@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,6 +97,22 @@ class TestObjects:
         b = store.put_object("b", "k2", b"same")
         c = store.put_object("b", "k3", b"different")
         assert a.etag == b.etag != c.etag
+
+    def test_etag_values_and_cost(self, store, monkeypatch):
+        # pinned values; a PUT hashes nothing, the first reader pays once
+        hashed = []
+        real_md5 = hashlib.md5
+        monkeypatch.setattr(
+            hashlib, "md5", lambda data: hashed.append(len(data)) or real_md5(data)
+        )
+        store.create_bucket("b")
+        stored = store.put_object("b", "k", b"same")
+        virtual = store.put_virtual_object("b", "v", 1024)
+        assert hashed == []
+        assert stored.etag == "51037a4a37730f52c8732586d3aaa316"
+        assert virtual.etag == real_md5(b"virtual:v:1024").hexdigest()
+        assert stored.etag and virtual.etag  # second reads
+        assert hashed == [4, len(b"virtual:v:1024")]  # once each, then kept
 
     def test_last_modified_uses_virtual_time(self, kernel, store):
         def main():
