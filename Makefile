@@ -1,4 +1,4 @@
-.PHONY: install test lint chaos perf perf-selftest perf-trace perf-shuffle bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint loc chaos perf perf-selftest perf-trace perf-shuffle bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -12,6 +12,12 @@ lint:
 	@command -v ruff >/dev/null 2>&1 \
 	  && ruff check src tests benchmarks \
 	  || echo "ruff not installed; skipping lint (pip install ruff)"
+
+# source line counts, counted the way ROADMAP acceptance lines are
+# (`find ... | xargs cat | wc -l`): all of src/repro, then core + dag
+loc:
+	@printf 'src/repro             %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
+	@printf 'src/repro/{core,dag}  %s\n' "$$(find src/repro/core src/repro/dag -name '*.py' | xargs cat | wc -l)"
 
 # fault-injection subset, exercised under two named chaos profiles
 chaos:

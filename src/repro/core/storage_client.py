@@ -59,9 +59,6 @@ class InternalStorage:
     def callset_prefix(self, executor_id: str, callset_id: str) -> str:
         return f"{self.prefix}/{executor_id}/{callset_id}"
 
-    def func_key(self, executor_id: str, callset_id: str) -> str:
-        return f"{self.callset_prefix(executor_id, callset_id)}/func.pickle"
-
     def agg_data_key(self, executor_id: str, callset_id: str) -> str:
         return f"{self.callset_prefix(executor_id, callset_id)}/aggdata.pickle"
 
@@ -72,21 +69,6 @@ class InternalStorage:
         return f"{self.callset_prefix(executor_id, callset_id)}/{call_id}/result.pickle"
 
     # -- function code --------------------------------------------------------
-    def put_func(self, executor_id: str, callset_id: str, blob: bytes) -> str:
-        key = self.func_key(executor_id, callset_id)
-        self.cos.put_object(self.bucket, key, blob)
-        return key
-
-    def get_func(self, executor_id: str, callset_id: str) -> bytes:
-        return self.cos.get_object(self.bucket, self.func_key(executor_id, callset_id))
-
-    def get_func_steps(self, executor_id: str, callset_id: str):
-        """Steps twin of :meth:`get_func` (model tasks ``yield from``)."""
-        blob = yield from self.cos.get_object_steps(
-            self.bucket, self.func_key(executor_id, callset_id)
-        )
-        return blob
-
     def shared_func_key(self, executor_id: str, digest: str) -> str:
         """Content-addressed function object, shared across callsets.
 
@@ -99,13 +81,8 @@ class InternalStorage:
     def put_blob(self, key: str, blob: bytes) -> None:
         self.cos.put_object(self.bucket, key, blob)
 
-    def get_blob(self, key: str) -> bytes:
-        return self.cos.get_object(self.bucket, key)
-
     def get_blob_steps(self, key: str):
-        """Steps twin of :meth:`get_blob` (model tasks ``yield from``)."""
-        blob = yield from self.cos.get_object_steps(self.bucket, key)
-        return blob
+        return (yield from self.cos.get_object_steps(self.bucket, key))
 
     def blob_exists(self, key: str) -> bool:
         return self.cos.object_exists(self.bucket, key)
@@ -116,19 +93,11 @@ class InternalStorage:
         self.cos.put_object(self.bucket, key, blob)
         return key
 
-    def get_data_range(
-        self, executor_id: str, callset_id: str, start: int, end: int
-    ) -> bytes:
-        key = self.agg_data_key(executor_id, callset_id)
-        return self.cos.read_range(self.bucket, key, start, end)
-
     def get_data_range_steps(
         self, executor_id: str, callset_id: str, start: int, end: int
     ):
-        """Steps twin of :meth:`get_data_range` (model tasks ``yield from``)."""
         key = self.agg_data_key(executor_id, callset_id)
-        blob = yield from self.cos.read_range_steps(self.bucket, key, start, end)
-        return blob
+        return (yield from self.cos.read_range_steps(self.bucket, key, start, end))
 
     # -- status ---------------------------------------------------------------
     def put_status(
@@ -142,6 +111,13 @@ class InternalStorage:
     def commit_status(
         self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
     ) -> bool:
+        return self.cos.link.kernel.drive(
+            self.commit_status_steps(executor_id, callset_id, call_id, status)
+        )
+
+    def commit_status_steps(
+        self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
+    ):
         """At-most-once status write: first committer wins.
 
         A re-invoked call can race its presumed-dead predecessor; both may
@@ -150,22 +126,6 @@ class InternalStorage:
         becomes *the* outcome; the loser's duplicate result blob is harmless
         (same function, same input).  Returns whether this attempt won.
         """
-        blob = serializer.serialize(status)
-        try:
-            self.cos.put_object(
-                self.bucket,
-                self.status_key(executor_id, callset_id, call_id),
-                blob,
-                if_none_match=True,
-            )
-        except PreconditionFailed:
-            return False
-        return True
-
-    def commit_status_steps(
-        self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
-    ):
-        """Steps twin of :meth:`commit_status` (model tasks ``yield from``)."""
         blob = serializer.serialize(status)
         try:
             yield from self.cos.put_object_steps(
@@ -464,18 +424,9 @@ class InternalStorage:
         return blob.decode("utf-8")
 
     # -- results ---------------------------------------------------------------
-    def put_result(
-        self, executor_id: str, callset_id: str, call_id: str, value: Any
-    ) -> int:
-        blob = serializer.serialize(value)
-        key = self.result_key(executor_id, callset_id, call_id)
-        self.exchange.put(self.cos, self.bucket, key, blob)
-        return len(blob)
-
     def put_result_steps(
         self, executor_id: str, callset_id: str, call_id: str, value: Any
     ):
-        """Steps twin of :meth:`put_result` (model tasks ``yield from``)."""
         blob = serializer.serialize(value)
         key = self.result_key(executor_id, callset_id, call_id)
         yield from self.exchange.put_steps(self.cos, self.bucket, key, blob)

@@ -93,11 +93,7 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
         tracer = None
 
     t_deser = ctx.kernel.now() if tracer is not None else None
-    func_key = params.get("func_key")
-    if func_key is not None:
-        func_blob = yield from storage.get_blob_steps(func_key)
-    else:  # legacy per-callset location
-        func_blob = yield from storage.get_func_steps(executor_id, callset_id)
+    func_blob = yield from storage.get_blob_steps(params["func_key"])
     fn = serializer.deserialize(func_blob)
     argument = yield from _load_input_steps(params, storage, ctx)
     if tracer is not None:

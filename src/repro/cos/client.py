@@ -66,9 +66,8 @@ class COSClient:
         metadata: Optional[dict[str, str]] = None,
         if_none_match: bool = False,
     ) -> None:
-        self._request(len(data), op="put")
-        self.store.put_object(
-            bucket, key, data, metadata=metadata, if_none_match=if_none_match
+        self.link.kernel.drive(
+            self.put_object_steps(bucket, key, data, metadata, if_none_match)
         )
 
     def put_object_steps(
@@ -79,7 +78,6 @@ class COSClient:
         metadata: Optional[dict[str, str]] = None,
         if_none_match: bool = False,
     ):
-        """Steps twin of :meth:`put_object` (model tasks ``yield from``)."""
         yield from self._request_steps(len(data), op="put")
         self.store.put_object(
             bucket, key, data, metadata=metadata, if_none_match=if_none_match
@@ -91,12 +89,9 @@ class COSClient:
 
     # -- read path -----------------------------------------------------------
     def get_object(self, bucket: str, key: str) -> bytes:
-        obj = self.store.get_object(bucket, key)
-        self._request(obj.size, op="get")
-        return obj.read()
+        return self.link.kernel.drive(self.get_object_steps(bucket, key))
 
     def get_object_steps(self, bucket: str, key: str):
-        """Steps twin of :meth:`get_object` (model tasks ``yield from``)."""
         obj = self.store.get_object(bucket, key)
         yield from self._request_steps(obj.size, op="get")
         return obj.read()
@@ -109,22 +104,9 @@ class COSClient:
         end: Optional[int] = None,
         materialize_cap: Optional[int] = None,
     ) -> bytes:
-        """Read bytes ``[start, end)`` of an object.
-
-        ``materialize_cap`` supports GB-scale *virtual* objects: the full
-        range is charged to the virtual clock (it models a streaming read),
-        but at most ``materialize_cap`` bytes of content are synthesized and
-        returned, so real CPU/memory stays bounded.  Byte-backed objects and
-        ``materialize_cap=None`` return the whole range.
-        """
-        obj = self.store.get_object(bucket, key)
-        if end is None or end > obj.size:
-            end = obj.size
-        span = max(0, end - start)
-        self._request(span, op="range")
-        if materialize_cap is not None and span > materialize_cap:
-            return obj.read(start, start + materialize_cap)
-        return obj.read(start, end)
+        return self.link.kernel.drive(
+            self.read_range_steps(bucket, key, start, end, materialize_cap)
+        )
 
     def read_range_steps(
         self,
@@ -134,7 +116,14 @@ class COSClient:
         end: Optional[int] = None,
         materialize_cap: Optional[int] = None,
     ):
-        """Steps twin of :meth:`read_range` (model tasks ``yield from``)."""
+        """Read bytes ``[start, end)`` of an object.
+
+        ``materialize_cap`` supports GB-scale *virtual* objects: the full
+        range is charged to the virtual clock (it models a streaming read),
+        but at most ``materialize_cap`` bytes of content are synthesized and
+        returned, so real CPU/memory stays bounded.  Byte-backed objects and
+        ``materialize_cap=None`` return the whole range.
+        """
         obj = self.store.get_object(bucket, key)
         if end is None or end > obj.size:
             end = obj.size
@@ -178,24 +167,18 @@ class COSClient:
         return summaries
 
     def list_keys(self, bucket: str, prefix: str = "") -> list[str]:
-        self._request(0, op="list")
-        return self.store.list_keys(bucket, prefix)
+        return self.link.kernel.drive(self.list_keys_steps(bucket, prefix))
 
     def list_keys_steps(self, bucket: str, prefix: str = ""):
-        """Steps twin of :meth:`list_keys` (model tasks ``yield from``)."""
         yield from self._request_steps(0, op="list")
         return self.store.list_keys(bucket, prefix)
 
     # -- internals -----------------------------------------------------------
     def _request(self, payload_bytes: int, op: str = "request") -> None:
-        """One COS request: network round trip + chaos faults + retries.
-
-        Blocking wrapper over :meth:`_request_steps` (thread tasks only).
-        """
         self.link.kernel.drive(self._request_steps(payload_bytes, op))
 
     def _request_steps(self, payload_bytes: int, op: str = "request"):
-        """One COS request as a steps generator (model tasks ``yield from``).
+        """One COS request: network round trip + chaos faults + retries.
 
         Each attempt may be degraded by the environment's chaos plane:
         503/SlowDown responses cost the control round trip and raise (the
@@ -205,47 +188,42 @@ class COSClient:
         """
         self.store.count_request(op)
         chaos = self.store.chaos
-        tracer = getattr(self.store, "tracer", None)
-        if tracer is not None and tracer.enabled:
-            t0 = self.link.kernel.now()
-            try:
-                yield from self._request_inner_steps(payload_bytes, chaos)
-            finally:
-                tracer.span_at(
-                    f"cos.{op}", "cos", t0, self.link.kernel.now(),
-                    bytes=payload_bytes,
-                )
-            return
-        yield from self._request_inner_steps(payload_bytes, chaos)
+        link = self.link
 
-    def _request_inner_steps(self, payload_bytes: int, chaos):
         def attempt_steps():
             fault = (
-                chaos.cos_fault(self.link.seed, next(self._req_seq))
+                chaos.cos_fault(link.seed, next(self._req_seq))
                 if chaos is not None
                 else None
             )
             if fault is None:
-                yield from self.link.request_steps(payload_bytes)
+                yield from link.request_steps(payload_bytes)
                 return
             kind, factor = fault
             if kind in ("503", "slowdown"):
                 # the refusal still costs a round trip
-                yield from self.link.request_steps(0)
-                chaos.record(
-                    self.link.kernel.now(), "cos", kind, f"link-{self.link.seed}"
-                )
+                yield from link.request_steps(0)
+                chaos.record(link.kernel.now(), "cos", kind, f"link-{link.seed}")
                 if kind == "503":
                     raise ServiceUnavailable("chaos: COS answered 503")
                 raise SlowDown("chaos: COS asked the client to slow down")
             # slow read/write: the transfer happens, at a fraction of the
             # usual bandwidth
-            yield from self.link.request_steps(payload_bytes)
+            yield from link.request_steps(payload_bytes)
             chaos.record(
-                self.link.kernel.now(), "cos", "slow-read", f"link-{self.link.seed}"
+                link.kernel.now(), "cos", "slow-read", f"link-{link.seed}"
             )
-            extra = (factor - 1.0) * self.link.transfer_time(payload_bytes)
+            extra = (factor - 1.0) * link.transfer_time(payload_bytes)
             if extra > 0:
                 yield vsleep(extra)
 
-        yield from self.policy.run_steps(attempt_steps)
+        tracer = getattr(self.store, "tracer", None)
+        if tracer is None or not tracer.enabled:
+            return (yield from self.policy.run_steps(attempt_steps))
+        t0 = link.kernel.now()
+        try:
+            yield from self.policy.run_steps(attempt_steps)
+        finally:
+            tracer.span_at(
+                f"cos.{op}", "cos", t0, link.kernel.now(), bytes=payload_bytes
+            )

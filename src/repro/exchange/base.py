@@ -102,32 +102,29 @@ class ExchangeBackend:
         self, cos: Any, bucket: str, key: str, blob: bytes,
         site: Optional[Site] = None,
     ) -> None:
-        """Publish one intermediate object (blocking)."""
-        cos.put_object(bucket, key, blob)
+        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob, site))
 
     def put_steps(
         self, cos: Any, bucket: str, key: str, blob: bytes,
         site: Optional[Site] = None,
     ) -> Iterator[Any]:
-        """Steps twin of :meth:`put` (model tasks ``yield from``)."""
+        """Publish one intermediate object."""
         yield from cos.put_object_steps(bucket, key, blob)
 
     def get(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ) -> bytes:
-        """Read one intermediate object (blocking).
-
-        Raises :class:`~repro.cos.errors.NoSuchKey` if it was never
-        published (or was deleted) — backend tiers must never mask that.
-        """
-        return cos.get_object(bucket, key)
+        return cos.link.kernel.drive(self.get_steps(cos, bucket, key, site))
 
     def get_steps(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ) -> Iterator[Any]:
-        """Steps twin of :meth:`get` (model tasks ``yield from``)."""
-        blob = yield from cos.get_object_steps(bucket, key)
-        return blob
+        """Read one intermediate object.
+
+        Raises :class:`~repro.cos.errors.NoSuchKey` if it was never
+        published (or was deleted) — backend tiers must never mask that.
+        """
+        return (yield from cos.get_object_steps(bucket, key))
 
     def delete(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
@@ -201,19 +198,16 @@ class BoundExchange:
         return self.backend.provides_locality
 
     def put(self, cos: Any, bucket: str, key: str, blob: bytes) -> None:
-        self.backend.put(cos, bucket, key, blob, site=self.site)
+        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob))
 
     def put_steps(self, cos: Any, bucket: str, key: str, blob: bytes):
         yield from self.backend.put_steps(cos, bucket, key, blob, site=self.site)
 
     def get(self, cos: Any, bucket: str, key: str) -> bytes:
-        return self.backend.get(cos, bucket, key, site=self.site)
+        return cos.link.kernel.drive(self.get_steps(cos, bucket, key))
 
     def get_steps(self, cos: Any, bucket: str, key: str):
-        blob = yield from self.backend.get_steps(
-            cos, bucket, key, site=self.site
-        )
-        return blob
+        return (yield from self.backend.get_steps(cos, bucket, key, site=self.site))
 
     def delete(self, cos: Any, bucket: str, key: str) -> None:
         self.backend.delete(cos, bucket, key, site=self.site)

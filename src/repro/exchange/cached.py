@@ -51,8 +51,7 @@ class CachedCosExchange(ExchangeBackend):
         self, cos: Any, bucket: str, key: str, blob: bytes,
         site: Optional[Site] = None,
     ) -> None:
-        cos.put_object(bucket, key, blob)
-        self._publish(key, blob, site)
+        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob, site))
 
     def put_steps(
         self, cos: Any, bucket: str, key: str, blob: bytes,
@@ -73,22 +72,15 @@ class CachedCosExchange(ExchangeBackend):
     def get(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ) -> bytes:
-        site = self.resolve_site(site)
-        if site is None:
-            return cos.get_object(bucket, key)
-        return cos.link.kernel.drive(
-            self._tiered_get_steps(cos, bucket, key, site)
-        )
+        return cos.link.kernel.drive(self.get_steps(cos, bucket, key, site))
 
     def get_steps(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ):
         site = self.resolve_site(site)
         if site is None:
-            blob = yield from cos.get_object_steps(bucket, key)
-            return blob
-        blob = yield from self._tiered_get_steps(cos, bucket, key, site)
-        return blob
+            return (yield from cos.get_object_steps(bucket, key))
+        return (yield from self._tiered_get_steps(cos, bucket, key, site))
 
     def _tiered_get_steps(
         self, cos: Any, bucket: str, key: str, site: Site

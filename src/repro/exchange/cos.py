@@ -31,8 +31,7 @@ class CosExchange(ExchangeBackend):
         self, cos: Any, bucket: str, key: str, blob: bytes,
         site: Optional[Site] = None,
     ) -> None:
-        cos.put_object(bucket, key, blob)
-        self._note("puts", "bytes_put", len(blob))
+        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob, site))
 
     def put_steps(
         self, cos: Any, bucket: str, key: str, blob: bytes,
@@ -44,9 +43,7 @@ class CosExchange(ExchangeBackend):
     def get(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ) -> bytes:
-        blob = cos.get_object(bucket, key)
-        self._note("gets", "bytes_got", len(blob))
-        return blob
+        return cos.link.kernel.drive(self.get_steps(cos, bucket, key, site))
 
     def get_steps(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None

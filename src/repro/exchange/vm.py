@@ -137,7 +137,7 @@ class VmExchange(ExchangeBackend):
         self, cos: Any, bucket: str, key: str, blob: bytes,
         site: Optional[Site] = None,
     ) -> None:
-        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob, site=site))
+        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob, site))
 
     def put_steps(
         self, cos: Any, bucket: str, key: str, blob: bytes,
@@ -182,18 +182,14 @@ class VmExchange(ExchangeBackend):
     def get(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ) -> bytes:
-        if self.resolve_site(site) is None:
-            return cos.get_object(bucket, key)
-        return cos.link.kernel.drive(self._vm_get_steps(cos, bucket, key))
+        return cos.link.kernel.drive(self.get_steps(cos, bucket, key, site))
 
     def get_steps(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ):
         if self.resolve_site(site) is None:
-            blob = yield from cos.get_object_steps(bucket, key)
-            return blob
-        blob = yield from self._vm_get_steps(cos, bucket, key)
-        return blob
+            return (yield from cos.get_object_steps(bucket, key))
+        return (yield from self._vm_get_steps(cos, bucket, key))
 
     def _vm_get_steps(self, cos: Any, bucket: str, key: str):
         from repro.vtime.kernel import vsleep

@@ -137,11 +137,11 @@ class ExecutionContext:
         self.kernel.sleep(seconds)
 
     def sleep_steps(self, seconds: float):
-        """Steps twin of :meth:`sleep` for generator handlers."""
+        """Model compute time inside a generator handler."""
         yield vsleep(seconds)
 
     def compute_steps(self, seconds: float):
-        """Steps twin of :meth:`compute` for generator handlers."""
+        """Model *CPU-bound* compute inside a generator handler."""
         yield vsleep(self._contended(seconds))
 
     def compute(self, seconds: float) -> None:
@@ -425,18 +425,6 @@ class CloudFunctions:
         params: dict[str, Any],
         credentials: Any = None,
     ) -> str:
-        """Accept one invocation; returns its activation id.
-
-        Raises :class:`ThrottledError` (HTTP 429) when the namespace is at
-        its concurrent-invocation limit — and, with a tenant registry
-        attached, when any of the calling tenant's quotas (rate,
-        concurrency, memory, queue depth) is exhausted; the error then
-        carries the refusal ``reason``.  When ``require_auth`` is set,
-        ``credentials`` (an :class:`~repro.faas.iam.ApiKey`) must authorize
-        the namespace.  Charges controller-side processing time to the
-        calling task, like a synchronous HTTP POST would.  Blocking wrapper
-        over :meth:`invoke_steps` (thread tasks only).
-        """
         return self.kernel.drive(
             self.invoke_steps(namespace, action_name, params, credentials)
         )
@@ -448,7 +436,17 @@ class CloudFunctions:
         params: dict[str, Any],
         credentials: Any = None,
     ):
-        """Steps twin of :meth:`invoke` (model tasks ``yield from``)."""
+        """Accept one invocation; returns its activation id.
+
+        Raises :class:`ThrottledError` (HTTP 429) when the namespace is at
+        its concurrent-invocation limit — and, with a tenant registry
+        attached, when any of the calling tenant's quotas (rate,
+        concurrency, memory, queue depth) is exhausted; the error then
+        carries the refusal ``reason``.  When ``require_auth`` is set,
+        ``credentials`` (an :class:`~repro.faas.iam.ApiKey`) must authorize
+        the namespace.  Charges controller-side processing time to the
+        calling task, like a synchronous HTTP POST would.
+        """
         if self.require_auth and credentials is not self.trusted_token:
             from repro.faas.iam import AuthenticationError
 

@@ -77,11 +77,6 @@ class CloudFunctionsClient:
         plain capacity throttles count under ``"capacity"``)."""
         return dict(self._throttle_reasons)
 
-    def _network_round_trip(self, payload_bytes: int) -> None:
-        self.policy.run(
-            lambda: self.link.request(payload_bytes), self.platform.kernel
-        )
-
     def _network_round_trip_steps(self, payload_bytes: int):
         yield from self.policy.run_steps(
             lambda: self.link.request_steps(payload_bytes)
@@ -93,12 +88,6 @@ class CloudFunctionsClient:
         action_name: str,
         params: Optional[dict[str, Any]] = None,
     ) -> str:
-        """Invoke an action; blocks for the network + API round trip only.
-
-        Retries transient network failures and 429 throttles (both grow with
-        latency in the paper's account of slow WAN spawning).  Blocking
-        wrapper over :meth:`invoke_steps` (thread tasks only).
-        """
         return self.platform.kernel.drive(
             self.invoke_steps(namespace, action_name, params)
         )
@@ -109,7 +98,11 @@ class CloudFunctionsClient:
         action_name: str,
         params: Optional[dict[str, Any]] = None,
     ):
-        """Steps twin of :meth:`invoke` (model tasks ``yield from``)."""
+        """Invoke an action; takes the network + API round trip only.
+
+        Retries transient network failures and 429 throttles (both grow with
+        latency in the paper's account of slow WAN spawning).
+        """
         params = params or {}
         kernel = self.platform.kernel
         tracer = getattr(self.platform, "tracer", None)
@@ -120,22 +113,13 @@ class CloudFunctionsClient:
         # tenant dimension only in multi-tenant regions, so single-tenant
         # traces stay byte-identical to pre-tenancy runs
         multitenant = getattr(self.platform, "tenants", None) is not None
-        # duck-typed platforms (test fakes) may only offer blocking invoke
-        invoke_steps = getattr(self.platform, "invoke_steps", None)
         throttle_attempt = 0
         while True:
             yield from self._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
             try:
-                if invoke_steps is not None:
-                    activation_id = yield from invoke_steps(
-                        namespace, action_name, params,
-                        credentials=self.credentials,
-                    )
-                else:
-                    activation_id = self.platform.invoke(
-                        namespace, action_name, params,
-                        credentials=self.credentials,
-                    )
+                activation_id = yield from self.platform.invoke_steps(
+                    namespace, action_name, params, credentials=self.credentials
+                )
             except ThrottledError as exc:
                 self._throttle_retries += 1
                 throttle_attempt += 1
@@ -197,7 +181,9 @@ class CloudFunctionsClient:
         ``None`` for unknown ids.  The executor's lost-call detector scans an
         entire callset per polling round with this, instead of N requests.
         """
-        self._network_round_trip(INVOKE_PAYLOAD_BYTES)
+        self.platform.kernel.drive(
+            self._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
+        )
         return self.platform.get_activations_bulk(activation_ids)
 
     def wait(

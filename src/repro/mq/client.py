@@ -45,13 +45,9 @@ class MQClient:
         self.broker.declare_queue(name)
 
     def publish(self, queue: str, message: Any) -> None:
-        self.link.request_with_retries(STATUS_MESSAGE_BYTES)
-        self.broker.publish(
-            queue, _Envelope(self.link.kernel.now(), message)
-        )
+        self.link.kernel.drive(self.publish_steps(queue, message))
 
     def publish_steps(self, queue: str, message: Any):
-        """Steps twin of :meth:`publish` (model tasks ``yield from``)."""
         yield from self.link.request_with_retries_steps(STATUS_MESSAGE_BYTES)
         self.broker.publish(
             queue, _Envelope(self.link.kernel.now(), message)

@@ -63,14 +63,10 @@ class NetworkLink:
 
     # -- behaviour ---------------------------------------------------------
     def request(self, payload_bytes: int = 0, allow_failure: bool = True) -> None:
-        """Charge virtual time for one round trip moving ``payload_bytes``.
-
-        Blocking wrapper over :meth:`request_steps` (thread tasks only).
-        """
         self.kernel.drive(self.request_steps(payload_bytes, allow_failure))
 
     def request_steps(self, payload_bytes: int = 0, allow_failure: bool = True):
-        """One round trip as a steps generator (model tasks ``yield from``).
+        """Charge virtual time for one round trip moving ``payload_bytes``.
 
         All RNG draws happen up front under the link lock — exactly the
         blocking path's draw order — then the latency is paid via kernel
@@ -123,11 +119,6 @@ class NetworkLink:
         retries: int = 5,
         backoff: float = 1.0,
     ) -> int:
-        """Like :meth:`request` but retrying transient failures.
-
-        Returns the number of attempts made.  Mirrors the retry loop the
-        paper attributes the extra WAN invocation time to.
-        """
         return self.kernel.drive(
             self.request_with_retries_steps(payload_bytes, retries, backoff)
         )
@@ -138,7 +129,11 @@ class NetworkLink:
         retries: int = 5,
         backoff: float = 1.0,
     ):
-        """Steps twin of :meth:`request_with_retries`."""
+        """Like :meth:`request_steps` but retrying transient failures.
+
+        Returns the number of attempts made.  Mirrors the retry loop the
+        paper attributes the extra WAN invocation time to.
+        """
         attempts = 0
         while True:
             attempts += 1

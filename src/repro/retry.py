@@ -83,45 +83,20 @@ class RetryPolicy:
             return self._rng.uniform(0.0, base)
         return base
 
-    def run(
-        self,
-        fn: Callable[[], object],
-        kernel,
-        classify: Callable[[BaseException], bool] = is_retryable,
-        on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
-    ):
-        """Call ``fn`` until it succeeds or the attempt budget is spent.
-
-        ``kernel`` provides virtual-time ``sleep``; ``classify`` decides
-        retryability; ``on_retry(attempt, exc, delay)`` observes each retry.
-        Non-retryable errors and the final failed attempt propagate.
-        """
-        attempt = 1
-        while True:
-            try:
-                return fn()
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if not classify(exc) or attempt >= self.config.max_attempts:
-                    raise
-                delay = self.backoff(attempt, getattr(exc, "retry_after", None))
-                self.retries += 1
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay)
-                kernel.sleep(delay)
-                attempt += 1
-
     def run_steps(
         self,
         attempt_factory: Callable[[], object],
         classify: Callable[[BaseException], bool] = is_retryable,
         on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
     ):
-        """Steps twin of :meth:`run` for the kernel's model-task API.
+        """Run attempts until one succeeds or the attempt budget is spent.
 
         ``attempt_factory()`` returns a *fresh* steps generator per attempt
-        (the attempt itself may block via kernel ops).  Backoff sleeps are
-        yielded as ops instead of blocking, so the whole retry loop can run
-        as — or inside — a model task, or be driven by a thread task.
+        (the attempt itself may block via kernel ops); ``classify`` decides
+        retryability; ``on_retry(attempt, exc, delay)`` observes each retry.
+        Non-retryable errors and the final failed attempt propagate.
+        Backoff sleeps are yielded as ops, so the loop runs as — or inside —
+        a model task, or under ``kernel.drive`` in a thread task.
         """
         attempt = 1
         while True:

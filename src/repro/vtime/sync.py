@@ -146,7 +146,7 @@ class VEvent:
             return self._cond.wait_for(lambda: self._flag, timeout)
 
     def wait_steps(self, timeout: Optional[float] = None):
-        """Steps twin of :meth:`wait` for model tasks (``yield from``)."""
+        """Wait for the flag from a model task (``yield from``)."""
         kernel = self._cond._kernel
         deadline = None if timeout is None else kernel.now() + timeout
         while True:

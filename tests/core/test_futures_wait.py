@@ -40,8 +40,10 @@ def complete_call(storage, future, value=None, success=True, delay=0.0, error=No
         if delay:
             kernel.sleep(delay)
         payload = value if success else (error, "remote traceback")
-        storage.put_result(
-            future.executor_id, future.callset_id, future.call_id, payload
+        kernel.drive(
+            storage.put_result_steps(
+                future.executor_id, future.callset_id, future.call_id, payload
+            )
         )
         storage.put_status(
             future.executor_id,

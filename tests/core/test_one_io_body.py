@@ -1,0 +1,488 @@
+"""One body per I/O operation: a blocking call is ``kernel.drive(x_steps(...))``.
+
+Every I/O operation is written once, as a steps generator.  Model tasks
+``yield from`` it; thread tasks (the client, user code) call the blocking
+name, which is nothing but ``kernel.drive`` over that generator.  Two
+checks pin the rule:
+
+* **Equivalence.**  For each surviving blocking name, the blocking call
+  from a thread task and the ``yield from`` in a model task give the same
+  return value, virtual elapsed time, COS request tallies, trace events
+  and resulting state, on fresh same-seed worlds with link failures and
+  COS chaos switched on (so retries and backoff are on the path too).
+* **Design guard.**  An AST scan of ``src/repro``: wherever a class
+  defines both ``x`` and ``x_steps``, ``x``'s body (after its docstring)
+  is the single statement ``….drive(self.x_steps(...))``.
+"""
+
+from __future__ import annotations
+
+import ast
+import inspect
+from pathlib import Path
+from typing import Any, Callable, NamedTuple
+
+import pytest
+
+import repro
+from repro.chaos import ChaosProfile, build_plane
+from repro.config import CacheConfig, ExchangeConfig
+from repro.core.storage_client import InternalStorage
+from repro.cos import CloudObjectStorage, COSClient
+from repro.exchange import CachedCosExchange, CosExchange, VmExchange
+from repro.exchange.base import BoundExchange, ExchangeBackend
+from repro.faas import CloudFunctions, CloudFunctionsClient
+from repro.faas.gateway import INVOKE_PAYLOAD_BYTES
+from repro.mq.broker import MessageBroker
+from repro.mq.client import MQClient
+from repro.net import LatencyModel, NetworkLink
+from repro.retry import RetryPolicy
+from repro.trace.tracer import Tracer
+from repro.vtime import Kernel
+
+BUCKET = "io"
+DATA = bytes(range(256)) * 40  # 10 KiB
+CLOUD_SITE = (0, "c0")
+
+
+class World(NamedTuple):
+    kernel: Kernel
+    store: CloudObjectStorage
+    tracer: Tracer
+    cos: COSClient
+
+
+def make_world() -> World:
+    """A same-seed world: lossy jittered link, flaky COS, tracing on."""
+    kernel = Kernel()
+    store = CloudObjectStorage(kernel)
+    store.create_bucket(BUCKET)
+    tracer = Tracer(kernel, enabled=True)
+    store.tracer = tracer
+    store.chaos = build_plane(ChaosProfile("flaky-cos", seed=3))
+    link = NetworkLink(
+        kernel,
+        LatencyModel(rtt=0.05, jitter=0.2, failure_prob=0.25),
+        seed=28,  # this stream loses the first two requests
+        tracer=tracer,
+    )
+    return World(kernel, store, tracer, COSClient(store, link))
+
+
+class Case(NamedTuple):
+    """One operation, both ways, against a given world.
+
+    ``setup`` runs first on a thread task (identically for both ways);
+    ``blocking`` / ``steps`` are the two spellings of the operation;
+    ``probe`` reads the state the operation left behind.
+    """
+
+    setup: Callable[[], Any]
+    blocking: Callable[[], Any]
+    steps: Callable[[], Any]
+    probe: Callable[[], Any]
+
+
+def _nothing() -> None:
+    return None
+
+
+def _stored(w: World, key: str) -> Callable[[], Any]:
+    return lambda: w.store.get_object(BUCKET, key).read()
+
+
+# -- COS client ---------------------------------------------------------------
+def cos_put(w: World) -> Case:
+    return Case(
+        _nothing,
+        lambda: w.cos.put_object(BUCKET, "k/put", DATA),
+        lambda: w.cos.put_object_steps(BUCKET, "k/put", DATA),
+        _stored(w, "k/put"),
+    )
+
+
+def cos_get(w: World) -> Case:
+    return Case(
+        lambda: w.store.put_object(BUCKET, "k/get", DATA),
+        lambda: w.cos.get_object(BUCKET, "k/get"),
+        lambda: w.cos.get_object_steps(BUCKET, "k/get"),
+        _nothing,
+    )
+
+
+def cos_range(w: World) -> Case:
+    return Case(
+        lambda: w.store.put_object(BUCKET, "k/range", DATA),
+        lambda: w.cos.read_range(BUCKET, "k/range", 100, 5000, 64),
+        lambda: w.cos.read_range_steps(BUCKET, "k/range", 100, 5000, 64),
+        _nothing,
+    )
+
+
+def cos_list(w: World) -> Case:
+    def setup():
+        for i in range(3):
+            w.store.put_object(BUCKET, f"k/list/{i}", DATA[:i + 1])
+
+    return Case(
+        setup,
+        lambda: w.cos.list_keys(BUCKET, "k/list/"),
+        lambda: w.cos.list_keys_steps(BUCKET, "k/list/"),
+        _nothing,
+    )
+
+
+# -- internal storage ---------------------------------------------------------
+def _commit(w: World, lost: bool) -> Case:
+    storage = InternalStorage(w.cos, BUCKET)
+    status = {"call_id": "00000", "success": True}
+    key = storage.status_key("e", "M000", "00000")
+
+    def setup():
+        if lost:  # a predecessor already committed
+            w.store.put_object(BUCKET, key, b"first")
+
+    return Case(
+        setup,
+        lambda: storage.commit_status("e", "M000", "00000", status),
+        lambda: storage.commit_status_steps("e", "M000", "00000", status),
+        _stored(w, key),
+    )
+
+
+def commit_won(w: World) -> Case:
+    return _commit(w, lost=False)
+
+
+def commit_lost(w: World) -> Case:
+    return _commit(w, lost=True)
+
+
+# -- exchange backends --------------------------------------------------------
+def _backend(name: str, kernel: Kernel) -> ExchangeBackend:
+    if name == "cos":
+        return CosExchange()
+    if name == "cached-cos":
+        return CachedCosExchange(
+            CacheConfig(enabled=True, node_budget_bytes=64 * 1024),
+            n_nodes=2,
+            kernel=kernel,
+        )
+    return VmExchange(
+        ExchangeConfig(backend="vm", vm_nodes=2, vm_startup_s=0.5), kernel=kernel
+    )
+
+
+def _exchange(w: World, backend_name: str, op: str, in_cloud: bool) -> Case:
+    backend = _backend(backend_name, w.kernel)
+    view = backend.bound(CLOUD_SITE) if in_cloud else backend
+    key = f"x/{op}"
+    if op == "put":
+        return Case(
+            _nothing,
+            lambda: view.put(w.cos, BUCKET, key, DATA),
+            lambda: view.put_steps(w.cos, BUCKET, key, DATA),
+            lambda: (_stored(w, key)(), backend.stats()),
+        )
+    # the object is published (through the tier, from the cloud site)
+    # before the read, so in-cloud reads exercise the backend's hit path
+    publisher = backend.bound(CLOUD_SITE)
+    return Case(
+        lambda: publisher.put(w.cos, BUCKET, key, DATA),
+        lambda: view.get(w.cos, BUCKET, key),
+        lambda: view.get_steps(w.cos, BUCKET, key),
+        backend.stats,
+    )
+
+
+def _exchange_case(backend_name: str, op: str, in_cloud: bool):
+    def case(w: World) -> Case:
+        return _exchange(w, backend_name, op, in_cloud)
+
+    site = "cloud" if in_cloud else "client"
+    case.__name__ = f"exchange-{backend_name}-{op}-{site}"
+    return case
+
+
+# -- MQ and the functions gateway ---------------------------------------------
+def mq_publish(w: World) -> Case:
+    broker = MessageBroker(w.kernel)
+    broker.declare_queue("q")
+    mq = MQClient(broker, w.cos.link)
+    message = {"call_id": "00000"}
+    return Case(
+        _nothing,
+        lambda: mq.publish("q", message),
+        lambda: mq.publish_steps("q", message),
+        lambda: [(m.sent_at, m.payload) for m in broker.browse("q")],
+    )
+
+
+def get_activations(w: World) -> Case:
+    platform = CloudFunctions(w.kernel, w.store, seed=2)
+    client = CloudFunctionsClient(platform, w.cos.link)
+    ids: list[str] = []
+
+    def setup():
+        platform.create_action("guest", "noop", lambda params, ctx: None)
+        ids.append(platform.invoke("guest", "noop", {}))
+        platform.wait_activation(ids[0])
+        ids.append("act-unknown")
+
+    def summary(records):
+        return [None if r is None else (r.activation_id, r.status) for r in records]
+
+    def steps():
+        # get_activations has no steps form of its own: it drives this
+        yield from client._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
+        return summary(platform.get_activations_bulk(ids))
+
+    return Case(
+        setup,
+        lambda: summary(client.get_activations(ids)),
+        steps,
+        lambda: client.policy.retries,
+    )
+
+
+CASES = [
+    cos_put,
+    cos_get,
+    cos_range,
+    cos_list,
+    commit_won,
+    commit_lost,
+    *[
+        _exchange_case(backend, op, in_cloud)
+        for backend in ("cos", "cached-cos", "vm")
+        for op in ("put", "get")
+        for in_cloud in (False, True)
+    ],
+    mq_publish,
+    get_activations,
+]
+
+
+def _raised(exc: Exception):
+    return "raised", type(exc), str(exc)
+
+
+def run_once(case_fn, way: str):
+    """Build a fresh world, run ``setup`` then the operation one way.
+
+    An exception is an outcome like any other (the VM store's own round
+    trips are not retried, so a lost request surfaces to the caller)."""
+    w = make_world()
+    case = case_fn(w)
+
+    def measured_steps():
+        t0 = w.kernel.now()
+        try:
+            outcome = "ok", (yield from case.steps())
+        except Exception as exc:  # noqa: BLE001 - compared across ways
+            outcome = _raised(exc)
+        return outcome, w.kernel.now() - t0
+
+    def main():
+        try:
+            case.setup()
+            setup = ("ok",)
+        except Exception as exc:  # noqa: BLE001 - compared across ways
+            setup = _raised(exc)
+        if way == "model":
+            task = w.kernel.spawn_model(measured_steps)
+            task.join()
+            return setup, task.result()
+        t0 = w.kernel.now()
+        try:
+            outcome = "ok", case.blocking()
+        except Exception as exc:  # noqa: BLE001 - compared across ways
+            outcome = _raised(exc)
+        return setup, (outcome, w.kernel.now() - t0)
+
+    setup, (outcome, elapsed) = w.kernel.run(main)
+    return {
+        "setup": setup,
+        "outcome": outcome,
+        "elapsed": elapsed,
+        "requests": w.store.request_counts(),
+        "net_requests": w.cos.link.requests,
+        "events": w.tracer.events(),
+        "state": case.probe(),
+    }
+
+
+@pytest.mark.parametrize("case_fn", CASES, ids=lambda fn: fn.__name__)
+def test_blocking_equals_yield_from(case_fn):
+    thread = run_once(case_fn, "thread")
+    model = run_once(case_fn, "model")
+    assert thread["net_requests"], "the operation made no request"
+    for field in thread:
+        assert thread[field] == model[field], field
+
+
+@pytest.mark.parametrize("case_fn", [cos_put, cos_get, cos_range, cos_list])
+def test_worlds_exercise_retries(case_fn):
+    """The equivalence runs are only as strong as the paths they take: the
+    lossy link must make the operation back off and retry."""
+    w = make_world()
+    case = case_fn(w)
+
+    def main():
+        case.setup()
+        case.blocking()
+
+    w.kernel.run(main)
+    assert w.cos.retries > 0
+
+
+# -- design guard -------------------------------------------------------------
+SRC = Path(repro.__file__).parent
+
+#: the classes that carry the COS / exchange / MQ / gateway I/O; the scan
+#: covers every class under src/repro, these must merely be among them
+GUARDED = {
+    "COSClient",
+    "InternalStorage",
+    "ExchangeBackend",
+    "CosExchange",
+    "CachedCosExchange",
+    "VmExchange",
+    "BoundExchange",
+    "NetworkLink",
+    "CloudFunctionsClient",
+    "CloudFunctions",
+    "MQClient",
+}
+
+#: blocking names allowed a body of their own, and why
+EXEMPT = {
+    # a kernel synchronisation primitive: the blocking form parks the
+    # thread on the condition's own waiter list, which is the mechanism
+    # ``drive`` itself would need in order to interpret a ``vwait``
+    ("VEvent", "wait"),
+    # the handler API's time model: ``kernel.sleep`` is the primitive that
+    # ``drive`` maps every yielded ``vsleep`` onto, so a handler's blocking
+    # sleep/compute is already the one-op base case, not a second body
+    ("ExecutionContext", "sleep"),
+    ("ExecutionContext", "compute"),
+}
+
+
+def _is_generator(fn: ast.FunctionDef) -> bool:
+    """Whether ``fn`` itself yields (nested functions do not count)."""
+    stack = list(fn.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Yield, ast.YieldFrom)):
+            return True
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+    return False
+
+
+def _is_drive_of(fn: ast.FunctionDef, steps_name: str) -> bool:
+    body = fn.body
+    if (
+        body
+        and isinstance(body[0], ast.Expr)
+        and isinstance(body[0].value, ast.Constant)
+        and isinstance(body[0].value.value, str)
+    ):
+        body = body[1:]  # the docstring
+    if len(body) != 1 or not isinstance(body[0], (ast.Return, ast.Expr)):
+        return False
+    call = body[0].value
+    if not (
+        isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "drive"
+        and len(call.args) == 1
+        and not call.keywords
+    ):
+        return False
+    inner = call.args[0]
+    return (
+        isinstance(inner, ast.Call)
+        and isinstance(inner.func, ast.Attribute)
+        and inner.func.attr == steps_name
+        and isinstance(inner.func.value, ast.Name)
+        and inner.func.value.id == "self"
+    )
+
+
+def _classes():
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                yield path.relative_to(SRC), node
+
+
+def test_every_blocking_twin_is_one_drive():
+    seen = set()
+    offenders = []
+    pairs = 0
+    for path, cls in _classes():
+        seen.add(cls.name)
+        methods = {
+            fn.name: fn for fn in cls.body if isinstance(fn, ast.FunctionDef)
+        }
+        for name, fn in methods.items():
+            steps_name = f"{name}_steps"
+            if steps_name not in methods or (cls.name, name) in EXEMPT:
+                continue
+            if _is_generator(fn):
+                continue  # a model-task body of its own, not a blocking form
+            pairs += 1
+            if not _is_drive_of(fn, steps_name):
+                offenders.append(f"{path}:{fn.lineno} {cls.name}.{name}")
+    assert GUARDED <= seen, sorted(GUARDED - seen)
+    assert not offenders, (
+        "blocking forms with a body of their own (write "
+        "`<kernel>.drive(self.<name>_steps(...))`):\n  " + "\n  ".join(offenders)
+    )
+    assert pairs >= len(GUARDED)  # the scan found the twins, not nothing
+
+
+def test_exempt_names_still_exist():
+    """An exemption for a name that is gone would hide a new offender."""
+    defined = {
+        (cls.name, fn.name)
+        for _, cls in _classes()
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+    }
+    assert EXEMPT <= defined
+
+
+def test_retry_policy_has_one_loop():
+    assert not hasattr(RetryPolicy, "run")
+    assert inspect.isgeneratorfunction(RetryPolicy.run_steps)
+
+
+def _subclasses(cls):
+    """The program's subclasses of ``cls`` (test fakes excluded)."""
+    for sub in cls.__subclasses__():
+        if sub.__module__.startswith("repro."):
+            yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [ExchangeBackend, *_subclasses(ExchangeBackend), BoundExchange],
+    ids=lambda cls: cls.__name__,
+)
+def test_exchange_backends_own_their_data_path(cls):
+    """Host-time attribution resolves each backend's data path on the class
+    itself, and picks its wrapper by ``inspect.isgeneratorfunction``: every
+    backend defines all four names, and the steps forms are generators."""
+    own = vars(cls)
+    for name in ("put", "get", "put_steps", "get_steps"):
+        assert name in own, f"{cls.__name__}.{name}"
+    assert inspect.isgeneratorfunction(own["put_steps"])
+    assert inspect.isgeneratorfunction(own["get_steps"])
+    assert not inspect.isgeneratorfunction(own["put"])
+    assert not inspect.isgeneratorfunction(own["get"])

@@ -111,68 +111,102 @@ class TestBackoff:
         ]
 
 
-class TestRun:
-    def test_retries_until_success(self):
+def run_both_ways(policy_factory, attempt_factory_of):
+    """Run one retry loop twice on fresh kernels: driven from a thread task
+    and ``yield from``-ed in a model task.  Asserts the two ways agree and
+    returns the outcome (``("ok", value)`` or ``("raised", exc)``), elapsed
+    virtual time, the attempt count and the policy's retry counter."""
+    outcomes = []
+    for way in ("thread", "model"):
         kernel = Kernel()
-        policy = RetryPolicy(RetryConfig(jitter="none"))
+        policy = policy_factory()
         calls = []
 
-        def flaky():
+        def attempt():
             calls.append(1)
-            if len(calls) < 3:
+            return attempt_factory_of(len(calls))
+
+        def body():
+            t0 = kernel.now()
+            try:
+                value = yield from policy.run_steps(attempt)
+            except Exception as exc:  # noqa: BLE001 - compared below
+                return ("raised", exc), kernel.now() - t0
+            return ("ok", value), kernel.now() - t0
+
+        if way == "thread":
+            outcome, elapsed = kernel.run(lambda: kernel.drive(body()))
+        else:
+            def main():
+                task = kernel.spawn_model(body)
+                task.join()
+                return task.result()
+
+            outcome, elapsed = kernel.run(main)
+        outcomes.append((outcome, elapsed, len(calls), policy.retries))
+    thread, model = outcomes
+    assert thread[0][0] == model[0][0]
+    assert type(thread[0][1]) is type(model[0][1])
+    assert thread[1:] == model[1:]
+    return thread
+
+
+def steps_of(fn):
+    """An attempt: a steps generator that takes no time and calls ``fn``."""
+    yield from ()
+    return fn()
+
+
+class TestRun:
+    def test_retries_until_success(self):
+        def flaky(n):
+            if n < 3:
                 raise TransientNetworkError("lost")
             return "ok"
 
-        def main():
-            return policy.run(flaky, kernel), kernel.now()
-
-        value, elapsed = kernel.run(main)
-        assert value == "ok"
-        assert len(calls) == 3
-        assert policy.retries == 2
+        outcome, elapsed, calls, retries = run_both_ways(
+            lambda: RetryPolicy(RetryConfig(jitter="none")),
+            lambda n: steps_of(lambda: flaky(n)),
+        )
+        assert outcome == ("ok", "ok")
+        assert calls == 3
+        assert retries == 2
         assert elapsed == pytest.approx(1.0 + 2.0)  # the two backoff sleeps
 
     def test_exhaustion_raises_last_error(self):
-        kernel = Kernel()
-        policy = RetryPolicy(RetryConfig(max_attempts=3, jitter="none"))
-        calls = []
+        def always_down(n):
+            raise ServiceUnavailable(f"503 #{n}")
 
-        def always_down():
-            calls.append(1)
-            raise ServiceUnavailable("503")
-
-        with pytest.raises(ServiceUnavailable):
-            kernel.run(lambda: policy.run(always_down, kernel))
-        assert len(calls) == 3
+        (kind, exc), _, calls, _ = run_both_ways(
+            lambda: RetryPolicy(RetryConfig(max_attempts=3, jitter="none")),
+            lambda n: steps_of(lambda: always_down(n)),
+        )
+        assert kind == "raised" and isinstance(exc, ServiceUnavailable)
+        assert str(exc) == "503 #3"
+        assert calls == 3
 
     def test_non_retryable_raises_immediately(self):
-        kernel = Kernel()
-        policy = RetryPolicy(RetryConfig())
-        calls = []
-
         def broken():
-            calls.append(1)
             raise ValueError("logic bug")
 
-        with pytest.raises(ValueError):
-            kernel.run(lambda: policy.run(broken, kernel))
-        assert len(calls) == 1
-        assert policy.retries == 0
+        (kind, exc), elapsed, calls, retries = run_both_ways(
+            lambda: RetryPolicy(RetryConfig()),
+            lambda n: steps_of(broken),
+        )
+        assert kind == "raised" and isinstance(exc, ValueError)
+        assert calls == 1
+        assert retries == 0
+        assert elapsed == 0.0
 
     def test_retry_after_honored_in_run(self):
-        kernel = Kernel()
-        policy = RetryPolicy(RetryConfig(jitter="none"))
-        calls = []
-
-        def throttled_once():
-            calls.append(1)
-            if len(calls) == 1:
+        def throttled_once(n):
+            if n == 1:
                 raise ThrottledError("429", retry_after=7.0)
             return "done"
 
-        def main():
-            return policy.run(throttled_once, kernel), kernel.now()
-
-        value, elapsed = kernel.run(main)
-        assert value == "done"
+        outcome, elapsed, _, _ = run_both_ways(
+            lambda: RetryPolicy(RetryConfig(jitter="none")),
+            lambda n: steps_of(lambda: throttled_once(n)),
+        )
+        assert outcome == ("ok", "done")
         assert elapsed == pytest.approx(7.0)

@@ -20,8 +20,8 @@ def storage(kernel) -> InternalStorage:
 class TestKeySchema:
     def test_key_layout(self, storage):
         assert (
-            storage.func_key("e1", "M000")
-            == "pywren.jobs/e1/M000/func.pickle"
+            storage.shared_func_key("e1", "0123abcd")
+            == "pywren.jobs/e1/funcs/0123abcd.pickle"
         )
         assert (
             storage.status_key("e1", "M000", "00002")
@@ -37,14 +37,16 @@ class TestKeySchema:
         store.create_bucket("b")
         link = NetworkLink(kernel, LatencyModel(rtt=0.0, jitter=0.0), seed=0)
         storage = InternalStorage(COSClient(store, link), "b", prefix="/x/y/")
-        assert storage.func_key("e", "c").startswith("x/y/e/c/")
+        assert storage.shared_func_key("e", "d").startswith("x/y/e/funcs/")
+        assert storage.agg_data_key("e", "c").startswith("x/y/e/c/")
 
 
 class TestRoundtrips:
     def test_func_roundtrip(self, kernel, storage):
         def main():
-            storage.put_func("e1", "M000", b"function-bytes")
-            return storage.get_func("e1", "M000")
+            func_key = storage.shared_func_key("e1", "0123abcd")
+            storage.put_blob(func_key, b"function-bytes")
+            return kernel.drive(storage.get_blob_steps(func_key))
 
         assert kernel.run(main) == b"function-bytes"
 
@@ -52,9 +54,9 @@ class TestRoundtrips:
         def main():
             storage.put_agg_data("e1", "M000", b"aaabbbbcc")
             return (
-                storage.get_data_range("e1", "M000", 0, 3),
-                storage.get_data_range("e1", "M000", 3, 7),
-                storage.get_data_range("e1", "M000", 7, 9),
+                kernel.drive(storage.get_data_range_steps("e1", "M000", 0, 3)),
+                kernel.drive(storage.get_data_range_steps("e1", "M000", 3, 7)),
+                kernel.drive(storage.get_data_range_steps("e1", "M000", 7, 9)),
             )
 
         assert kernel.run(main) == (b"aaa", b"bbbb", b"cc")
@@ -69,7 +71,9 @@ class TestRoundtrips:
 
     def test_result_roundtrip(self, kernel, storage):
         def main():
-            storage.put_result("e1", "M000", "00000", {"value": [1, 2]})
+            kernel.drive(
+                storage.put_result_steps("e1", "M000", "00000", {"value": [1, 2]})
+            )
             return storage.get_result("e1", "M000", "00000")
 
         assert kernel.run(main) == {"value": [1, 2]}

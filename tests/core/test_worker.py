@@ -40,7 +40,8 @@ def setup_platform(kernel):
 class TestRunnerHandler:
     def _submit_raw(self, env, storage, fn, data):
         """Hand-write func/data objects like the client would."""
-        storage.put_func("e-test", "M000", serializer.serialize(fn))
+        func_key = storage.shared_func_key("e-test", "f00d")
+        storage.put_blob(func_key, serializer.serialize(fn))
         blob = serializer.serialize(data)
         storage.put_agg_data("e-test", "M000", blob)
         return {
@@ -49,6 +50,7 @@ class TestRunnerHandler:
             "call_id": "00000",
             "bucket": env.config.storage_bucket,
             "prefix": env.config.storage_prefix,
+            "func_key": func_key,
             "data_range": [0, len(blob)],
         }
 

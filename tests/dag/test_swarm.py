@@ -185,8 +185,9 @@ class TestScheduleSlices:
             run = builder.submit(executor, fuse=False, scheduler="swarm")
             value = run.expose(tail).result()
             storage = executor._storage
-            blob = storage.get_blob(
-                storage.swarm_schedule_key(executor.executor_id, run.dag_id)
+            blob = storage.cos.get_object(
+                storage.bucket,
+                storage.swarm_schedule_key(executor.executor_id, run.dag_id),
             )
             return value, run.dag, blob
 

@@ -378,13 +378,13 @@ class TestKillMidDag:
         def submit_another(adopter):
             storage = adopter._storage
             key = storage.swarm_schedule_key(adopter.executor_id, "dag000")
-            before = storage.get_blob(key)
+            before = storage.cos.get_object(storage.bucket, key)
             builder = DagBuilder()
             node = builder.call(_square, 7).then(_square, fusable=False)
             run = builder.submit(adopter, scheduler="swarm")
             seen["dag_id"] = run.dag_id
             seen["value"] = run.future(node).result()
-            seen["untouched"] = storage.get_blob(key) == before
+            seen["untouched"] = storage.cos.get_object(storage.bucket, key) == before
 
         (outcome, _, crash_records, _), _ = self._run(
             _make_env(exposed + (last_obs - exposed) / 3.0),

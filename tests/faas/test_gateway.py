@@ -134,10 +134,11 @@ class TestRetryAfterHint:
                 self.kernel = kernel
                 self.attempts = 0
 
-            def invoke(self, namespace, action, params, credentials=None):
+            def invoke_steps(self, namespace, action, params, credentials=None):
                 self.attempts += 1
                 if self.attempts == 1:
                     raise ThrottledError("429", retry_after=5.0)
+                yield from ()  # accepting an invocation takes no time here
                 return "act-1"
 
         platform = OneThrottlePlatform(kernel)
