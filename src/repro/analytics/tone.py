@@ -12,6 +12,7 @@ compute cost.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from repro.datasets.airbnb import NEGATIVE_WORDS, POSITIVE_WORDS
 
@@ -21,8 +22,13 @@ NEGATIVE = "negative"
 
 TONES = (POSITIVE, NEUTRAL, NEGATIVE)
 
-_POSITIVE_SET = frozenset(POSITIVE_WORDS)
-_NEGATIVE_SET = frozenset(NEGATIVE_WORDS)
+#: +1 per positive word, -1 per negative word (the two lists are disjoint);
+#: a comment's polarity is the sum over its lower-cased words
+_POLARITY = {**dict.fromkeys(POSITIVE_WORDS, 1), **dict.fromkeys(NEGATIVE_WORDS, -1)}
+
+#: the one classification rule: a comment's tone indexed by the sign of
+#: its polarity (0, +1, -1 — a negative index wraps to the last entry)
+_TONE_BY_SIGN = (NEUTRAL, POSITIVE, NEGATIVE)
 
 #: emotion tones keyed from the dominant sentiment, mimicking Watson's
 #: emotional-tone dimension
@@ -49,21 +55,16 @@ class ToneResult:
 
 def analyze(text: str) -> ToneResult:
     """Classify one comment."""
-    words = text.lower().split()
-    positive_hits = sum(1 for w in words if w in _POSITIVE_SET)
-    negative_hits = sum(1 for w in words if w in _NEGATIVE_SET)
-    if positive_hits > negative_hits:
-        tone = POSITIVE
-    elif negative_hits > positive_hits:
-        tone = NEGATIVE
-    else:
-        tone = NEUTRAL
+    polarities = list(map(_POLARITY.get, text.lower().split(), repeat(0)))
+    positive_hits, negative_hits = polarities.count(1), polarities.count(-1)
+    score = positive_hits - negative_hits
+    tone = _TONE_BY_SIGN[(score > 0) - (score < 0)]
     return ToneResult(
         tone=tone,
         emotion=_EMOTIONS[tone],
         positive_hits=positive_hits,
         negative_hits=negative_hits,
-        word_count=len(words),
+        word_count=len(polarities),
     )
 
 
@@ -115,7 +116,10 @@ def analyze_csv_reviews(data: bytes) -> tuple[ToneStats, list[tuple[float, float
             lon = float(parts[1])
         except ValueError:
             continue
-        result = analyze(parts[2].decode("ascii", errors="replace"))
-        stats.add(result)
-        points.append((lat, lon, result.tone))
+        words = parts[2].decode("ascii", errors="replace").lower().split()
+        score = sum(map(_POLARITY.get, words, repeat(0)))
+        tone = _TONE_BY_SIGN[(score > 0) - (score < 0)]
+        stats.counts[tone] += 1
+        points.append((lat, lon, tone))
+    stats.comments = len(points)
     return stats, points

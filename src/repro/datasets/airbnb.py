@@ -11,6 +11,13 @@ Table 3's executor counts are ``sum(ceil(size/chunk))`` over these sizes,
 so the per-city size distribution below (large NYC/Paris/London heads, long
 tail) is what reproduces the paper's 47/72/129/242/471/923 concurrency
 column.
+
+Byte contract: every 4 KiB block of a city object is a fixed function of
+``(city, block index)`` — the draws ``uniform`` / ``randint`` / ``choice``
+make on ``random.Random(sha256("airbnb:{city}:{index}"))``, written out
+inline through ``random()`` and ``getrandbits()`` exactly as CPython's
+documented methods consume them.  ``tests/datasets/test_airbnb.py`` pins
+the bytes and checks them against the per-call ``random.Random`` form.
 """
 
 from __future__ import annotations
@@ -124,34 +131,12 @@ NEUTRAL_WORDS = (
     "shower apartment street night morning city door floor window"
 ).split()
 
-_ALL_WORDS = POSITIVE_WORDS + NEGATIVE_WORDS + NEUTRAL_WORDS
-
-
-def _review_line(
-    rng: random.Random, lat: float, lon: float, positivity: float
-) -> bytes:
-    """One CSV review line: ``lat,lon,words...``  (~100-200 bytes).
-
-    ``positivity`` is the fraction of happy reviewers in this city, so
-    different city maps show different green/red mixes (like Fig. 5).
-    """
-    point_lat = lat + rng.uniform(-0.12, 0.12)
-    point_lon = lon + rng.uniform(-0.12, 0.12)
-    happy = rng.random() < positivity
-    words = []
-    # 35-90 words ≈ 500 bytes/line, matching the dataset's 1.9 GB /
-    # 3,695,107 comments ≈ 514 bytes per comment
-    for _ in range(rng.randint(35, 90)):
-        roll = rng.random()
-        if roll < 0.25:
-            pool = POSITIVE_WORDS if happy else NEGATIVE_WORDS
-        elif roll < 0.35:
-            pool = NEGATIVE_WORDS if happy else POSITIVE_WORDS
-        else:
-            pool = NEUTRAL_WORDS
-        words.append(rng.choice(pool))
-    text = " ".join(words)
-    return f"{point_lat:.5f},{point_lon:.5f},{text}\n".encode("ascii")
+#: ``(words, len(words), len(words).bit_length())``: what ``rng.choice``
+#: needs of a pool, unpacked once instead of once per word
+_POSITIVE_POOL, _NEGATIVE_POOL, _NEUTRAL_POOL = (
+    (words, len(words), len(words).bit_length())
+    for words in (POSITIVE_WORDS, NEGATIVE_WORDS, NEUTRAL_WORDS)
+)
 
 
 def city_positivity(city: str) -> float:
@@ -168,9 +153,37 @@ def make_review_content_fn(city: str) -> Callable[[int, int], bytes]:
     def _block(index: int) -> bytes:
         digest = hashlib.sha256(f"airbnb:{city}:{index}".encode()).digest()
         rng = random.Random(digest)
+        uniform01, getrandbits = rng.random, rng.getrandbits
         out = bytearray()
         while len(out) < _BLOCK_SIZE:
-            out += _review_line(rng, lat, lon, positivity)
+            # one line ``lat,lon,words...``; the city's ``positivity`` share of
+            # happy reviewers gives each map its green/red mix (like Fig. 5)
+            point_lat = lat + (-0.12 + 0.24 * uniform01())  # uniform(-0.12, 0.12)
+            point_lon = lon + (-0.12 + 0.24 * uniform01())
+            if uniform01() < positivity:
+                favoured, opposed = _POSITIVE_POOL, _NEGATIVE_POOL
+            else:
+                favoured, opposed = _NEGATIVE_POOL, _POSITIVE_POOL
+            # randint(35, 90) = 35 + below(56): 35-90 words ≈ 500 bytes per
+            # line, the dataset's 1.9 GB / 3,695,107 comments ≈ 514 bytes
+            extra = getrandbits(6)
+            while extra >= 56:
+                extra = getrandbits(6)
+            words = []
+            for _ in range(35 + extra):
+                roll = uniform01()
+                if roll < 0.25:
+                    pool, n, k = favoured
+                elif roll < 0.35:
+                    pool, n, k = opposed
+                else:
+                    pool, n, k = _NEUTRAL_POOL
+                pick = getrandbits(k)  # choice(pool) = pool[below(n)]
+                while pick >= n:
+                    pick = getrandbits(k)
+                words.append(pool[pick])
+            text = " ".join(words)
+            out += f"{point_lat:.5f},{point_lon:.5f},{text}\n".encode("ascii")
         return bytes(out[:_BLOCK_SIZE])
 
     def content_fn(start: int, end: int) -> bytes:

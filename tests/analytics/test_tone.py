@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -126,3 +128,91 @@ class TestCsvAnalysis:
         assert len(points) == stats.comments
         # the lexicon actually fires on the generated vocabulary
         assert stats.counts[tone.POSITIVE] + stats.counts[tone.NEGATIVE] > 0
+
+
+# ---------------------------------------------------------------------------
+# analyze_csv_reviews against the per-line analyze() fold
+# ---------------------------------------------------------------------------
+
+_LEXICON = POSITIVE_WORDS + NEGATIVE_WORDS + NEUTRAL_WORDS
+_POSITIVE_SET, _NEGATIVE_SET = set(POSITIVE_WORDS), set(NEGATIVE_WORDS)
+
+
+def _reference_analyze(text: str) -> tuple[str, int, int, int]:
+    """``(tone, positive hits, negative hits, words)`` by set membership."""
+    words = text.lower().split()
+    positive_hits = sum(1 for w in words if w in _POSITIVE_SET)
+    negative_hits = sum(1 for w in words if w in _NEGATIVE_SET)
+    if positive_hits > negative_hits:
+        verdict = tone.POSITIVE
+    elif negative_hits > positive_hits:
+        verdict = tone.NEGATIVE
+    else:
+        verdict = tone.NEUTRAL
+    return verdict, positive_hits, negative_hits, len(words)
+
+
+def _reference_csv(data: bytes):
+    """The per-line fold: one classification per parsable line."""
+    stats = tone.ToneStats()
+    points = []
+    for raw_line in data.split(b"\n"):
+        parts = raw_line.split(b",", 2)
+        if len(parts) != 3:
+            continue
+        try:
+            lat = float(parts[0])
+            lon = float(parts[1])
+        except ValueError:
+            continue
+        verdict = _reference_analyze(parts[2].decode("ascii", errors="replace"))[0]
+        stats.counts[verdict] += 1
+        stats.comments += 1
+        points.append((lat, lon, verdict))
+    return stats, points
+
+
+_tokens = st.one_of(
+    st.sampled_from(_LEXICON).map(str.encode),
+    st.sampled_from(_LEXICON).map(lambda w: w.upper().encode()),
+    st.sampled_from([b"", b",", b"Great!", b"\xff", b"gr\xc3\xa9at", b"\x80great"]),
+)
+_separators = st.sampled_from([b" ", b"  ", b"\t", b"\x1c", b"\xa0", b"\r", b"\n"])
+_coordinates = st.one_of(
+    st.floats(allow_nan=False).map(lambda f: repr(f).encode()),
+    st.sampled_from([b"", b"abc", b"1.2.3", b" 4.5 ", b"\xff", b"inf"]),
+)
+_text = st.lists(st.tuples(_tokens, _separators), max_size=30).map(
+    lambda pairs: b"".join(token + sep for token, sep in pairs)
+)
+_line = st.builds(lambda lat, lon, text: lat + b"," + lon + b"," + text,
+                  _coordinates, _coordinates, _text)
+
+
+class TestCsvEquivalence:
+    def test_lexicons_are_disjoint(self):
+        """``_POLARITY`` gives each word one sign."""
+        assert not set(POSITIVE_WORDS) & set(NEGATIVE_WORDS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lines=st.lists(_line, max_size=12))
+    def test_equals_per_line_fold(self, data, lines):
+        blob = b"\n".join(lines)
+        cut = data.draw(st.integers(0, len(blob)), label="cut")
+        tail = data.draw(st.integers(0, len(blob)), label="tail")
+        blob = blob[min(cut, tail):max(cut, tail)]  # truncated first/last lines
+        stats, points = tone.analyze_csv_reviews(blob)
+        want_stats, want_points = _reference_csv(blob)
+        assert (stats.counts, stats.comments) == (want_stats.counts, want_stats.comments)
+        assert points == want_points
+
+    @settings(max_examples=200, deadline=None)
+    @given(text=_text)
+    def test_analyze_follows_the_sign_rule(self, text):
+        decoded = text.decode("ascii", errors="replace")
+        result = tone.analyze(decoded)
+        verdict, positive_hits, negative_hits, words = _reference_analyze(decoded)
+        assert (result.tone, result.positive_hits, result.negative_hits,
+                result.word_count) == (verdict, positive_hits, negative_hits, words)
+        score = sum(map(tone._POLARITY.get, decoded.lower().split(), repeat(0)))
+        assert result.tone == tone._TONE_BY_SIGN[(score > 0) - (score < 0)]
