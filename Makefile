@@ -18,6 +18,7 @@ lint:
 loc:
 	@printf 'src/repro             %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
 	@printf 'src/repro/{core,dag}  %s\n' "$$(find src/repro/core src/repro/dag -name '*.py' | xargs cat | wc -l)"
+	@printf 'src/repro/exchange    %s\n' "$$(find src/repro/exchange -name '*.py' | xargs cat | wc -l)"
 
 # fault-injection subset, exercised under two named chaos profiles
 chaos:

@@ -3,14 +3,14 @@
 The two Fig. 4-shaped workloads of ``bench_dag_pipeline`` — the DAG
 mergesort and the shuffle wordcount — run twice each from the same seed:
 
-* **cos-only** — the baseline exchange path.  The cache plane is attached
-  but neutered (zero byte budget, no peer fetch, no populate-on-miss), so
-  every intermediate read goes to COS *through the instrumented path*:
-  timings are identical to a cache-less run, and the plane's counters
-  measure exactly how much virtual time the workload spends reading
+* **cos-only** — the baseline exchange path.  The ``cached-cos`` backend
+  runs with a zero byte budget, so nothing is ever resident and every
+  intermediate read goes to COS *through the instrumented path*: timings
+  are identical to a direct-COS run, and the backend's counters measure
+  exactly how much virtual time the workload spends reading
   intermediates from object storage.
-* **cached** — the full tier (default 64 MiB/node LRU, peer fetch over
-  the consistent-hash directory, populate-on-miss).  Producers write
+* **cached** — the full tier (default 64 MiB/node LRU, peer fetch via
+  the holder directory, a copy left with every reader).  Producers write
   through their node's memory cache; consumers resolve local → peer → COS.
 
 The metric under test is **intermediate-read time** (virtual seconds spent
@@ -22,7 +22,8 @@ workloads, and same-seed runs are reproducible in *both* modes — two
 traced cached runs export byte-identical JSONL, and so do two traced
 cos-only runs (after normalizing the process-global executor id).
 
-Run via ``make bench-cache``; writes ``BENCH_cache_exchange.json``.
+Run via ``make bench-cache``; writes ``BENCH_cache_exchange.json``
+(:func:`build_report` computes the same report without writing it).
 """
 
 from __future__ import annotations
@@ -45,27 +46,21 @@ OUTPUT = os.path.join(
 )
 
 
-def cache_config(mode: str) -> pw.CacheConfig:
-    """The plane configuration for one benchmark mode.
+def exchange_config(mode: str) -> pw.ExchangeConfig:
+    """The exchange configuration for one benchmark mode.
 
-    ``cos-only`` keeps the plane attached but inert: budget 0 means
-    nothing is ever resident (every local probe misses for free), peer
-    fetch off means no directory round trips, populate off means no
-    admissions — the timing is byte-for-byte the COS-only exchange, with
-    the read counters running.
+    ``cos-only`` keeps the tier attached but inert: budget 0 means
+    nothing is ever resident, so every local probe and directory lookup
+    misses for free — the timing is byte-for-byte the COS-only exchange,
+    with the read counters running.
     """
     if mode == "cached":
-        return pw.CacheConfig(enabled=True)
-    return pw.CacheConfig(
-        enabled=True,
-        node_budget_bytes=0,
-        peer_fetch=False,
-        populate_on_miss=False,
-    )
+        return pw.ExchangeConfig(backend="cached-cos")
+    return pw.ExchangeConfig(backend="cached-cos", cache_node_budget_bytes=0)
 
 
 def _exchange_stats(env: CloudEnvironment) -> dict:
-    stats = env.cache.stats()
+    stats = env.exchange.stats()
     return {
         "intermediate_read_s": round(stats["read_seconds_total"], 4),
         "intermediate_reads": stats["intermediate_reads"],
@@ -135,7 +130,7 @@ def _build_merge_tree(builder, array):
 
 def run_mergesort(mode: str, trace: bool = False):
     env = CloudEnvironment.create(
-        seed=SEED, trace=trace, cache=cache_config(mode)
+        seed=SEED, trace=trace, exchange=exchange_config(mode)
     )
     array = _array()
 
@@ -181,7 +176,7 @@ def _expected_counts(docs):
 
 
 def run_wordcount(mode: str):
-    env = CloudEnvironment.create(seed=SEED, cache=cache_config(mode))
+    env = CloudEnvironment.create(seed=SEED, exchange=exchange_config(mode))
     docs = _docs()
 
     def main():
@@ -196,7 +191,8 @@ def run_wordcount(mode: str):
     return {"makespan_s": round(env.now(), 1), **_exchange_stats(env)}
 
 
-def main() -> int:
+def build_report() -> dict:
+    """Run both modes of both workloads; the report ``main`` writes."""
     sort_cos, sort_cos_trace_a = run_mergesort("cos-only", trace=True)
     _same, sort_cos_trace_b = run_mergesort("cos-only", trace=True)
     sort_cached, sort_cached_trace_a = run_mergesort("cached", trace=True)
@@ -249,6 +245,11 @@ def main() -> int:
         },
     }
     report["criteria_met"] = all(report["criteria"].values())
+    return report
+
+
+def main() -> int:
+    report = build_report()
     path = os.path.abspath(OUTPUT)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)

@@ -175,7 +175,7 @@ def run_stream_config(name: str, config: dict) -> dict:
         return windows
 
     windows = env.run(main)
-    stats = env.cache.stats()
+    stats = env.exchange.stats()
     return {
         "window_s": config["window_s"],
         "slide_s": config["slide_s"],

@@ -55,7 +55,7 @@ def main(env):
         f"{reused} map partials reused across overlaps, "
         f"{revised} windows refired for late arrivals"
     )
-    stats = env.cache.stats()
+    stats = env.exchange.stats()
     print(
         f"exchange cache: {stats['local_hits'] + stats['peer_hits']} hits, "
         f"{stats['cos_misses']} COS misses on intermediate reads"

@@ -24,10 +24,8 @@ Quickstart (mirrors Fig. 1 of the paper)::
     print(env.run(main))   # [10, 13, 16]
 """
 
-from repro.cache import CachePlane
 from repro.chaos import ChaosPlane, ChaosProfile
 from repro.config import (
-    CacheConfig,
     DagConfig,
     EventsConfig,
     ExchangeConfig,
@@ -130,8 +128,6 @@ __all__ = [
     "InvokerMode",
     "RetryConfig",
     "RetryPolicy",
-    "CacheConfig",
-    "CachePlane",
     "ExchangeConfig",
     "ExchangeBackend",
     "CosExchange",

@@ -97,77 +97,31 @@ class RetryConfig:
 
 
 @dataclass(frozen=True)
-class CacheConfig:
-    """The memory-tier intermediate-data cache plane (ARCHITECTURE.md §10).
-
-    Disabled by default: with ``enabled=False`` no plane is built, no
-    ``cache.*`` trace events are emitted and every data exchange behaves
-    exactly as before (the COS-only path), which keeps existing golden
-    traces byte-identical.  When enabled, each invoker node hosts a
-    byte-budgeted LRU memory cache; intermediates (shuffle partitions,
-    DAG node results) are written through it to COS and read cache-first:
-    local memory hit → peer transfer over the emulated network → COS.
-
-    Enabling this is shorthand for selecting the ``cached-cos`` exchange
-    backend (:class:`ExchangeConfig`, ARCHITECTURE.md §11), which owns
-    the plane since the backend seam was introduced.
-    """
-
-    #: build the cache plane at all
-    enabled: bool = False
-    #: per-invoker-node memory budget for cached intermediates (bytes)
-    node_budget_bytes: int = 64 * 1024 * 1024
-    #: eviction policy; only ``"lru"`` exists (victim = oldest virtual
-    #: touch, ties broken by key for determinism)
-    policy: str = "lru"
-    #: fixed latency of a local memory hit (seconds)
-    hit_latency_s: float = 200e-6
-    #: local memory streaming bandwidth (bytes/second)
-    memory_bandwidth_bps: float = 2 * 1024**3
-    #: node-to-node transfer bandwidth for peer hits (bytes/second)
-    peer_bandwidth_bps: float = 1 * 1024**3
-    #: consult the consistent-hash directory and fetch from peer nodes
-    #: (off = local-or-COS only)
-    peer_fetch: bool = True
-    #: after a COS miss, keep a copy in the reader's local cache
-    populate_on_miss: bool = True
-    #: virtual points per node on the directory's consistent-hash ring
-    ring_vnodes: int = 64
-
-    POLICIES = ("lru",)
-
-    def validate(self) -> None:
-        if self.node_budget_bytes < 0:
-            raise ValueError("node_budget_bytes must be non-negative")
-        if self.policy not in self.POLICIES:
-            raise ValueError(
-                f"policy must be one of {self.POLICIES}, got {self.policy!r}"
-            )
-        if self.hit_latency_s < 0:
-            raise ValueError("hit_latency_s must be non-negative")
-        if self.memory_bandwidth_bps <= 0:
-            raise ValueError("memory_bandwidth_bps must be positive")
-        if self.peer_bandwidth_bps <= 0:
-            raise ValueError("peer_bandwidth_bps must be positive")
-        if self.ring_vnodes <= 0:
-            raise ValueError("ring_vnodes must be positive")
-
-
-@dataclass(frozen=True)
 class ExchangeConfig:
     """Which data plane serves intermediate objects (ARCHITECTURE.md
     "Exchange backends").
 
-    With the default ``backend="cos"`` (and no :class:`CacheConfig`
-    opt-in) the exchange path is the paper's direct COS exchange and the
-    refactor is invisible: same-seed runs export byte-identical traces to
-    the pre-backend code.  ``"cached-cos"`` selects the PR 5 write-through
-    memory tier; ``"vm"`` provisions an emulated ephemeral-store cluster
-    (:class:`~repro.exchange.vm.VmExchange`) whose knobs follow.
+    With the default ``backend="cos"`` the exchange path is the paper's
+    direct COS exchange: same-seed runs export byte-identical traces to
+    the pre-backend code.  ``"cached-cos"`` selects the write-through
+    memory tier in the invoker nodes
+    (:class:`~repro.exchange.cached.CachedCosExchange`, ``cache_*``
+    knobs); ``"vm"`` provisions an emulated ephemeral-store cluster
+    (:class:`~repro.exchange.vm.VmExchange`, ``vm_*`` knobs).
     """
 
     #: backend name: ``"cos"`` | ``"cached-cos"`` | ``"vm"``
     backend: str = "cos"
+    #: per-invoker-node memory budget for cached intermediates (bytes;
+    #: ``"cached-cos"`` backend); LRU eviction on full, victim = oldest
+    #: virtual touch, ties broken by key
+    cache_node_budget_bytes: int = 64 * 1024 * 1024
+    #: fixed latency of a local memory hit (seconds)
+    cache_hit_latency_s: float = 200e-6
+    #: local memory streaming bandwidth (bytes/second)
+    cache_memory_bandwidth_bps: float = 2 * 1024**3
+    #: node-to-node transfer bandwidth for peer hits (bytes/second)
+    cache_peer_bandwidth_bps: float = 1 * 1024**3
     #: provisioned store-VM count (``"vm"`` backend)
     vm_nodes: int = 3
     #: memory capacity of each store VM (bytes); LRU eviction on full
@@ -191,6 +145,14 @@ class ExchangeConfig:
                 f"exchange backend must be one of {self.BACKENDS}, "
                 f"got {self.backend!r}"
             )
+        if self.cache_node_budget_bytes < 0:
+            raise ValueError("cache_node_budget_bytes must be non-negative")
+        if self.cache_hit_latency_s < 0:
+            raise ValueError("cache_hit_latency_s must be non-negative")
+        if self.cache_memory_bandwidth_bps <= 0:
+            raise ValueError("cache_memory_bandwidth_bps must be positive")
+        if self.cache_peer_bandwidth_bps <= 0:
+            raise ValueError("cache_peer_bandwidth_bps must be positive")
         if self.vm_nodes <= 0:
             raise ValueError("vm_nodes must be positive")
         if self.vm_node_memory_bytes < 0:
@@ -259,7 +221,7 @@ class TenantConfig:
 
 @dataclass(frozen=True)
 class EventsConfig:
-    """Durable event-sourced orchestration journal (ARCHITECTURE.md §12).
+    """Durable event-sourced orchestration journal (ARCHITECTURE.md §11).
 
     Disabled by default: with ``enabled=False`` no journal is built, no
     ``events.*`` trace events are emitted and nothing changes in any
@@ -384,8 +346,6 @@ class PyWrenConfig:
     monitoring: str = MonitoringTransport.COS_POLLING
     #: shared retry schedule for COS requests, invocations and 429s
     retry: RetryConfig = field(default_factory=RetryConfig)
-    #: memory-tier intermediate-data cache plane (disabled by default)
-    cache: CacheConfig = field(default_factory=CacheConfig)
     #: intermediate-data exchange backend (default: the direct COS path)
     exchange: ExchangeConfig = field(default_factory=ExchangeConfig)
     #: event-sourced orchestration journal + resume (disabled by default)
@@ -425,9 +385,6 @@ class PyWrenConfig:
         if not isinstance(self.retry, RetryConfig):
             raise ValueError("retry must be a RetryConfig")
         self.retry.validate()
-        if not isinstance(self.cache, CacheConfig):
-            raise ValueError("cache must be a CacheConfig")
-        self.cache.validate()
         if not isinstance(self.exchange, ExchangeConfig):
             raise ValueError("exchange must be an ExchangeConfig")
         self.exchange.validate()
@@ -466,7 +423,6 @@ class PyWrenConfig:
             )
         nested = {
             "retry": RetryConfig,
-            "cache": CacheConfig,
             "exchange": ExchangeConfig,
             "events": EventsConfig,
             "dag": DagConfig,

@@ -9,11 +9,12 @@ ambient-context machinery can hand executors to nested code.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import threading
 from typing import Any, Callable, Optional
 
-from repro.config import CacheConfig, PyWrenConfig
+from repro.config import PyWrenConfig
 from repro.core import context as ambient
 from repro.core import worker
 from repro.core.storage_client import InternalStorage
@@ -43,8 +44,6 @@ class CloudEnvironment:
         seed: int = 42,
         chaos=None,
         tracer: Optional[Tracer] = None,
-        cache: Optional[CacheConfig] = None,
-        exchange=None,
     ) -> None:
         self.kernel = kernel
         self.storage = storage
@@ -62,26 +61,21 @@ class CloudEnvironment:
         if chaos is not None:
             chaos.tracer = self.tracer
         #: the intermediate-data exchange backend (ARCHITECTURE.md
-        #: "Exchange backends").  The default — ``ExchangeConfig()`` with
-        #: no cache — is the direct COS path with zero new behaviour,
-        #: timings or trace events.
+        #: "Exchange backends"), built from ``config.exchange``.  The
+        #: default is the direct COS path with zero new behaviour, timings
+        #: or trace events.
         from repro.exchange import build_exchange
 
-        cache_config = cache if cache is not None else config.cache
-        exchange_config = exchange if exchange is not None else config.exchange
         self.exchange = build_exchange(
-            exchange_config,
-            cache_config,
+            config.exchange,
             len(platform.invokers),
             kernel=kernel,
             tracer=self.tracer,
             chaos=chaos,
         )
         platform.exchange = self.exchange
-        plane = getattr(self.exchange, "plane", None)
-        if plane is not None:
-            for node in platform.invokers:
-                node.cache_plane = plane
+        for node in platform.invokers:
+            node.exchange = self.exchange
         self._link_seq = itertools.count(1)
         self._id_seq = itertools.count(1)
         self._deploy_lock = threading.Lock()
@@ -96,12 +90,6 @@ class CloudEnvironment:
         #: in-cloud message broker (push-monitoring transport)
         self.broker = MessageBroker(kernel)
 
-    @property
-    def cache(self):
-        """The cache plane when the exchange backend carries one, else
-        ``None`` (kept for PR 5 callers; the backend is ``env.exchange``)."""
-        return getattr(self.exchange, "plane", None)
-
     @classmethod
     def create(
         cls,
@@ -113,7 +101,6 @@ class CloudEnvironment:
         crash_prob: float = 0.0,
         chaos=None,
         trace: bool = False,
-        cache: Optional[CacheConfig] = None,
         exchange=None,
         events=None,
         tenants=None,
@@ -133,15 +120,11 @@ class CloudEnvironment:
         ``trace=True`` enables the trace spine: every layer emits spans
         onto ``env.tracer`` (see :mod:`repro.trace`).
 
-        ``cache`` attaches the memory-tier intermediate-data cache plane
-        (a :class:`~repro.config.CacheConfig` with ``enabled=True``); by
-        default ``config.cache`` decides, which is disabled.
-
         ``exchange`` selects the intermediate-data exchange backend: an
-        :class:`~repro.config.ExchangeConfig` or a backend name (``"cos"``,
-        ``"cached-cos"``, ``"vm"``).  By default ``config.exchange``
-        decides, which is the direct COS path (``cache=`` above is the
-        PR 5 spelling for the cached backend and still works).
+        :class:`~repro.config.ExchangeConfig`, or a backend name (``"cos"``,
+        ``"cached-cos"``, ``"vm"``) that keeps the rest of
+        ``config.exchange``.  Either is written back to ``config.exchange``;
+        by default that section decides, which is the direct COS path.
 
         ``events`` switches on the durable orchestration journal: an
         :class:`~repro.config.EventsConfig`, or ``True`` for the default
@@ -157,13 +140,15 @@ class CloudEnvironment:
         """
         from repro.chaos import build_plane
         from repro.config import EventsConfig
-        from repro.exchange import normalize_exchange
 
-        exchange = normalize_exchange(exchange)
         plane = build_plane(chaos)
         kernel = kernel or Kernel()
         client_latency = client_latency or LatencyModel.wan()
         config = config or PyWrenConfig()
+        if isinstance(exchange, str):
+            exchange = dataclasses.replace(config.exchange, backend=exchange)
+        if exchange is not None:
+            config.exchange = exchange
         if events is not None:
             if events is True:
                 events = EventsConfig(enabled=True)
@@ -199,8 +184,6 @@ class CloudEnvironment:
             seed,
             chaos=plane,
             tracer=Tracer(kernel, enabled=bool(trace)),
-            cache=cache,
-            exchange=exchange,
         )
 
     # ------------------------------------------------------------------
@@ -245,17 +228,28 @@ class CloudEnvironment:
         return MQClient(self.broker, link)
 
     def internal_storage_in_cloud(self) -> InternalStorage:
-        """Internal storage reached over an in-cloud link (worker side)."""
+        """Internal storage reached over an in-cloud link (worker side).
+
+        Its exchange site is the running function's
+        ``(invoker_id, container_id)``, resolved once from the ambient
+        execution context; without one the tier stays out of the way.
+        """
         cos = COSClient(
             self.storage,
             self.platform.in_cloud_link_factory(),
             retry=self.config.retry,
         )
+        ctx = ambient.current_context()
+        execution = ctx.execution_context if ctx is not None else None
+        site = None
+        if execution is not None and execution.record.invoker_id is not None:
+            site = (execution.record.invoker_id, execution.record.container_id)
         return InternalStorage(
             cos,
             self.config.storage_bucket,
             self.config.storage_prefix,
             exchange=self.exchange,
+            site=site,
         )
 
     # ------------------------------------------------------------------

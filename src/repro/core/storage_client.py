@@ -17,12 +17,13 @@ finished calls with a single LIST request over the status prefix.
 through the environment's :class:`~repro.exchange.base.ExchangeBackend`
 (ARCHITECTURE.md "Exchange backends"): the direct COS path by default, a
 write-through memory tier or a provisioned ephemeral-store VM cluster by
-configuration.  The backend decides per call whether its tier engages
-(only for in-cloud sites); a worker's storage carries a *bound* backend
-view pinned to its ``(invoker_id, container_id)``, and a storage built
-without a backend gets a private direct-COS one.  Everything that is not
-an intermediate — status, func, agg-data, journal, dead-letter, trace
-objects — is the execution record and always talks straight to COS.
+configuration.  A storage serving a running function carries that
+function's ``(invoker_id, container_id)`` site and hands it to every
+exchange call, which is what lets a backend's tier engage; client-side
+storages have no site, and a storage built without a backend gets a
+private direct-COS one.  Everything that is not an intermediate —
+status, func, agg-data, journal, dead-letter, trace objects — is the
+execution record and always talks straight to COS.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class InternalStorage:
         bucket: str,
         prefix: str = "pywren.jobs",
         exchange=None,
+        site=None,
     ) -> None:
         self.cos = cos
         self.bucket = bucket
@@ -51,9 +53,12 @@ class InternalStorage:
             from repro.exchange import CosExchange
 
             exchange = CosExchange()
-        #: the :class:`~repro.exchange.base.ExchangeBackend` (possibly a
-        #: site-bound view) serving intermediate reads and writes
+        #: the :class:`~repro.exchange.base.ExchangeBackend` serving
+        #: intermediate reads and writes
         self.exchange = exchange
+        #: ``(invoker_id, container_id)`` of the function this storage
+        #: serves, or ``None`` on the client side (no tier engages)
+        self.site = site
 
     # -- key construction ---------------------------------------------------
     def callset_prefix(self, executor_id: str, callset_id: str) -> str:
@@ -180,7 +185,7 @@ class InternalStorage:
     ) -> int:
         blob = serializer.serialize(pairs)
         key = self.shuffle_key(executor_id, callset_id, call_id, reducer)
-        self.exchange.put(self.cos, self.bucket, key, blob)
+        self.exchange.put(self.cos, self.bucket, key, blob, self.site)
         return len(blob)
 
     def get_shuffle_partition(
@@ -197,6 +202,7 @@ class InternalStorage:
                 self.cos,
                 self.bucket,
                 self.shuffle_key(executor_id, callset_id, call_id, reducer),
+                self.site,
             )
         except NoSuchKey:
             return []
@@ -429,13 +435,18 @@ class InternalStorage:
     ):
         blob = serializer.serialize(value)
         key = self.result_key(executor_id, callset_id, call_id)
-        yield from self.exchange.put_steps(self.cos, self.bucket, key, blob)
+        yield from self.exchange.put_steps(
+            self.cos, self.bucket, key, blob, self.site
+        )
         return len(blob)
 
     def get_result(self, executor_id: str, callset_id: str, call_id: str) -> Any:
         """A call's result blob — tier-first for in-cloud readers (DAG
         dependents consuming upstream node outputs); plain COS otherwise."""
         blob = self.exchange.get(
-            self.cos, self.bucket, self.result_key(executor_id, callset_id, call_id)
+            self.cos,
+            self.bucket,
+            self.result_key(executor_id, callset_id, call_id),
+            self.site,
         )
         return serializer.deserialize(blob)

@@ -77,16 +77,12 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
     executor_id = params["executor_id"]
     callset_id = params["callset_id"]
     call_id = params["call_id"]
-    exchange = getattr(ctx.platform, "exchange", None)
-    if exchange is not None:
-        # bind the worker's fixed site: result write-through happens after
-        # the ambient execution context is popped
-        exchange = exchange.bound((ctx.record.invoker_id, ctx.record.container_id))
     storage = InternalStorage(
         ctx.cos,
         params["bucket"],
         params["prefix"],
-        exchange=exchange,
+        exchange=getattr(ctx.platform, "exchange", None),
+        site=(ctx.record.invoker_id, ctx.record.container_id),
     )
     tracer = ctx.platform.tracer
     if tracer is not None and not tracer.enabled:

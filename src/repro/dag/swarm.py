@@ -286,9 +286,9 @@ def _handoff_hint_steps(
     """Placement hint for a worker-fired dependent.
 
     The firing worker's own invoker node leads — its result blob was
-    written through the bound exchange an instant ago, so for linear
-    chains the dependent reads its input without the data ever leaving
-    the node.  When the bound exchange backend provides a locality
+    written through the exchange from this site an instant ago, so linear
+    chains let the dependent read its input without the data ever leaving
+    the node.  When the storage's exchange backend provides a locality
     directory, a fan-in dependent's *other* inputs (one more range read:
     its dependency-id block) upgrade the tail of the hint by current
     memory residency (same ranking the centralized scheduler uses).

@@ -1,4 +1,4 @@
-"""repro.events — durable event-sourced orchestration (ARCHITECTURE §12).
+"""repro.events — durable event-sourced orchestration (ARCHITECTURE §11).
 
 Everything the driver does that matters beyond its own process — jobs
 submitted, calls invoked, statuses committed, DAG nodes fired or buried,

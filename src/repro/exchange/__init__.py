@@ -1,6 +1,6 @@
 """``repro.exchange`` — pluggable backends for intermediate-data exchange.
 
-Selected by :class:`~repro.config.ExchangeConfig` (see
+Selected by :attr:`~repro.config.ExchangeConfig.backend` (see
 ARCHITECTURE.md "Exchange backends"):
 
 * ``"cos"`` — :class:`CosExchange`, the paper's direct COS path (default);
@@ -11,17 +11,15 @@ ARCHITECTURE.md "Exchange backends"):
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Optional
+from typing import Any
 
-from repro.exchange.base import BoundExchange, ExchangeBackend
+from repro.exchange.base import ExchangeBackend
 from repro.exchange.cached import CachedCosExchange
 from repro.exchange.cos import CosExchange
 from repro.exchange.vm import VmExchange
 
 __all__ = [
     "ExchangeBackend",
-    "BoundExchange",
     "CosExchange",
     "CachedCosExchange",
     "VmExchange",
@@ -30,55 +28,17 @@ __all__ = [
 
 
 def build_exchange(
-    exchange_config: Any,
-    cache_config: Any,
+    config: Any,
     n_nodes: int,
     kernel: Any = None,
     tracer: Any = None,
     chaos: Any = None,
 ) -> ExchangeBackend:
-    """Build the environment's backend from its config.
-
-    Back-compat: a ``CacheConfig(enabled=True)`` with the default
-    ``"cos"`` backend still selects the cached tier (the PR 5 opt-in
-    spelling, ``CloudEnvironment.create(cache=...)``); an explicit
-    ``ExchangeConfig(backend=...)`` wins.
-    """
-    backend = exchange_config.backend
-    if backend == "cos" and cache_config is not None and cache_config.enabled:
-        backend = "cached-cos"
-    if backend == "cos":
+    """Build the environment's backend from its :class:`ExchangeConfig`."""
+    if config.backend == "cos":
         return CosExchange()
-    if backend == "cached-cos":
-        cfg = cache_config
-        if cfg is None or not cfg.enabled:
-            from repro.config import CacheConfig
-
-            cfg = dataclasses.replace(
-                cfg if cfg is not None else CacheConfig(), enabled=True
-            )
-        return CachedCosExchange(cfg, n_nodes, kernel=kernel, tracer=tracer)
-    if backend == "vm":
-        return VmExchange(
-            exchange_config, kernel=kernel, tracer=tracer, chaos=chaos
-        )
-    raise ValueError(f"unknown exchange backend {backend!r}")
-
-
-def normalize_exchange(exchange: Any) -> Optional[Any]:
-    """Normalize an ``exchange=`` argument into an ``ExchangeConfig``.
-
-    Accepts ``None`` (defer to ``config.exchange``), a backend name
-    (``"vm"``), or an :class:`~repro.config.ExchangeConfig`.
-    """
-    if exchange is None:
-        return None
-    from repro.config import ExchangeConfig
-
-    if isinstance(exchange, str):
-        return ExchangeConfig(backend=exchange)
-    if isinstance(exchange, ExchangeConfig):
-        return exchange
-    raise TypeError(
-        "exchange must be None, a backend name or an ExchangeConfig"
-    )
+    if config.backend == "cached-cos":
+        return CachedCosExchange(config, n_nodes, kernel=kernel, tracer=tracer)
+    if config.backend == "vm":
+        return VmExchange(config, kernel=kernel, tracer=tracer, chaos=chaos)
+    raise ValueError(f"unknown exchange backend {config.backend!r}")

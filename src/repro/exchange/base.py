@@ -11,8 +11,8 @@ backend, selected by :class:`~repro.config.ExchangeConfig`:
 
 * :class:`~repro.exchange.cos.CosExchange` — the paper's direct COS path
   (default; byte-identical to the pre-backend code),
-* :class:`~repro.exchange.cached.CachedCosExchange` — the PR 5
-  write-through memory tier, re-homed as a backend,
+* :class:`~repro.exchange.cached.CachedCosExchange` — a write-through
+  memory tier in the invoker nodes' containers,
 * :class:`~repro.exchange.vm.VmExchange` — an emulated ephemeral-store
   (Redis-like) cluster of provisioned VM nodes.
 
@@ -30,35 +30,18 @@ Contract (pinned by ``tests/exchange/test_backend_contract.py``):
 * **Virtual time is the caller's.**  Every method takes the caller's
   :class:`~repro.cos.client.COSClient` so network time is charged to
   that caller's own link, exactly like the direct path.
-* **Site gating.**  The backend tier only engages for code running *on*
-  the emulated cloud — a worker's storage is bound to its fixed
-  ``(invoker_id, container_id)`` site via :meth:`ExchangeBackend.bound`;
-  otherwise the ambient execution context decides.  Client-side (WAN)
-  reads and writes always use the plain COS path.
+* **Site gating.**  The backend tier only engages for a caller that
+  names its ``(invoker_id, container_id)`` site — code running *on* the
+  emulated cloud.  ``site=None`` is the client side: its (WAN) reads and
+  writes always take the plain COS path.
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterator, Optional
 
-Site = tuple[Optional[int], Optional[str]]
-
-
-def ambient_site() -> Optional[Site]:
-    """``(invoker_id, container_id)`` of the running function, if any.
-
-    ``None`` for client-side code (no execution context) and for workers
-    that predate invoker-id stamping.
-    """
-    from repro.core import context as ambient
-
-    ctx = ambient.current_context()
-    if ctx is None or ctx.execution_context is None:
-        return None
-    record = ctx.execution_context.record
-    if record.invoker_id is None:
-        return None
-    return record.invoker_id, record.container_id
+#: ``(invoker_id, container_id)`` of the function doing the I/O
+Site = tuple[int, Optional[str]]
 
 
 class ExchangeBackend:
@@ -76,24 +59,6 @@ class ExchangeBackend:
     #: whether :meth:`locate` yields useful placement hints (lets the DAG
     #: scheduler skip per-dependency directory peeks on plain backends)
     provides_locality = False
-
-    # ------------------------------------------------------------------
-    # Site resolution
-    # ------------------------------------------------------------------
-    def bound(self, site: Site) -> "BoundExchange":
-        """A view of this backend pinned to one ``(invoker, container)``.
-
-        The worker's storage uses it because result write-through happens
-        after the ambient execution context is popped; everything else
-        resolves the site ambiently per call.
-        """
-        return BoundExchange(self, site)
-
-    def resolve_site(self, site: Optional[Site] = None) -> Optional[Site]:
-        """The effective site: the fixed one if given, else ambient."""
-        if site is not None and site[0] is not None:
-            return site
-        return ambient_site()
 
     # ------------------------------------------------------------------
     # Data path.  ``cos`` is the *caller's* client; time rides its link.
@@ -126,9 +91,7 @@ class ExchangeBackend:
         """
         return (yield from cos.get_object_steps(bucket, key))
 
-    def delete(
-        self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
-    ) -> None:
+    def delete(self, cos: Any, bucket: str, key: str) -> None:
         """Remove the COS object and every backend copy."""
         cos.delete_object(bucket, key)
         self.invalidate(key)
@@ -158,6 +121,12 @@ class ExchangeBackend:
     def invalidate_prefix(self, prefix: str) -> None:
         """Invalidate every tier copy under ``prefix`` (executor.clean)."""
 
+    def reclaim_container(
+        self, node_id: int, container_id: str, reason: str
+    ) -> None:
+        """A container on invoker ``node_id`` died or was reclaimed
+        (``reason``): tier copies held in its memory vanish with it."""
+
     def stats(self) -> dict[str, Any]:
         """Aggregate hit/miss/eviction counters for reports and benches."""
         return {}
@@ -175,60 +144,3 @@ class ExchangeBackend:
         VM-seconds here.
         """
         return {"vm_nodes": 0, "vm_seconds": 0.0}
-
-
-class BoundExchange:
-    """A backend view pinned to one producer/consumer site.
-
-    Delegates everything; only the data-path methods gain the fixed
-    ``site``.  Handed to the worker's :class:`InternalStorage` so result
-    write-through still works after the ambient context is popped.
-    """
-
-    def __init__(self, backend: ExchangeBackend, site: Site) -> None:
-        self.backend = backend
-        self.site = site
-
-    @property
-    def name(self) -> str:
-        return self.backend.name
-
-    @property
-    def provides_locality(self) -> bool:
-        return self.backend.provides_locality
-
-    def put(self, cos: Any, bucket: str, key: str, blob: bytes) -> None:
-        cos.link.kernel.drive(self.put_steps(cos, bucket, key, blob))
-
-    def put_steps(self, cos: Any, bucket: str, key: str, blob: bytes):
-        yield from self.backend.put_steps(cos, bucket, key, blob, site=self.site)
-
-    def get(self, cos: Any, bucket: str, key: str) -> bytes:
-        return cos.link.kernel.drive(self.get_steps(cos, bucket, key))
-
-    def get_steps(self, cos: Any, bucket: str, key: str):
-        return (yield from self.backend.get_steps(cos, bucket, key, site=self.site))
-
-    def delete(self, cos: Any, bucket: str, key: str) -> None:
-        self.backend.delete(cos, bucket, key, site=self.site)
-
-    def list(self, cos: Any, bucket: str, prefix: str) -> list[str]:
-        return self.backend.list(cos, bucket, prefix)
-
-    def locate(self, key: str) -> list[tuple[int, int]]:
-        return self.backend.locate(key)
-
-    def invalidate(self, key: str) -> None:
-        self.backend.invalidate(key)
-
-    def invalidate_prefix(self, prefix: str) -> None:
-        self.backend.invalidate_prefix(prefix)
-
-    def stats(self) -> dict[str, Any]:
-        return self.backend.stats()
-
-    def describe(self) -> dict[str, Any]:
-        return self.backend.describe()
-
-    def billing(self, now: float) -> dict[str, Any]:
-        return self.backend.billing(now)

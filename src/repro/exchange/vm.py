@@ -28,8 +28,8 @@ emulates that plane:
   ``benchmarks/bench_exchange_matrix.py`` measures.  Traffic is emitted
   as ``exchange.*`` events on the "exchange" trace layer.
 
-Like every backend, the tier only engages for in-cloud sites; the
-client's WAN-side storage takes the plain COS path.
+Like every backend, the tier only engages for callers that pass an
+in-cloud site; the client's WAN-side storage takes the plain COS path.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.cache.node_cache import NodeCache
-from repro.cache.ring import HashRing
 from repro.exchange.base import ExchangeBackend, Site
+from repro.exchange.memory import HashRing, NodeCache
 
 __all__ = ["VmExchange", "VmNode"]
 
@@ -99,7 +98,6 @@ class VmExchange(ExchangeBackend):
         chaos: Any = None,
     ) -> None:
         self.config = config
-        self.kernel = kernel
         self.tracer = tracer
         self.chaos = chaos
         clock = kernel.now if kernel is not None else None
@@ -144,9 +142,8 @@ class VmExchange(ExchangeBackend):
         site: Optional[Site] = None,
     ):
         yield from cos.put_object_steps(bucket, key, blob)
-        if self.resolve_site(site) is None:
-            return
-        yield from self._vm_put_steps(cos, key, blob)
+        if site is not None:
+            yield from self._vm_put_steps(cos, key, blob)
 
     def _vm_put_steps(self, cos: Any, key: str, blob: bytes):
         from repro.vtime.kernel import vsleep
@@ -164,13 +161,7 @@ class VmExchange(ExchangeBackend):
             self._count("down_ops")
             self._trace_point("exchange.down", node=node.node_id, key=key, op="put")
             return
-        evicted = node.store.put(key, blob, None)
-        for victim, size in evicted:
-            self._count("evictions")
-            self._trace_point(
-                "exchange.evict", node=node.node_id, key=victim,
-                bytes=size, reason="lru",
-            )
+        self._store(node, key, blob)
         self._count("puts", bytes_put=len(blob))
         self._trace_span(
             "exchange.put", t0, now, node=node.node_id, key=key, bytes=len(blob)
@@ -187,7 +178,7 @@ class VmExchange(ExchangeBackend):
     def get_steps(
         self, cos: Any, bucket: str, key: str, site: Optional[Site] = None
     ):
-        if self.resolve_site(site) is None:
+        if site is None:
             return (yield from cos.get_object_steps(bucket, key))
         return (yield from self._vm_get_steps(cos, bucket, key))
 
@@ -219,17 +210,20 @@ class VmExchange(ExchangeBackend):
         # transparent fallback: the ordinary charged COS GET.  NoSuchKey
         # propagates unchanged (the object was never published / deleted).
         blob = yield from cos.get_object_steps(bucket, key)
-        self._count_bytes(bytes_from_cos=len(blob))
-        now = kernel.now()
-        if node.up(now):
+        self._count(None, bytes_from_cos=len(blob))
+        if node.up(kernel.now()):
             # repopulate the (possibly freshly restarted) owner on miss
-            for victim, size in node.store.put(key, blob, None):
-                self._count("evictions")
-                self._trace_point(
-                    "exchange.evict", node=node.node_id, key=victim,
-                    bytes=size, reason="lru",
-                )
+            self._store(node, key, blob)
         return blob
+
+    def _store(self, node: VmNode, key: str, blob: bytes) -> None:
+        """Insert into the node's LRU, accounting for what it evicts."""
+        for victim, size in node.store.put(key, blob, None):
+            self._count("evictions")
+            self._trace_point(
+                "exchange.evict", node=node.node_id, key=victim,
+                bytes=size, reason="lru",
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -270,14 +264,10 @@ class VmExchange(ExchangeBackend):
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _count(self, counter: str, **bytes_counters: int) -> None:
+    def _count(self, counter: Optional[str], **bytes_counters: int) -> None:
         with self._lock:
-            self._counters[counter] += 1
-            for name, nbytes in bytes_counters.items():
-                self._counters[name] += nbytes
-
-    def _count_bytes(self, **bytes_counters: int) -> None:
-        with self._lock:
+            if counter is not None:
+                self._counters[counter] += 1
             for name, nbytes in bytes_counters.items():
                 self._counters[name] += nbytes
 

@@ -19,7 +19,7 @@ class Container:
     fetched) them: the container's memory is where they physically live, so
     its reclaim — idle eviction, pressure, or a chaos-injected crash —
     drops those entries from the node's cache and readers fall back to a
-    peer copy or COS (see :mod:`repro.cache`).
+    peer copy or COS (see :mod:`repro.exchange.cached`).
     """
 
     IDLE = "idle"

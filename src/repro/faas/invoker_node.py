@@ -42,13 +42,14 @@ class InvokerNode:
         #: scheduled (start, end) windows during which this node accepts no
         #: placements (chaos-plane blackouts); empty by default
         self.blackouts: list[tuple[float, float]] = []
-        #: the :class:`~repro.cache.CachePlane`, or ``None`` when the cache
-        #: tier is disabled.  Cached intermediates live in container memory,
-        #: so reclaiming a container drops its entries from this node's cache.
-        self.cache_plane = None
-        # (container_id, reason) pairs evicted under self._lock, reclaimed
-        # from the cache plane once the lock is released (lock order:
-        # node lock strictly before any cache-plane lock)
+        #: the environment's :class:`~repro.exchange.base.ExchangeBackend`,
+        #: or ``None`` outside an environment.  A tier may keep
+        #: intermediates in container memory, so every container this node
+        #: stops is reported to its ``reclaim_container`` hook.
+        self.exchange = None
+        # (container_id, reason) pairs evicted under self._lock, reported
+        # to the exchange once the lock is released (lock order: node lock
+        # strictly before any exchange lock)
         self._doomed_containers: list[tuple[str, str]] = []
 
     # -- availability --------------------------------------------------------
@@ -121,15 +122,13 @@ class InvokerNode:
         return self.try_place_cold(action, now)
 
     def _flush_doomed_containers(self) -> None:
-        """Drop cached entries of containers evicted while holding the lock."""
+        """Report containers evicted while holding the lock to the exchange."""
         if not self._doomed_containers:
             return
         with self._lock:
             doomed, self._doomed_containers = self._doomed_containers, []
-        plane = self.cache_plane
-        if plane is not None:
-            for container_id, reason in doomed:
-                plane.reclaim_container(self.node_id, container_id, reason)
+        for container_id, reason in doomed:
+            self.exchange.reclaim_container(self.node_id, container_id, reason)
 
     def try_place_cold(self, action: Action, now: float) -> Optional[Placement]:
         """Start a cold container, evicting idle ones for room if needed.
@@ -161,15 +160,14 @@ class InvokerNode:
     def discard(self, container: Container, crashed: bool = False) -> None:
         """Destroy a busy container (crash path): frees its memory.
 
-        Any intermediates the container held in the node cache die with it;
-        readers transparently fall back to a peer copy or to COS.
+        Any intermediates the container held in the exchange tier die with
+        it; readers transparently fall back to a peer copy or to COS.
         """
         with self._lock:
             container.state = Container.CRASHED if crashed else Container.STOPPED
             self._used_mb -= container.memory_mb
-        plane = self.cache_plane
-        if plane is not None:
-            plane.reclaim_container(
+        if self.exchange is not None:
+            self.exchange.reclaim_container(
                 self.node_id,
                 container.container_id,
                 "crash" if crashed else "stop",
@@ -195,7 +193,7 @@ class InvokerNode:
             pool.remove(container)
             container.state = Container.STOPPED
             self._used_mb -= container.memory_mb
-            if self.cache_plane is not None:
+            if self.exchange is not None:
                 self._doomed_containers.append(
                     (container.container_id, "reclaim")
                 )

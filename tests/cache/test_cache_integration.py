@@ -53,10 +53,10 @@ def _wordcount(env):
 class TestCachedExchange:
     def test_shuffle_reads_served_from_memory(self):
         env = CloudEnvironment.create(
-            seed=SEED, cache=pw.CacheConfig(enabled=True)
+            seed=SEED, exchange="cached-cos"
         )
         assert _wordcount(env) == EXPECTED
-        stats = env.cache.stats()
+        stats = env.exchange.stats()
         assert stats["local_hits"] + stats["peer_hits"] > 0
         # nothing in this run exceeds a node budget, so no read missed
         assert stats["cos_misses"] == 0
@@ -65,26 +65,23 @@ class TestCachedExchange:
     def test_answers_identical_with_and_without_cache(self):
         plain = CloudEnvironment.create(seed=SEED)
         cached = CloudEnvironment.create(
-            seed=SEED, cache=pw.CacheConfig(enabled=True)
+            seed=SEED, exchange="cached-cos"
         )
-        assert plain.cache is None  # off by default
+        assert plain.exchange.name == "cos"  # off by default
         assert _wordcount(plain) == _wordcount(cached) == EXPECTED
 
     def test_zero_budget_plane_matches_disabled_timing(self):
-        """The instrumented cos-only mode is timing-neutral (bench baseline)."""
+        """The zero-budget tier is timing-neutral (the bench's cos-only mode)."""
         plain = CloudEnvironment.create(seed=SEED)
         neutered = CloudEnvironment.create(
             seed=SEED,
-            cache=pw.CacheConfig(
-                enabled=True,
-                node_budget_bytes=0,
-                peer_fetch=False,
-                populate_on_miss=False,
+            exchange=pw.ExchangeConfig(
+                backend="cached-cos", cache_node_budget_bytes=0
             ),
         )
         assert _wordcount(plain) == _wordcount(neutered) == EXPECTED
         assert plain.now() == neutered.now()
-        stats = neutered.cache.stats()
+        stats = neutered.exchange.stats()
         assert stats["local_hits"] == stats["peer_hits"] == 0
         assert stats["cos_misses"] == stats["intermediate_reads"] > 0
 
@@ -94,13 +91,13 @@ class TestCrashLossFallback:
         """Containers die mid-job; readers must never depend on residency."""
         env = CloudEnvironment.create(
             seed=SEED,
-            cache=pw.CacheConfig(enabled=True),
+            exchange="cached-cos",
             chaos=ChaosProfile("crashy-workers", seed=3, crash_prob=0.3),
         )
         assert _wordcount(env) == EXPECTED
         # crashes actually happened ...
         assert env.chaos.fault_counts().get("container:crash", 0) >= 1
-        stats = env.cache.stats()
+        stats = env.exchange.stats()
         # ... crash reclaim dropped cached entries with the dying containers
         assert stats["evictions"].get("crash", 0) >= 1
         # ... and readers whose copies died transparently went to COS
@@ -109,11 +106,11 @@ class TestCrashLossFallback:
 
     def test_chaos_answer_matches_clean_run(self):
         clean = CloudEnvironment.create(
-            seed=SEED, cache=pw.CacheConfig(enabled=True)
+            seed=SEED, exchange="cached-cos"
         )
         chaotic = CloudEnvironment.create(
             seed=SEED,
-            cache=pw.CacheConfig(enabled=True),
+            exchange="cached-cos",
             chaos=ChaosProfile("crashy-workers", seed=3, crash_prob=0.3),
         )
         assert _wordcount(clean) == _wordcount(chaotic) == EXPECTED
@@ -122,7 +119,7 @@ class TestCrashLossFallback:
 class TestDeterminism:
     def _traced_run(self):
         env = CloudEnvironment.create(
-            seed=SEED, trace=True, cache=pw.CacheConfig(enabled=True)
+            seed=SEED, trace=True, exchange="cached-cos"
         )
 
         def main():

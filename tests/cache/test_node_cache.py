@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache import NodeCache
+from repro.exchange.memory import NodeCache
 
 
 class _Clock:
@@ -86,12 +86,13 @@ class TestEvictionOrder:
 class TestByteBudget:
     def test_used_bytes_never_exceeds_budget(self, clock):
         cache = NodeCache(0, budget_bytes=100, clock=clock)
+        evicted = []
         for i in range(50):
             clock.t = float(i)
-            cache.put(f"k{i:03d}", b"x" * (7 + i % 13), None)
+            evicted += cache.put(f"k{i:03d}", b"x" * (7 + i % 13), None)
             assert cache.used_bytes <= 100
         assert cache.used_bytes <= 100
-        assert cache.evictions > 0
+        assert evicted
 
     def test_oversize_object_is_not_cached(self, clock):
         cache = NodeCache(0, budget_bytes=10, clock=clock)
@@ -131,31 +132,9 @@ class TestContainerTagging:
         assert cache.keys() == ["c"]
         assert cache.used_bytes == 30
 
-    def test_container_bytes(self, clock):
-        cache = NodeCache(0, budget_bytes=100, clock=clock)
-        cache.put("a", b"x" * 10, "c-1")
-        cache.put("b", b"x" * 20, "c-2")
-        assert cache.container_bytes("c-1") == 10
-        assert cache.container_bytes("c-2") == 20
-        assert cache.container_bytes("absent") == 0
-
     def test_drop_absent_key_returns_none(self, clock):
         cache = NodeCache(0, budget_bytes=100, clock=clock)
         assert cache.drop("nope") is None
         cache.put("a", b"x" * 4, None)
         assert cache.drop("a") == 4
         assert cache.used_bytes == 0
-
-
-class TestCounters:
-    def test_hit_miss_insert_evict_counts(self, clock):
-        cache = NodeCache(0, budget_bytes=10, clock=clock)
-        assert cache.get("a") is None
-        cache.put("a", b"x" * 10, None)
-        clock.t = 1.0
-        assert cache.get("a") is not None
-        cache.put("b", b"x" * 10, None)  # evicts "a"
-        assert cache.misses == 1
-        assert cache.hits == 1
-        assert cache.insertions == 2
-        assert cache.evictions == 1

@@ -1,17 +1,17 @@
-"""Unit tests for the cluster-wide cache plane (directory + node caches)."""
+"""Unit tests for the cached-cos backend's holder directory and node caches."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import CachePlane
-from repro.config import CacheConfig
+from repro.config import ExchangeConfig
+from repro.exchange import CachedCosExchange
 
 
-def make_plane(n_nodes=4, **overrides) -> CachePlane:
-    defaults = dict(enabled=True, node_budget_bytes=1024)
+def make_plane(n_nodes=4, **overrides) -> CachedCosExchange:
+    defaults = dict(backend="cached-cos", cache_node_budget_bytes=1024)
     defaults.update(overrides)
-    return CachePlane(CacheConfig(**defaults), n_nodes)
+    return CachedCosExchange(ExchangeConfig(**defaults), n_nodes)
 
 
 class TestDirectory:
@@ -23,9 +23,9 @@ class TestDirectory:
         # a fresh write supersedes every older copy
         plane.publish("k", b"v2", 2, "c-2")
         assert plane.holders("k") == [2]
-        assert plane.local_get("k", 0) is None
-        assert plane.local_get("k", 1) is None
-        assert plane.local_get("k", 2) == b"v2"
+        assert plane.nodes[0].get("k") is None
+        assert plane.nodes[1].get("k") is None
+        assert plane.nodes[2].get("k") == b"v2"
         assert plane.stats()["evictions"].get("invalidate", 0) == 2
 
     def test_locate_prunes_stale_entries(self):
@@ -33,20 +33,15 @@ class TestDirectory:
         plane.publish("k", b"data", 0, "c-0")
         plane.admit("k", b"data", 1, "c-1")
         # entry vanishes from node 1's memory without telling the directory
-        plane.node(1).drop("k")
+        plane.nodes[1].drop("k")
         assert plane.locate("k") == [(0, 4)]
         assert plane.holders("k") == [0]  # the stale record was pruned
 
-    def test_directory_owner_matches_ring(self):
-        plane = make_plane(n_nodes=5)
-        for key in ("a", "b", "shuffle/part-0"):
-            assert plane.directory_owner(key) == plane.ring.owner(key)
-
     def test_over_budget_publish_not_registered(self):
-        plane = make_plane(node_budget_bytes=4)
+        plane = make_plane(cache_node_budget_bytes=4)
         plane.publish("k", b"toolarge", 0, "c-0")
         assert plane.holders("k") == []
-        assert plane.local_get("k", 0) is None
+        assert plane.nodes[0].get("k") is None
 
 
 class TestPeerGet:
@@ -73,8 +68,8 @@ class TestInvalidation:
         plane.admit("k", b"v", 2, "c-2")
         plane.invalidate("k")
         assert plane.holders("k") == []
-        assert plane.local_get("k", 0) is None
-        assert plane.local_get("k", 2) is None
+        assert plane.nodes[0].get("k") is None
+        assert plane.nodes[2].get("k") is None
 
     def test_invalidate_prefix(self):
         plane = make_plane()
@@ -105,7 +100,7 @@ class TestContainerReclaim:
         plane.publish("k", b"v", 1, "c-dead")
         plane.reclaim_container(1, "c-dead", "crash")
         # every lookup path comes up empty: the reader goes to COS
-        assert plane.local_get("k", 1) is None
+        assert plane.nodes[1].get("k") is None
         assert plane.peer_get("k", reader_node=0) is None
         assert plane.locate("k") == []
 
@@ -113,9 +108,9 @@ class TestContainerReclaim:
 class TestCostModelAndStats:
     def test_delay_formulas(self):
         plane = make_plane(
-            hit_latency_s=1e-4,
-            memory_bandwidth_bps=1000.0,
-            peer_bandwidth_bps=500.0,
+            cache_hit_latency_s=1e-4,
+            cache_memory_bandwidth_bps=1000.0,
+            cache_peer_bandwidth_bps=500.0,
         )
         assert plane.hit_delay(100) == pytest.approx(1e-4 + 0.1)
         assert plane.peer_transfer_delay(100) == pytest.approx(0.2)
@@ -139,7 +134,7 @@ class TestCostModelAndStats:
         assert stats["read_seconds_total"] == pytest.approx(1.0)
 
     def test_resident_bytes_and_lru_eviction_deregisters(self):
-        plane = make_plane(node_budget_bytes=10)
+        plane = make_plane(cache_node_budget_bytes=10)
         plane.publish("a", b"x" * 10, 0, "c-0")
         assert plane.stats()["resident_bytes"] == 10
         plane.publish("b", b"y" * 10, 0, "c-0")  # LRU-evicts "a"

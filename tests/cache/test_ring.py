@@ -1,15 +1,15 @@
-"""Peer-lookup consistency: the consistent-hash directory ring.
+"""Key-ownership consistency: the VM cluster's consistent-hash ring.
 
-Every participant — producers registering, readers consulting, the
-locality hint peeking — must compute the *same* owner for the same key,
-across processes and runs.  That is what these tests pin.
+Every participant — writers placing a key, readers consulting its owner
+— must compute the *same* owner for the same key, across processes and
+runs.  That is what these tests pin.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.cache import HashRing
+from repro.exchange.memory import HashRing
 
 
 class TestConsistency:

@@ -85,6 +85,62 @@ class TestExchangeConfig:
         again = PyWrenConfig.from_dict(config.to_dict())
         assert again.exchange == config.exchange
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cache_node_budget_bytes": -1},
+            {"cache_hit_latency_s": -1e-6},
+            {"cache_memory_bandwidth_bps": 0},
+            {"cache_peer_bandwidth_bps": 0},
+        ],
+    )
+    def test_invalid_cache_knobs_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PyWrenConfig(exchange=ExchangeConfig(**kwargs)).validate()
+
+    def test_no_second_cache_section(self):
+        """The memory tier is selected by ``exchange.backend`` alone."""
+        with pytest.raises(
+            ValueError, match=r"unknown config keys: \['cache'\] \(known: \["
+        ):
+            PyWrenConfig.from_dict({"cache": {"enabled": True}})
+
+
+class TestExchangeSelector:
+    """``create(exchange=<name>)`` picks the backend, keeps the tuning."""
+
+    def test_backend_name_keeps_vm_knobs(self):
+        from repro.core.environment import CloudEnvironment
+
+        config = PyWrenConfig(
+            exchange=ExchangeConfig(vm_nodes=5, vm_startup_s=2.0)
+        )
+        env = CloudEnvironment.create(config=config, exchange="vm")
+        assert env.config.exchange.backend == "vm"
+        assert env.config.exchange.vm_nodes == 5
+        nodes = env.exchange.describe()["nodes"]
+        assert [node["ready_at_s"] for node in nodes] == [2.0] * 5
+
+    def test_backend_name_keeps_cache_knobs(self):
+        from repro.core.environment import CloudEnvironment
+
+        config = PyWrenConfig(
+            exchange=ExchangeConfig(cache_node_budget_bytes=4096)
+        )
+        env = CloudEnvironment.create(config=config, exchange="cached-cos")
+        assert env.config.exchange.backend == "cached-cos"
+        capacities = {
+            node["capacity_bytes"] for node in env.exchange.describe()["nodes"]
+        }
+        assert capacities == {4096}
+
+    def test_config_section_alone_selects(self):
+        from repro.core.environment import CloudEnvironment
+
+        config = PyWrenConfig(exchange=ExchangeConfig(backend="cached-cos"))
+        assert CloudEnvironment.create(config=config).exchange.name == "cached-cos"
+        assert CloudEnvironment.create().exchange.name == "cos"
+
 
 class TestOverrides:
     def test_with_overrides_copies(self):

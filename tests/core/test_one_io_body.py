@@ -26,11 +26,11 @@ import pytest
 
 import repro
 from repro.chaos import ChaosProfile, build_plane
-from repro.config import CacheConfig, ExchangeConfig
+from repro.config import ExchangeConfig
 from repro.core.storage_client import InternalStorage
 from repro.cos import CloudObjectStorage, COSClient
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
-from repro.exchange.base import BoundExchange, ExchangeBackend
+from repro.exchange.base import ExchangeBackend
 from repro.faas import CloudFunctions, CloudFunctionsClient
 from repro.faas.gateway import INVOKE_PAYLOAD_BYTES
 from repro.mq.broker import MessageBroker
@@ -164,7 +164,7 @@ def _backend(name: str, kernel: Kernel) -> ExchangeBackend:
         return CosExchange()
     if name == "cached-cos":
         return CachedCosExchange(
-            CacheConfig(enabled=True, node_budget_bytes=64 * 1024),
+            ExchangeConfig(backend="cached-cos", cache_node_budget_bytes=64 * 1024),
             n_nodes=2,
             kernel=kernel,
         )
@@ -175,22 +175,21 @@ def _backend(name: str, kernel: Kernel) -> ExchangeBackend:
 
 def _exchange(w: World, backend_name: str, op: str, in_cloud: bool) -> Case:
     backend = _backend(backend_name, w.kernel)
-    view = backend.bound(CLOUD_SITE) if in_cloud else backend
+    site = CLOUD_SITE if in_cloud else None
     key = f"x/{op}"
     if op == "put":
         return Case(
             _nothing,
-            lambda: view.put(w.cos, BUCKET, key, DATA),
-            lambda: view.put_steps(w.cos, BUCKET, key, DATA),
+            lambda: backend.put(w.cos, BUCKET, key, DATA, site),
+            lambda: backend.put_steps(w.cos, BUCKET, key, DATA, site),
             lambda: (_stored(w, key)(), backend.stats()),
         )
     # the object is published (through the tier, from the cloud site)
     # before the read, so in-cloud reads exercise the backend's hit path
-    publisher = backend.bound(CLOUD_SITE)
     return Case(
-        lambda: publisher.put(w.cos, BUCKET, key, DATA),
-        lambda: view.get(w.cos, BUCKET, key),
-        lambda: view.get_steps(w.cos, BUCKET, key),
+        lambda: backend.put(w.cos, BUCKET, key, DATA, CLOUD_SITE),
+        lambda: backend.get(w.cos, BUCKET, key, site),
+        lambda: backend.get_steps(w.cos, BUCKET, key, site),
         backend.stats,
     )
 
@@ -348,7 +347,6 @@ GUARDED = {
     "CosExchange",
     "CachedCosExchange",
     "VmExchange",
-    "BoundExchange",
     "NetworkLink",
     "CloudFunctionsClient",
     "CloudFunctions",
@@ -472,7 +470,7 @@ def _subclasses(cls):
 
 @pytest.mark.parametrize(
     "cls",
-    [ExchangeBackend, *_subclasses(ExchangeBackend), BoundExchange],
+    [ExchangeBackend, *_subclasses(ExchangeBackend)],
     ids=lambda cls: cls.__name__,
 )
 def test_exchange_backends_own_their_data_path(cls):

@@ -235,10 +235,8 @@ class TestScheduleSlices:
         exchange does the one worker that fires the fan-in node also read
         its dependency-id block — and placement still leads with that
         worker's own invoker."""
-        from repro.config import CacheConfig
-
         env = CloudEnvironment.create(
-            seed=123, cache=CacheConfig(enabled=cached)
+            seed=123, exchange="cached-cos" if cached else "cos"
         )
         read_slice = InternalStorage.get_swarm_slice_steps
         reads = []

@@ -15,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.chaos import ChaosProfile, build_plane
-from repro.config import CacheConfig, ExchangeConfig
+from repro.config import ExchangeConfig
 from repro.cos import CloudObjectStorage, COSClient
 from repro.cos.errors import NoSuchKey
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
@@ -48,7 +48,7 @@ def make_backend(name: str, kernel, chaos=None, vm_cfg: ExchangeConfig = VM_CFG)
         return CosExchange()
     if name == "cached-cos":
         return CachedCosExchange(
-            CacheConfig(enabled=True, node_budget_bytes=64 * 1024),
+            ExchangeConfig(backend="cached-cos", cache_node_budget_bytes=64 * 1024),
             n_nodes=4,
             kernel=kernel,
         )
@@ -60,15 +60,15 @@ class TestContract:
     def test_publish_visible_from_every_site(self, name):
         kernel, _store, cos = make_world()
         backend = make_backend(name, kernel)
-        producer = backend.bound((0, "c0"))
-        other = backend.bound((1, "c1"))
+        producer = (0, "c0")
+        other = (1, "c1")
 
         def main():
-            producer.put(cos, BUCKET, "k/one", b"payload-1")
+            backend.put(cos, BUCKET, "k/one", b"payload-1", site=producer)
             return (
-                producer.get(cos, BUCKET, "k/one"),  # same site
-                other.get(cos, BUCKET, "k/one"),     # remote in-cloud site
-                backend.get(cos, BUCKET, "k/one"),   # client side (no site)
+                backend.get(cos, BUCKET, "k/one", site=producer),  # same site
+                backend.get(cos, BUCKET, "k/one", site=other),  # remote in-cloud site
+                backend.get(cos, BUCKET, "k/one"),  # client side (no site)
             )
 
         assert kernel.run(main) == (b"payload-1",) * 3
@@ -76,13 +76,13 @@ class TestContract:
     def test_delete_then_get_raises_everywhere(self, name):
         kernel, _store, cos = make_world()
         backend = make_backend(name, kernel)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
 
         def main():
-            producer.put(cos, BUCKET, "k/gone", b"doomed")
-            producer.delete(cos, BUCKET, "k/gone")
+            backend.put(cos, BUCKET, "k/gone", b"doomed", site=producer)
+            backend.delete(cos, BUCKET, "k/gone")
             with pytest.raises(NoSuchKey):
-                producer.get(cos, BUCKET, "k/gone")
+                backend.get(cos, BUCKET, "k/gone", site=producer)
             with pytest.raises(NoSuchKey):
                 backend.get(cos, BUCKET, "k/gone")
             return True
@@ -92,11 +92,11 @@ class TestContract:
     def test_never_published_key_misses(self, name):
         kernel, _store, cos = make_world()
         backend = make_backend(name, kernel)
-        reader = backend.bound((0, "c0"))
+        reader = (0, "c0")
 
         def main():
             with pytest.raises(NoSuchKey):
-                reader.get(cos, BUCKET, "k/never")
+                backend.get(cos, BUCKET, "k/never", site=reader)
             return True
 
         assert kernel.run(main)
@@ -105,16 +105,16 @@ class TestContract:
         """Objects far beyond tier capacity are still served (from COS)."""
         kernel, _store, cos = make_world()
         backend = make_backend(name, kernel)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
         blobs = {
             f"k/big/{i:02d}": bytes([i]) * (48 * 1024) for i in range(6)
         }
 
         def main():
             for key, blob in sorted(blobs.items()):
-                producer.put(cos, BUCKET, key, blob)
+                backend.put(cos, BUCKET, key, blob, site=producer)
             return {
-                key: producer.get(cos, BUCKET, key)
+                key: backend.get(cos, BUCKET, key, site=producer)
                 for key in sorted(blobs)
             }
 
@@ -128,12 +128,12 @@ class TestContract:
         )
         kernel, _store, cos = make_world()
         backend = make_backend(name, kernel, chaos=chaos)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
 
         def main():
-            producer.put(cos, BUCKET, "k/surv", b"survivor")
+            backend.put(cos, BUCKET, "k/surv", b"survivor", site=producer)
             sleep(5.0)  # sail past every seeded crash time
-            return producer.get(cos, BUCKET, "k/surv")
+            return backend.get(cos, BUCKET, "k/surv", site=producer)
 
         assert kernel.run(main) == b"survivor"
         if name == "vm":
@@ -144,14 +144,14 @@ class TestContract:
         def one_run():
             kernel, _store, cos = make_world(seed=13)
             backend = make_backend(name, kernel)
-            producer = backend.bound((0, "c0"))
-            reader = backend.bound((1, "c1"))
+            producer = (0, "c0")
+            reader = (1, "c1")
 
             def main():
                 for i in range(4):
-                    producer.put(cos, BUCKET, f"k/d/{i}", b"x" * (100 + i))
+                    backend.put(cos, BUCKET, f"k/d/{i}", b"x" * (100 + i), site=producer)
                 for i in range(4):
-                    reader.get(cos, BUCKET, f"k/d/{i}")
+                    backend.get(cos, BUCKET, f"k/d/{i}", site=reader)
                 return kernel.now()
 
             horizon = kernel.run(main)
@@ -161,7 +161,7 @@ class TestContract:
 
 
 class TestSiteGating:
-    """The tier only engages for in-cloud sites (no ambient context here)."""
+    """The tier only engages for callers that pass an in-cloud site."""
 
     @pytest.mark.parametrize("name", ["cached-cos", "vm"])
     def test_client_side_put_leaves_tier_cold(self, name):
@@ -178,14 +178,6 @@ class TestSiteGating:
         if name == "vm":
             assert stats["puts"] == 0  # nothing reached the VM tier
 
-    def test_bound_view_reports_backend_identity(self):
-        kernel, _store, _cos = make_world()
-        backend = make_backend("vm", kernel)
-        bound = backend.bound((0, "c0"))
-        assert bound.name == "vm"
-        assert bound.provides_locality is False
-        assert bound.describe()["backend"] == "vm"
-
 
 class TestVmExchange:
     """VM-plane specifics: provisioning, ring, eviction, crash, billing."""
@@ -194,10 +186,10 @@ class TestVmExchange:
         kernel, _store, cos = make_world()
         cfg = dataclasses.replace(VM_CFG, vm_startup_s=3.0)
         backend = make_backend("vm", kernel, vm_cfg=cfg)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
 
         def main():
-            producer.put(cos, BUCKET, "k/p", b"payload")
+            backend.put(cos, BUCKET, "k/p", b"payload", site=producer)
             return kernel.now()
 
         assert kernel.run(main) >= 3.0
@@ -214,12 +206,12 @@ class TestVmExchange:
     def test_lru_eviction_on_full_node(self):
         kernel, _store, cos = make_world()
         backend = make_backend("vm", kernel)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
 
         def main():
             for i in range(8):
-                producer.put(cos, BUCKET, f"k/e/{i}", bytes([i]) * (40 * 1024))
-            return [producer.get(cos, BUCKET, f"k/e/{i}") for i in range(8)]
+                backend.put(cos, BUCKET, f"k/e/{i}", bytes([i]) * (40 * 1024), site=producer)
+            return [backend.get(cos, BUCKET, f"k/e/{i}", site=producer) for i in range(8)]
 
         blobs = kernel.run(main)
         assert blobs == [bytes([i]) * (40 * 1024) for i in range(8)]
@@ -234,12 +226,12 @@ class TestVmExchange:
     def test_oversize_object_never_cached(self):
         kernel, _store, cos = make_world()
         backend = make_backend("vm", kernel)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
         big = b"z" * (VM_CFG.vm_node_memory_bytes + 1)
 
         def main():
-            producer.put(cos, BUCKET, "k/huge", big)
-            return producer.get(cos, BUCKET, "k/huge")
+            backend.put(cos, BUCKET, "k/huge", big, site=producer)
+            return backend.get(cos, BUCKET, "k/huge", site=producer)
 
         assert kernel.run(main) == big
         assert backend.stats()["resident_bytes"] == 0
@@ -251,15 +243,15 @@ class TestVmExchange:
         kernel, _store, cos = make_world()
         cfg = dataclasses.replace(VM_CFG, vm_startup_s=0.0)
         backend = make_backend("vm", kernel, chaos=chaos, vm_cfg=cfg)
-        producer = backend.bound((0, "c0"))
+        producer = (0, "c0")
         crash_times = [n.crash_at for n in backend.nodes]
         assert all(t is not None and 0 < t <= 1.0 for t in crash_times)
 
         def main():
             for i in range(4):
-                producer.put(cos, BUCKET, f"k/c/{i}", bytes([i]) * 512)
+                backend.put(cos, BUCKET, f"k/c/{i}", bytes([i]) * 512, site=producer)
             sleep(2.0)  # past every seeded crash
-            return [producer.get(cos, BUCKET, f"k/c/{i}") for i in range(4)]
+            return [backend.get(cos, BUCKET, f"k/c/{i}", site=producer) for i in range(4)]
 
         assert kernel.run(main) == [bytes([i]) * 512 for i in range(4)]
         assert chaos.fault_counts().get("vm:crash", 0) >= 1

@@ -201,7 +201,7 @@ class TestWindowedMapReduce:
         # interior windows reuse every partial the previous window mapped
         interior = [w for w in windows if 0 < w.index < windows[-1].index]
         assert all(w.reused_partials >= 2 for w in interior)
-        stats = env.cache.stats()
+        stats = env.exchange.stats()
         assert stats["local_hits"] + stats["peer_hits"] > 0
 
     def test_reuse_disabled_recomputes(self):
