@@ -51,7 +51,7 @@ perf-shuffle:
 # whose cos.host_cpu_self_s (mostly synthesising the 16 KB review samples
 # a map reads) and analytics.host_cpu_self_s (tone-analysing them) are the
 # data path; the other layers are the control plane around its 1,310
-# calls (1,211 maps, 99 reducers).  ~40 s.
+# calls (1,211 maps; 99 reducers, one DAG of 33 per chunk size).  ~40 s.
 perf-airbnb:
 	python3 perf/run.py --workload airbnb_mapreduce --seconds 20 --trace 1
 
@@ -59,8 +59,7 @@ bench:
 	pytest benchmarks/ --benchmark-only
 
 # the paper's figures as a build (CI job paper-figures, ~80 s): Fig. 2-5,
-# Table 3 and the ablations assert their paper shapes; Table 3 is a
-# strict xfail until ROADMAP item 1 restores its > 100x headline
+# Table 3 (> 100x at 2 MB) and the ablations assert their paper shapes
 paper-check:
 	PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
 

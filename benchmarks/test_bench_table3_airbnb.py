@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import table3_airbnb as t3
 from repro.datasets import airbnb
 
 
-# strict: the day the fidelity regression is fixed this turns the
-# ``paper-figures`` job red until the mark is removed with it
-@pytest.mark.xfail(
-    strict=True, reason="2 MB row 98.45× < 100× — ROADMAP item 1"
-)
 def test_table3_airbnb(benchmark, emit):
     """Chunk-size sweep 64 MB -> 2 MB over the 1.9 GB 33-city dataset."""
     rows = benchmark.pedantic(t3.run_table3, rounds=1, iterations=1)

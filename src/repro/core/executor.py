@@ -237,7 +237,8 @@ class FunctionExecutor:
         With ``reducer_one_per_object=True`` all values of the same COS
         object key are combined in a separate reducer (the Spark
         ``reduceByKey``-like mode); the returned list holds one future per
-        object, each labelled with ``metadata['object_key']``.
+        object in sorted ``(bucket, object_key)`` order, labelled with
+        ``metadata['bucket']`` / ``['object_key']``; one DAG, one callset.
         """
         spec = is_dataset_spec(iterdata)
         if reducer_one_per_object and not spec:
@@ -251,19 +252,19 @@ class FunctionExecutor:
         if not map_futures:
             raise PyWrenError("map_reduce over an empty dataset")
 
+        name = getattr(reduce_function, "__name__", "reduce")
         if not reducer_one_per_object:
-            return self._spawn_reducer(reduce_function, map_futures, retries)
-
+            return self._reduce_stage([(reduce_function, name, map_futures)], "R", retries)[0]
         groups: dict[tuple[str, str], list[ResponseFuture]] = {}
         for future in map_futures:
             key = (future.metadata["bucket"], future.metadata["object_key"])
             groups.setdefault(key, []).append(future)
-        reducers = []
-        for (bucket, object_key), group in sorted(groups.items()):
-            reducer = self._spawn_reducer(reduce_function, group, retries)
-            reducer.metadata["bucket"] = bucket
-            reducer.metadata["object_key"] = object_key
-            reducers.append(reducer)
+        objects = sorted(groups)
+        reducers = self._reduce_stage(
+            [(reduce_function, name, groups[key]) for key in objects], "R", retries
+        )
+        for (bucket, object_key), reducer in zip(objects, reducers):
+            reducer.metadata.update(bucket=bucket, object_key=object_key)
         return reducers
 
     def map_reduce_shuffle(
@@ -295,13 +296,13 @@ class FunctionExecutor:
         )
         if not map_futures:
             raise PyWrenError("map_reduce_shuffle over an empty dataset")
-        # all reducers ride one DAG, fetching their partitions by future
+        # every reducer reads all maps, fetching its partitions by future
         reducers = self._reduce_stage(
-            map_futures,
             [
                 (
                     make_shuffle_reduce_fetch(reduce_function, reducer_index),
                     f"shuffle-reduce[{reducer_index}]",
+                    map_futures,
                 )
                 for reducer_index in range(n_reducers)
             ],
@@ -313,45 +314,32 @@ class FunctionExecutor:
             future.metadata["reducer_index"] = reducer_index
         return reducers
 
-    def _spawn_reducer(
-        self,
-        reduce_function: Callable[[list[Any]], Any],
-        map_futures: list[ResponseFuture],
-        retries: Optional[int] = None,
-    ) -> ResponseFuture:
-        """One reducer depending on all its map futures (its own DAG)."""
-        name = getattr(reduce_function, "__name__", "reduce")
-        return self._reduce_stage(
-            map_futures, [(reduce_function, name)], label="R", retries=retries
-        )[0]
-
     def _reduce_stage(
         self,
-        map_futures: list[ResponseFuture],
-        reducers: list[tuple[Callable[..., Any], str]],
+        reducers: list[tuple[Callable[..., Any], str, list[ResponseFuture]]],
         label: str,
         retries: Optional[int],
         pass_futures: bool = False,
     ) -> list[ResponseFuture]:
-        """One DAG: every ``(function, name)`` reducer depends on all maps.
+        """One DAG: each ``(function, name, inputs)`` reducer over its maps.
 
-        A single dependency watcher submits the reducers the moment the
-        last map status commits, so a reducer activation starts with its
-        inputs already resolved and spends no cloud time polling for the
-        whole map phase.  Returns the exposed reducer futures, in order.
+        Each map future is one external node however many reducers read
+        it, so the one dependency watcher LISTs each map callset once per
+        round and submits each reducer the moment the last of *its* inputs
+        commits: a reducer activation starts with its inputs resolved and
+        spends no cloud time polling.  Returns the reducer futures, in order.
         """
         from repro.dag import DagBuilder, DagScheduler
 
         builder = DagBuilder()
-        inputs = [
-            builder.external(future, name=f"map:{future.call_id}", stage="map")
-            for future in map_futures
-        ]
+        maps = dict.fromkeys(f for _, _, inputs in reducers for f in inputs)
+        for future in maps:
+            maps[future] = builder.external(future, name=f"map:{future.call_id}", stage="map")
         nodes = [
             builder.reduce(
-                fn, inputs, pass_futures=pass_futures, name=name, stage="reduce"
+                fn, [maps[f] for f in inputs], pass_futures=pass_futures, name=name, stage="reduce"
             )
-            for fn, name in reducers
+            for fn, name, inputs in reducers
         ]
         run = DagScheduler(self, label=label, retries=retries).submit(
             builder.build()

@@ -146,9 +146,12 @@ class InternalStorage:
     def get_status(
         self, executor_id: str, callset_id: str, call_id: str
     ) -> Optional[dict[str, Any]]:
+        return self.cos.link.kernel.drive(self.get_status_steps(executor_id, callset_id, call_id))
+
+    def get_status_steps(self, executor_id: str, callset_id: str, call_id: str):
         """The status dict, or ``None`` if the call has not finished."""
         try:
-            blob = self.cos.get_object(
+            blob = yield from self.cos.get_object_steps(
                 self.bucket, self.status_key(executor_id, callset_id, call_id)
             )
         except NoSuchKey:

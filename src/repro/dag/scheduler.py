@@ -4,11 +4,11 @@ The scheduler uploads every node's code and payload up front (one
 content-addressed function blob, one aggregated data object per
 topological level), then drives the graph with a *dependency watcher*: a
 model task on the virtual-time kernel that wakes every poll interval,
-discovers finished nodes with one LIST per in-flight callset, and invokes
-each dependent the moment its last in-edge resolves.  There is no
-client-side barrier between stages — a reducer launches while sibling
-branches are still running, which is the Wukong-style pipelining the
-issue's motivating papers measure.
+discovers finished nodes with one LIST per in-flight callset, reads their
+statuses in one concurrent fan-out, and invokes each dependent the moment
+its last in-edge resolves.  There is no client-side barrier between
+stages — a reducer launches while sibling branches are still running,
+which is the pipelining Wukong and the serverless DAG-engine papers measure.
 
 Failure semantics match the executor's: lost activations are re-invoked
 through the shared recovery scan, function errors can be retried per node
@@ -28,7 +28,7 @@ from repro.dag import locality as _locality
 from repro.dag.graph import Dag
 from repro.dag.node import ARG_DEP, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
 from repro.retry import RetryPolicy
-from repro.vtime import VEvent
+from repro.vtime import VEvent, gather
 from repro.vtime.kernel import vjoin, vsleep
 
 
@@ -58,15 +58,6 @@ def _dag_node_call(payload: dict[str, Any]) -> Any:
     for fn in payload["fns"]:
         value = fn(value)
     return value
-
-
-def _by_callset(nodes) -> dict[tuple[str, str], list[DagNode]]:
-    """``nodes`` grouped by ``(executor_id, callset_id)``: one LIST each."""
-    groups: dict[tuple[str, str], list[DagNode]] = {}
-    for node in nodes:
-        future = node.future
-        groups.setdefault((future.executor_id, future.callset_id), []).append(node)
-    return groups
 
 
 class DagRun:
@@ -349,26 +340,14 @@ class DagScheduler:
 
         COS is ground truth: a call with a committed status object is
         final whatever the journal last said about it, so *every* callset
-        is LISTed, not just the ones believed in flight.  Statuses are
-        all ingested before any is judged, dependents first, so a failure
+        is consulted, not just the ones believed in flight.  Statuses are
+        all read before any is judged, dependents first, so a failure
         never re-buries a dependent whose burial already committed.
         """
         from repro.events import records as ev
 
         executor = self.executor
-        storage = executor._storage
-        groups = _by_callset(run.dag.nodes)
-        committed: list[DagNode] = []
-        for key in sorted(groups):
-            done_ids = storage.list_done_call_ids(*key)
-            for node in groups[key]:
-                future = node.future
-                if future.call_id not in done_ids:
-                    continue
-                status = storage.get_status(*key, future.call_id)
-                if status is not None:
-                    future._ingest_status(status)
-                    committed.append(node)
+        committed = self._discover(run.dag.nodes)
         for node in sorted(committed, key=lambda n: n.node_id, reverse=True):
             self._complete(run, node)
         # journaled as the reconciliation, not as this round's observations
@@ -522,33 +501,63 @@ class DagScheduler:
             run._fired_batch = []
 
     def _poll(self, run: DagRun) -> None:
-        """One LIST per in-flight callset, then judge newly-done nodes."""
-        storage = self.executor._storage
-        groups = _by_callset(
-            n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT
-        )
+        """One round's discovery: judge every in-flight node that finished."""
+        in_flight = [n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT]
+        for node in self._discover(in_flight):
+            self._complete(run, node)
+
+    def _discover(self, nodes: list[DagNode]) -> list[DagNode]:
+        """The ``nodes`` whose status committed (now ingested), in LIST order.
+
+        One LIST per callset whose statuses are not all known, then one
+        fan-out reads every status revealed, so a round pays about one round
+        trip however many nodes finished.  A partial commit waits a round.
+        """
+        groups: dict[tuple[str, str], list[DagNode]] = {}
+        for node in nodes:
+            future = node.future
+            groups.setdefault((future.executor_id, future.callset_id), []).append(node)
+        found: list[DagNode] = []
         for key in sorted(groups):
-            nodes = groups[key]
-            if all(n.future.status_known for n in nodes):
-                done_ids = None  # statuses already known; skip the LIST
-            else:
-                done_ids = storage.list_done_call_ids(*key)
-            for node in nodes:
-                future = node.future
-                if future.status_known or (
-                    done_ids is not None and future.call_id in done_ids
-                ):
-                    self._complete(run, node)
+            group = groups[key]
+            if all(n.future.status_known for n in group):
+                found += group
+                continue
+            done_ids = self.executor._storage.list_done_call_ids(*key)
+            found += [
+                n for n in group
+                if n.future.status_known or n.future.call_id in done_ids
+            ]
+        self._read_statuses([n.future for n in found if n.future._status is None])
+        return [n for n in found if n.future._status is not None]
+
+    def _read_statuses(self, futures: list) -> None:
+        """GET and ingest the statuses of ``futures``, concurrently.
+
+        At most ``config.result_fetch_pool_size`` model-task lanes pull from
+        one iterator; the kernel steps them in ``(vtime, seq)`` order, so the
+        hand-out never depends on host thread timing.  A lone lane runs on
+        the round's own thread, sparing a task and two thread hand-offs.
+        """
+        storage = self.executor._storage
+        todo = iter(futures)
+
+        def lane():
+            for future in todo:
+                status = yield from storage.get_status_steps(
+                    future.executor_id, future.callset_id, future.call_id
+                )
+                if status is not None:
+                    future._ingest_status(status)
+
+        width = min(self.executor.config.result_fetch_pool_size, len(futures))
+        if width <= 1:
+            self.kernel.drive(lane())
+        else:
+            gather([self.kernel.spawn_model(lane, name="dag-status") for _ in range(width)])
 
     def _complete(self, run: DagRun, node: DagNode) -> None:
         future = node.future
-        if future._status is None:
-            status = self.executor._storage.get_status(
-                future.executor_id, future.callset_id, future.call_id
-            )
-            if status is None:
-                return  # raced a partial commit; next round sees it
-            future._ingest_status(status)
         status = future._status
         success = bool(status.get("success"))
         if self.journal is not None:

@@ -590,9 +590,8 @@ def scan(
         retries=retries,
     )
     if pushdown:
-        merged_future = executor._spawn_reducer(
-            _make_scan_merge(spec), futures, retries=retries
-        )
+        merge = _make_scan_merge(spec)
+        merged_future = executor._reduce_stage([(merge, merge.__name__, futures)], "R", retries)[0]
         merged = executor.get_result(merged_future)
         partial = merged["partial"]
     else:

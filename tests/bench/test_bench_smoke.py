@@ -95,6 +95,14 @@ class TestTable3Harness:
         assert row.speedup > 5
         assert row.comments > 1_000_000
 
+    def test_2mb_row_is_over_100x(self):
+        """The paper's headline row: 924 maps hand off to 33 reducers of
+        one DAG; > 100x over the 5,160 s baseline and at most 45 s."""
+        row = table3_airbnb.run_airbnb("2MB")
+        assert row.concurrency == 924
+        assert row.exec_time_s <= 45.0
+        assert row.speedup > 100.0
+
     def test_report_includes_paper_columns(self):
         rows = [
             table3_airbnb.run_sequential_baseline(seed=4),

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import collections
+
 import pytest
 
 import repro as pw
+from repro.core.environment import CloudEnvironment
 from repro.core.errors import PyWrenError
+from repro.core.storage_client import InternalStorage
+from repro.dag import DagScheduler
+from repro.net import LatencyModel
 
 
 def put_text(env, bucket, objects):
@@ -202,3 +208,128 @@ class TestReducerPerObject:
             return executor.get_result(reducers)
 
         assert env.run(main) == [10]
+
+
+CITIES = ("nyc.txt", "paris.txt", "rome.txt")
+
+
+def slow_count(partition):
+    pw.sleep(3.0 + partition.partition_index)
+    return partition.size
+
+
+def fail_in_paris(partition):
+    if partition.key == "paris.txt":
+        raise RuntimeError("unreadable partition")
+    return partition.size
+
+
+def per_object(executor, map_function):
+    return executor.map_reduce(
+        map_function, "cos://cities", total,
+        chunk_size=100, reducer_one_per_object=True,
+    )
+
+
+class TestOneDagPerMapReduce:
+    """Every reducer of one ``map_reduce`` is a node of one DAG: one
+    watcher, one LIST of the map callset per round, one reducer callset."""
+
+    def test_one_dag_submit_and_one_reducer_callset(self):
+        env = CloudEnvironment.create(
+            client_latency=LatencyModel.wan(), seed=5, trace=True
+        )
+        put_text(
+            env, "cities",
+            {"rome.txt": "c" * 130, "nyc.txt": "a" * 400, "paris.txt": "b" * 250},
+        )
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            reducers = per_object(executor, count_bytes)
+            values = executor.get_result(reducers)
+            events = executor.trace_events()
+            return reducers, values, [e for e in events if e.name == "dag.submit"]
+
+        reducers, values, submits = env.run(main)
+        assert len(submits) == 1
+        assert [(r.callset_id, r.call_id) for r in reducers] == [
+            (reducers[0].callset_id, f"{i:05d}") for i in range(3)
+        ]
+        assert [
+            (r.metadata["bucket"], r.metadata["object_key"]) for r in reducers
+        ] == [("cities", key) for key in CITIES]
+        assert values == [400, 250, 130]
+
+    def test_failed_map_buries_only_its_objects_reducer(self, env):
+        put_text(env, "cities", {key: "x" * 200 for key in CITIES})
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            reducers = per_object(executor, fail_in_paris)
+            return executor.get_result(reducers, throw_except=False)
+
+        values, report = env.run(main)
+        assert values == [200, None, 200]
+        [failure] = report.failures
+        assert failure.call_id == "00001"
+        assert "upstream DAG node" in str(failure.error)
+
+    def test_one_list_of_the_maps_per_watcher_round(self, env, monkeypatch):
+        """3 objects x 4 chunks: the map callset is LISTed at most once per
+        round of the busiest watcher (a DAG per object LISTs it per DAG)."""
+        put_text(env, "cities", {key: "x" * 400 for key in CITIES})
+        lists = collections.Counter()
+        rounds = collections.Counter()
+        list_done, poll = InternalStorage.list_done_call_ids, DagScheduler._poll
+
+        def counting_list(storage, executor_id, callset_id):
+            lists[callset_id] += 1
+            return list_done(storage, executor_id, callset_id)
+
+        def counting_poll(scheduler, run):
+            rounds[run.dag_id] += 1
+            return poll(scheduler, run)
+
+        monkeypatch.setattr(InternalStorage, "list_done_call_ids", counting_list)
+        monkeypatch.setattr(DagScheduler, "_poll", counting_poll)
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            return executor.get_result(per_object(executor, slow_count))
+
+        assert env.run(main) == [400, 400, 400]
+        assert lists["M000"] > 3  # the maps span several rounds
+        assert lists["M000"] <= max(rounds.values())
+
+    @staticmethod
+    def _traced_run():
+        env = CloudEnvironment.create(
+            client_latency=LatencyModel.wan(), seed=11, trace=True
+        )
+        put_text(env, "cities", {key: "x" * 400 for key in CITIES})
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            values = executor.get_result(per_object(executor, count_bytes))
+            return values, executor.executor_id, executor.trace_jsonl()
+
+        values, executor_id, jsonl = env.run(main)
+        return values, jsonl.replace(executor_id, "EXEC")
+
+    def test_same_seed_concurrent_status_reads_trace_identically(
+        self, monkeypatch
+    ):
+        batches = []
+        read = DagScheduler._read_statuses
+
+        def recording(scheduler, futures):
+            batches.append(len(futures))
+            return read(scheduler, futures)
+
+        monkeypatch.setattr(DagScheduler, "_read_statuses", recording)
+        first = self._traced_run()
+        second = self._traced_run()
+        assert first[0] == [400, 400, 400]
+        assert max(batches) >= 2  # a round read several statuses at once
+        assert first == second

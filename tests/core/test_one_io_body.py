@@ -27,6 +27,7 @@ import pytest
 import repro
 from repro.chaos import ChaosProfile, build_plane
 from repro.config import ExchangeConfig
+from repro.core import serializer
 from repro.core.storage_client import InternalStorage
 from repro.cos import CloudObjectStorage, COSClient
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
@@ -158,6 +159,22 @@ def commit_lost(w: World) -> Case:
     return _commit(w, lost=True)
 
 
+def status_found(w: World) -> Case:
+    storage = InternalStorage(w.cos, BUCKET)
+    key = storage.status_key("e", "M000", "00000")
+
+    def setup():
+        status = {"call_id": "00000", "success": True}
+        w.store.put_object(BUCKET, key, serializer.serialize(status))
+
+    return Case(
+        setup,
+        lambda: storage.get_status("e", "M000", "00000"),
+        lambda: storage.get_status_steps("e", "M000", "00000"),
+        _nothing,
+    )
+
+
 # -- exchange backends --------------------------------------------------------
 def _backend(name: str, kernel: Kernel) -> ExchangeBackend:
     if name == "cos":
@@ -251,6 +268,7 @@ CASES = [
     cos_list,
     commit_won,
     commit_lost,
+    status_found,
     *[
         _exchange_case(backend, op, in_cloud)
         for backend in ("cos", "cached-cos", "vm")
