@@ -279,10 +279,11 @@ class FunctionExecutor:
         """Full keyed MapReduce with a COS shuffle (see repro.core.shuffle).
 
         ``map_function(item_or_partition)`` must return an iterable of
-        ``(key, value)`` pairs; ``reduce_function(key, values)`` reduces one
-        key's values.  Returns one future per reducer, each resolving to a
-        ``{key: reduced}`` dict over that reducer's key range — merge with
-        :func:`repro.core.shuffle.merge_shuffle_results`.
+        ``(key, value)`` pairs with hashable keys (each map groups them per
+        reducer as ``{key: [values]}``); ``reduce_function(key, values)``
+        reduces one key's values.  Returns one future per reducer, each
+        resolving to a ``{key: reduced}`` dict over that reducer's key range
+        — merge with :func:`repro.core.shuffle.merge_shuffle_results`.
         """
         from repro.core.shuffle import make_shuffle_map, make_shuffle_reduce_fetch
 

@@ -7,10 +7,11 @@ module implements the object-storage flavour on top of IBM-PyWren's own
 primitives:
 
 * each **map** task applies the user function (which emits ``(key, value)``
-  pairs), hash-partitions the pairs into R buckets, and writes each bucket
-  as a COS object under its own call prefix;
+  pairs), groups them into R hash-partitioned buckets ``{key: [values]}``
+  (one value list per distinct key, not one tuple per pair), and writes
+  each bucket as a COS object under its own call prefix;
 * each of the R **reducers** reads *its* bucket from every map's output,
-  groups by key, and applies the user reduce function per key.
+  extends one value list per key, and applies the user reduce function.
 
 Everything — the map shim, the reducers, the completion signalling — rides
 the ordinary executor machinery: shims are plain functions serialized by
@@ -55,29 +56,34 @@ def stable_key_hash(key: Any) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def partition_pairs(pairs: Iterable[Pair], n_reducers: int) -> list[list[Pair]]:
-    """Split emitted pairs into ``n_reducers`` buckets by key hash.
+def partition_pairs(pairs: Iterable[Pair], n_reducers: int) -> list[dict]:
+    """Group emitted pairs into ``n_reducers`` buckets ``{key: [values]}``.
 
-    A key is hashed once per call, not once per pair: its reducer slot
-    is remembered until the call returns.
+    Values keep emission order; an unhashable key raises ``TypeError``.  A
+    key is hashed once per call, not once per pair: its value list (or its
+    slot) is remembered until the call returns.
     """
-    buckets: list[list[Pair]] = [[] for _ in range(n_reducers)]
+    buckets: list[dict[Any, list[Any]]] = [{} for _ in range(n_reducers)]
     # Two keys may share a remembered slot only when their repr is equal
     # (the routing contract), so only an exact str or int stands for its
-    # own repr; 1 / 1.0 / True, NaN and unhashable keys go by repr(key).
-    # The memos are separate because the str "1" is not the int 1's repr.
-    by_value: dict[Any, int] = {}
-    by_repr: dict[str, int] = {}
+    # own repr and may remember its list; 1 / 1.0 / True and NaN go by
+    # repr(key) to a slot, where the bucket groups them by equality.
+    lists: dict[Any, list[Any]] = {}
+    slots: dict[str, int] = {}
     for key, value in pairs:
         cls = type(key)
         if cls is str or cls is int:
-            memo, name = by_value, key
+            values = lists.get(key)
+            if values is None:
+                bucket = buckets[stable_key_hash(key) % n_reducers]
+                values = lists[key] = bucket.setdefault(key, [])
         else:
-            memo, name = by_repr, repr(key)
-        slot = memo.get(name)
-        if slot is None:
-            slot = memo[name] = stable_key_hash(key) % n_reducers
-        buckets[slot].append((key, value))
+            name = repr(key)
+            slot = slots.get(name)
+            if slot is None:
+                slot = slots[name] = stable_key_hash(key) % n_reducers
+            values = buckets[slot].setdefault(key, [])
+        values.append(value)
     return buckets
 
 
@@ -95,9 +101,8 @@ def make_shuffle_map(
         if info is None:
             raise RuntimeError("shuffle map must run inside a function executor")
         storage = context.environment.internal_storage_in_cloud()
-        pairs = list(map_function(argument))
-        buckets = partition_pairs(pairs, n_reducers)
-        written = 0
+        buckets = partition_pairs(map_function(argument), n_reducers)
+        emitted = written = 0
         for reducer_index, bucket in enumerate(buckets):
             if bucket:
                 storage.put_shuffle_partition(
@@ -107,8 +112,9 @@ def make_shuffle_map(
                     reducer_index,
                     bucket,
                 )
+                emitted += sum(map(len, bucket.values()))
                 written += 1
-        return {"emitted": len(pairs), "buckets_written": written}
+        return {"emitted": emitted, "buckets_written": written}
 
     return shuffle_map
 
@@ -137,8 +143,8 @@ def make_shuffle_reduce_fetch(
                 future.call_id,
                 reducer_index,
             )
-            for key, value in bucket:
-                grouped.setdefault(key, []).append(value)
+            for key, values in bucket.items():
+                grouped.setdefault(key, []).extend(values)
         return {
             key: reduce_function(key, values) for key, values in grouped.items()
         }

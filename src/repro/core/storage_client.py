@@ -184,16 +184,16 @@ class InternalStorage:
         callset_id: str,
         call_id: str,
         reducer: int,
-        pairs: list,
+        bucket: dict,
     ) -> int:
-        blob = serializer.serialize(pairs)
+        blob = serializer.serialize(bucket)
         key = self.shuffle_key(executor_id, callset_id, call_id, reducer)
         self.exchange.put(self.cos, self.bucket, key, blob, self.site)
         return len(blob)
 
     def get_shuffle_partition(
         self, executor_id: str, callset_id: str, call_id: str, reducer: int
-    ) -> list:
+    ) -> dict:
         """A map task's bucket for one reducer; missing means 'emitted none'.
 
         Served through the exchange backend (shuffle partitions are the
@@ -208,7 +208,7 @@ class InternalStorage:
                 self.site,
             )
         except NoSuchKey:
-            return []
+            return {}
         return serializer.deserialize(blob)
 
     # -- dead letters ----------------------------------------------------------

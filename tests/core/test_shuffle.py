@@ -26,12 +26,15 @@ class TestPartitioning:
     def test_partition_pairs_groups_same_key_together(self):
         pairs = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]
         buckets = partition_pairs(pairs, 4)
-        assert sum(len(b) for b in buckets) == 5
+        assert sum(len(values) for b in buckets for values in b.values()) == 5
         location = {}
         for index, bucket in enumerate(buckets):
-            for key, _value in bucket:
+            for key in bucket:
                 location.setdefault(key, set()).add(index)
         assert all(len(spots) == 1 for spots in location.values())
+        assert {key: values for b in buckets for key, values in b.items()} == {
+            "a": [1, 3], "b": [2, 5], "c": [4]
+        }
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -42,7 +45,7 @@ class TestPartitioning:
         pairs = [(k, i) for i, k in enumerate(keys)]
         buckets = partition_pairs(pairs, n_reducers)
         assert len(buckets) == n_reducers
-        flat = [p for b in buckets for p in b]
+        flat = [(k, v) for b in buckets for k, vs in b.items() for v in vs]
         assert sorted(flat) == sorted(pairs)
 
 
@@ -148,6 +151,38 @@ class TestEndToEnd:
             return failures
 
         assert env.run(main) == 2  # every reducer surfaces the map failure
+
+    def test_unhashable_key_fails_its_map_and_buries_the_reducers(self, env):
+        """Grouping is a dict on the map side: the map that emits a list
+        key fails with a TypeError cause, and no reducer runs."""
+
+        def emit(x):
+            return [([x], 1)] if x == 1 else [(x, 1)]
+
+        def reduce_must_not_run(key, values):
+            raise AssertionError("reduce_function ran")
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            reducers = executor.map_reduce_shuffle(
+                emit, [0, 1, 2], reduce_must_not_run, n_reducers=2
+            )
+            values, report = executor.get_result(throw_except=False)
+            return reducers, values, report
+
+        reducers, values, report = env.run(main)
+        assert values == [{"emitted": 1, "buckets_written": 1}, None,
+                          {"emitted": 1, "buckets_written": 1}, None, None]
+        failed_map, *buried = report.failures
+        assert (failed_map.callset_id, failed_map.call_id) == ("M000", "00001")
+        assert "TypeError" in failed_map.error
+        assert "unhashable type: 'list'" in failed_map.error
+        assert [(f.callset_id, f.call_id) for f in buried] == [
+            (r.callset_id, r.call_id) for r in reducers
+        ]
+        for failure in buried:
+            assert "upstream DAG node 'map:00001' failed: TypeError" in failure.error
+            assert "reduce_function ran" not in failure.error
 
     def test_empty_dataset_rejected(self, env):
         from repro.core.errors import PyWrenError

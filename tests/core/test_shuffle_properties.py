@@ -5,26 +5,33 @@ The shuffle's correctness rests on three local invariants:
 * ``stable_key_hash`` is a pure function of the key's ``repr`` — identical
   across calls, processes, and ``PYTHONHASHSEED`` values (unlike builtin
   ``hash``), so every mapper routes a key to the same reducer;
-* ``partition_pairs`` is a tiling: every emitted pair lands in exactly one
-  of the R buckets (no loss, no duplication), in the bucket its key hash
-  selects, preserving emission order within a bucket — and it is
-  indistinguishable, down to the pickled bytes of each bucket, from the
-  textbook loop that hashes every pair (``_reference_partition_pairs``
-  below), while hashing each distinct key only once per call;
+* ``partition_pairs`` groups every emitted pair into exactly one of the R
+  ``{key: [values]}`` buckets (no loss, no duplication), the one its key
+  hash selects, keeping emission order within a key's value list — and it
+  is indistinguishable, down to the pickled bytes of each bucket, from the
+  textbook loop that hashes every pair and the reducer's per-pair grouping
+  loop (``_reference_partition_pairs`` / ``_reference_group`` below), while
+  hashing each distinct key only once per call; through the map and reduce
+  shims, every reducer calls ``reduce_function`` exactly as the per-pair
+  shuffle did;
 * ``merge_shuffle_results`` is order-independent over the disjoint
   per-reducer dicts, and loudly rejects overlap (exactly-once violated).
 """
 
 from __future__ import annotations
 
+import itertools
 import pathlib
+import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import context as ambient
 from repro.core import serializer, shuffle
 from repro.core.shuffle import (
     merge_shuffle_results,
@@ -75,13 +82,51 @@ def _reference_partition_pairs(pairs, n_reducers):
     return buckets
 
 
-def _assert_same_buckets(pairs, n_reducers):
-    got = partition_pairs(pairs, n_reducers)
-    want = _reference_partition_pairs(pairs, n_reducers)
+def _reference_group(buckets):
+    """The per-pair reducer loop over lists of pairs.  The contract."""
+    grouped = {}
+    for bucket in buckets:
+        for key, value in bucket:
+            grouped.setdefault(key, []).append(value)
+    return grouped
+
+
+def _reference_shuffle_reduce(buckets, reduce_function):
+    """The per-pair reducer: group every map's pairs, reduce per key."""
+    grouped = _reference_group(buckets)
+    return {
+        key: reduce_function(key, values) for key, values in grouped.items()
+    }
+
+
+def _assert_same_groups(got, want):
     assert got == want
-    # == cannot tell 1 from 1.0 from True, or 0.0 from -0.0; bytes can
+    # == cannot tell 1 from 1.0 from True, or 0.0 from -0.0, and finds a
+    # NaN key by identity; the key objects themselves and bytes can
+    assert [list(map(id, bucket)) for bucket in got] == [
+        list(map(id, bucket)) for bucket in want
+    ]
     assert [serializer.serialize(bucket) for bucket in got] == [
         serializer.serialize(bucket) for bucket in want
+    ]
+
+
+def _assert_same_buckets(pairs, n_reducers):
+    got = partition_pairs(pairs, n_reducers)
+    want = [
+        _reference_group([bucket])
+        for bucket in _reference_partition_pairs(pairs, n_reducers)
+    ]
+    _assert_same_groups(got, want)
+
+
+def _emitted(buckets):
+    """Every (key, value) a grouped partition holds, bucket by bucket."""
+    return [
+        (key, value)
+        for bucket in buckets
+        for key, values in bucket.items()
+        for value in values
     ]
 
 
@@ -128,7 +173,7 @@ class TestPartitionPairs:
     def test_tiling_is_exactly_once_and_gap_free(self, pairs, n_reducers):
         buckets = partition_pairs(pairs, n_reducers)
         assert len(buckets) == n_reducers
-        flat = [pair for bucket in buckets for pair in bucket]
+        flat = _emitted(buckets)
         assert sorted(map(repr, flat)) == sorted(map(repr, pairs))
 
     @settings(max_examples=60)
@@ -136,13 +181,13 @@ class TestPartitionPairs:
     def test_assignment_matches_key_hash(self, pairs, n_reducers):
         buckets = partition_pairs(pairs, n_reducers)
         for index, bucket in enumerate(buckets):
-            for key, _value in bucket:
+            for key in bucket:
                 assert stable_key_hash(key) % n_reducers == index
 
     @given(pairs=_pairs)
     def test_single_reducer_preserves_order(self, pairs):
         (bucket,) = partition_pairs(pairs, 1)
-        assert bucket == list(pairs)
+        assert list(bucket.items()) == list(_reference_group([pairs]).items())
 
     @settings(max_examples=200)
     @given(
@@ -160,42 +205,144 @@ class TestPartitionPairs:
         pairs = [(key, index) for index, key in enumerate(keys * 3)]
         for n_reducers in (2, 3, 8, 64):
             _assert_same_buckets(pairs, n_reducers)
+        # equal keys sharing a slot share its list, so find each pair's
+        # slot by its value (the pair's index)
         slots = {
-            repr(key): index
-            for index, bucket in enumerate(partition_pairs(pairs, 64))
-            for key, _value in bucket
+            repr(keys[index % len(keys)]): slot
+            for slot, bucket in enumerate(partition_pairs(pairs, 64))
+            for values in bucket.values()
+            for index in values
         }
         assert slots == {repr(key): stable_key_hash(key) % 64 for key in keys}
         assert len({slots["1"], slots["1.0"], slots["True"]}) > 1
 
     def test_nan_keys(self):
         nan = float("nan")
-        _assert_same_buckets([(nan, 1), (float("nan"), 2), (nan, 3)], 4)
+        pairs = [(nan, 1), (float("nan"), 2), (nan, 3)]
+        _assert_same_buckets(pairs, 4)
+        # one NaN object is one key; another NaN is another key
+        (bucket,) = [b for b in partition_pairs(pairs, 4) if b]
+        assert list(bucket.values()) == [[1, 3], [2]]
 
     def test_unhashable_keys(self):
-        _assert_same_buckets([([1, 2], "a"), ([1, 2], "b"), ({"k": 1}, "c")], 4)
+        # grouping is a dict on the map side: an unhashable key fails the
+        # map, not (as with a list of pairs) every reducer that reads it
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            partition_pairs([("a", 1), ([1, 2], "a"), ([1, 2], "b")], 4)
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            partition_pairs([({"k": 1}, "c")], 4)
 
     def test_generator_of_pairs_is_consumed_once(self):
         words = "to be or not to be".split()
         buckets = partition_pairs(((word, 1) for word in words), 3)
-        assert buckets == _reference_partition_pairs([(w, 1) for w in words], 3)
+        assert buckets == [
+            _reference_group([bucket])
+            for bucket in _reference_partition_pairs([(w, 1) for w in words], 3)
+        ]
 
-    def test_list_pairs_are_normalised_to_tuples(self):
+    def test_list_pairs_unpack_like_tuples(self):
         buckets = partition_pairs([["a", 1], ("b", 2), ["a", 3]], 2)
-        assert all(type(pair) is tuple for bucket in buckets for pair in bucket)
+        assert buckets == partition_pairs([("a", 1), ("b", 2), ("a", 3)], 2)
         _assert_same_buckets([["a", 1], ("b", 2), ["a", 3]], 2)
 
     def test_a_triple_is_rejected(self):
         with pytest.raises(ValueError, match="too many values to unpack"):
             partition_pairs([("a", 1), ("b", 2, 3)], 2)
 
-    def test_one_tuple_emitted_many_times_pickles_as_fresh_tuples(self):
-        # re-using the emitted tuple would let pickle memoise it and
-        # change the bucket's bytes (hence modelled transfer time)
+    def test_one_tuple_emitted_many_times_is_one_key_and_one_list(self):
         pair = ("the", 1)
         _assert_same_buckets([pair] * 1000, 4)
         (bucket,) = [b for b in partition_pairs([pair] * 1000, 4) if b]
-        assert all(item is not pair for item in bucket)
+        assert bucket == {"the": [1] * 1000}
+
+
+class _FakeStorage:
+    """Holds each map's buckets as objects, as the shims address them."""
+
+    def __init__(self):
+        self.partitions = {}
+
+    def put_shuffle_partition(self, executor_id, callset_id, call_id, reducer, bucket):
+        self.partitions[executor_id, callset_id, call_id, reducer] = bucket
+
+    def get_shuffle_partition(self, executor_id, callset_id, call_id, reducer):
+        return self.partitions.get((executor_id, callset_id, call_id, reducer), {})
+
+
+def _run_shims(streams, n_reducers, reduce_function):
+    """Both shims end to end over in-memory storage: one result per reducer."""
+    storage = _FakeStorage()
+    environment = SimpleNamespace(internal_storage_in_cloud=lambda: storage)
+    futures = []
+    for call_id, stream in enumerate(streams):
+        info = {"executor_id": "e", "callset_id": "M000", "call_id": f"{call_id:05d}"}
+        ambient.push_context(environment, in_cloud=True, call_info=info)
+        try:
+            shuffle.make_shuffle_map(lambda pairs: iter(pairs), n_reducers)(stream)
+        finally:
+            ambient.pop_context()
+        futures.append(SimpleNamespace(**info))
+    results = []
+    ambient.push_context(environment, in_cloud=True)
+    try:
+        for reducer_index in range(n_reducers):
+            shim = shuffle.make_shuffle_reduce_fetch(reduce_function, reducer_index)
+            results.append(shim(futures))
+    finally:
+        ambient.pop_context()
+    return results
+
+
+class TestGroupedShuffleEquivalence:
+    """Grouping on the map side and merging lists on the reduce side hands
+    every reducer what the per-pair shuffle handed it: the same keys in
+    the same first-seen order, with the same value lists, reduced by the
+    same ``reduce_function`` calls in the same order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        streams=st.lists(st.one_of(_pairs, _awkward_pairs), min_size=1, max_size=4),
+        n_reducers=st.integers(min_value=1, max_value=9),
+    )
+    def test_reducers_see_what_the_per_pair_loops_saw(self, streams, n_reducers):
+        # tag each value with its map and position, so order is observable
+        streams = [
+            [(key, (m, i)) for i, (key, _value) in enumerate(stream)]
+            for m, stream in enumerate(streams)
+        ]
+        calls, reference_calls = [], []
+
+        def record(into):
+            def reduce_function(key, values):
+                into.append((key, list(values)))
+                return len(into)
+            return reduce_function
+
+        results = _run_shims(streams, n_reducers, record(calls))
+        reference_buckets = [
+            _reference_partition_pairs(stream, n_reducers) for stream in streams
+        ]
+        reference_results = [
+            _reference_shuffle_reduce(
+                [buckets[slot] for buckets in reference_buckets],
+                record(reference_calls),
+            )
+            for slot in range(n_reducers)
+        ]
+        for slot in range(n_reducers):  # each map's bucket per slot
+            _assert_same_groups(
+                [partition_pairs(stream, n_reducers)[slot] for stream in streams],
+                [_reference_group([buckets[slot]]) for buckets in reference_buckets],
+            )
+        assert [list(map(id, r)) for r in results] == [
+            list(map(id, r)) for r in reference_results
+        ]
+        assert results == reference_results
+        assert [id(key) for key, _ in calls] == [id(key) for key, _ in reference_calls]
+        assert [values for _, values in calls] == [
+            values for _, values in reference_calls
+        ]
+        assert serializer.serialize(calls) == serializer.serialize(reference_calls)
 
 
 class TestPartitionCost:
@@ -221,8 +368,21 @@ class TestPartitionCost:
         for _call in range(2):  # the second call starts from zero
             calls.clear()
             buckets = partition_pairs(pairs, 8)
-            assert sum(map(len, buckets)) == self.PAIRS
+            assert len(_emitted(buckets)) == self.PAIRS
             assert len(calls) == self.DISTINCT
+
+    def test_pickled_bytes_per_emitted_pair(self):
+        """A power-law word count ships each distinct word once per map:
+        <= 4 pickled bytes per emitted pair (one (word, 1) tuple each was
+        13.0 B)."""
+        rng = random.Random("wordcount:42")
+        vocabulary = [f"w{rank:05d}" for rank in range(20_000)]
+        weights = list(itertools.accumulate(1.0 / (rank + 1) for rank in range(20_000)))
+        document = " ".join(rng.choices(vocabulary, cum_weights=weights, k=100_000))
+        pairs = [(word, 1) for word in document.split()]
+        buckets = partition_pairs(pairs, 8)
+        shipped = sum(len(serializer.serialize(bucket)) for bucket in buckets)
+        assert shipped / len(pairs) <= 4.0
 
 
 class TestMergeShuffleResults:
