@@ -324,7 +324,7 @@ class PyWrenConfig:
     runtime_timeout_s: float = 600.0
     #: function spawning mechanism (see :class:`InvokerMode`)
     invoker_mode: str = InvokerMode.LOCAL
-    #: client-side threads used to issue invocations in LOCAL mode
+    #: concurrent client invocation requests (LOCAL calls, MASSIVE groups)
     invoker_pool_size: int = 8
     #: invocations per remote invoker function in MASSIVE mode
     massive_group_size: int = 100
@@ -332,7 +332,7 @@ class PyWrenConfig:
     remote_invoker_pool_size: int = 4
     #: client polling period for statuses in COS (seconds)
     poll_interval: float = 1.0
-    #: client-side threads used to download results
+    #: concurrent client result downloads and DAG status reads
     result_fetch_pool_size: int = 32
     #: print a textual progress bar during get_result (§4.2)
     progress_bar: bool = False

@@ -34,7 +34,6 @@ from repro.core.futures import (
 )
 from repro.core.invokers import Invoker, LocalInvoker, MassiveInvoker, RemoteInvoker
 from repro.core.partitioner import StoragePartition, build_partitions
-from repro.core.pool import run_pool
 from repro.core.progress import ProgressBar
 from repro.core.storage_client import InternalStorage
 from repro.core.wait import ListSource, QueueSource, _wait as wait_loop
@@ -43,6 +42,7 @@ from repro.cos.client import COSClient
 from repro.faas.activation import ActivationStatus
 from repro.faas.gateway import CloudFunctionsClient
 from repro.utils.ids import new_executor_id
+from repro.vtime import fan_out
 
 COS_SCHEME = "cos://"
 
@@ -604,6 +604,9 @@ class FunctionExecutor:
         """Collect results (§4.2): waits, downloads in parallel, unwraps
         compositions, and shows a progress bar when enabled.
 
+        The downloads are one :func:`~repro.vtime.fan_out` of
+        ``ResponseFuture.result_steps`` on model-task lanes, not threads.
+
         With no argument, collects everything this executor submitted —
         a single value if only one call was made, else a list in submission
         order.  Supports timeout and keyboard interruption.
@@ -664,15 +667,9 @@ class FunctionExecutor:
             if unsubscribe is not None:
                 unsubscribe()
 
-        def _fetch(future: ResponseFuture) -> Any:
-            return future.result(timeout=timeout, throw_except=throw_except)
-
-        values = run_pool(
-            self.kernel,
-            _fetch,
-            fs,
-            self.config.result_fetch_pool_size,
-            name="result-fetch",
+        values = fan_out(
+            self.kernel, lambda future: future.result_steps(timeout, throw_except), fs,
+            self.config.result_fetch_pool_size, name="result-fetch",
         )
         if self.journal is not None:
             from repro.events import records as ev
@@ -1073,27 +1070,13 @@ class FunctionExecutor:
         return callset_id, calls, futures
 
     def _make_invoker(self) -> Invoker:
-        mode = self.config.invoker_mode
-        if mode == InvokerMode.LOCAL:
-            return LocalInvoker(
-                self.kernel,
-                self._functions,
-                self.config.invoker_pool_size,
-                tracer=self.tracer,
-            )
-        if mode == InvokerMode.REMOTE:
-            return RemoteInvoker(
-                self.kernel,
-                self._functions,
-                pool_size=self.config.remote_invoker_pool_size,
-                tracer=self.tracer,
-            )
+        config, args = self.config, (self.kernel, self._functions)
+        if config.invoker_mode == InvokerMode.LOCAL:
+            return LocalInvoker(*args, config.invoker_pool_size, self.tracer)
+        if config.invoker_mode == InvokerMode.REMOTE:
+            return RemoteInvoker(*args, config.remote_invoker_pool_size, self.tracer)
         return MassiveInvoker(
-            self.kernel,
-            self._functions,
-            group_size=self.config.massive_group_size,
-            client_pool_size=self.config.invoker_pool_size,
-            tracer=self.tracer,
+            *args, config.massive_group_size, config.invoker_pool_size, self.tracer
         )
 
 

@@ -10,10 +10,11 @@ client's composition-aware ``get_result`` resolves them transparently.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro import vtime
+from repro.vtime import vsleep
 from repro.core.errors import FunctionError, ResultTimeoutError
 from repro.core.storage_client import InternalStorage
 
@@ -167,6 +168,12 @@ def synthetic_status(
     }
 
 
+#: ticks once per status any future in the process learns (per process: an
+#: unpickled future knows no kernel); ``next`` reads and ticks it.  A wait that
+#: saw it move only by its own discoveries knows nobody else learned a status.
+LEARNED = itertools.count()
+
+
 class ResponseFuture:
     """Handle for one function executor's eventual result."""
 
@@ -247,6 +254,7 @@ class ResponseFuture:
         The success/error split happens when the status is actually read.
         """
         self._status_seen = True
+        next(LEARNED)
 
     @property
     def status_known(self) -> bool:
@@ -257,56 +265,86 @@ class ResponseFuture:
         """One status check (no blocking)."""
         if self.status_known:
             return True
-        status = self._require_storage().get_status(
+        kernel = self._require_storage().cos.link.kernel
+        return kernel.drive(self.poll_steps()) is not None
+
+    def poll_steps(self):
+        """One status GET: ingests and returns the status, ``None`` if the
+        call has not finished."""
+        status = yield from self._require_storage().get_status_steps(
             self.executor_id, self.callset_id, self.call_id
         )
-        if status is None:
-            return False
-        self._ingest_status(status)
-        return True
+        if status is not None:
+            self._ingest_status(status)
+        return status
 
     def _ingest_status(self, status: dict[str, Any]) -> None:
         self._status = status
         self._state = CallState.SUCCESS if status.get("success") else CallState.ERROR
+        next(LEARNED)
 
     def status(self, timeout: Optional[float] = None) -> dict[str, Any]:
-        """Block until the call finishes; return its status dict."""
-        self._wait_done(timeout)
-        if self._status is None:
-            status = self._require_storage().get_status(
-                self.executor_id, self.callset_id, self.call_id
-            )
-            assert status is not None
-            self._ingest_status(status)
+        return self._require_storage().cos.link.kernel.drive(self.status_steps(timeout))
+
+    def status_steps(self, timeout: Optional[float] = None):
+        """Wait for the call to finish; return a copy of its status dict.
+
+        Polls the status object every ``poll_interval``; raises
+        :class:`ResultTimeoutError` once ``timeout`` virtual seconds pass.
+        A status only seen (LISTed) is read once, with no poll first.
+        """
+        kernel = self._require_storage().cos.link.kernel
+        deadline = None if timeout is None else kernel.now() + timeout
+        while self._status is None and (yield from self.poll_steps()) is None:
+            assert not self._status_seen, "a LISTed status cannot vanish"
+            if deadline is not None and kernel.now() >= deadline:
+                raise ResultTimeoutError(
+                    f"call {self.call_id} did not finish within {timeout}s"
+                )
+            yield vsleep(self._poll_interval)
         return dict(self._status)
 
     # -- results ---------------------------------------------------------------
-    def result(
-        self,
-        timeout: Optional[float] = None,
-        throw_except: bool = True,
-    ) -> Any:
-        """Block (virtual time) until the result is available and return it.
+    def result(self, timeout: Optional[float] = None, throw_except: bool = True) -> Any:
+        return self._require_storage().cos.link.kernel.drive(
+            self.result_steps(timeout, throw_except)
+        )
+
+    def result_steps(self, timeout: Optional[float] = None, throw_except: bool = True):
+        """Wait (virtual time) until the result is available and return it.
 
         Composition-aware: when the remote function returned futures (from a
         nested executor), those are resolved recursively so callers always
         receive final values (§4.2's ``get_result`` behaviour).
         """
-        status = self.status(timeout)
+        status = yield from self.status_steps(timeout)
+        storage = self._storage
         if not self._value_loaded:
             if status.get("lost") or status.get("buried"):
                 # synthetic status: the call was given up on, there is no
                 # result blob — or only a late attempt's, not this outcome's
                 raw: Any = (None, status.get("error"))
             else:
-                raw = self._require_storage().get_result(
+                raw = yield from storage.get_result_steps(
                     self.executor_id, self.callset_id, self.call_id
                 )
             self._value = raw
             self._value_loaded = True
         if status.get("success"):
-            self._value = self._resolve_composition(self._value, timeout)
-            return self._value
+            value, interval = self._value, self._poll_interval
+            while isinstance(value, ResponseFuture):
+                value = yield from value.bind(storage, interval).result_steps(timeout)
+            if (
+                isinstance(value, (list, tuple))
+                and value
+                and all(isinstance(v, ResponseFuture) for v in value)
+            ):
+                resolved = []
+                for v in value:
+                    resolved.append((yield from v.bind(storage, interval).result_steps(timeout)))
+                value = type(value)(resolved) if isinstance(value, tuple) else resolved
+            self._value = value
+            return value
         # Error path: the stored result is (exception|None, traceback string).
         cause, remote_tb = self._value
         if throw_except:
@@ -317,27 +355,3 @@ class ResponseFuture:
                 remote_traceback=remote_tb,
             )
         return None
-
-    def _resolve_composition(self, value: Any, timeout: Optional[float]) -> Any:
-        storage = self._require_storage()
-        while isinstance(value, ResponseFuture):
-            value = value.bind(storage, self._poll_interval).result(timeout)
-        if (
-            isinstance(value, (list, tuple))
-            and value
-            and all(isinstance(v, ResponseFuture) for v in value)
-        ):
-            resolved = [
-                v.bind(storage, self._poll_interval).result(timeout) for v in value
-            ]
-            value = type(value)(resolved) if isinstance(value, tuple) else resolved
-        return value
-
-    def _wait_done(self, timeout: Optional[float]) -> None:
-        deadline = None if timeout is None else vtime.now() + timeout
-        while not self.done():
-            if deadline is not None and vtime.now() >= deadline:
-                raise ResultTimeoutError(
-                    f"call {self.call_id} did not finish within {timeout}s"
-                )
-            vtime.sleep(self._poll_interval)

@@ -1,8 +1,8 @@
 """Function-spawning strategies (§5.1, Table 1 "Remote function spawning").
 
 * :class:`LocalInvoker` — the client issues every invocation over its own
-  network link with a thread pool, like original PyWren.  Fast from a
-  low-latency network, slow (and failure-prone) over a WAN.
+  network link, ``pool_size`` at a time, like original PyWren's thread
+  pool.  Fast from a low-latency network, slow (and failure-prone) over a WAN.
 * :class:`RemoteInvoker` — one remote invoker function receives the whole
   call list and spawns from inside the cloud, optionally with an internal
   pool (the paper's first attempt: ~20 s for 1000 calls).
@@ -10,6 +10,8 @@
   ``group_size`` calls, one remote invoker function per group, executed in
   parallel (~8 s for 1000 calls, like a low-latency client).
 
+The client's pools (LOCAL calls, MASSIVE groups) are :func:`repro.vtime.fan_out`
+lanes: model tasks that hold no OS thread and take work in ``(vtime, seq)`` order.
 Invokers treat call params as opaque: when a locality-providing exchange
 backend supplies a ``placement_hint`` (see :mod:`repro.dag.locality`),
 every strategy forwards it untouched to the FaaS controller, which uses
@@ -18,21 +20,34 @@ it to prefer the invoker node already holding the task's inputs.
 
 from __future__ import annotations
 
-import threading
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 from repro.core.futures import ResponseFuture
-from repro.core.pool import run_pool
 from repro.core.worker import REMOTE_INVOKER_ACTION
 from repro.faas.gateway import CloudFunctionsClient
-from repro.vtime import Kernel
+from repro.vtime import Kernel, fan_out
 
 
 class Invoker:
-    """Strategy interface: issue one invocation per call-params dict."""
+    """Strategy interface: issue one invocation per call-params dict.
 
-    #: optional :class:`repro.trace.Tracer`; set by the executor
-    tracer = None
+    ``pool_size`` invocations are in flight at once: the client's
+    :func:`~repro.vtime.fan_out` width (LOCAL calls, MASSIVE groups), or
+    the in-cloud invoker's own pool (REMOTE).
+    """
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        functions: CloudFunctionsClient,
+        pool_size: int,
+        tracer=None,
+    ) -> None:
+        self.kernel = kernel
+        self.functions = functions
+        self.pool_size = pool_size
+        #: optional :class:`repro.trace.Tracer`
+        self.tracer = tracer
 
     def invoke_calls(
         self,
@@ -59,19 +74,7 @@ class Invoker:
 
 
 class LocalInvoker(Invoker):
-    """Client-side invocation with a thread pool."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        functions: CloudFunctionsClient,
-        pool_size: int,
-        tracer=None,
-    ) -> None:
-        self.kernel = kernel
-        self.functions = functions
-        self.pool_size = pool_size
-        self.tracer = tracer
+    """Client-side invocation, ``pool_size`` requests in flight."""
 
     def invoke_calls(
         self,
@@ -80,31 +83,22 @@ class LocalInvoker(Invoker):
         calls: Sequence[dict[str, Any]],
         futures: Sequence[ResponseFuture],
     ) -> None:
-        pairs = list(zip(calls, futures))
-
-        def _invoke(pair: tuple[dict[str, Any], ResponseFuture]) -> None:
+        def _invoke_steps(pair: tuple[dict[str, Any], ResponseFuture]):
             params, future = pair
-            activation_id = self.functions.invoke(namespace, action, params)
+            activation_id = yield from self.functions.invoke_steps(
+                namespace, action, params
+            )
             future.mark_invoked(activation_id)
             self._trace_invoke(future)
 
-        run_pool(self.kernel, _invoke, pairs, self.pool_size, name="invoker")
+        fan_out(
+            self.kernel, _invoke_steps, zip(calls, futures), self.pool_size,
+            name="invoker",
+        )
 
 
 class RemoteInvoker(Invoker):
     """One in-cloud invoker function spawns the whole job."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        functions: CloudFunctionsClient,
-        pool_size: int = 4,
-        tracer=None,
-    ) -> None:
-        self.kernel = kernel
-        self.functions = functions
-        self.pool_size = pool_size
-        self.tracer = tracer
 
     def invoke_calls(
         self,
@@ -137,16 +131,13 @@ class MassiveInvoker(Invoker):
         kernel: Kernel,
         functions: CloudFunctionsClient,
         group_size: int = 100,
-        client_pool_size: int = 8,
+        pool_size: int = 8,
         tracer=None,
     ) -> None:
         if group_size <= 0:
             raise ValueError("group_size must be positive")
-        self.kernel = kernel
-        self.functions = functions
+        super().__init__(kernel, functions, pool_size, tracer)
         self.group_size = group_size
-        self.client_pool_size = client_pool_size
-        self.tracer = tracer
 
     def invoke_calls(
         self,
@@ -161,20 +152,19 @@ class MassiveInvoker(Invoker):
             for i in range(0, len(calls), self.group_size)
         ]
 
-        def _invoke_group(group: list[dict[str, Any]]) -> None:
+        def _invoke_group_steps(group: list[dict[str, Any]]):
             params = {
                 "namespace": namespace,
                 "action": action,
                 "calls": group,
                 "pool_size": 1,  # sequential inside each group invoker
             }
-            self.functions.invoke(namespace, REMOTE_INVOKER_ACTION, params)
+            yield from self.functions.invoke_steps(
+                namespace, REMOTE_INVOKER_ACTION, params
+            )
 
-        run_pool(
-            self.kernel,
-            _invoke_group,
-            groups,
-            self.client_pool_size,
+        fan_out(
+            self.kernel, _invoke_group_steps, groups, self.pool_size,
             name="massive-invoker",
         )
         for future in futures:

@@ -444,9 +444,12 @@ class InternalStorage:
         return len(blob)
 
     def get_result(self, executor_id: str, callset_id: str, call_id: str) -> Any:
+        return self.cos.link.kernel.drive(self.get_result_steps(executor_id, callset_id, call_id))
+
+    def get_result_steps(self, executor_id: str, callset_id: str, call_id: str):
         """A call's result blob — tier-first for in-cloud readers (DAG
         dependents consuming upstream node outputs); plain COS otherwise."""
-        blob = self.exchange.get(
+        blob = yield from self.exchange.get_steps(
             self.cos,
             self.bucket,
             self.result_key(executor_id, callset_id, call_id),

@@ -30,12 +30,60 @@ from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro import vtime
 from repro.core.errors import ResultTimeoutError
-from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, ResponseFuture
+from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, LEARNED, ResponseFuture
 from repro.core.storage_client import InternalStorage
 
 __all__ = ["wait", "ALWAYS", "ANY_COMPLETED", "ALL_COMPLETED"]
 
 Discovery = Iterator[tuple[ResponseFuture, Optional[dict[str, Any]]]]
+
+
+class Pending:
+    """The futures one wait still waits on, indexed so that a round costs
+    O(callsets + completions): by input position, and per callset by call
+    id.  :meth:`listed` takes out what a LIST revealed; what anyone else
+    learned meanwhile (another waiter, a DAG watcher sharing the futures,
+    a burial) is swept out by :meth:`sync`, which re-reads every future
+    only when :data:`~repro.core.futures.LEARNED` moved by more than this
+    wait's own discoveries.
+    """
+
+    def __init__(self, futures: Sequence[ResponseFuture]) -> None:
+        self._index(enumerate(futures))
+        self._tick, self._own = next(LEARNED), 0
+
+    def _index(self, items: Iterable[tuple[int, ResponseFuture]]) -> None:
+        #: position -> future, and (executor_id, callset_id) -> call_id ->
+        #: positions; a callset's first call id holds its first position
+        self.order: dict[int, ResponseFuture] = {}
+        self.callsets: dict[tuple[str, str], dict[str, list[int]]] = {}
+        for position, future in items:
+            if not future.status_known:
+                self.order[position] = future
+                ids = self.callsets.setdefault((future.executor_id, future.callset_id), {})
+                ids.setdefault(future.call_id, []).append(position)
+
+    def sync(self) -> None:
+        tick = next(LEARNED)
+        if tick != self._tick + 1 + self._own:
+            self._index(list(self.order.items()))
+        self._tick, self._own = tick, 0
+
+    def futures(self) -> list[ResponseFuture]:
+        return list(self.order.values())
+
+    def keys(self) -> list[tuple[str, str]]:
+        """The callsets with a pending future, by their first one."""
+        return sorted(self.callsets, key=lambda key: next(iter(self.callsets[key].values())))
+
+    def listed(self, key: tuple[str, str], done_ids: set[str]) -> list[ResponseFuture]:
+        """Take out (in input order) ``key``'s futures a LIST found done."""
+        ids = self.callsets[key]
+        hits = sorted(p for call_id in ids.keys() & done_ids for p in ids.pop(call_id))
+        if not ids:
+            del self.callsets[key]
+        self._own += len(hits)
+        return [self.order.pop(position) for position in hits]
 
 
 class ListSource:
@@ -51,21 +99,15 @@ class ListSource:
     def __init__(self, storage: InternalStorage) -> None:
         self.storage = storage
 
-    def discover(self, pending: Sequence[ResponseFuture]) -> Discovery:
-        """One LIST per callset that still has a pending future."""
-        by_callset: dict[tuple[str, str], list[ResponseFuture]] = {}
-        for future in pending:
-            if not future.status_known:  # a hook may have buried or ingested it
-                key = (future.executor_id, future.callset_id)
-                by_callset.setdefault(key, []).append(future)
-        for (executor_id, callset_id), group in by_callset.items():
-            done_ids = self.storage.list_done_call_ids(executor_id, callset_id)
+    def discover(self, pending: Pending, keys: Optional[list] = None) -> Discovery:
+        """One LIST per callset (of ``keys``) that has a pending future."""
+        for key in pending.keys() if keys is None else keys:
+            done_ids = self.storage.list_done_call_ids(*key)
             if done_ids:
-                for future in group:
-                    if future.call_id in done_ids:
-                        yield future, None
+                for future in pending.listed(key, done_ids):
+                    yield future, None
 
-    def idle(self, seconds: float, pending, need: int) -> None:
+    def idle(self, seconds: float, pending: Pending, need: int) -> None:
         vtime.sleep(seconds)
 
     def forget(self, future: ResponseFuture) -> None:
@@ -95,9 +137,9 @@ class QueueSource(ListSource):
         status = self._mq.consume(self.queue, timeout=timeout)
         return (status["callset_id"], status["call_id"]), status
 
-    def discover(self, pending: Sequence[ResponseFuture]) -> Discovery:
+    def discover(self, pending: Pending) -> Discovery:
         waiting: dict[tuple[str, str], ResponseFuture] = {}
-        for future in pending:
+        for future in pending.futures():
             if future.status_known or future.executor_id != self._executor_id:
                 continue
             key = (future.callset_id, future.call_id)
@@ -118,14 +160,14 @@ class QueueSource(ListSource):
             else:
                 self._delivered[key] = status
         yield from super().discover(
-            [f for f in pending if f.executor_id != self._executor_id]
+            pending, [key for key in pending.keys() if key[0] != self._executor_id]
         )
 
-    def idle(self, seconds: float, pending, need: int) -> None:
+    def idle(self, seconds: float, pending: Pending, need: int) -> None:
         """Block on the queue; return once ``need`` of ``pending`` arrived."""
         waiting = {
             (future.callset_id, future.call_id)
-            for future in pending
+            for future in pending.order.values()
             if future.executor_id == self._executor_id
         }
         end = vtime.now() + seconds
@@ -168,43 +210,42 @@ def _wait(
             future.bind(source.storage, poll_interval)
 
     deadline = None if timeout is None else vtime.now() + timeout
-    # carried from round to round in the original order, so a round costs
-    # O(pending) and callsets are LISTed in the order of their first
-    # still-pending future
-    not_done = futures
+    # carried from round to round, so a round costs O(callsets + completions)
+    pending = Pending(futures)
     while True:
-        for future, status in source.discover(not_done):
+        pending.sync()
+        for future, status in source.discover(pending):
             if status is None:
                 future.mark_done()
             else:
                 future._ingest_status(status)
         if on_round is not None:
             on_round(futures)
-        not_done = [f for f in not_done if not f.status_known]
-        done_count = len(futures) - len(not_done)
+        pending.sync()
+        done_count = len(futures) - len(pending.order)
         if on_progress is not None:
             on_progress(done_count, len(futures))
         if (
             return_when == ALWAYS
             or (return_when == ANY_COMPLETED and done_count)
-            or (return_when == ALL_COMPLETED and not not_done)
+            or (return_when == ALL_COMPLETED and not pending.order)
         ):
-            return [f for f in futures if f.status_known], not_done
+            return [f for f in futures if f.status_known], pending.futures()
         if deadline is not None and vtime.now() >= deadline:
             raise ResultTimeoutError(
-                f"wait() timed out with {len(not_done)} of "
+                f"wait() timed out with {len(pending.order)} of "
                 f"{len(futures)} futures unfinished"
             )
         if lost_detector is not None:
-            lost_detector(not_done)
+            lost_detector(pending.futures())
             # an exhausted call got its synthetic status ingested directly
-            not_done = [f for f in not_done if not f.status_known]
+            pending.sync()
         step = poll_interval
         if deadline is not None:
             # the last idle before the deadline is clipped to it
             step = min(step, max(0.0, deadline - vtime.now()))
-        need = 1 if return_when == ANY_COMPLETED else len(not_done)
-        source.idle(step, not_done, need)
+        need = 1 if return_when == ANY_COMPLETED else len(pending.order)
+        source.idle(step, pending, need)
 
 
 def wait(

@@ -23,12 +23,12 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core import context as ambient
-from repro.core.futures import synthetic_status
+from repro.core.futures import ResponseFuture, synthetic_status
 from repro.dag import locality as _locality
 from repro.dag.graph import Dag
 from repro.dag.node import ARG_DEP, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
 from repro.retry import RetryPolicy
-from repro.vtime import VEvent, gather
+from repro.vtime import VEvent, fan_out
 from repro.vtime.kernel import vjoin, vsleep
 
 
@@ -532,29 +532,12 @@ class DagScheduler:
         return [n for n in found if n.future._status is not None]
 
     def _read_statuses(self, futures: list) -> None:
-        """GET and ingest the statuses of ``futures``, concurrently.
-
-        At most ``config.result_fetch_pool_size`` model-task lanes pull from
-        one iterator; the kernel steps them in ``(vtime, seq)`` order, so the
-        hand-out never depends on host thread timing.  A lone lane runs on
-        the round's own thread, sparing a task and two thread hand-offs.
-        """
-        storage = self.executor._storage
-        todo = iter(futures)
-
-        def lane():
-            for future in todo:
-                status = yield from storage.get_status_steps(
-                    future.executor_id, future.callset_id, future.call_id
-                )
-                if status is not None:
-                    future._ingest_status(status)
-
-        width = min(self.executor.config.result_fetch_pool_size, len(futures))
-        if width <= 1:
-            self.kernel.drive(lane())
-        else:
-            gather([self.kernel.spawn_model(lane, name="dag-status") for _ in range(width)])
+        """GET and ingest the statuses of ``futures``, concurrently: one
+        :func:`~repro.vtime.fan_out` of ``config.result_fetch_pool_size``."""
+        fan_out(
+            self.kernel, ResponseFuture.poll_steps, futures,
+            self.executor.config.result_fetch_pool_size, name="dag-status",
+        )
 
     def _complete(self, run: DagRun, node: DagNode) -> None:
         future = node.future
@@ -671,7 +654,7 @@ class DagScheduler:
         ):
             future._ingest_status(status)
         else:
-            future._status_seen = True  # a real status exists; use it
+            future.mark_done()  # a real status exists; use it
         if self.journal is not None:
             key = (future.callset_id, future.call_id)
             self.executor._journal_seen.add(key)

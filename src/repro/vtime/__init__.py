@@ -41,6 +41,7 @@ from repro.vtime.sync import (
     VEvent,
     VQueue,
     VSemaphore,
+    fan_out,
     gather,
 )
 
@@ -62,6 +63,7 @@ __all__ = [
     "VSemaphore",
     "QueueEmpty",
     "gather",
+    "fan_out",
     "current_kernel",
     "current_task",
     "sleep",

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import collections
 import threading
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from repro.vtime.kernel import Kernel, Task, Waiter, current_task, vwait
 
-__all__ = ["VCondition", "VEvent", "VSemaphore", "VQueue", "QueueEmpty", "gather"]
+__all__ = ["VCondition", "VEvent", "VSemaphore", "VQueue", "QueueEmpty", "gather", "fan_out"]
 
 
 class QueueEmpty(Exception):
@@ -256,4 +256,37 @@ def gather(tasks: Iterable[Any]) -> list[Any]:
         results.append(task._result)
     if first_exc is not None:
         raise first_exc
+    return results
+
+
+def fan_out(
+    kernel: Kernel,
+    steps_fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    width: int,
+    name: str = "fan-out",
+) -> list[Any]:
+    """``yield from steps_fn(item)`` for every item; results in input order.
+
+    At most ``width`` model-task lanes pull ``(index, item)`` from one
+    shared iterator (work stealing, like a client thread pool draining its
+    queue), stepped in ``(vtime, seq)`` order: which lane takes which item
+    never depends on host thread timing.  A lone lane runs on the caller's
+    own thread.  The first lane exception is raised once every lane has
+    been joined.  Not callable from inside a model task.
+    """
+    items = list(items)
+    results: list[Any] = [None] * len(items)
+    todo = enumerate(items)
+
+    def lane():
+        for index, item in todo:
+            results[index] = yield from steps_fn(item)
+
+    width = min(width, len(items))
+    if width <= 1:
+        if items:
+            kernel.drive(lane())
+    else:
+        gather([kernel.spawn_model(lane, name=name) for _ in range(width)])
     return results

@@ -28,6 +28,8 @@ import repro
 from repro.chaos import ChaosProfile, build_plane
 from repro.config import ExchangeConfig
 from repro.core import serializer
+from repro.core.errors import ResultTimeoutError
+from repro.core.futures import ResponseFuture, synthetic_status
 from repro.core.storage_client import InternalStorage
 from repro.cos import CloudObjectStorage, COSClient
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
@@ -39,7 +41,7 @@ from repro.mq.client import MQClient
 from repro.net import LatencyModel, NetworkLink
 from repro.retry import RetryPolicy
 from repro.trace.tracer import Tracer
-from repro.vtime import Kernel
+from repro.vtime import Kernel, vsleep
 
 BUCKET = "io"
 DATA = bytes(range(256)) * 40  # 10 KiB
@@ -175,6 +177,116 @@ def status_found(w: World) -> Case:
     )
 
 
+def result_found(w: World) -> Case:
+    storage = InternalStorage(w.cos, BUCKET)
+    key = storage.result_key("e", "M000", "00000")
+
+    def setup():
+        w.store.put_object(BUCKET, key, serializer.serialize({"answer": 42}))
+
+    return Case(
+        setup,
+        lambda: storage.get_result("e", "M000", "00000"),
+        lambda: storage.get_result_steps("e", "M000", "00000"),
+        _nothing,
+    )
+
+
+# -- response futures ---------------------------------------------------------
+POLL_S = 2.0
+
+
+def _publish(w: World, storage: InternalStorage, call: tuple, value, **status):
+    """Write ``call``'s status (and its result blob, unless synthetic)."""
+    future = ResponseFuture(*call)
+    if "flag" in status:
+        record = synthetic_status(future, "gave up", status["flag"], 0.0, 1.0)
+    else:
+        record = {"call_id": call[2], "success": status.get("success", True)}
+        if not record["success"]:
+            record["error"] = "ValueError: bad"
+        w.store.put_object(
+            BUCKET, storage.result_key(*call), serializer.serialize(value)
+        )
+    w.store.put_object(
+        BUCKET, storage.status_key(*call), serializer.serialize(record)
+    )
+
+
+def _future_case(
+    name: str,
+    publish: Callable[[World, InternalStorage], Any],
+    timeout=None,
+    throw_except=True,
+    op="result",
+):
+    def case(w: World) -> Case:
+        storage = InternalStorage(w.cos, BUCKET)
+        future = ResponseFuture("e", "M000", "00000").bind(storage, POLL_S)
+        args = (timeout,) if op == "status" else (timeout, throw_except)
+        return Case(
+            lambda: publish(w, storage),
+            lambda: getattr(future, op)(*args),
+            lambda: getattr(future, f"{op}_steps")(*args),
+            lambda: (future.state, future._value_loaded, future.status_known),
+        )
+
+    case.__name__ = name
+    return case
+
+
+def _done(value=None, **status):
+    return lambda w, storage: _publish(w, storage, ("e", "M000", "00000"), value, **status)
+
+
+def _later(delay: float):
+    """Publish a success only ``delay`` virtual seconds in: the reader polls."""
+
+    def publish(w, storage):
+        def writer():
+            yield vsleep(delay)
+            _publish(w, storage, ("e", "M000", "00000"), "late")
+
+        w.kernel.spawn_model(writer)
+
+    return publish
+
+
+def _composed(w: World, storage: InternalStorage) -> None:
+    """A call that returned a future whose call returned two futures."""
+    leaves = [ResponseFuture("e", "M002", f"0000{i}") for i in range(2)]
+    for i, leaf in enumerate(leaves):
+        _publish(w, storage, (leaf.executor_id, leaf.callset_id, leaf.call_id), i + 1)
+    _publish(w, storage, ("e", "M001", "00000"), leaves)
+    _publish(w, storage, ("e", "M000", "00000"), ResponseFuture("e", "M001", "00000"))
+
+
+def _composed_unfinished(w: World, storage: InternalStorage) -> None:
+    """A call that returned the future of a call that never finishes (a
+    missing status costs no request, so the outer reads carry the I/O)."""
+    _publish(w, storage, ("e", "M000", "00000"), ResponseFuture("e", "M001", "00000"))
+
+
+FUTURE_CASES = [
+    _future_case("future-result-success", _done(42)),
+    _future_case(
+        "future-result-error-raised",
+        _done((ValueError("bad"), "Traceback"), success=False),
+    ),
+    _future_case(
+        "future-result-error-quiet",
+        _done((ValueError("bad"), "Traceback"), success=False),
+        throw_except=False,
+    ),
+    _future_case("future-result-lost", _done(flag="lost"), throw_except=False),
+    _future_case("future-result-buried", _done(flag="buried")),
+    _future_case("future-result-composition", _composed),
+    _future_case("future-result-polled", _later(5.0)),
+    _future_case("future-result-deadline", _composed_unfinished, timeout=5.0),
+    _future_case("future-status-polled", _later(5.0), op="status"),
+]
+
+
 # -- exchange backends --------------------------------------------------------
 def _backend(name: str, kernel: Kernel) -> ExchangeBackend:
     if name == "cos":
@@ -269,6 +381,8 @@ CASES = [
     commit_won,
     commit_lost,
     status_found,
+    result_found,
+    *FUTURE_CASES,
     *[
         _exchange_case(backend, op, in_cloud)
         for backend in ("cos", "cached-cos", "vm")

@@ -1,76 +1,10 @@
-"""Unit tests for the task pool and progress bar."""
+"""Unit tests for the progress bar (the client pools: ``tests/vtime/test_fan_out.py``)."""
 
 from __future__ import annotations
 
 import io
 
-import pytest
-
-from repro.core.pool import run_pool
 from repro.core.progress import ProgressBar
-from repro.vtime import sleep
-
-
-class TestRunPool:
-    def test_results_in_input_order(self, kernel):
-        def main():
-            return run_pool(kernel, lambda x: x * 2, [3, 1, 2], pool_size=2)
-
-        assert kernel.run(main) == [6, 2, 4]
-
-    def test_concurrency_bounded(self, kernel):
-        def main():
-            def job(_):
-                sleep(10)
-
-            run_pool(kernel, job, list(range(8)), pool_size=2)
-            return kernel.now()
-
-        # 8 jobs, 2 at a time, 10 s each = 40 s
-        assert kernel.run(main) == 40.0
-
-    def test_pool_larger_than_items(self, kernel):
-        def main():
-            def job(x):
-                sleep(5)
-                return x
-
-            results = run_pool(kernel, job, [1, 2], pool_size=100)
-            return results, kernel.now()
-
-        assert kernel.run(main) == ([1, 2], 5.0)
-
-    def test_empty_items(self, kernel):
-        def main():
-            return run_pool(kernel, lambda x: x, [], pool_size=4)
-
-        assert kernel.run(main) == []
-
-    def test_exception_propagates(self, kernel):
-        def main():
-            def bad(x):
-                if x == 2:
-                    raise RuntimeError("job 2")
-                return x
-
-            run_pool(kernel, bad, [1, 2, 3], pool_size=2)
-
-        with pytest.raises(RuntimeError, match="job 2"):
-            kernel.run(main)
-
-    def test_work_stealing(self, kernel):
-        """A slow item does not block the other worker from draining."""
-
-        def main():
-            def job(x):
-                sleep(100 if x == 0 else 1)
-                return x
-
-            run_pool(kernel, job, [0, 1, 2, 3, 4], pool_size=2)
-            return kernel.now()
-
-        # worker A takes item 0 (100 s); worker B does 1..4 (4 s)
-        assert kernel.run(main) == 100.0
 
 
 class TestProgressBar:

@@ -10,12 +10,16 @@ answer whoever submitted the futures and however many threads wait.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 import repro as pw
 from repro.chaos import ChaosProfile
 from repro.core.errors import FunctionError, ResultTimeoutError
-from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED
+from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, ResponseFuture
+from repro.core.wait import Pending, _wait as wait_loop
 
 TRANSPORTS = ["cos_polling", "mq_push"]
 
@@ -89,8 +93,6 @@ class TestWaitContract:
         assert 15.0 <= env.run(main) < 15.5
 
     def test_on_progress_once_per_round(self, env, transport):
-        from repro.core.wait import _wait as wait_loop
-
         def main():
             executor = pw.ibm_cf_executor(monitoring=transport)
             futures = executor.map(sleeper, [1] * 10 + [6] * 10)
@@ -238,3 +240,92 @@ class TestTransportsAgree:
         out = env.run(main)
         assert {name: n for name, (n, _) in out.items()} == {"a": 5, "b": 5}
         assert all(elapsed < 20.0 for _, elapsed in out.values())
+
+
+class TestPollRoundCost:
+    """A round costs O(callsets + completions): the pending futures stay
+    indexed per callset across rounds, so nothing re-reads all of them."""
+
+    def test_a_round_does_not_scan_the_pending_futures(self, env, monkeypatch):
+        n = 400
+        reads = []
+        status_known = ResponseFuture.status_known
+
+        def counted(future):
+            reads.append(future)
+            return status_known.fget(future)
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            futures = executor.map(sleeper, [i % 40 for i in range(n)])
+            monkeypatch.setattr(ResponseFuture, "status_known", property(counted))
+            rounds = []
+            wait_loop(
+                futures,
+                executor._completions,
+                poll_interval=executor.config.poll_interval,
+                on_round=lambda fs: rounds.append(len(fs)),
+            )
+            return len(rounds)
+
+        rounds = env.run(main)
+        assert rounds >= 10
+        # one read per future to index them, one to report them done
+        assert len(reads) <= 2 * n
+
+    def test_callsets_are_listed_by_their_first_pending_future(self, env):
+        listed = []
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            a = executor.map(sleeper, [0, 100])
+            b = executor.map(sleeper, [50, 50])
+            storage = executor._storage
+            list_done = storage.list_done_call_ids
+
+            def recording(executor_id, callset_id):
+                listed[-1].append(callset_id)
+                return list_done(executor_id, callset_id)
+
+            storage.list_done_call_ids = recording
+            listed.append([])
+            done, _ = wait_loop(
+                [a[0], b[0], a[1], b[1]],
+                executor._completions,
+                poll_interval=executor.config.poll_interval,
+                on_round=lambda fs: listed.append([]),
+            )
+            return [f.call_id for f in done], a[0].callset_id, b[0].callset_id
+
+        done, a, b = env.run(main)
+        assert done == ["00000", "00000", "00001", "00001"]
+        rounds = [r for r in listed if r]
+        assert rounds[0] == [a, b]
+        # once a[0] is done, b's first pending future (position 1) comes
+        # before a's (position 2); once b is done, only a is listed
+        assert [b, a] in rounds
+        assert rounds.index([b, a]) < rounds.index([a])
+        assert rounds[-1] == [a] and [a, b] not in rounds[1:]
+
+    def test_statuses_learned_on_other_threads_are_swept(self):
+        """The index re-reads every future only when ``LEARNED`` moved by
+        more than the wait's own discoveries; threads racing to learn
+        statuses (with a tiny switch interval) must never slip past it."""
+        futures = [ResponseFuture("e", f"M{i % 3:03d}", f"{i:05d}") for i in range(3000)]
+        pending = Pending(futures)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=lambda k=k: [f.mark_done() for f in futures[k::8]])
+                for k in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        pending.sync()
+        assert pending.order == {} and pending.keys() == []
