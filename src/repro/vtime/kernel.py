@@ -200,7 +200,9 @@ class Task:
         self._wake = threading.Event()
         self._wake_exc: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
-        self._outcome_ready = threading.Event()
+        # created only for an outside thread's join(); see Kernel._await_finish
+        self._outcome_ready: Optional[threading.Event] = None
+        self._join_waiters: Optional[list[Waiter]] = None  # kernel tasks' join()s
         self._result: Any = None
         self._exception: Optional[BaseException] = None
 
@@ -213,7 +215,7 @@ class Task:
 
     def result(self) -> Any:
         """Return the task function's return value (task must be finished)."""
-        if not self._outcome_ready.is_set():
+        if self._state != Task._FINISHED:
             raise VTimeUsageError(
                 f"task {self.name!r} has not finished; join() it first"
             )
@@ -230,11 +232,7 @@ class Task:
         time, which is correct because outside threads are not part of the
         simulation.  Returns ``True`` if the task finished.
         """
-        caller = current_task()
-        if caller is None:
-            self._outcome_ready.wait()
-            return True
-        return self.kernel._join_task(self, timeout)
+        return self.kernel._join_any(self, timeout)
 
 
 class ModelTask:
@@ -265,7 +263,8 @@ class ModelTask:
         self._resume_value_fn: Optional[Callable[[], Any]] = None
         # as Task._context: snapshot at spawn, dropped at finish
         self._context: Optional[contextvars.Context] = _task_context(self)
-        self._outcome_ready = threading.Event()
+        self._outcome_ready: Optional[threading.Event] = None  # as Task
+        self._join_waiters: Optional[list[Waiter]] = None
         self._result: Any = None
         self._exception: Optional[BaseException] = None
 
@@ -278,7 +277,7 @@ class ModelTask:
 
     def result(self) -> Any:
         """Return the task generator's return value (task must be finished)."""
-        if not self._outcome_ready.is_set():
+        if self._state != ModelTask._FINISHED:
             raise VTimeUsageError(
                 f"model task {self.name!r} has not finished; join() it first"
             )
@@ -291,11 +290,7 @@ class ModelTask:
 
         From inside another *model* task, use ``yield vjoin(task)`` instead.
         """
-        caller = current_task()
-        if caller is None:
-            self._outcome_ready.wait()
-            return True
-        return self.kernel._join_task(self, timeout)
+        return self.kernel._join_any(self, timeout)
 
 
 class VTimeUsageError(NotInKernelError):
@@ -374,6 +369,7 @@ class Kernel:
         self._model_ready: collections.deque[ModelTask] = collections.deque()
         self._loop_wake = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
+        self._loop_idle = True  # parked (or about to park) on _loop_wake
         self._loop_stop = False
         _LIVE_KERNELS.add(self)
 
@@ -437,16 +433,7 @@ class Kernel:
         pool when one is idle.
         """
         with self._lock:
-            if self._dead:
-                raise KernelShutdownError("kernel has been shut down")
-            task = Task(self, name or fn.__name__, next(self._task_ids))
-            task.daemon = daemon
-            self._tasks[task.task_id] = task
-            self._running += 1
-            self._spawned_total += 1
-            if not daemon:
-                self._nondaemon_alive += 1
-                self._nondaemon_done.clear()
+            task = self._register_locked(Task, name or fn.__name__, daemon)
             worker = self._pool_idle.pop() if self._pool_idle else None
             if worker is not None:
                 self._threads_recycled += 1
@@ -458,6 +445,21 @@ class Kernel:
             task._thread = worker.thread
             worker.job = job
             worker.ready.set()
+        return task
+
+    def _register_locked(self, cls: type, name: str, daemon: bool) -> Any:
+        """A new task of either kind, RUNNING from birth."""
+        if self._dead:
+            raise KernelShutdownError("kernel has been shut down")
+        task = cls(self, name, next(self._task_ids))
+        task.daemon = daemon
+        self._tasks[task.task_id] = task
+        self._running += 1
+        self._spawned_total += 1
+        if not daemon:
+            if self._nondaemon_alive == 0:
+                self._nondaemon_done.clear()
+            self._nondaemon_alive += 1
         return task
 
     def _start_worker(self, job: tuple) -> None:
@@ -535,67 +537,43 @@ class Kernel:
                 f"{type(gen).__name__}"
             )
         with self._lock:
-            if self._dead:
-                raise KernelShutdownError("kernel has been shut down")
-            task = ModelTask(self, name or fn.__name__, next(self._task_ids))
-            task.daemon = daemon
+            task = self._register_locked(ModelTask, name or fn.__name__, daemon)
             task._gen = gen
-            self._tasks[task.task_id] = task
-            self._running += 1
-            self._spawned_total += 1
-            if not daemon:
-                self._nondaemon_alive += 1
-                self._nondaemon_done.clear()
-            self._enqueue_model_locked(task)
-            self._ensure_loop_locked()
+            self._model_ready.append(task)
+            if self._loop_idle:  # as in _consume_waiter
+                self._loop_idle = False
+                self._loop_wake.set()
+                if self._loop_thread is None:  # the first model task
+                    self._loop_thread = threading.Thread(
+                        target=self._loop_main, name="vloop", daemon=True
+                    )
+                    self._note_peak_locked()
+                    self._loop_thread.start()
         return task
 
-    def _enqueue_model_locked(self, task: ModelTask) -> None:
-        self._model_ready.append(task)
-        # set() takes the event's internal lock; while the loop is actively
-        # draining, the flag is usually already set — is_set() is a plain
-        # flag read, so this guard elides ~one lock round trip per step
-        if not self._loop_wake.is_set():
-            self._loop_wake.set()
-
-    def _ensure_loop_locked(self) -> None:
-        if self._loop_thread is None or not self._loop_thread.is_alive():
-            self._loop_stop = False
-            self._loop_thread = threading.Thread(
-                target=self._loop_main, name="vloop", daemon=True
-            )
-            self._note_peak_locked()
-            self._loop_thread.start()
-
     def _loop_main(self) -> None:
-        batch: list[ModelTask] = []
+        task: Optional[ModelTask] = None
         while True:
+            while task is not None:
+                task = self._step_model(task)
             self._loop_wake.wait()
-            self._loop_wake.clear()
-            while True:
-                # Drain the whole ready deque under one lock acquisition.
-                # Tasks enqueued while stepping the batch land on the deque
-                # and are picked up on the next sweep — the execution order
-                # is identical to popping one at a time (FIFO).
-                with self._lock:
-                    if not self._model_ready:
-                        break
-                    batch.extend(self._model_ready)
-                    self._model_ready.clear()
-                for task in batch:
-                    self._step_model(task)
-                batch.clear()
             with self._lock:
-                if self._loop_stop and not self._model_ready:
+                self._loop_wake.clear()
+                if self._model_ready:
+                    task = self._model_ready.popleft()
+                elif self._loop_stop:
                     return
 
-    def _step_model(self, task: ModelTask) -> None:
-        """Run one step of ``task`` on the loop thread.
+    def _step_model(self, task: ModelTask) -> Optional[ModelTask]:
+        """Run one step of ``task`` on the loop thread; return the next one.
 
-        The resume (or throw) runs inside the task's own context, so ambient
-        state changed *during* the step (e.g. a ``tracer.bind`` held across a
-        yield) stays with the task; the loop thread's own context is never
-        touched.
+        The resume (or throw) runs outside the kernel lock, inside the
+        task's own context, so ambient state changed *during* the step (e.g.
+        a ``tracer.bind`` held across a yield) stays with the task; the loop
+        thread's own context is never touched.  Then one critical section
+        books what the step produced — the yielded op, or the task's finish
+        — advances the clock if no task is left running, and pops the next
+        ready task (FIFO); ``None`` when there is none and the loop parks.
         """
         op: Any = None
         finished = False
@@ -604,10 +582,11 @@ class Kernel:
             if task._pending_exc is not None:
                 exc, task._pending_exc = task._pending_exc, None
                 op = run(task._gen.throw, exc)
+            elif task._resume_value_fn is None:
+                op = run(task._gen.send, None)
             else:
-                fn = task._resume_value_fn
-                task._resume_value_fn = None
-                op = run(task._gen.send, fn() if fn is not None else None)
+                fn, task._resume_value_fn = task._resume_value_fn, None
+                op = run(task._gen.send, fn())
         except StopIteration as stop:
             task._result = stop.value
             finished = True
@@ -615,88 +594,68 @@ class Kernel:
             task._exception = exc
             finished = True
         if finished:
-            self._finish_model(task)
-        else:
-            self._interpret_model_op(task, op)
-
-    def _interpret_model_op(self, task: ModelTask, op: Any) -> None:
+            task._gen = task._context = None
         with self._lock:
-            if isinstance(op, SleepOp):
-                waiter = Waiter(task)
-                self._add_timer_locked(
-                    self._now + max(0.0, op.duration), waiter
-                )
-                self._block_model_locked(task)
-            elif isinstance(op, WaitOp):
-                waiter = op.waiter
-                if waiter.task is not task:
-                    task._pending_exc = VTimeUsageError(
-                        f"model task {task.name!r} yielded a WaitOp whose "
-                        f"waiter belongs to {waiter.task!r}"
-                    )
-                    self._enqueue_model_locked(task)
-                elif waiter.done:
-                    # consumed between registration and the yield: no block
-                    self._enqueue_model_locked(task)
-                else:
-                    if op.timeout is not None:
-                        self._add_timer_locked(
-                            self._now + max(0.0, op.timeout), waiter
-                        )
-                    self._block_model_locked(task)
-            elif isinstance(op, JoinOp):
-                target = op.task
-                if target._state == ModelTask._FINISHED:
-                    task._resume_value_fn = lambda: True
-                    self._enqueue_model_locked(task)
-                else:
-                    waiter = Waiter(task)
-                    target.__dict__.setdefault("_join_waiters", []).append(waiter)
-
-                    def _unlink(w: Waiter, target=target) -> None:
-                        lst = target.__dict__.get("_join_waiters", [])
-                        if w in lst:
-                            lst.remove(w)
-
-                    waiter.on_consume = _unlink
-                    if op.timeout is not None:
-                        self._add_timer_locked(
-                            self._now + max(0.0, op.timeout), waiter
-                        )
-                    task._resume_value_fn = (
-                        lambda w=waiter: not w.timed_out
-                    )
-                    self._block_model_locked(task)
+            if finished:
+                self._finish_locked(task)
             else:
-                task._pending_exc = VTimeUsageError(
-                    f"model task {task.name!r} yielded {op!r}; expected "
-                    "vsleep()/vwait()/vjoin()"
-                )
-                self._enqueue_model_locked(task)
-
-    def _block_model_locked(self, task: ModelTask) -> None:
-        task._state = ModelTask._BLOCKED
-        self._running -= 1
-        if self._running == 0:
-            self._advance_locked()
-
-    def _finish_model(self, task: ModelTask) -> None:
-        with self._lock:
-            task._state = ModelTask._FINISHED
-            self._tasks.pop(task.task_id, None)
-            self._running -= 1
-            if not task.daemon:
-                self._nondaemon_alive -= 1
-                if self._nondaemon_alive == 0:
-                    self._nondaemon_done.set()
-            waiters = task.__dict__.pop("_join_waiters", [])
-            for waiter in waiters:
-                self._consume_waiter(waiter)
+                # a waiter to block on (its timer, if any, after `timeout`
+                # seconds), or None: the task runs again, still RUNNING
+                waiter: Optional[Waiter] = None
+                timeout: Optional[float] = None
+                if isinstance(op, SleepOp):
+                    waiter, timeout = Waiter(task), op.duration
+                elif isinstance(op, WaitOp):
+                    if op.waiter.task is not task:
+                        task._pending_exc = VTimeUsageError(
+                            f"model task {task.name!r} yielded a WaitOp whose "
+                            f"waiter belongs to {op.waiter.task!r}"
+                        )
+                    elif not op.waiter.done:  # else consumed before the yield
+                        waiter, timeout = op.waiter, op.timeout
+                elif isinstance(op, JoinOp):
+                    if op.task._state == ModelTask._FINISHED:
+                        task._resume_value_fn = lambda: True
+                    else:
+                        waiter, timeout = Waiter(task), op.timeout
+                        self._add_join_waiter_locked(op.task, waiter)
+                        task._resume_value_fn = lambda w=waiter: not w.timed_out
+                else:
+                    task._pending_exc = VTimeUsageError(
+                        f"model task {task.name!r} yielded {op!r}; expected "
+                        "vsleep()/vwait()/vjoin()"
+                    )
+                if waiter is None:
+                    self._model_ready.append(task)
+                else:
+                    if timeout is not None:
+                        heapq.heappush(
+                            self._timers,
+                            (self._now + max(0.0, timeout), next(self._seq), waiter),
+                        )
+                    task._state = ModelTask._BLOCKED
+                    self._running -= 1
             if self._running == 0:
                 self._advance_locked()
-        task._gen = None
-        task._context = None
-        task._outcome_ready.set()
+            if self._model_ready:
+                return self._model_ready.popleft()
+            self._loop_idle = True
+        return None
+
+    def _finish_locked(self, task: Any) -> None:
+        """Retire a finished task of either kind and wake its joiners."""
+        task._state = Task._FINISHED
+        self._tasks.pop(task.task_id, None)
+        self._running -= 1
+        if not task.daemon:
+            self._nondaemon_alive -= 1
+            if self._nondaemon_alive == 0:
+                self._nondaemon_done.set()
+        waiters, task._join_waiters = task._join_waiters, None
+        for waiter in waiters or ():
+            self._consume_waiter(waiter)
+        if task._outcome_ready is not None:
+            task._outcome_ready.set()
 
     # ------------------------------------------------------------------
     # Steps interpreter: one generator, both task kinds
@@ -735,11 +694,21 @@ class Kernel:
                 exc = caught
 
     def _join_any(self, task: Any, timeout: Optional[float]) -> bool:
-        caller = current_task()
-        if caller is None:
-            task._outcome_ready.wait()
-            return True
+        if current_task() is None:
+            return self._await_finish(task)
         return self._join_task(task, timeout)
+
+    def _await_finish(self, task: Any, timeout: Optional[float] = None) -> bool:
+        """Block an outside (non-kernel) thread in real time until ``task``
+        finishes.  The task's outcome event is created here, under the lock,
+        so only a task someone waits on this way ever carries one."""
+        with self._lock:
+            if task._state == Task._FINISHED:
+                return True
+            if task._outcome_ready is None:
+                task._outcome_ready = threading.Event()
+            event = task._outcome_ready
+        return event.wait(timeout)
 
     # ------------------------------------------------------------------
     # Run / shutdown
@@ -752,7 +721,7 @@ class Kernel:
         shuts the kernel down.  Exceptions from the root task propagate.
         """
         root = self.spawn(fn, *args, name=kwargs.pop("name", "main"), **kwargs)
-        root._outcome_ready.wait()
+        self._await_finish(root)
         # Let non-daemon descendants drain before declaring the run over.
         self._nondaemon_done.wait()
         self.shutdown()
@@ -761,37 +730,20 @@ class Kernel:
         return root._result
 
     def _finish_task(self, task: Task) -> None:
+        task._context = None
         with self._lock:
-            task._state = Task._FINISHED
-            self._tasks.pop(task.task_id, None)
-            self._running -= 1
-            if not task.daemon:
-                self._nondaemon_alive -= 1
-                if self._nondaemon_alive == 0:
-                    self._nondaemon_done.set()
-            waiters = task.__dict__.pop("_join_waiters", [])
-            for waiter in waiters:
-                self._consume_waiter(waiter)
+            self._finish_locked(task)
             if self._running == 0:
                 self._advance_locked()
-        task._context = None
-        task._outcome_ready.set()
 
     def _join_task(self, task: Any, timeout: Optional[float]) -> bool:
         with self._lock:
             if task._state == Task._FINISHED:
                 return True
             waiter = self._make_waiter()
-            task.__dict__.setdefault("_join_waiters", []).append(waiter)
-
-            def _unlink(w: Waiter) -> None:
-                lst = task.__dict__.get("_join_waiters", [])
-                if w in lst:
-                    lst.remove(w)
-
-            waiter.on_consume = _unlink
+            self._add_join_waiter_locked(task, waiter)
             if timeout is not None:
-                self._add_timer_locked(self._now + timeout, waiter)
+                self._add_timer_locked(self._now + max(0.0, timeout), waiter)
             self._block_current_locked(waiter.task)
         waiter.task._wake.wait()
         self._post_wake(waiter.task)
@@ -811,20 +763,12 @@ class Kernel:
             for task in list(self._tasks.values()):
                 if task._state != Task._BLOCKED:
                     continue
-                exc = KernelShutdownError(
+                self._throw_locked(task, KernelShutdownError(
                     f"kernel shut down while task {task.name!r} was blocked"
-                )
-                task._state = Task._RUNNING
-                self._running += 1
-                if isinstance(task, ModelTask):
-                    task._pending_exc = exc
-                    self._enqueue_model_locked(task)
-                else:
-                    task._wake_exc = exc
-                    task._wake.set()
+                ))
             remaining = list(self._tasks.values())
         for task in remaining:
-            task._outcome_ready.wait(timeout=5.0)
+            self._await_finish(task, timeout=5.0)
         # stop the model loop (after model tasks drained)
         with self._lock:
             self._loop_stop = True
@@ -883,6 +827,18 @@ class Kernel:
     def _add_timer_locked(self, when: float, waiter: Waiter) -> None:
         heapq.heappush(self._timers, (when, next(self._seq), waiter))
 
+    def _add_join_waiter_locked(self, target: Any, waiter: Waiter) -> None:
+        if target._join_waiters is None:
+            target._join_waiters = []
+        target._join_waiters.append(waiter)
+
+        def _unlink(w: Waiter) -> None:
+            lst = target._join_waiters or ()
+            if w in lst:
+                lst.remove(w)
+
+        waiter.on_consume = _unlink
+
     def _block_current_locked(self, task: Task) -> None:
         """Mark the calling task blocked; advance time if it was the last runner.
 
@@ -938,10 +894,23 @@ class Kernel:
             task._state = Task._RUNNING
             self._running += 1
             if isinstance(task, ModelTask):
-                self._enqueue_model_locked(task)
+                self._model_ready.append(task)
+                # only a parked loop needs the event: while it steps, it
+                # reads the ready queue under this lock after every step
+                if self._loop_idle:
+                    self._loop_idle = False
+                    self._loop_wake.set()
             else:
                 task._wake.set()
         return True
+
+    def _throw_locked(self, task: Any, exc: BaseException) -> None:
+        """Wake blocked ``task`` with ``exc`` raised at its wait point."""
+        if isinstance(task, ModelTask):
+            task._pending_exc = exc
+        else:
+            task._wake_exc = exc
+        self._consume_waiter(Waiter(task))
 
     def _post_wake(self, task: Task) -> None:
         exc = task._wake_exc
@@ -974,15 +943,7 @@ class Kernel:
             return
         names = ", ".join(sorted(t.name for t in blocked))
         for task in blocked:
-            exc = DeadlockError(
+            self._throw_locked(task, DeadlockError(
                 f"virtual-time deadlock: all tasks blocked with no pending "
                 f"timer (blocked tasks: {names})"
-            )
-            task._state = Task._RUNNING
-            self._running += 1
-            if isinstance(task, ModelTask):
-                task._pending_exc = exc
-                self._enqueue_model_locked(task)
-            else:
-                task._wake_exc = exc
-                task._wake.set()
+            ))

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+import gc
+import sys
 import threading
+import time
 
 import pytest
 
 from repro.vtime import (
     DeadlockError,
     Kernel,
+    KernelShutdownError,
+    ModelTask,
     NotInKernelError,
     VEvent,
+    Waiter,
     current_kernel,
     current_task,
     gather,
     now,
     sleep,
+    vsleep,
+    vwait,
 )
 
 
@@ -273,3 +281,193 @@ class TestDeterminism:
 
         kernel.run(main)
         assert order == list(range(10))
+
+    def test_negative_join_timeout_keeps_time_seq_order(self, kernel):
+        """A thread task's join(timeout=-1) times out at ``now``, after the
+        timers already registered for ``now`` — never ahead of them."""
+        order = []
+
+        def target():
+            sleep(10)
+
+        def early():  # registers its t=1 timer at t=0.5, before main joins
+            sleep(0.5)
+            sleep(0.5)
+            order.append(("early", kernel.now()))
+
+        def main():
+            task = kernel.spawn(target)
+            kernel.spawn(early)
+            sleep(1)  # registered at t=0: fires before early's t=1 timer
+            order.append(("join", task.join(timeout=-1), kernel.now()))
+            task.join()
+
+        kernel.run(main)
+        assert order == [("early", 1.0), ("join", False, 1.0)]
+
+
+def _wait_until(predicate, what: str) -> None:
+    deadline = time.monotonic() + 5.0
+    while not predicate():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.001)
+
+
+class TestOutcomeEvent:
+    """A model task's outcome event is created only when an outside (non-
+    kernel) thread waits on it; every other join goes through a waiter."""
+
+    def test_outside_join_and_result_before_and_after_finish(self, kernel):
+        gate = threading.Event()
+
+        def body():
+            yield vsleep(5)
+            return "done"
+
+        # a running thread task: the clock cannot pass t=0 until gate opens
+        holder = kernel.spawn(gate.wait)
+        task = kernel.spawn_model(body)
+        _wait_until(lambda: task._state == ModelTask._BLOCKED, "the model step")
+        with pytest.raises(NotInKernelError, match="has not finished"):
+            task.result()
+        assert task._outcome_ready is None
+
+        joined = []
+        joiner = threading.Thread(target=lambda: joined.append(task.join()))
+        joiner.start()
+        _wait_until(lambda: task._outcome_ready is not None, "the outside join")
+        assert not task.finished
+        gate.set()
+        joiner.join(timeout=5.0)
+        assert joined == [True]
+        assert task.result() == "done"
+        assert task.join() is True  # after the finish: no wait at all
+        assert holder.join() is True
+        kernel.shutdown()
+        assert kernel.now() == 5.0
+
+    def test_join_after_finish_creates_no_event(self, kernel):
+        def body():
+            yield vsleep(1)
+            return 7
+
+        def main():
+            tasks = [kernel.spawn_model(body) for _ in range(3)]
+            return tasks, gather(tasks)  # kernel-task joins: waiters only
+
+        tasks, results = kernel.run(main)
+        assert results == [7, 7, 7]
+        assert [t.join() for t in tasks] == [True, True, True]
+        assert [t.result() for t in tasks] == [7, 7, 7]
+        assert all(t._outcome_ready is None for t in tasks)
+
+    def test_shutdown_finishes_blocked_model_tasks(self):
+        kernel = Kernel()
+        gate = threading.Event()
+        caught = []
+
+        def body(i):
+            try:
+                yield vsleep(100)
+            except KernelShutdownError:
+                caught.append(i)
+                raise
+
+        holder = kernel.spawn(gate.wait)
+        tasks = [kernel.spawn_model(body, i) for i in range(3)]
+        _wait_until(
+            lambda: all(t._state == ModelTask._BLOCKED for t in tasks),
+            "the model tasks to block",
+        )
+        stopper = threading.Thread(target=kernel.shutdown)
+        stopper.start()
+        assert [t.join() for t in tasks] == [True, True, True]
+        assert caught == [0, 1, 2]
+        for task in tasks:
+            with pytest.raises(KernelShutdownError):
+                task.result()
+        gate.set()  # shutdown waits for the running holder, then returns
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive()
+        assert holder.result() is True
+        assert kernel.thread_stats()["live_threads"] == 0
+
+
+class TestLoopWakeStress:
+    """Thread tasks waking model tasks while the model loop parks and
+    unparks: a lost loop wake-up leaves a ready task unstepped and the run
+    hangs, so the run is bounded in real time."""
+
+    PAIRS, ROUNDS = 8, 200  # more thread tasks than cores
+
+    def test_ping_pong_between_thread_and_model_tasks(self):
+        kernel = Kernel()
+        pings = [[VEvent(kernel) for _ in range(self.ROUNDS)] for _ in range(self.PAIRS)]
+        pongs = [[VEvent(kernel) for _ in range(self.ROUNDS)] for _ in range(self.PAIRS)]
+        done = []
+
+        def model_side(pair):
+            for i in range(self.ROUNDS):
+                yield from pings[pair][i].wait_steps()
+                pongs[pair][i].set()
+            done.append(pair)
+
+        def thread_side(pair):
+            for i in range(self.ROUNDS):
+                pings[pair][i].set()
+                pongs[pair][i].wait()
+
+        def main():
+            models = [kernel.spawn_model(model_side, p) for p in range(self.PAIRS)]
+            gather([kernel.spawn(thread_side, p) for p in range(self.PAIRS)] + models)
+            return kernel.now()
+
+        result = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: result.append(kernel.run(main)))
+            runner.start()
+            runner.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive(), "a model task was made ready but never stepped"
+        assert result == [0.0]
+        assert sorted(done) == list(range(self.PAIRS))
+
+
+class TestModelTaskFootprint:
+    """Design property, no timing: a blocked model task is its frame, its
+    context and one waiter — no threading objects."""
+
+    MAX_TRACKED_PER_TASK = 7  # with a threading.Event per task: 12
+
+    @staticmethod
+    def _tracked_objects_added(n: int) -> int:
+        kernel = Kernel()
+        waiters: list[Waiter] = []
+        added = []
+
+        def body():
+            waiter = Waiter(current_task())
+            waiters.append(waiter)
+            yield vwait(waiter)
+
+        def main():
+            gc.collect()
+            before = len(gc.get_objects())
+            tasks = [kernel.spawn_model(body) for _ in range(n)]
+            sleep(1.0)  # every model task has stepped once and is blocked
+            gc.collect()
+            added.append(len(gc.get_objects()) - before)
+            del tasks
+            for waiter in waiters:
+                kernel.wake(waiter)
+
+        kernel.run(main)
+        return added[0]
+
+    def test_a_blocked_model_task_adds_few_tracked_objects(self):
+        small = self._tracked_objects_added(500)
+        large = self._tracked_objects_added(1500)
+        assert (large - small) / 1000 <= self.MAX_TRACKED_PER_TASK
