@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation guards, run by the CI docs job and `make docs-check`.
 
-Four checks, all offline:
+Five checks, all offline:
 
 1. **Link check** — every relative markdown link in README.md and
    docs/*.md must resolve to a file (or directory) in the repository.
@@ -17,6 +17,12 @@ Four checks, all offline:
    therefore fail CI until a doc says what they demonstrate.
 4. **Bench report coverage** — every committed ``BENCH_*.json`` must be
    named in docs/PERFORMANCE.md, which explains what each number means.
+5. **Knob surface** — the names in the first column of docs/API.md's
+   ``PyWrenConfig`` table (split on ``/``) must be exactly
+   ``PyWrenConfig``'s fields, and the keywords of its
+   ``CloudEnvironment.create(`` snippet exactly that method's parameters
+   (both parsed statically from ``src/repro``).  A knob added or deleted
+   in code therefore fails CI until the reference says so.
 
 Exits non-zero listing every violation.
 """
@@ -31,6 +37,10 @@ REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 API_DOC = REPO / "docs" / "API.md"
 PACKAGE_INIT = REPO / "src" / "repro" / "__init__.py"
+CONFIG_SRC = REPO / "src" / "repro" / "config.py"
+ENVIRONMENT_SRC = REPO / "src" / "repro" / "core" / "environment.py"
+CONFIG_HEADING = "## Configuration (`pw.PyWrenConfig`)"
+CREATE_CALL = "CloudEnvironment.create("
 
 # [text](target) — but not images' inner parens and not reference defs
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -114,12 +124,86 @@ def check_bench_reports() -> list[str]:
     ]
 
 
+def _class_def(path: Path, name: str) -> ast.ClassDef:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and node.name == name:
+            return node
+    raise SystemExit(f"could not find class {name} in {path}")
+
+
+def config_fields() -> set[str]:
+    """``PyWrenConfig``'s dataclass fields: its annotated class attributes."""
+    return {
+        stmt.target.id
+        for stmt in _class_def(CONFIG_SRC, "PyWrenConfig").body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    }
+
+
+def create_parameters() -> set[str]:
+    for stmt in _class_def(ENVIRONMENT_SRC, "CloudEnvironment").body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "create":
+            args = stmt.args
+            names = [a.arg for a in args.args + args.kwonlyargs]
+            return set(names[1:])  # drop ``cls``
+    raise SystemExit(f"could not find CloudEnvironment.create in {ENVIRONMENT_SRC}")
+
+
+def documented_config_fields(text: str) -> set[str]:
+    """First-column names of the table under the configuration heading."""
+    _, _, section = text.partition(CONFIG_HEADING)
+    names: set[str] = set()
+    for line in section.splitlines():
+        if line.startswith("## "):
+            break
+        if not line.startswith("|"):
+            continue
+        first = line.split("|")[1]
+        for part in first.split("/"):
+            match = re.fullmatch(r"`(\w+)`", part.strip())
+            if match:  # the header row's plain "field" is not a name
+                names.add(match.group(1))
+    return names
+
+
+def documented_create_keywords(text: str) -> set[str]:
+    """Keywords of the first ``CloudEnvironment.create(`` snippet, one per line."""
+    start = text.find(CREATE_CALL)
+    if start < 0:
+        return set()
+    names: set[str] = set()
+    for line in text[start + len(CREATE_CALL):].splitlines()[1:]:
+        if line.strip().startswith(")"):
+            break
+        match = re.match(r"\s*(\w+)=", line)
+        if match:
+            names.add(match.group(1))
+    return names
+
+
+def check_knob_surface() -> list[str]:
+    text = API_DOC.read_text(encoding="utf-8")
+    rel = API_DOC.relative_to(REPO)
+    errors = []
+    for what, documented, actual in (
+        ("PyWrenConfig table", documented_config_fields(text), config_fields()),
+        (f"{CREATE_CALL} snippet", documented_create_keywords(text),
+         create_parameters()),
+    ):
+        for name in sorted(actual - documented):
+            errors.append(f"{rel}: {what} lacks {name!r}")
+        for name in sorted(documented - actual):
+            errors.append(f"{rel}: {what} names {name!r}, which the code lacks")
+    return errors
+
+
 def main() -> int:
     errors = (
         check_links()
         + check_api_coverage()
         + check_example_references()
         + check_bench_reports()
+        + check_knob_surface()
     )
     for error in errors:
         print(f"FAIL {error}")
@@ -128,7 +212,7 @@ def main() -> int:
         print(f"{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(
-        "docs OK: links + API + example + bench-report coverage over "
+        "docs OK: links + API + example + bench-report + knob coverage over "
         f"{checked}"
     )
     return 0

@@ -381,15 +381,13 @@ class ChaosPlane:
         t = self.client_crash_time()
         return t is not None and now >= t
 
-    def check_client(self, epoch: int, now: float) -> None:
-        """Raise :class:`~repro.core.errors.ClientCrashError` if the
-        driver of generation ``epoch`` is dead at virtual time ``now``.
+    def kill_client(self, now: float) -> None:
+        """Raise :class:`~repro.core.errors.ClientCrashError` for a driver
+        that :meth:`client_dead` says is dead at virtual time ``now``.
 
         The fault is recorded on the timeline once, at the first check
         that observes the crash.
         """
-        if not self.client_dead(epoch, now):
-            return
         from repro.core.errors import ClientCrashError
 
         t = self.client_crash_time()

@@ -238,24 +238,9 @@ class EventsConfig:
     :mod:`repro.events.resume`).
     """
 
-    #: build the journal at all
+    #: build the journal at all (one conditional-PUT COS object per event
+    #: under ``{prefix}/{executor_id}/journal/``)
     enabled: bool = False
-    #: durable backend: ``"cos"`` (one conditional-PUT object per event
-    #: under ``{prefix}/{executor_id}/journal/``) or ``"mq"`` (a broker
-    #: queue per executor; survives client death, not broker death)
-    backend: str = "cos"
-    #: with the COS backend, additionally publish every record to the MQ
-    #: plane (queue ``events-{executor_id}``) for live subscribers
-    mirror_to_mq: bool = False
-
-    BACKENDS = ("cos", "mq")
-
-    def validate(self) -> None:
-        if self.backend not in self.BACKENDS:
-            raise ValueError(
-                f"events backend must be one of {self.BACKENDS}, "
-                f"got {self.backend!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -356,10 +341,6 @@ class PyWrenConfig:
     #: object) is re-invoked before it is failed; ``map(..., retries=N)``
     #: overrides this per job
     invocation_retries: int = 3
-    #: lost-activation recovery during ``wait``/``get_result``: ``"auto"``
-    #: enables it only when the platform injects faults (a chaos plane is
-    #: attached), ``True``/``False`` force it on or off
-    recover_lost: Union[bool, str] = "auto"
 
     def validate(self) -> None:
         if self.invoker_mode not in InvokerMode.ALL:
@@ -390,14 +371,11 @@ class PyWrenConfig:
         self.exchange.validate()
         if not isinstance(self.events, EventsConfig):
             raise ValueError("events must be an EventsConfig")
-        self.events.validate()
         if not isinstance(self.dag, DagConfig):
             raise ValueError("dag must be a DagConfig")
         self.dag.validate()
         if self.invocation_retries < 0:
             raise ValueError("invocation_retries must be non-negative")
-        if self.recover_lost not in (True, False, "auto"):
-            raise ValueError('recover_lost must be True, False or "auto"')
 
     def with_overrides(self, **kwargs) -> "PyWrenConfig":
         """A copy with some fields replaced (used by executor kwargs)."""

@@ -98,7 +98,6 @@ class CloudEnvironment:
         config: Optional[PyWrenConfig] = None,
         seed: int = 42,
         kernel: Optional[Kernel] = None,
-        crash_prob: float = 0.0,
         chaos=None,
         trace: bool = False,
         exchange=None,
@@ -109,7 +108,6 @@ class CloudEnvironment:
 
         The default client sits in a high-latency WAN, like the paper's
         evaluation client ("located in a remote network with high latency").
-        ``crash_prob`` injects container crashes for resilience testing.
 
         ``chaos`` attaches a deterministic fault-injection plane: a
         :class:`~repro.chaos.ChaosProfile`, a profile name (``"flaky-cos"``,
@@ -165,7 +163,6 @@ class CloudEnvironment:
             limits=limits,
             registry=registry,
             seed=seed,
-            crash_prob=crash_prob,
             chaos=plane,
         )
         if tenants is not None:

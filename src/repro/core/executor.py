@@ -32,7 +32,7 @@ from repro.core.futures import (
     ResponseFuture,
     synthetic_status,
 )
-from repro.core.invokers import Invoker, LocalInvoker, MassiveInvoker, RemoteInvoker
+from repro.core.invokers import Invoker, LocalInvoker, MassiveInvoker
 from repro.core.partitioner import StoragePartition, build_partitions
 from repro.core.progress import ProgressBar
 from repro.core.storage_client import InternalStorage
@@ -126,13 +126,10 @@ class FunctionExecutor:
         self._dag_seq = 0
         self._uploaded_funcs: set[str] = set()
 
-        # Lost-call recovery: "auto" switches it on only when a fault plane
-        # is active, so fault-free runs keep their exact request pattern.
-        recover = self.config.recover_lost
+        # Lost-call recovery runs only when a fault plane is active, so
+        # fault-free runs keep their exact request pattern.
         chaos = getattr(environment, "chaos", None)
-        if recover == "auto":
-            recover = chaos is not None and chaos.profile.enabled
-        self._recover_lost_enabled = bool(recover)
+        self._recovery = chaos is not None and chaos.profile.enabled
         self._retries_total = 0
 
         # Client-crash chaos kills driver epoch 0 only; a reattached
@@ -154,7 +151,7 @@ class FunctionExecutor:
                 ev.EXECUTOR_CREATED,
                 executor_id=self.executor_id,
                 seed=environment.seed,
-                backend=self.config.events.backend,
+                backend="cos",  # the one journal store; kept in the record
             )
 
     # ------------------------------------------------------------------
@@ -350,17 +347,27 @@ class FunctionExecutor:
     # ------------------------------------------------------------------
     # Event journal plumbing
     # ------------------------------------------------------------------
+    def _client_dead(self) -> bool:
+        """Whether client-crash chaos has already killed this driver.
+
+        In-cloud executors are not the driver and never crash this way.
+        """
+        chaos = getattr(self.environment, "chaos", None)
+        return (
+            chaos is not None
+            and not self.in_cloud
+            and chaos.client_dead(self._chaos_epoch, self.kernel.now())
+        )
+
     def _check_client(self) -> None:
         """Die here if client-crash chaos scheduled this driver's death.
 
         Checked at every externally-visible client step (submission,
         polling rounds); raises :class:`~repro.core.errors.ClientCrashError`
-        once the seeded virtual crash time has passed.  In-cloud executors
-        are not the driver and never crash this way.
+        once the seeded virtual crash time has passed.
         """
-        chaos = getattr(self.environment, "chaos", None)
-        if chaos is not None and not self.in_cloud:
-            chaos.check_client(self._chaos_epoch, self.kernel.now())
+        if self._client_dead():
+            self.environment.chaos.kill_client(self.kernel.now())
 
     def _journal_invoked(self, futures: Sequence[ResponseFuture],
                          recovered: bool = False) -> None:
@@ -467,16 +474,14 @@ class FunctionExecutor:
                 poll_interval=self.config.poll_interval,
                 timeout=timeout,
                 on_progress=on_progress,
-                lost_detector=(
-                    self._recover_lost if self._recover_lost_enabled else None
-                ),
+                lost_detector=self._reinvoke_lost if self._recovery else None,
                 on_round=self._journal_round,
             )
 
     # ------------------------------------------------------------------
     # Lost-call recovery
     # ------------------------------------------------------------------
-    def _recover_lost(self, pending: Sequence[ResponseFuture]) -> None:
+    def _reinvoke_lost(self, pending: Sequence[ResponseFuture]) -> None:
         """One recovery scan, run between polling rounds.
 
         A call is *lost* when its activation reached a dead terminal state
@@ -896,11 +901,13 @@ class FunctionExecutor:
     ) -> list[ResponseFuture]:
         """Speculatively re-invoke calls that have produced no status yet.
 
-        Recovery path for *lost* activations (a crashed container never
-        writes its status object, so the future would pend forever).  Use
-        after a bounded ``wait(..., timeout=...)``: anything still missing
-        is re-invoked.  Duplicate execution of a slow-but-alive call is
-        possible and harmless — both attempts write the same keys.
+        The executor's own recovery re-invokes or buries calls whose
+        activation already failed (a crashed or reaped container); this is
+        for the ones still in flight, such as a hung container that has
+        not been reaped yet.  Use after a bounded ``wait(..., timeout=...)``:
+        anything still missing is re-invoked.  Duplicate execution of a
+        slow-but-alive call is possible and harmless — both attempts write
+        the same keys.
         """
         return self._reinvoke([f for f in futures if not f.done()], discard=False)
 
@@ -980,6 +987,11 @@ class FunctionExecutor:
         resolve.  The prepared futures are *not* registered on
         ``self.futures`` — that is the caller's decision.
         """
+        max_retries = (
+            self.config.invocation_retries if retries is None else int(retries)
+        )
+        if max_retries < 0:
+            raise ValueError("retries must be >= 0")
         callset_id = self._next_callset_id(label)
         func_blob = serializer.serialize(func)
         # content-addressed function upload: identical functions submitted
@@ -1044,11 +1056,6 @@ class FunctionExecutor:
                     ResponseFuture(self.executor_id, callset_id, call_id)
                 )
 
-        max_retries = (
-            self.config.invocation_retries if retries is None else int(retries)
-        )
-        if max_retries < 0:
-            raise ValueError("retries must be >= 0")
         for future, call_params in zip(futures, calls):
             future.bind(self._storage, self.config.poll_interval)
             future.max_retries = max_retries
@@ -1074,7 +1081,10 @@ class FunctionExecutor:
         if config.invoker_mode == InvokerMode.LOCAL:
             return LocalInvoker(*args, config.invoker_pool_size, self.tracer)
         if config.invoker_mode == InvokerMode.REMOTE:
-            return RemoteInvoker(*args, config.remote_invoker_pool_size, self.tracer)
+            # one group: a lone in-cloud invoker with its own pool
+            return MassiveInvoker(
+                *args, None, config.remote_invoker_pool_size, self.tracer
+            )
         return MassiveInvoker(
             *args, config.massive_group_size, config.invoker_pool_size, self.tracer
         )

@@ -3,12 +3,12 @@
 * :class:`LocalInvoker` — the client issues every invocation over its own
   network link, ``pool_size`` at a time, like original PyWren's thread
   pool.  Fast from a low-latency network, slow (and failure-prone) over a WAN.
-* :class:`RemoteInvoker` — one remote invoker function receives the whole
-  call list and spawns from inside the cloud, optionally with an internal
-  pool (the paper's first attempt: ~20 s for 1000 calls).
-* :class:`MassiveInvoker` — the final design: groups of
-  ``group_size`` calls, one remote invoker function per group, executed in
-  parallel (~8 s for 1000 calls, like a low-latency client).
+* :class:`MassiveInvoker` — groups of ``group_size`` calls, one remote
+  invoker function per group, executed in parallel: the final design
+  (MASSIVE, ~8 s for 1000 calls, like a low-latency client).  With
+  ``group_size=None`` the whole call list is one group spawned by one
+  in-cloud invoker with a ``pool_size`` pool of its own: the paper's
+  first attempt (REMOTE, ~20 s for 1000 calls).
 
 The client's pools (LOCAL calls, MASSIVE groups) are :func:`repro.vtime.fan_out`
 lanes: model tasks that hold no OS thread and take work in ``(vtime, seq)`` order.
@@ -20,7 +20,7 @@ it to prefer the invoker node already holding the task's inputs.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Optional, Sequence
 
 from repro.core.futures import ResponseFuture
 from repro.core.worker import REMOTE_INVOKER_ACTION
@@ -33,7 +33,7 @@ class Invoker:
 
     ``pool_size`` invocations are in flight at once: the client's
     :func:`~repro.vtime.fan_out` width (LOCAL calls, MASSIVE groups), or
-    the in-cloud invoker's own pool (REMOTE).
+    the lone in-cloud invoker's own pool (REMOTE).
     """
 
     def __init__(
@@ -97,44 +97,26 @@ class LocalInvoker(Invoker):
         )
 
 
-class RemoteInvoker(Invoker):
-    """One in-cloud invoker function spawns the whole job."""
-
-    def invoke_calls(
-        self,
-        namespace: str,
-        action: str,
-        calls: Sequence[dict[str, Any]],
-        futures: Sequence[ResponseFuture],
-    ) -> None:
-        params = {
-            "namespace": namespace,
-            "action": action,
-            "calls": list(calls),
-            "pool_size": self.pool_size,
-        }
-        self.functions.invoke(namespace, REMOTE_INVOKER_ACTION, params)
-        for future in futures:
-            future.mark_invoked(None)
-            self._trace_invoke(future)
-
-
 class MassiveInvoker(Invoker):
     """Groups of invocations, one remote invoker function per group (§5.1).
 
     "The final approach was to make groups of 100 invocations and execute
     them at the same time with different remote invoker functions."
+    ``pool_size`` means one of two things.  With groups it is how many
+    group invocations the client has in flight.  With ``group_size=None``
+    there is one group of every call, and ``pool_size`` is how many calls
+    the lone invoker function spawns at a time (REMOTE mode).
     """
 
     def __init__(
         self,
         kernel: Kernel,
         functions: CloudFunctionsClient,
-        group_size: int = 100,
+        group_size: Optional[int] = 100,
         pool_size: int = 8,
         tracer=None,
     ) -> None:
-        if group_size <= 0:
+        if group_size is not None and group_size <= 0:
             raise ValueError("group_size must be positive")
         super().__init__(kernel, functions, pool_size, tracer)
         self.group_size = group_size
@@ -147,17 +129,21 @@ class MassiveInvoker(Invoker):
         futures: Sequence[ResponseFuture],
     ) -> None:
         calls = list(calls)
-        groups = [
-            calls[i : i + self.group_size]
-            for i in range(0, len(calls), self.group_size)
-        ]
+        if self.group_size is None:
+            groups, in_cloud_pool = [calls], self.pool_size
+        else:
+            groups = [
+                calls[i : i + self.group_size]
+                for i in range(0, len(calls), self.group_size)
+            ]
+            in_cloud_pool = 1  # sequential inside each group invoker
 
         def _invoke_group_steps(group: list[dict[str, Any]]):
             params = {
                 "namespace": namespace,
                 "action": action,
                 "calls": group,
-                "pool_size": 1,  # sequential inside each group invoker
+                "pool_size": in_cloud_pool,
             }
             yield from self.functions.invoke_steps(
                 namespace, REMOTE_INVOKER_ACTION, params

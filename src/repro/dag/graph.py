@@ -173,7 +173,7 @@ class DagBuilder:
         ``"centralized"`` (default) or ``"swarm"`` — overriding the
         executor's :class:`~repro.config.DagConfig`; the remaining
         keyword arguments go to :class:`~repro.dag.DagScheduler` (e.g.
-        ``node_retries``, ``poll_interval``).  The built graph stays
+        ``node_retries``, ``retries``).  The built graph stays
         reachable as ``run.dag``.
         """
         from repro.dag.scheduler import DagScheduler

@@ -119,9 +119,11 @@ class DagScheduler:
     topological level).  ``node_retries`` bounds RetryPolicy-backed
     re-execution of nodes that *finished in error* (default 0: function
     errors propagate, matching executor semantics); lost-activation
-    recovery is separate and follows the executor's ``recover_lost``
-    setting.  ``retries`` is the per-call lost-invocation budget passed
-    through to call preparation.
+    recovery is separate and runs whenever the executor's does (a chaos
+    plane is attached).  ``retries`` is the per-call lost-invocation
+    budget passed through to call preparation.  ``scheduler`` overrides
+    ``config.dag.scheduler``; the poll period and orphan grace are the
+    executor config's.
     """
 
     def __init__(
@@ -129,27 +131,19 @@ class DagScheduler:
         executor,
         *,
         label: str = "D",
-        locality: bool = True,
         node_retries: int = 0,
         retries: Optional[int] = None,
-        poll_interval: Optional[float] = None,
         scheduler: Optional[str] = None,
-        orphan_grace: Optional[float] = None,
     ) -> None:
         from repro.config import DagConfig
 
         self.executor = executor
         self.kernel = executor.kernel
         self.label = label
-        self.locality = bool(locality)
         self.node_retries = int(node_retries)
         self.retries = retries
-        self.poll_interval = (
-            poll_interval
-            if poll_interval is not None
-            else executor.config.poll_interval
-        )
-        dag_config = getattr(executor.config, "dag", None) or DagConfig()
+        self.poll_interval = executor.config.poll_interval
+        dag_config = executor.config.dag
         self.scheduler = (
             scheduler if scheduler is not None else dag_config.scheduler
         )
@@ -161,10 +155,7 @@ class DagScheduler:
         #: swarm mode: workers fire dependents in-cloud, this object is
         #: only the supervisor (recovery, retries, burials, re-drives)
         self.swarm = self.scheduler == "swarm"
-        self.orphan_grace = (
-            orphan_grace if orphan_grace is not None
-            else dag_config.orphan_grace_s
-        )
+        self.orphan_grace = dag_config.orphan_grace_s
         self.claimed_grace_factor = dag_config.claimed_grace_factor
         self._policy = RetryPolicy(
             executor.config.retry, seed=executor.environment.seed
@@ -412,7 +403,7 @@ class DagScheduler:
         """
         while not run.finished:
             yield vsleep(self.poll_interval)
-            if self._client_dead():
+            if self.executor._client_dead():
                 # The driver died (client-crash chaos): the watcher dies
                 # with it, silently, leaving the DAG orphaned exactly as a
                 # real process crash would.  reattach() adopts it later.
@@ -423,16 +414,6 @@ class DagScheduler:
             yield vjoin(task)
             if run.error is not None:
                 break
-
-    def _client_dead(self) -> bool:
-        """Whether client-crash chaos has already killed this driver."""
-        executor = self.executor
-        if executor.in_cloud:
-            return False
-        chaos = getattr(executor.environment, "chaos", None)
-        return chaos is not None and chaos.client_dead(
-            executor._chaos_epoch, self.kernel.now()
-        )
 
     def _round_guard(self, run: DagRun) -> None:
         try:
@@ -445,7 +426,7 @@ class DagScheduler:
 
     def _round(self, run: DagRun) -> None:
         executor = self.executor
-        if self._client_dead():
+        if executor._client_dead():
             # the driver died while this round was in flight: a real crash
             # stops mid-round, so do nothing more (no invokes, no burials,
             # no journal appends) and let the watcher notice and exit
@@ -457,14 +438,14 @@ class DagScheduler:
     def _drive(self, run: DagRun) -> None:
         """What a round does with what it discovered: recover, fire, journal."""
         executor = self.executor
-        if executor._recover_lost_enabled:
+        if executor._recovery:
             in_flight = [
                 n.future
                 for n in run.dag.nodes
                 if n.state == NodeState.SUBMITTED and not n.external
             ]
             if in_flight:
-                executor._recover_lost(in_flight)
+                executor._reinvoke_lost(in_flight)
                 # recovery buries exhausted calls by ingesting a
                 # synthetic status directly — pick those up now
                 for node in run.dag.nodes:
@@ -685,16 +666,15 @@ class DagScheduler:
         futures = []
         for node in ready:
             params = node.call_params
-            if self.locality:
-                hint = _locality.placement_hint(
-                    node,
-                    exchange=executor.environment.exchange,
-                    storage=executor._storage,
-                )
-                if hint is not None:
-                    params = {**params, "placement_hint": hint}
-                    node.call_params = params
-                    node.future._call_params = params
+            hint = _locality.placement_hint(
+                node,
+                exchange=executor.environment.exchange,
+                storage=executor._storage,
+            )
+            if hint is not None:
+                params = {**params, "placement_hint": hint}
+                node.call_params = params
+                node.future._call_params = params
             node.state = NodeState.SUBMITTED
             node.submit_time = now
             calls.append(params)

@@ -20,7 +20,6 @@ from repro.events.journal import (
     COSJournalBackend,
     EventJournal,
     JournalConflictError,
-    MQJournalBackend,
 )
 from repro.events.records import EventRecord, from_jsonl, to_jsonl
 from repro.events.resume import CallEntry, JobLedger, ResumedJob, attach
@@ -29,7 +28,6 @@ __all__ = [
     "EventRecord",
     "EventJournal",
     "COSJournalBackend",
-    "MQJournalBackend",
     "JournalConflictError",
     "JobLedger",
     "CallEntry",

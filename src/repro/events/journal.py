@@ -1,25 +1,11 @@
-"""The durable event journal: append-once backends + the client-side writer.
+"""The durable event journal: an append-once COS log + the client-side writer.
 
-Two backends, selected by ``EventsConfig.backend``:
-
-``cos``
-    One COS object per record at ``{prefix}/{executor_id}/journal/
-    {seq:08d}.json``, written with a conditional PUT (``If-None-Match:
-    *``) — the same at-most-once primitive status commits use — so the
-    log is append-once: a second driver racing for a slot loses loudly
-    (:class:`JournalConflictError`) instead of corrupting history.
-    Replay is one LIST plus one GET per record.
-
-``mq``
-    One message per record on a dedicated broker queue
-    (``events-{executor_id}``).  Appends are cheaper (one publish vs a
-    WAN PUT) but the queue offers no compare-and-set, so the COS backend
-    is the default where crash-consistency matters most.  Replay browses
-    the queue without consuming it.
-
-``EventsConfig.mirror_to_mq`` combines them: COS stays the durable
-source of truth, and each record is additionally published to the MQ
-queue so live observers can tail the log push-style.
+One COS object per record at ``{prefix}/{executor_id}/journal/
+{seq:08d}.json``, written with a conditional PUT (``If-None-Match: *``) —
+the same at-most-once primitive status commits use — so the log is
+append-once: a second driver racing for a slot loses loudly
+(:class:`JournalConflictError`) instead of corrupting history.  Replay
+is one LIST plus one GET per record.
 
 The :class:`EventJournal` assigns contiguous sequence numbers under a
 lock and stamps each record with the virtual time of the append.  All
@@ -36,8 +22,6 @@ from typing import Any, Optional
 
 from repro.core.errors import PyWrenError
 from repro.events.records import EventRecord, to_jsonl
-
-EVENTS_QUEUE_PREFIX = "events-"
 
 
 class JournalConflictError(PyWrenError):
@@ -72,31 +56,12 @@ class COSJournalBackend:
         return records
 
 
-class MQJournalBackend:
-    """Event stream on a broker queue (cheap appends, browse-to-replay)."""
-
-    def __init__(self, mq: Any, executor_id: str) -> None:
-        self.mq = mq
-        self.executor_id = executor_id
-        self.queue = EVENTS_QUEUE_PREFIX + executor_id
-        self.mq.declare_queue(self.queue)
-
-    def append(self, seq: int, text: str) -> None:
-        self.mq.publish(self.queue, text)
-
-    def replay(self) -> list[EventRecord]:
-        records = [EventRecord.from_json(text) for text in self.mq.browse(self.queue)]
-        records.sort(key=lambda r: r.seq)
-        return records
-
-
 class EventJournal:
     """The driver's handle on its orchestration log.
 
-    Owns the sequence counter, stamps virtual time, traces every append
-    on the ``events`` layer, and optionally mirrors records to the MQ
-    plane.  One journal per (external) executor; in-cloud executors
-    never journal — the client is the single writer.
+    Owns the sequence counter, stamps virtual time and traces every
+    append on the ``events`` layer.  One journal per (external) executor;
+    in-cloud executors never journal — the client is the single writer.
     """
 
     def __init__(
@@ -105,7 +70,6 @@ class EventJournal:
         executor_id: str,
         kernel: Any,
         tracer: Any = None,
-        mirror: Optional[MQJournalBackend] = None,
         start_seq: int = 0,
         alive: Any = None,
     ) -> None:
@@ -113,7 +77,6 @@ class EventJournal:
         self.executor_id = executor_id
         self.kernel = kernel
         self.tracer = tracer
-        self.mirror = mirror
         self._seq = start_seq
         self._lock = threading.Lock()
         #: liveness predicate — a driver killed by client-crash chaos stops
@@ -143,8 +106,6 @@ class EventJournal:
         # on this (real) lock would freeze the very clock the PUT needs.
         text = record.to_json()
         self.backend.append(seq, text)
-        if self.mirror is not None:
-            self.mirror.append(seq, text)
         with self._lock:
             self.appended.append(record)
             self.appended.sort(key=lambda r: r.seq)
@@ -175,53 +136,19 @@ class EventJournal:
     # -- construction --------------------------------------------------------
     @classmethod
     def for_executor(cls, executor: Any, start_seq: int = 0) -> "EventJournal":
-        """Build the journal an executor's config asks for."""
-        cfg = executor.config.events
-        backend: Any
-        mirror: Optional[MQJournalBackend] = None
-        if cfg.backend == "mq":
-            backend = MQJournalBackend(
-                executor.environment.mq_client(in_cloud=False),
-                executor.executor_id,
-            )
-        else:
-            backend = COSJournalBackend(executor._storage, executor.executor_id)
-            if cfg.mirror_to_mq:
-                mirror = MQJournalBackend(
-                    executor.environment.mq_client(in_cloud=False),
-                    executor.executor_id,
-                )
-        chaos = getattr(executor.environment, "chaos", None)
-        alive = None
-        if chaos is not None:
-            kernel = executor.kernel
-
-            def alive() -> bool:
-                # read the epoch through the executor so a journal built
-                # before reattach sees the adopter's new epoch
-                return not chaos.client_dead(
-                    executor._chaos_epoch, kernel.now()
-                )
-
+        """The journal of ``executor``'s id; it stops writing once the
+        driver is dead (read through the executor, so a journal built
+        before reattach sees the adopter's new chaos epoch)."""
         return cls(
-            backend,
+            COSJournalBackend(executor._storage, executor.executor_id),
             executor.executor_id,
             executor.kernel,
             tracer=getattr(executor.environment, "tracer", None),
-            mirror=mirror,
             start_seq=start_seq,
-            alive=alive,
+            alive=lambda: not executor._client_dead(),
         )
 
     @classmethod
     def replay_for(cls, executor: Any) -> list[EventRecord]:
         """Replay an executor id's log without constructing a live journal."""
-        cfg = executor.config.events
-        if cfg.backend == "mq":
-            backend: Any = MQJournalBackend(
-                executor.environment.mq_client(in_cloud=False),
-                executor.executor_id,
-            )
-        else:
-            backend = COSJournalBackend(executor._storage, executor.executor_id)
-        return backend.replay()
+        return COSJournalBackend(executor._storage, executor.executor_id).replay()

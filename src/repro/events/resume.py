@@ -42,11 +42,15 @@ from repro.dag.graph import Dag, compute_levels
 from repro.dag.node import ARG_VALUE, DagNode
 from repro.dag.scheduler import DagRun, DagScheduler
 from repro.events import records as ev
-from repro.events.journal import EventJournal
+from repro.events.journal import EventJournal, JournalConflictError
 from repro.events.records import EventRecord
 
 #: a call within one executor's namespace: ``(callset_id, call_id)``
 CallKey = tuple[str, str]
+
+#: how many times the adopter re-reads the log when its first append
+#: loses a slot to a write the dead driver had already in flight
+RESUME_APPEND_ATTEMPTS = 3
 
 
 def _trailing_number(text: str) -> int:
@@ -197,18 +201,35 @@ def attach(executor, job_id: str) -> "ResumedJob":
         # a failed reattach must not hijack the executor's identity
         executor.executor_id = previous_id
         raise
-    ledger = JobLedger.from_records(replayed)
 
-    # Take over the dead driver's identity end to end: journal (appending
-    # after the replayed tail), monitor queue (pre-crash workers already
-    # published there), callset and DAG counters (new submissions must not
-    # collide — a reused dag id would overwrite the swarm schedule object
-    # the dead driver's workers still read) and uploaded-function digests
-    # (skip redundant WAN uploads).
-    executor.journal = EventJournal.for_executor(
-        executor, start_seq=ledger.last_seq + 1
-    )
+    # Take over the dead driver's identity end to end: monitor queue
+    # (pre-crash workers already published there), journal (appending
+    # after the replayed tail), callset and DAG counters (new submissions
+    # must not collide — a reused dag id would overwrite the swarm
+    # schedule object the dead driver's workers still read) and
+    # uploaded-function digests (skip redundant WAN uploads).
     executor._completions = executor._completion_source()
+    for attempt in range(RESUME_APPEND_ATTEMPTS):
+        ledger = JobLedger.from_records(replayed)
+        executor.journal = EventJournal.for_executor(
+            executor, start_seq=ledger.last_seq + 1
+        )
+        try:
+            executor.journal.append(
+                ev.RESUME_STARTED,
+                job_id=job_id,
+                epoch=executor._chaos_epoch,
+                events_replayed=ledger.records,
+                resumes=ledger.resumes + 1,
+            )
+            break
+        except JournalConflictError:
+            # An append the dead driver began while still alive landed
+            # after this replay read the log: read it again, that record
+            # included, and take the next free slot.
+            if attempt + 1 == RESUME_APPEND_ATTEMPTS:
+                raise
+            replayed = EventJournal.replay_for(executor)
     executor._callset_seq = 1 + max(
         (_trailing_number(callset_id) for callset_id, _ in ledger.calls),
         default=-1,
@@ -219,14 +240,6 @@ def attach(executor, job_id: str) -> "ResumedJob":
         match = re.search(r"funcs/([0-9a-f]+)\.pickle$", func_key)
         if match:
             executor._uploaded_funcs.add(match.group(1))
-
-    executor.journal.append(
-        ev.RESUME_STARTED,
-        job_id=job_id,
-        epoch=executor._chaos_epoch,
-        events_replayed=ledger.records,
-        resumes=ledger.resumes + 1,
-    )
 
     dag = ledger.to_dag(executor)
     by_key = {(n.future.callset_id, n.future.call_id): n for n in dag.nodes}

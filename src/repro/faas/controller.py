@@ -184,15 +184,8 @@ class CloudFunctions:
         limits: Optional[SystemLimits] = None,
         registry: Optional[RuntimeRegistry] = None,
         seed: int = 42,
-        crash_prob: float = 0.0,
         chaos=None,
     ) -> None:
-        if not (0.0 <= crash_prob <= 1.0):
-            raise ValueError("crash_prob must be in [0, 1]")
-        #: probability an activation's container dies mid-flight without
-        #: ever running (or reporting) the user function — fault injection
-        #: for resilience tests; 0 by default
-        self.crash_prob = crash_prob
         #: optional :class:`repro.chaos.ChaosPlane` scheduling container
         #: crashes/hangs, node blackouts and synthetic 429s
         self.chaos = chaos
@@ -622,13 +615,8 @@ class CloudFunctions:
                 )
 
         record.start_time = self.kernel.now()
-        with self._rng_lock:
-            # sample only when fault injection is on, so the RNG stream (and
-            # therefore all calibrated timings) is unchanged at crash_prob=0
-            crashed = self.crash_prob > 0 and self._rng.random() < self.crash_prob
-            crash_after = self._rng.uniform(0.1, 2.0) if crashed else 0.0
-        fate, fate_delay = ("crash", crash_after) if crashed else ("run", 0.0)
-        if fate == "run" and self.chaos is not None:
+        fate, fate_delay = "run", 0.0
+        if self.chaos is not None:
             fate, fate_delay = self.chaos.container_fate(record.activation_id)
             if fate != "run":
                 self.chaos.record(

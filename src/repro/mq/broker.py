@@ -61,15 +61,6 @@ class MessageBroker:
             self._consumed += 1
         return message
 
-    def browse(self, queue: str) -> list[Any]:
-        """Peek every queued message, oldest first, without consuming.
-
-        The journal's MQ backend replays from this: resume must read the
-        whole event stream while leaving it intact for later readers
-        (AMQP basic.get with requeue, approximately).
-        """
-        return self._queue(queue).snapshot()
-
     def depth(self, queue: str) -> int:
         return len(self._queue(queue))
 

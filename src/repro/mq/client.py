@@ -53,22 +53,6 @@ class MQClient:
             queue, _Envelope(self.link.kernel.now(), message)
         )
 
-    def browse(self, queue: str) -> list[Any]:
-        """Read every queued message without consuming (one round trip).
-
-        Used by the event journal's MQ backend to replay the log: the
-        stream must survive the read so later resumes (or auditors) can
-        replay it again.
-        """
-        self.link.request_with_retries(0)
-        out = []
-        for message in self.broker.browse(queue):
-            if isinstance(message, _Envelope):
-                out.append(message.payload)
-            else:
-                out.append(message)
-        return out
-
     def subscribe(self, queue: str) -> None:
         """Open the channel (one round trip, then deliveries are pushed)."""
         if queue not in self._subscribed:

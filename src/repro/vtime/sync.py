@@ -210,11 +210,6 @@ class VQueue:
         with self._cond:
             return len(self._items)
 
-    def snapshot(self) -> list[Any]:
-        """A copy of the queued items, oldest first, without consuming."""
-        with self._cond:
-            return list(self._items)
-
     def put(self, item: Any, timeout: Optional[float] = None) -> bool:
         with self._cond:
             if self._maxsize > 0:

@@ -102,6 +102,24 @@ class TestMap:
 
         assert env.run(main) == []
 
+    def test_negative_retries_rejected_before_any_upload(self, cloud):
+        """A bad ``retries`` costs nothing: no function or data blob is
+        PUT and no callset id is used up."""
+        env = cloud(seed=1)
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            bucket = executor.config.storage_bucket
+            before = env.storage.list_keys(bucket)
+            with pytest.raises(ValueError, match="retries"):
+                executor.map(add_seven, [1, 2, 3], retries=-1)
+            after = env.storage.list_keys(bucket)
+            return before, after, executor.map(add_seven, [1])[0].callset_id
+
+        before, after, callset_id = env.run(main)
+        assert after == before
+        assert callset_id == "M000"
+
     def test_chunk_size_rejected_for_plain_data(self, env):
         def main():
             executor = pw.ibm_cf_executor()

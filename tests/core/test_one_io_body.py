@@ -342,7 +342,7 @@ def mq_publish(w: World) -> Case:
         _nothing,
         lambda: mq.publish("q", message),
         lambda: mq.publish_steps("q", message),
-        lambda: [(m.sent_at, m.payload) for m in broker.browse("q")],
+        lambda: [(m.sent_at, m.payload) for m in broker._queue("q")._items],
     )
 
 

@@ -1,4 +1,4 @@
-"""Journal backends: append-once COS log, MQ stream, mirroring, liveness."""
+"""The journal: append-once COS log, executor journaling, liveness."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.events import (
     COSJournalBackend,
     EventJournal,
     JournalConflictError,
-    MQJournalBackend,
 )
 from repro.events import records as ev
 
@@ -24,16 +23,12 @@ class TestEventsConfig:
         config = pw.PyWrenConfig()
         assert config.events.enabled is False
 
-    def test_backend_validated(self):
-        with pytest.raises(ValueError, match="events backend"):
-            EventsConfig(backend="postgres").validate()
-
     def test_from_dict(self):
-        config = pw.PyWrenConfig.from_dict(
-            {"events": {"enabled": True, "backend": "mq"}}
-        )
+        config = pw.PyWrenConfig.from_dict({"events": {"enabled": True}})
         assert config.events.enabled
-        assert config.events.backend == "mq"
+        # the COS log is the one journal store: there is no backend to pick
+        with pytest.raises(ValueError, match="unknown events config keys"):
+            pw.PyWrenConfig.from_dict({"events": {"backend": "mq"}})
 
 
 class TestCOSBackend:
@@ -58,23 +53,6 @@ class TestCOSBackend:
             return b.replay()
 
         assert env.run(main) == []
-
-
-class TestMQBackend:
-    def test_append_and_browse_replay(self, env):
-        def main():
-            mq = env.mq_client()
-            backend = MQJournalBackend(mq, "job-q")
-            backend.append(1, '{"data":{},"kind":"b","seq":1,"t":1.0}')
-            backend.append(0, '{"data":{},"kind":"a","seq":0,"t":0.0}')
-            # browse is non-destructive and replay sorts by seq
-            first = [r.seq for r in backend.replay()]
-            second = [r.seq for r in backend.replay()]
-            return first, second
-
-        first, second = env.run(main)
-        assert first == [0, 1]
-        assert second == [0, 1]
 
 
 class TestEventJournal:
@@ -113,41 +91,6 @@ class TestEventJournal:
 
         seqs = env.run(main)
         assert seqs == list(range(len(seqs)))
-
-    def test_mirror_to_mq_tails_the_cos_log(self, cloud):
-        env = cloud()
-        env.config = env.config.with_overrides(
-            events=EventsConfig(enabled=True, mirror_to_mq=True)
-        )
-
-        def main():
-            executor = pw.ibm_cf_executor()
-            executor.map(_square, [5])
-            executor.get_result()
-            cos_log = executor.journal.replay()
-            mq_log = MQJournalBackend(
-                env.mq_client(), executor.executor_id
-            ).replay()
-            return cos_log, mq_log
-
-        cos_log, mq_log = env.run(main)
-        assert cos_log == mq_log  # byte-identical records, both orders
-
-    def test_mq_backend_alone(self, cloud):
-        env = cloud()
-        env.config = env.config.with_overrides(
-            events=EventsConfig(enabled=True, backend="mq")
-        )
-
-        def main():
-            executor = pw.ibm_cf_executor()
-            executor.map(_square, [2, 3])
-            result = executor.get_result()
-            return result, [r.kind for r in executor.journal.replay()]
-
-        result, kinds = env.run(main)
-        assert result == [4, 9]
-        assert kinds[0] == ev.EXECUTOR_CREATED
 
     def test_disabled_means_no_journal_no_objects(self, env):
         def main():

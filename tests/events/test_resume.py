@@ -46,6 +46,11 @@ def _square_unless_three(x):
     return x * x
 
 
+def _one_second_square(x):
+    pw.sleep(1)
+    return x * x
+
+
 def _total(values):
     return sum(values)
 
@@ -270,6 +275,32 @@ class TestKillMidMapReduce:
         # the log is still contiguous after adoption
         seqs = [r.seq for r in crash_records]
         assert seqs == list(range(len(seqs)))
+
+    @pytest.mark.parametrize("crash_at", [5.25, 5.5])
+    def test_adopter_outlasts_dead_drivers_inflight_append(self, crash_at):
+        """The dead driver's last DAG round began a ``node.fired`` append
+        while still alive, and that PUT lands after the adopter's replay
+        read the log: the adopter's first append loses the slot, so it
+        must replay again and take the next one, not fail the reattach."""
+        items = list(range(20))
+        outcome, baseline, _, _ = _run_map_reduce(
+            _make_env(NEVER, seed=42), items, map_fn=_one_second_square
+        )
+        assert outcome == "done"
+        assert len(baseline) == len(items) + 1
+        outcome, resumed, crash_records, _ = _run_map_reduce(
+            _make_env(crash_at, seed=42), items, map_fn=_one_second_square
+        )
+        assert outcome == "resumed"
+        assert pickle.dumps(resumed) == pickle.dumps(baseline)
+        seqs = [r.seq for r in crash_records]
+        assert seqs == list(range(len(seqs)))
+        fired = [r for r in crash_records if r.kind == ev.NODE_FIRED]
+        started = [r for r in crash_records if r.kind == ev.RESUME_STARTED]
+        # the late record is in the log, and the adopter wrote after it
+        assert fired and fired[-1].t < crash_at < started[0].t
+        assert started[0].seq > fired[-1].seq
+        _assert_no_reexecution(crash_records)
 
 
 class TestKillMidDag:
