@@ -1,4 +1,4 @@
-.PHONY: install test lint loc chaos perf perf-selftest perf-trace perf-shuffle perf-airbnb bench paper-check bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint loc chaos perf perf-selftest perf-trace perf-shuffle perf-airbnb bench paper-check determinism bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -63,6 +63,22 @@ bench:
 # Table 3 (> 100x at 2 MB) and the ablations assert their paper shapes
 paper-check:
 	PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
+
+# same-seed determinism against host timing (nightly CI job, ~3 min): the
+# swarm trace test and the one-task-at-a-time tests, 50 fresh interpreters
+# each; stops at the first failure and prints its output
+DETERMINISM_TESTS = \
+	tests/dag/test_swarm.py::TestTracing::test_same_seed_swarm_traces_byte_identical \
+	tests/vtime/test_step_order.py::TestOneTaskAtATime
+
+determinism:
+	@for test in $(DETERMINISM_TESTS); do \
+	  for run in $$(seq 1 50); do \
+	    out=$$(PYTHONPATH=src python -m pytest -q -p no:cacheprovider "$$test" 2>&1) \
+	      || { echo "$$out"; echo "determinism: $$test failed on run $$run"; exit 1; }; \
+	  done; \
+	  echo "determinism: $$test passed 50/50"; \
+	done
 
 # tracing overhead: same workload with the spine disabled vs enabled;
 # writes BENCH_trace_overhead.json (acceptance: disabled adds <5%)

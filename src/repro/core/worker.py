@@ -10,12 +10,11 @@ There are exactly two actions the framework ever deploys:
   issues the actual runner invocations from *inside* the cloud, where the
   invocation latency is minimal.
 
-Both handlers are *steps generators*: the platform runs them as model tasks
-on the kernel's event loop, so an activation that is waiting on COS or on a
-timer holds no OS thread.  Only a plain (non-generator) user function costs
-a pooled worker thread, and only while it actually runs; a user function
-written as a steps generator keeps the whole activation threadless — that
-is what lets one process model tens of thousands of concurrent functions.
+Both handlers are *steps generators* the platform runs as model tasks, so
+an activation waiting on COS or on a timer holds no OS thread.  Only a plain
+user function costs a pooled worker thread, and only while it runs (a DAG
+node's inputs load before it starts); a steps-generator user function keeps
+the activation threadless, so one process models tens of thousands of them.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ from repro.core import context as ambient
 from repro.core import serializer
 from repro.core.partitioner import StoragePartition
 from repro.core.storage_client import InternalStorage
+from repro.dag.scheduler import _dag_node_call, dag_node_inputs_steps
 from repro.faas.controller import ExecutionContext
 from repro.vtime.kernel import vjoin
 
@@ -107,7 +107,7 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
     error_text = None
     try:
         if inspect.isgeneratorfunction(fn):
-            # a steps-style user function runs inline on the model loop —
+            # a steps-style user function runs inline on the model task —
             # the activation never touches a worker thread
             try:
                 value: Any = yield from fn(argument)
@@ -117,15 +117,22 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
                 value = (_picklable_or_none(exc), traceback.format_exc())
         else:
             # arbitrary blocking user code gets a pooled thread; the pushed
-            # ambient context is captured into it by the spawn
+            # ambient context is captured into it by the spawn.  A DAG
+            # node's dependency results load first, here on the model task
             box: dict[str, Any] = {}
-            task = ctx.kernel.spawn(
-                _run_user_fn_boxed, fn, argument, box,
-                name=f"usr-{call_id}",
-            )
-            yield vjoin(task)
-            if task._exception is not None:
-                raise task._exception
+            if fn is _dag_node_call:
+                try:
+                    argument = yield from dag_node_inputs_steps(argument)
+                except Exception as exc:  # noqa: BLE001 - shipped back
+                    box["exc"], box["tb"] = exc, traceback.format_exc()
+            if "exc" not in box:
+                task = ctx.kernel.spawn(
+                    _run_user_fn_boxed, fn, argument, box,
+                    name=f"usr-{call_id}",
+                )
+                yield vjoin(task)
+                if task._exception is not None:
+                    raise task._exception
             if "exc" in box:
                 success = False
                 error_text = repr(box["exc"])

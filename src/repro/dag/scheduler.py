@@ -26,7 +26,7 @@ from repro.core import context as ambient
 from repro.core.futures import ResponseFuture, synthetic_status
 from repro.dag import locality as _locality
 from repro.dag.graph import Dag
-from repro.dag.node import ARG_DEP, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
+from repro.dag.node import ARG_DEP, ARG_DEPS, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
 from repro.retry import RetryPolicy
 from repro.vtime import VEvent, fan_out
 from repro.vtime.kernel import vjoin, vsleep
@@ -36,28 +36,48 @@ def _dag_node_call(payload: dict[str, Any]) -> Any:
     """DAG node shim executed *as a cloud function*.
 
     There is no wait loop here: the scheduler only invokes a node once
-    its dependencies' statuses are committed, so resolving each shipped
-    future costs exactly one status GET and one result GET.
+    its dependencies' statuses are committed.  An ``ARG_DEP`` /
+    ``ARG_DEPS`` node's inputs never reach this shim as futures: the
+    runner resolves them with :func:`dag_node_inputs_steps` on the
+    activation's model task, before it spawns the thread task that runs
+    this, so they arrive as an ``ARG_VALUE`` payload and no OS thread
+    waits on their GETs.  The runner does it inside the ``worker.run``
+    window, so the node's run time still covers loading its inputs.  An
+    ``ARG_FUTURES`` node gets its dependencies' futures, bound to in-cloud
+    storage, and resolves what it needs itself.
+
+    A failing node function raises through this frame, as any plain user
+    function raises through the runner's, so its remote traceback reads
+    ``_run_user_fn_boxed`` → ``_dag_node_call`` → the function.
     """
-    mode = payload["mode"]
-    if mode == ARG_VALUE:
-        arg: Any = payload["value"]
+    if payload["mode"] == ARG_FUTURES:
+        storage = ambient.require_context().environment.internal_storage_in_cloud()
+        value: Any = [f.bind(storage, payload["poll_interval"]) for f in payload["futures"]]
     else:
-        environment = ambient.require_context().environment
-        storage = environment.internal_storage_in_cloud()
-        futures = payload["futures"]
-        for future in futures:
-            future.bind(storage, payload["poll_interval"])
-        if mode == ARG_FUTURES:
-            arg = futures
-        elif mode == ARG_DEP:
-            arg = futures[0].result()
-        else:  # ARG_DEPS: dependency results in edge order
-            arg = [future.result() for future in futures]
-    value = arg
+        value = payload["value"]
     for fn in payload["fns"]:
         value = fn(value)
     return value
+
+
+def dag_node_inputs_steps(payload: dict[str, Any]):
+    """The payload a DAG node's thread task runs (steps generator).
+
+    For an ``ARG_DEP`` / ``ARG_DEPS`` node, resolve each dependency's
+    future in edge order — one status GET and one result GET each — and
+    return an ``ARG_VALUE`` payload carrying the value (the list of values
+    for ``ARG_DEPS``); any other payload is returned as is.
+    """
+    mode = payload["mode"]
+    if mode != ARG_DEP and mode != ARG_DEPS:
+        return payload
+    storage = ambient.require_context().environment.internal_storage_in_cloud()
+    values = []
+    for future in payload["futures"]:
+        future.bind(storage, payload["poll_interval"])
+        values.append((yield from future.result_steps()))
+    value = values[0] if mode == ARG_DEP else values
+    return {"mode": ARG_VALUE, "value": value, "fns": payload["fns"]}
 
 
 class DagRun:

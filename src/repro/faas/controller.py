@@ -551,8 +551,8 @@ class CloudFunctions:
         """Model-task body for one activation (a generator of kernel ops).
 
         Pure platform modelling — placement, image pull, cold boot, fault
-        fates, billing — runs on the kernel's model loop and holds no OS
-        thread while sleeping.  Only a plain (non-generator) user handler
+        fates, billing — runs as a model task and holds no OS thread while
+        sleeping.  Only a plain (non-generator) user handler
         occupies a pooled worker thread, and only for its own duration.
         """
         tracer = self.tracer
@@ -673,7 +673,7 @@ class CloudFunctions:
         ctx = ExecutionContext(self, record.namespace, record, action)
         status = ActivationStatus.SUCCESS
         if inspect.isgeneratorfunction(action.handler):
-            # a steps-style handler runs inline on the model loop: the whole
+            # a steps-style handler runs inline on the model task: the whole
             # activation is threadless end to end
             try:
                 record.result = yield from action.handler(params, ctx)

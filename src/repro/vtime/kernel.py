@@ -1,4 +1,4 @@
-"""A virtual-time hybrid kernel: model tasks plus pooled threads.
+"""A virtual-time kernel: model tasks plus pooled threads, one at a time.
 
 Every simulated activity (a client, an invoker node, a running cloud
 function) is registered with the :class:`Kernel`.  Time is virtual: a task
@@ -15,20 +15,35 @@ paper's experiments need:
 * timer firings are serialized in ``(time, seq)`` order, so runs are
   reproducible.
 
-Tasks come in two kinds, sharing one ``(time, seq)`` timer wheel and one
-blocked/running accounting:
+Tasks come in two kinds, sharing one ``(time, seq)`` timer wheel, one
+blocked/running accounting and one FIFO ready queue:
 
 * **Thread tasks** (:class:`Task`, via :meth:`Kernel.spawn`) execute on real
   OS threads drawn from a recycling pool, so arbitrary third-party blocking
   code can participate.  A finished task's thread parks and is reused by the
   next spawn instead of being torn down.
 * **Model tasks** (:class:`ModelTask`, via :meth:`Kernel.spawn_model`) are
-  generator-based coroutines stepped by one shared loop thread.  They carry
-  *no* OS thread while blocked, which is what lets a single process model
-  tens of thousands of concurrent activities (timers, net transfers,
-  cold-start delays, invoker bookkeeping).  A model task yields kernel *ops*
-  — :func:`vsleep`, :func:`vwait`, :func:`vjoin` — instead of calling the
-  blocking primitives.
+  generator-based coroutines.  They carry *no* OS thread while blocked, which
+  is what lets a single process model tens of thousands of concurrent
+  activities (timers, net transfers, cold-start delays, invoker
+  bookkeeping).  A model task yields kernel *ops* — :func:`vsleep`,
+  :func:`vwait`, :func:`vjoin` — instead of calling the blocking primitives.
+
+**One holder.**  During a simulation exactly one kernel thread runs task
+code: the *holder*.  A thread task that blocks (``sleep``, ``block_on``, a
+join) books its waiter, advances the clock if it was the last runner, and
+then serves the ready queue on its own stack: it steps model tasks inline,
+returns to its caller when it pops itself, and when it pops another thread
+task it releases that task's park lock and parks on its own.  A finishing
+pool worker serves the same way and runs the next not-yet-started thread
+task itself.  So same-instant work runs in one ``(time, seq)`` + FIFO order,
+never in a host-timing race.  The ``vloop`` thread only serves work queued
+from outside the simulation — :meth:`Kernel.run`'s root spawn,
+:meth:`Kernel.shutdown`, or a test thread spawning or waking tasks — and
+may then run beside a busy holder.  Hence the rule: a thread task must not
+wait on a real-time primitive (a ``threading`` lock, event or queue) for
+another kernel task; while it waits it holds the holder role, and the task
+it waits for cannot run.
 
 The same "steps" generator can serve both worlds: a thread task runs it to
 completion with :meth:`Kernel.drive` (blocking at each op), while a model
@@ -41,12 +56,13 @@ sees the spawner's state as it was then, and later changes on either side
 stay invisible to the other.  A thread task's function runs inside
 ``context.run``; every resume and throw of a model task's generator is one
 ``context.run`` too, so a binding held across a yield follows its task and
-is never seen by the next task stepped on the loop thread or by a recycled
+is never seen by the next task stepped on the same thread or by a recycled
 pool worker.
 """
 
 from __future__ import annotations
 
+import _thread
 import collections
 import contextvars
 import heapq
@@ -197,9 +213,12 @@ class Task:
         # the spawner's ambient state, snapshotted now; dropped at finish
         # (task -> context -> current-task variable -> task is a cycle)
         self._context: Optional[contextvars.Context] = _task_context(self)
-        self._wake = threading.Event()
+        # (fn, args, kwargs) until a pool thread starts the task
+        self._job: Optional[tuple] = None
+        # held while the task is parked; whoever resumes it releases it
+        self._park = _thread.allocate_lock()
+        self._park.acquire()
         self._wake_exc: Optional[BaseException] = None
-        self._thread: Optional[threading.Thread] = None
         # created only for an outside thread's join(); see Kernel._await_finish
         self._outcome_ready: Optional[threading.Event] = None
         self._join_waiters: Optional[list[Waiter]] = None  # kernel tasks' join()s
@@ -236,7 +255,7 @@ class Task:
 
 
 class ModelTask:
-    """A generator-based coroutine scheduled by the kernel's model loop.
+    """A generator-based coroutine stepped by whichever kernel thread holds the run.
 
     Shares the observable surface of :class:`Task` (``name``, ``finished``,
     ``result()``, ``join()``) but holds no OS thread: while blocked it is
@@ -321,13 +340,15 @@ class Waiter:
 class _PoolWorker:
     """One recycled OS thread of the kernel's spawn pool."""
 
-    __slots__ = ("thread", "ready", "job")
+    __slots__ = ("thread", "park", "job")
 
-    def __init__(self) -> None:
+    def __init__(self, job: Optional[Task]) -> None:
         self.thread: Optional[threading.Thread] = None
-        self.ready = threading.Event()
-        # (task, fn, args, kwargs) while assigned; None = stop signal
-        self.job: Optional[tuple] = None
+        # held while the worker idles; released to hand it a job
+        self.park = _thread.allocate_lock()
+        self.park.acquire()
+        # the not-yet-started task to run; None = stop signal
+        self.job = job
 
 
 class Kernel:
@@ -351,6 +372,9 @@ class Kernel:
         self._running = 0  # tasks currently in RUNNING state
         self._nondaemon_alive = 0
         self._timers: list[tuple[float, int, Waiter]] = []
+        # RUNNING tasks of both kinds waiting for the holder, FIFO
+        self._ready: collections.deque[Any] = collections.deque()
+        self._handoffs = 0  # times the holder role passed between OS threads
         self._dead = False
         self._shutdown_complete = False
         self._spawned_total = 0
@@ -365,11 +389,10 @@ class Kernel:
         self._threads_recycled = 0
         self._live_worker_threads = 0
         self._peak_threads = 0
-        # --- model-task loop ---
-        self._model_ready: collections.deque[ModelTask] = collections.deque()
+        # --- the loop thread: serves what outside threads queue ---
         self._loop_wake = threading.Event()
         self._loop_thread: Optional[threading.Thread] = None
-        self._loop_idle = True  # parked (or about to park) on _loop_wake
+        self._loop_due = 0  # outside queueings the loop has yet to serve
         self._loop_stop = False
         _LIVE_KERNELS.add(self)
 
@@ -398,7 +421,11 @@ class Kernel:
         return self._pool_size
 
     def thread_stats(self) -> dict[str, int]:
-        """Worker/loop thread accounting (for scale benches and tests)."""
+        """Worker/loop thread accounting (for scale benches and tests).
+
+        ``handoffs`` counts how often the holder role passed from one OS
+        thread to another: deterministic under a seed, unlike the thread
+        counts, which follow host timing."""
         with self._lock:
             loop_alive = (
                 1
@@ -411,6 +438,7 @@ class Kernel:
                 "threads_recycled": self._threads_recycled,
                 "live_threads": self._live_worker_threads + loop_alive,
                 "peak_threads": self._peak_threads,
+                "handoffs": self._handoffs,
             }
 
     # ------------------------------------------------------------------
@@ -428,24 +456,70 @@ class Kernel:
 
         ``daemon`` tasks do not keep :meth:`run` alive; they are killed with
         :class:`KernelShutdownError` at shutdown.  The task counts as RUNNING
-        from before its thread starts, so virtual time cannot slip past the
-        spawn point.  The executing thread comes from the kernel's recycling
-        pool when one is idle.
+        from birth, so virtual time cannot slip past the spawn point.  It
+        joins the ready queue and starts when the holder reaches it, on a
+        thread from the kernel's recycling pool when one is idle.
         """
+        outside = self._outside()
         with self._lock:
             task = self._register_locked(Task, name or fn.__name__, daemon)
+            task._job = (fn, args, kwargs)
+            self._ready.append(task)
+            if outside:
+                self._kick_loop_locked()
+        return task
+
+    def _outside(self) -> bool:
+        """Whether the caller is no task of this kernel: then no holder is
+        bound to reach what it queues, and the loop thread must."""
+        task = _CURRENT_TASK.get()
+        return task is None or task.kernel is not self
+
+    def _kick_loop_locked(self) -> None:
+        self._loop_due += 1
+        self._loop_wake.set()
+        if self._loop_thread is None and not self._loop_stop:
+            self._loop_thread = threading.Thread(
+                target=self._loop_main, name="vloop", daemon=True
+            )
+            self._note_peak_locked()
+            self._loop_thread.start()
+
+    def _loop_main(self) -> None:
+        """Serve one ready-queue pop per outside queueing: model tasks step
+        here until a thread task comes up, which gets the holder role."""
+        while True:
+            self._loop_wake.wait()
+            with self._lock:
+                self._loop_wake.clear()
+                due, self._loop_due = self._loop_due, 0
+                stop = self._loop_stop
+            for _ in range(due):
+                with self._lock:
+                    task = self._ready.popleft() if self._ready else None
+                while task.__class__ is ModelTask:
+                    task = self._step_model(task)
+                if task is not None:
+                    self._hand_off(task)
+            if stop:
+                return
+
+    def _hand_off(self, task: Task) -> None:
+        """Pass the holder role to thread task ``task``: release its park
+        lock, or start it on an idle pool worker (a new thread if none)."""
+        self._handoffs += 1
+        if task._job is None:
+            task._park.release()
+            return
+        with self._lock:
             worker = self._pool_idle.pop() if self._pool_idle else None
             if worker is not None:
                 self._threads_recycled += 1
-
-        job = (task, fn, args, kwargs)
         if worker is None:
-            self._start_worker(job)
+            self._start_worker(task)
         else:
-            task._thread = worker.thread
-            worker.job = job
-            worker.ready.set()
-        return task
+            worker.job = task
+            worker.park.release()
 
     def _register_locked(self, cls: type, name: str, daemon: bool) -> Any:
         """A new task of either kind, RUNNING from birth."""
@@ -462,10 +536,8 @@ class Kernel:
             self._nondaemon_alive += 1
         return task
 
-    def _start_worker(self, job: tuple) -> None:
-        worker = _PoolWorker()
-        worker.job = job
-        worker.ready.set()
+    def _start_worker(self, task: Task) -> None:
+        worker = _PoolWorker(task)
         thread = threading.Thread(
             target=self._worker_main,
             args=(worker,),
@@ -473,7 +545,6 @@ class Kernel:
             daemon=True,
         )
         worker.thread = thread
-        job[0]._thread = thread
         with self._lock:
             self._pool_workers.add(worker)
             self._threads_created += 1
@@ -488,30 +559,44 @@ class Kernel:
         )
 
     def _worker_main(self, worker: _PoolWorker) -> None:
-        while True:
-            worker.ready.wait()
-            worker.ready.clear()
-            job, worker.job = worker.job, None
-            if job is None:  # stop signal from shutdown
-                break
-            self._run_task_on_thread(*job)
+        """Run thread tasks on one pooled OS thread.
+
+        After each task finishes, the worker serves the ready queue like a
+        blocked thread task: it steps model tasks inline and runs the next
+        not-yet-started thread task itself.  Before it resumes a parked
+        thread task it idles (or retires), so that task finds it in the pool.
+        """
+        task, worker.job = worker.job, None
+        while task is not None:
+            fn, args, kwargs = task._job
+            task._job = None
+            try:
+                task._result = task._context.run(fn, *args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
+                task._exception = exc
+            task._context = None
             with self._lock:
-                if self._dead or len(self._pool_idle) >= self._pool_size:
-                    break
-                self._pool_idle.append(worker)
+                self._finish_locked(task)
+                if self._running == 0:
+                    self._advance_locked()
+                task = self._ready.popleft() if self._ready else None
+            while task.__class__ is ModelTask:
+                task = self._step_model(task)
+            if task is not None and task._job is not None:
+                continue  # not yet started: run it on this thread
+            with self._lock:
+                retire = self._dead or len(self._pool_idle) >= self._pool_size
+                if not retire:
+                    self._pool_idle.append(worker)
+            if task is not None:
+                self._hand_off(task)
+            task = None
+            if not retire:
+                worker.park.acquire()
+                task, worker.job = worker.job, None  # None: stop signal
         with self._lock:
             self._pool_workers.discard(worker)
             self._live_worker_threads -= 1
-
-    def _run_task_on_thread(
-        self, task: Task, fn: Callable[..., Any], args: tuple, kwargs: dict
-    ) -> None:
-        try:
-            task._result = task._context.run(fn, *args, **kwargs)
-        except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
-            task._exception = exc
-        finally:
-            self._finish_task(task)
 
     # ------------------------------------------------------------------
     # Task lifecycle: model tasks
@@ -536,44 +621,26 @@ class Kernel:
                 f"spawn_model() needs a generator function; {fn!r} returned "
                 f"{type(gen).__name__}"
             )
+        outside = self._outside()
         with self._lock:
             task = self._register_locked(ModelTask, name or fn.__name__, daemon)
             task._gen = gen
-            self._model_ready.append(task)
-            if self._loop_idle:  # as in _consume_waiter
-                self._loop_idle = False
-                self._loop_wake.set()
-                if self._loop_thread is None:  # the first model task
-                    self._loop_thread = threading.Thread(
-                        target=self._loop_main, name="vloop", daemon=True
-                    )
-                    self._note_peak_locked()
-                    self._loop_thread.start()
+            self._ready.append(task)
+            if outside:
+                self._kick_loop_locked()
         return task
 
-    def _loop_main(self) -> None:
-        task: Optional[ModelTask] = None
-        while True:
-            while task is not None:
-                task = self._step_model(task)
-            self._loop_wake.wait()
-            with self._lock:
-                self._loop_wake.clear()
-                if self._model_ready:
-                    task = self._model_ready.popleft()
-                elif self._loop_stop:
-                    return
-
-    def _step_model(self, task: ModelTask) -> Optional[ModelTask]:
-        """Run one step of ``task`` on the loop thread; return the next one.
+    def _step_model(self, task: ModelTask) -> Any:
+        """Run one step of ``task`` on the holder's thread; return the next
+        ready task of either kind.
 
         The resume (or throw) runs outside the kernel lock, inside the
         task's own context, so ambient state changed *during* the step (e.g.
-        a ``tracer.bind`` held across a yield) stays with the task; the loop
-        thread's own context is never touched.  Then one critical section
-        books what the step produced — the yielded op, or the task's finish
-        — advances the clock if no task is left running, and pops the next
-        ready task (FIFO); ``None`` when there is none and the loop parks.
+        a ``tracer.bind`` held across a yield) stays with the task; the
+        stepping thread's own context is never touched.  Then one critical
+        section books what the step produced — the yielded op, or the task's
+        finish — advances the clock if no task is left running, and pops the
+        next ready task (FIFO); ``None`` when the queue is empty.
         """
         op: Any = None
         finished = False
@@ -626,7 +693,7 @@ class Kernel:
                         "vsleep()/vwait()/vjoin()"
                     )
                 if waiter is None:
-                    self._model_ready.append(task)
+                    self._ready.append(task)
                 else:
                     if timeout is not None:
                         heapq.heappush(
@@ -637,9 +704,8 @@ class Kernel:
                     self._running -= 1
             if self._running == 0:
                 self._advance_locked()
-            if self._model_ready:
-                return self._model_ready.popleft()
-            self._loop_idle = True
+            if self._ready:
+                return self._ready.popleft()
         return None
 
     def _finish_locked(self, task: Any) -> None:
@@ -695,7 +761,7 @@ class Kernel:
 
     def _join_any(self, task: Any, timeout: Optional[float]) -> bool:
         if current_task() is None:
-            return self._await_finish(task)
+            return self._await_finish(task, timeout)
         return self._join_task(task, timeout)
 
     def _await_finish(self, task: Any, timeout: Optional[float] = None) -> bool:
@@ -729,13 +795,6 @@ class Kernel:
             raise root._exception
         return root._result
 
-    def _finish_task(self, task: Task) -> None:
-        task._context = None
-        with self._lock:
-            self._finish_locked(task)
-            if self._running == 0:
-                self._advance_locked()
-
     def _join_task(self, task: Any, timeout: Optional[float]) -> bool:
         with self._lock:
             if task._state == Task._FINISHED:
@@ -744,17 +803,16 @@ class Kernel:
             self._add_join_waiter_locked(task, waiter)
             if timeout is not None:
                 self._add_timer_locked(self._now + max(0.0, timeout), waiter)
-            self._block_current_locked(waiter.task)
-        waiter.task._wake.wait()
-        self._post_wake(waiter.task)
+            nxt = self._block_current_locked(waiter.task)
+        self._serve(waiter.task, nxt)
         return not waiter.timed_out
 
     def shutdown(self) -> None:
         """Kill remaining (daemon) tasks and reclaim pooled/loop threads.
 
         Blocked tasks get :class:`KernelShutdownError` raised at their wait
-        point; idle pool workers are stopped; the model loop exits once its
-        ready queue drains.  Idempotent.
+        point, served by the loop thread; idle pool workers are stopped; the
+        loop exits once the ready queue drains.  Idempotent.
         """
         with self._lock:
             if self._shutdown_complete:
@@ -766,10 +824,12 @@ class Kernel:
                 self._throw_locked(task, KernelShutdownError(
                     f"kernel shut down while task {task.name!r} was blocked"
                 ))
+            if self._ready:
+                self._kick_loop_locked()
             remaining = list(self._tasks.values())
         for task in remaining:
             self._await_finish(task, timeout=5.0)
-        # stop the model loop (after model tasks drained)
+        # stop the loop thread (after the tasks drained)
         with self._lock:
             self._loop_stop = True
             self._loop_wake.set()
@@ -783,7 +843,7 @@ class Kernel:
             if worker is None:
                 break
             worker.job = None
-            worker.ready.set()
+            worker.park.release()
         with self._lock:
             threads = [
                 w.thread for w in self._pool_workers if w.thread is not None
@@ -802,9 +862,8 @@ class Kernel:
         with self._lock:
             waiter = Waiter(task)
             self._add_timer_locked(self._now + max(0.0, float(duration)), waiter)
-            self._block_current_locked(task)
-        task._wake.wait()
-        self._post_wake(task)
+            nxt = self._block_current_locked(task)
+        self._serve(task, nxt)
 
     def _make_waiter(self) -> Waiter:
         return Waiter(self._require_current_task())
@@ -839,17 +898,38 @@ class Kernel:
 
         waiter.on_consume = _unlink
 
-    def _block_current_locked(self, task: Task) -> None:
-        """Mark the calling task blocked; advance time if it was the last runner.
+    def _block_current_locked(self, task: Task) -> Any:
+        """Mark the calling task blocked, advance time if it was the last
+        runner, and pop the next ready task (``None`` if there is none).
 
-        Caller holds the kernel lock, and must wait on ``task._wake`` (outside
-        the lock) immediately after this returns.
+        Caller holds the kernel lock, and must pass the popped task to
+        :meth:`_serve` (outside the lock) immediately after this returns.
         """
-        task._wake.clear()
         task._state = Task._BLOCKED
         self._running -= 1
         if self._running == 0:
             self._advance_locked()
+        return self._ready.popleft() if self._ready else None
+
+    def _serve(self, task: Task, nxt: Any) -> None:
+        """Serve the ready queue on blocked thread task ``task``'s own
+        stack, from ``nxt`` on, until ``task`` is resumed.
+
+        Model tasks step inline; popping ``task`` itself returns at once;
+        any other thread task gets the holder role while ``task`` parks.
+        An exception thrown at the wait point (shutdown, deadlock) is
+        raised here.
+        """
+        while nxt.__class__ is ModelTask:
+            nxt = self._step_model(nxt)
+        if nxt is not task:
+            if nxt is not None:
+                self._hand_off(nxt)
+            task._park.acquire()
+        exc = task._wake_exc
+        if exc is not None:
+            task._wake_exc = None
+            raise exc
 
     def block_on(self, waiter: Waiter, timeout: Optional[float] = None) -> None:
         """Block the current thread task until ``waiter`` is consumed.
@@ -870,17 +950,20 @@ class Kernel:
                 return
             if timeout is not None:
                 self._add_timer_locked(self._now + max(0.0, timeout), waiter)
-            self._block_current_locked(task)
-        task._wake.wait()
-        self._post_wake(task)
+            nxt = self._block_current_locked(task)
+        self._serve(task, nxt)
 
     def wake(self, waiter: Waiter, payload: Any = None) -> bool:
-        """Consume ``waiter`` (from any kernel task) and wake its task.
+        """Consume ``waiter`` (from any thread) and wake its task.
 
         Returns ``False`` if the waiter was already consumed (e.g. timed out).
         """
+        outside = self._outside()
         with self._lock:
-            return self._consume_waiter(waiter, payload)
+            woke = self._consume_waiter(waiter, payload)
+            if woke and outside:
+                self._kick_loop_locked()
+            return woke
 
     def _consume_waiter(self, waiter: Waiter, payload: Any = None) -> bool:
         if waiter.done:
@@ -893,15 +976,7 @@ class Kernel:
         if task._state == Task._BLOCKED:
             task._state = Task._RUNNING
             self._running += 1
-            if isinstance(task, ModelTask):
-                self._model_ready.append(task)
-                # only a parked loop needs the event: while it steps, it
-                # reads the ready queue under this lock after every step
-                if self._loop_idle:
-                    self._loop_idle = False
-                    self._loop_wake.set()
-            else:
-                task._wake.set()
+            self._ready.append(task)
         return True
 
     def _throw_locked(self, task: Any, exc: BaseException) -> None:
@@ -911,12 +986,6 @@ class Kernel:
         else:
             task._wake_exc = exc
         self._consume_waiter(Waiter(task))
-
-    def _post_wake(self, task: Task) -> None:
-        exc = task._wake_exc
-        if exc is not None:
-            task._wake_exc = None
-            raise exc
 
     # ------------------------------------------------------------------
     # The clock advance

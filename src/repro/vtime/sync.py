@@ -88,7 +88,7 @@ class VCondition:
         """Register an externally created waiter for ``notify`` delivery.
 
         This is the model-task half of :meth:`wait`: a model task cannot
-        block here (that would wedge the kernel's loop thread), so it
+        block here (that would wedge the thread stepping it), so it
         registers a waiter — *without* holding the condition's user lock
         across the block — and then yields ``vwait(waiter, timeout)``.
         Spurious wakeups are possible (the predicate must be re-checked),

@@ -36,6 +36,11 @@ def boom(_x):
     raise RuntimeError("boom")
 
 
+def spawn_boom(x):
+    """Return the future of a nested call that fails (§4.4 composition)."""
+    return pw.ibm_cf_executor().call_async(boom, x)
+
+
 def flaky_once(x):
     """Fails on the first attempt, succeeds after (storage-backed marker)."""
     from repro.core import context as ambient
@@ -204,6 +209,26 @@ class TestFailureSemantics:
         assert results["good"] == 2
         assert results["mid"] == "error"
         assert results["top"] == "error"
+
+    def test_failing_nested_input_fails_the_dependent(self, env):
+        """A dependency that succeeded by returning a failing nested future:
+        resolving the dependent's input raises, and the dependent fails
+        with that error instead of running its function."""
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            composer = builder.call(spawn_boom, 1, fusable=False)
+            dependent = composer.then(inc, fusable=False)
+            run = DagScheduler(executor).submit(builder.build(fuse=False))
+            run.join()
+            with pytest.raises(FunctionError) as info:
+                run.future(dependent).result()
+            return str(info.value), {n.name for n in run.failed_nodes()}
+
+        message, failed = env.run(main)
+        assert "boom" in message
+        assert failed == {"inc"}
 
     def test_abort_buries_a_running_node_with_a_status_and_no_blob(
         self, env, monkeypatch

@@ -393,6 +393,42 @@ class TestOutcomeEvent:
         assert kernel.thread_stats()["live_threads"] == 0
 
 
+class TestOutsideJoinTimeout:
+    """An outside (non-kernel) thread's ``join(timeout=)`` gives up after
+    ``timeout`` real seconds instead of blocking until the task finishes."""
+
+    @pytest.mark.parametrize("kind", ["thread", "model"])
+    def test_outside_join_of_an_unfinished_task_times_out(self, kind):
+        kernel = Kernel()
+        gate = threading.Event()
+
+        def body():
+            yield vsleep(5)
+
+        # a running thread task: the clock cannot pass t=0 until gate opens
+        holder = kernel.spawn(gate.wait)
+        if kind == "model":
+            task = kernel.spawn_model(body)
+        else:
+            task = kernel.spawn(sleep, 5)
+        joined = []
+        joiner = threading.Thread(
+            target=lambda: joined.append(task.join(timeout=0.05)), daemon=True
+        )
+        joiner.start()
+        joiner.join(timeout=5.0)  # watchdog: the join must not block
+        try:
+            assert not joiner.is_alive(), "an outside join ignored its timeout"
+            assert joined == [False]
+            assert not task.finished
+        finally:
+            gate.set()
+            assert holder.join(timeout=5.0) is True
+            assert task.join(timeout=5.0) is True
+            kernel.shutdown()
+        assert kernel.now() == 5.0
+
+
 class TestLoopWakeStress:
     """Thread tasks waking model tasks while the model loop parks and
     unparks: a lost loop wake-up leaves a ready task unstepped and the run

@@ -16,7 +16,10 @@ thread timing.
 from __future__ import annotations
 
 import hashlib
+import time
 
+from repro.net.latency import LatencyModel
+from repro.net.link import NetworkLink
 from repro.vtime import Kernel, VEvent, vjoin, vsleep
 
 # (virtual time, who) in the order the kernel ran them
@@ -103,6 +106,74 @@ class TestSameInstantOrder:
     def test_order_is_stable_across_runs(self):
         for _ in range(5):
             assert _same_instant_order() == EXPECTED_ORDER
+
+
+class TestOneTaskAtATime:
+    """One kernel thread runs task code at a time: what one wake-up makes
+    ready runs in wake order, each task until it blocks, never in a race."""
+
+    SPIN_S = 0.05
+    REPEATS = 200
+
+    def test_a_spinning_thread_task_holds_off_a_model_task_woken_with_it(self):
+        kernel = Kernel()
+        event = VEvent(kernel)
+        log: list[tuple[float, str]] = []
+
+        def spinner():  # A: woken by the set, then 50 ms of host work
+            event.wait()
+            log.append((kernel.now(), "A spins"))
+            deadline = time.monotonic() + self.SPIN_S
+            while time.monotonic() < deadline:
+                pass
+            log.append((kernel.now(), "A spun"))
+
+        def stepper():  # B: woken by the same set, after A
+            yield from event.wait_steps()
+            log.append((kernel.now(), "B steps"))
+
+        def setter():
+            yield vsleep(1.0)
+            event.set()
+
+        def main():
+            kernel.spawn(spinner)
+            kernel.spawn_model(stepper)
+            kernel.spawn_model(setter)
+            kernel.sleep(2.0)
+
+        kernel.run(main)
+        assert log == [(1.0, "A spins"), (1.0, "A spun"), (1.0, "B steps")]
+
+    @staticmethod
+    def _request_indices() -> list[tuple[str, int]]:
+        kernel = Kernel()
+        link = NetworkLink(kernel, LatencyModel.lan(), seed=3)
+        event = VEvent(kernel)
+        taken: list[tuple[str, int]] = []
+
+        def requester(name: str, host_work: int) -> None:
+            event.wait()
+            sum(range(host_work))  # the first woken does more host work
+            taken.append((name, link.requests))
+            link.request(1024)
+
+        def setter():
+            yield vsleep(1.0)
+            event.set()
+
+        def main():
+            kernel.spawn(requester, "first", 20_000)
+            kernel.spawn(requester, "second", 0)
+            kernel.spawn_model(setter)
+            kernel.sleep(5.0)
+
+        kernel.run(main)
+        return taken
+
+    def test_thread_tasks_woken_together_take_link_requests_in_wake_order(self):
+        for _ in range(self.REPEATS):
+            assert self._request_indices() == [("first", 0), ("second", 1)]
 
 
 class TestGoldenRepeatable:
