@@ -134,7 +134,7 @@ def run_scale(n_functions: int, seed: int = 42) -> dict:
     intervals = [r.interval() for r in records]
     total_virtual = max(end for _s, end in intervals) - t0
 
-    timeline = concurrency_timeline(intervals, resolution=1.0)
+    timeline = concurrency_timeline(intervals)
     peak_concurrency = max(level for _t, level in timeline)
     stats = kernel.thread_stats()
     return {

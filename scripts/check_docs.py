@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation guards, run by the CI docs job and `make docs-check`.
 
-Five checks, all offline:
+Six checks, all offline:
 
 1. **Link check** — every relative markdown link in README.md and
    docs/*.md must resolve to a file (or directory) in the repository.
@@ -23,6 +23,11 @@ Five checks, all offline:
    ``CloudEnvironment.create(`` snippet exactly that method's parameters
    (both parsed statically from ``src/repro``).  A knob added or deleted
    in code therefore fails CI until the reference says so.
+6. **Journal record kinds** — the backticked ``kind.name`` record kinds
+   in docs/ARCHITECTURE.md §11's "The log." paragraph must be exactly the
+   kinds ``repro.events.records`` defines (its module-level string
+   constants, parsed statically).  A kind added to or deleted from the
+   journal therefore fails CI until the architecture says so.
 
 Exits non-zero listing every violation.
 """
@@ -36,11 +41,15 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 API_DOC = REPO / "docs" / "API.md"
+ARCHITECTURE_DOC = REPO / "docs" / "ARCHITECTURE.md"
+RECORDS_SRC = REPO / "src" / "repro" / "events" / "records.py"
 PACKAGE_INIT = REPO / "src" / "repro" / "__init__.py"
 CONFIG_SRC = REPO / "src" / "repro" / "config.py"
 ENVIRONMENT_SRC = REPO / "src" / "repro" / "core" / "environment.py"
 CONFIG_HEADING = "## Configuration (`pw.PyWrenConfig`)"
 CREATE_CALL = "CloudEnvironment.create("
+JOURNAL_HEADING = "## 11. Event journal & resume"
+LOG_PARAGRAPH = "**The log.**"
 
 # [text](target) — but not images' inner parens and not reference defs
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
@@ -197,6 +206,41 @@ def check_knob_surface() -> list[str]:
     return errors
 
 
+def record_kinds() -> set[str]:
+    """The kinds ``repro.events.records`` defines: ``NAME = "kind"`` lines."""
+    tree = ast.parse(RECORDS_SRC.read_text(encoding="utf-8"))
+    return {
+        stmt.value.value
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign)
+        and isinstance(stmt.value, ast.Constant)
+        and isinstance(stmt.value.value, str)
+        and all(isinstance(t, ast.Name) and t.id.isupper() for t in stmt.targets)
+    }
+
+
+def documented_record_kinds(text: str) -> set[str]:
+    """Backticked ``kind.name`` words of §11's "The log." paragraph."""
+    _, _, section = text.partition(JOURNAL_HEADING)
+    _, _, paragraph = section.partition(LOG_PARAGRAPH)
+    return set(re.findall(r"`([a-z]+\.[a-z]+)`", paragraph.split("\n\n", 1)[0]))
+
+
+def check_record_kinds() -> list[str]:
+    documented = documented_record_kinds(
+        ARCHITECTURE_DOC.read_text(encoding="utf-8")
+    )
+    actual = record_kinds()
+    rel = ARCHITECTURE_DOC.relative_to(REPO)
+    return [
+        f"{rel}: §11 lacks journal record kind {kind!r}"
+        for kind in sorted(actual - documented)
+    ] + [
+        f"{rel}: §11 names record kind {kind!r}, which repro.events.records lacks"
+        for kind in sorted(documented - actual)
+    ]
+
+
 def main() -> int:
     errors = (
         check_links()
@@ -204,6 +248,7 @@ def main() -> int:
         + check_example_references()
         + check_bench_reports()
         + check_knob_surface()
+        + check_record_kinds()
     )
     for error in errors:
         print(f"FAIL {error}")
@@ -212,7 +257,8 @@ def main() -> int:
         print(f"{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(
-        "docs OK: links + API + example + bench-report + knob coverage over "
+        "docs OK: links + API + example + bench-report + knob + record-kind "
+        "coverage over "
         f"{checked}"
     )
     return 0

@@ -18,7 +18,7 @@ _MARGIN = 48
 
 def concurrency_timeline(
     intervals: Iterable[tuple[float, float]],
-    resolution: float = 1.0,
+    *,
     t0: Optional[float] = None,
 ) -> list[tuple[float, int]]:
     """Concurrent-execution counts over time from (start, end) intervals.
@@ -27,13 +27,11 @@ def concurrency_timeline(
     from activation records.  Sweeps the sorted start/end events directly —
     one output sample per time the level changes — so the cost scales with
     the number of intervals, not the horizon, and no float drift accumulates
-    the way fixed-step sampling does.  ``resolution`` is kept for API
-    compatibility and ignored.
+    the way fixed-step sampling does.
 
     Returns ``(t - origin, level)`` pairs: the level at the origin (``t0``
     or the earliest event), then one pair per subsequent change point.
     """
-    del resolution  # event sweep: sampling step no longer applies
     intervals = list(intervals)
     if not intervals:
         return []
@@ -165,12 +163,10 @@ def _render(
 def render_execution_timeline(
     intervals: Sequence[tuple[float, float]],
     title: str = "Function executions",
-    resolution: float = 1.0,
 ) -> str:
     """Render execution intervals + concurrency curve as an SVG document.
 
-    One unlabelled gray band.  ``resolution`` is kept for API
-    compatibility and ignored (see :func:`concurrency_timeline`).
+    One unlabelled gray band.
     """
     intervals = list(intervals)
     return _render(

@@ -99,7 +99,7 @@ def run_spawning(
         n_functions=n_functions,
         invocation_phase_s=invocation_phase,
         total_s=total,
-        concurrency=concurrency_timeline(intervals, resolution=1.0),
+        concurrency=concurrency_timeline(intervals),
     )
 
 

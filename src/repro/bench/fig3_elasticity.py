@@ -70,7 +70,7 @@ def run_workload(n_functions: int, seed: int = 42) -> ElasticityResult:
         return intervals, total, durations
 
     intervals, total, durations = env.run(main)
-    timeline = concurrency_timeline(intervals, resolution=1.0)
+    timeline = concurrency_timeline(intervals)
     peak = max(level for _t, level in timeline)
     return ElasticityResult(
         n_functions=n_functions,

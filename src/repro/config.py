@@ -225,13 +225,14 @@ class EventsConfig:
 
     Disabled by default: with ``enabled=False`` no journal is built, no
     ``events.*`` trace events are emitted and nothing changes in any
-    existing request pattern or golden trace.  When enabled, every
-    externally-visible executor/DAG transition (job submitted, calls
-    invoked, status committed, node fired/buried, results collected) is
-    appended as a deterministic :class:`repro.events.EventRecord` to a
-    durable journal — including every DAG's edges ("when all N
-    dependency statuses commit, fire the node"), so the workflow's
-    control state no longer lives only in watcher memory.  A crashed
+    existing request pattern or golden trace.  When enabled, what a
+    replacement driver needs and only this driver knows (job submitted,
+    calls invoked, futures exposed, DAG submitted) is appended as a
+    deterministic :class:`repro.events.EventRecord` to a durable journal —
+    including every DAG's edges ("when all N dependency statuses commit,
+    fire the node") and retry budget, so the workflow's control state no
+    longer lives only in watcher memory.  Waiting and collecting append
+    nothing: committed statuses live in COS.  A crashed
     client can then be replaced: ``FunctionExecutor.reattach(job_id)``
     folds the journal back into a DAG, reconciles it against committed
     statuses in COS and completes the run (see

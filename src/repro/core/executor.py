@@ -141,7 +141,6 @@ class FunctionExecutor:
         #: ``None`` unless enabled — and never for in-cloud executors:
         #: the client is the journal's single writer
         self.journal = None
-        self._journal_seen: set[tuple[str, str]] = set()
         if self.config.events.enabled and not in_cloud:
             from repro.events import records as ev
             from repro.events.journal import EventJournal
@@ -151,7 +150,6 @@ class FunctionExecutor:
                 ev.EXECUTOR_CREATED,
                 executor_id=self.executor_id,
                 seed=environment.seed,
-                backend="cos",  # the one journal store; kept in the record
             )
 
     # ------------------------------------------------------------------
@@ -370,12 +368,18 @@ class FunctionExecutor:
             self.environment.chaos.kill_client(self.kernel.now())
 
     def _journal_invoked(self, futures: Sequence[ResponseFuture],
-                         recovered: bool = False) -> None:
-        """Journal issued invocations: ``[callset, call, activation, attempt]``."""
+                         recovered: bool = False,
+                         dag_id: Optional[str] = None) -> None:
+        """Journal issued invocations: ``[callset, call, activation, attempt]``.
+
+        A DAG round's firings carry the ``dag_id``, which replay counts so
+        an adopter continues the dead driver's DAG numbering.
+        """
         if self.journal is None or not futures:
             return
         from repro.events import records as ev
 
+        ids = {} if dag_id is None else {"dag_id": dag_id}
         self.journal.append(
             ev.CALLS_INVOKED,
             calls=[
@@ -384,6 +388,7 @@ class FunctionExecutor:
                 for f in futures
             ],
             recovered=recovered,
+            **ids,
         )
 
     def _journal_exposed(self, futures: Sequence[ResponseFuture]) -> None:
@@ -400,33 +405,6 @@ class FunctionExecutor:
             ev.FUTURES_EXPOSED,
             calls=[[f.callset_id, f.call_id] for f in futures],
         )
-
-    def _journal_round(self, fs: Sequence[ResponseFuture]) -> None:
-        """Per-poll-round hook: crash check + batch-journal new statuses.
-
-        One ``status.observed`` record per round that saw completions —
-        O(rounds), not O(calls), which is what keeps journal overhead
-        inside the <5% budget on wide maps.
-        """
-        self._check_client()
-        if self.journal is None:
-            return
-        newly = []
-        for f in fs:
-            key = (f.callset_id, f.call_id)
-            if key in self._journal_seen:
-                continue
-            if f.status_known:
-                self._journal_seen.add(key)
-                success = (
-                    bool(f._status.get("success"))
-                    if f._status is not None else None
-                )
-                newly.append([f.callset_id, f.call_id, success])
-        if newly:
-            from repro.events import records as ev
-
-            self.journal.append(ev.STATUS_OBSERVED, calls=newly)
 
     # ------------------------------------------------------------------
     # Result collection (synchronous)
@@ -475,7 +453,7 @@ class FunctionExecutor:
                 timeout=timeout,
                 on_progress=on_progress,
                 lost_detector=self._reinvoke_lost if self._recovery else None,
-                on_round=self._journal_round,
+                on_round=lambda _futures: self._check_client(),
             )
 
     # ------------------------------------------------------------------
@@ -576,17 +554,6 @@ class FunctionExecutor:
                     run_start=record.start_time,
                     run_end=record.end_time,
                 )
-            if self.journal is not None:
-                key = (future.callset_id, future.call_id)
-                if key not in self._journal_seen:
-                    self._journal_seen.add(key)
-                    from repro.events import records as ev
-
-                    self.journal.append(
-                        ev.STATUS_OBSERVED,
-                        calls=[[future.callset_id, future.call_id, False]],
-                        buried=True,
-                    )
         # else: a real status exists after all — the next poll round sees it
 
     def resilience_stats(self) -> dict[str, Any]:
@@ -676,13 +643,6 @@ class FunctionExecutor:
             self.kernel, lambda future: future.result_steps(timeout, throw_except), fs,
             self.config.result_fetch_pool_size, name="result-fetch",
         )
-        if self.journal is not None:
-            from repro.events import records as ev
-
-            self.journal.append(
-                ev.RESULTS_COLLECTED,
-                calls=[[f.callset_id, f.call_id] for f in fs],
-            )
         if throw_except:
             return values[0] if single else values
         report = self._build_failure_report(fs)
@@ -722,14 +682,6 @@ class FunctionExecutor:
                 callset_id,
                 FailureReport(self.executor_id, failures, report.retries_total),
             )
-            if self.journal is not None:
-                from repro.events import records as ev
-
-                self.journal.append(
-                    ev.DEADLETTER_PERSISTED,
-                    callset_id=callset_id,
-                    failures=len(failures),
-                )
 
     # ------------------------------------------------------------------
     # Resume (event journal)

@@ -274,9 +274,8 @@ def wait(
     forever on a crashed container.
 
     ``on_round(futures)`` is called right after each round's discovery,
-    before the unlock policy is evaluated.  The executor hooks client-crash
-    chaos checks (it may raise) and event-journal status observation in
-    here.
+    before the unlock policy is evaluated.  The executor hooks its
+    client-crash chaos check in here (it may raise).
     """
     futures = list(futures)
     if storage is None and futures:

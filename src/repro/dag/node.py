@@ -53,8 +53,8 @@ class DagNode:
         "dependents", "fusable", "metadata", "external_future", "_builder",
         # runtime fields, owned by the scheduler
         "state", "future", "call_params", "level", "unresolved",
-        "error_attempts", "retry_at", "invoker_id", "submit_time",
-        "swarm_ready_at", "swarm_token_seen",
+        "error_attempts", "node_retries", "retry_at", "invoker_id",
+        "submit_time", "swarm_ready_at", "swarm_token_seen",
     )
 
     def __init__(
@@ -97,6 +97,9 @@ class DagNode:
         self.level = 0
         self.unresolved = 0
         self.error_attempts = 0
+        #: how many error finishes are re-run (``DagScheduler(node_retries=)``
+        #: at submit, the journaled budget at adoption)
+        self.node_retries = 0
         self.retry_at = 0.0
         self.invoker_id: Optional[int] = None
         self.submit_time = 0.0

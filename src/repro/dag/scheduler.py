@@ -90,10 +90,6 @@ class DagRun:
         self._event = VEvent(scheduler.kernel)
         self._finished = False
         self.error: Optional[BaseException] = None
-        # per-round journal batches (one record per round, not per call)
-        self._obs_batch: list[list] = []
-        self._fired_batch: list[list] = []
-        self._buried_batch: list[list] = []
         #: adoption only: the ``[callset, call, success]`` rows the
         #: reconcile pass found already committed in COS
         self.reconciled: list[list] = []
@@ -137,8 +133,9 @@ class DagScheduler:
 
     ``label`` prefixes the generated callset ids (one callset per
     topological level).  ``node_retries`` bounds RetryPolicy-backed
-    re-execution of nodes that *finished in error* (default 0: function
-    errors propagate, matching executor semantics); lost-activation
+    re-execution of the submitted nodes that *finished in error* (default
+    0: function errors propagate, matching executor semantics; an adopted
+    graph brings each node's own budget); lost-activation
     recovery is separate and runs whenever the executor's does (a chaos
     plane is attached).  ``retries`` is the per-call lost-invocation
     budget passed through to call preparation.  ``scheduler`` overrides
@@ -181,8 +178,8 @@ class DagScheduler:
             executor.config.retry, seed=executor.environment.seed
         )
         #: the executor's event journal (``None`` when events are off or
-        #: this is an in-cloud executor); when set, every round's
-        #: observations, firings and burials are appended to it
+        #: this is an in-cloud executor); when set, each submitted graph's
+        #: edges and every round's firings are appended to it
         self.journal = executor.journal
 
     # ------------------------------------------------------------------
@@ -226,6 +223,7 @@ class DagScheduler:
             for node, future, params in zip(nodes, futures, calls):
                 node.future = future
                 node.call_params = params
+                node.node_retries = self.node_retries
                 node.state = (
                     NodeState.READY if node.unresolved == 0 else NodeState.PENDING
                 )
@@ -313,17 +311,17 @@ class DagScheduler:
     def adopt(self, dag: Dag) -> DagRun:
         """Drive a graph somebody else prepared — and maybe half ran.
 
-        Every node arrives with its ``future`` and ``call_params`` set
-        (``JobLedger.to_dag`` folds a dead driver's journal into such a
-        graph), so nothing is serialized, uploaded or journaled as
-        submitted.  One reconcile pass finds what committed while nobody
-        was watching; what remains is seeded from the futures — a known
-        activation id is in flight (lost-call recovery can probe it), an
-        invocation without one went through a fire-and-forget invoker and
-        is re-issued once (safe: a surviving twin wins the conditional
-        status PUT and the duplicate changes nothing), a call never
-        invoked waits for its dependencies — and the ordinary rounds take
-        over from there.
+        Every node arrives with its ``future``, ``call_params`` and
+        ``node_retries`` set (``JobLedger.to_dag`` folds a dead driver's
+        journal into such a graph), so nothing is serialized, uploaded or
+        journaled as submitted.  One reconcile pass finds what committed
+        while nobody was watching; what remains is seeded from the
+        futures — a known activation id is in flight (lost-call recovery
+        can probe it), an invocation without one went through a
+        fire-and-forget invoker and is re-issued once (safe: a surviving
+        twin wins the conditional status PUT and the duplicate changes
+        nothing), a call never invoked waits for its dependencies — and
+        the ordinary rounds take over from there.
         """
         executor = self.executor
         run = DagRun(dag, self, self._next_dag_id())
@@ -355,23 +353,15 @@ class DagScheduler:
         all read before any is judged, dependents first, so a failure
         never re-buries a dependent whose burial already committed.
         """
-        from repro.events import records as ev
-
         executor = self.executor
         committed = self._discover(run.dag.nodes)
         for node in sorted(committed, key=lambda n: n.node_id, reverse=True):
             self._complete(run, node)
-        # journaled as the reconciliation, not as this round's observations
-        run._obs_batch = []
         run.reconciled = [
             [n.future.callset_id, n.future.call_id, n.state == NodeState.DONE]
             for n in committed
         ]
         pending = len(run.dag.nodes) - len(committed)
-        if self.journal is not None:
-            self.journal.append(
-                ev.RESUME_RECONCILED, committed=run.reconciled, pending=pending
-            )
         tracer = executor.tracer
         if tracer is not None and tracer.enabled:
             tracer.point(
@@ -456,7 +446,7 @@ class DagScheduler:
             self._drive(run)
 
     def _drive(self, run: DagRun) -> None:
-        """What a round does with what it discovered: recover, fire, journal."""
+        """What a round does with what it discovered: recover, then fire."""
         executor = self.executor
         if executor._recovery:
             in_flight = [
@@ -475,31 +465,8 @@ class DagScheduler:
                     ):
                         self._complete(run, node)
         self._submit_ready(run)
-        self._journal_flush(run)
         if run.finished:
             run._finish()
-
-    def _journal_flush(self, run: DagRun) -> None:
-        """Batch-append this round's transitions (O(rounds) journal cost)."""
-        if self.journal is None:
-            return
-        from repro.events import records as ev
-
-        if run._obs_batch:
-            self.journal.append(
-                ev.STATUS_OBSERVED, dag_id=run.dag_id, calls=run._obs_batch
-            )
-            run._obs_batch = []
-        if run._buried_batch:
-            self.journal.append(
-                ev.NODE_BURIED, dag_id=run.dag_id, calls=run._buried_batch
-            )
-            run._buried_batch = []
-        if run._fired_batch:
-            self.journal.append(
-                ev.NODE_FIRED, dag_id=run.dag_id, calls=run._fired_batch
-            )
-            run._fired_batch = []
 
     def _poll(self, run: DagRun) -> None:
         """One round's discovery: judge every in-flight node that finished."""
@@ -543,13 +510,7 @@ class DagScheduler:
     def _complete(self, run: DagRun, node: DagNode) -> None:
         future = node.future
         status = future._status
-        success = bool(status.get("success"))
-        if self.journal is not None:
-            key = (future.callset_id, future.call_id)
-            if key not in self.executor._journal_seen:
-                self.executor._journal_seen.add(key)
-                run._obs_batch.append([key[0], key[1], success])
-        if success:
+        if status.get("success"):
             node.state = NodeState.DONE
             _locality.record_invoker(node, status)
             self._trace_node(run, node, status, "done")
@@ -590,7 +551,7 @@ class DagScheduler:
         if (
             not node.external
             and not status.get("lost")
-            and node.error_attempts < self.node_retries
+            and node.error_attempts < node.node_retries
         ):
             node.error_attempts += 1
             executor._discard_attempt(node.future)
@@ -633,7 +594,6 @@ class DagScheduler:
         for node in run.dag.nodes:
             if node.state not in NodeState.TERMINAL:
                 self._bury_node(run, node, reason)
-        self._journal_flush(run)
         run._finish()
 
     def _bury_node(self, run: DagRun, node: DagNode, reason: str) -> None:
@@ -656,10 +616,6 @@ class DagScheduler:
             future._ingest_status(status)
         else:
             future.mark_done()  # a real status exists; use it
-        if self.journal is not None:
-            key = (future.callset_id, future.call_id)
-            self.executor._journal_seen.add(key)
-            run._buried_batch.append([key[0], key[1]])
         self._trace_node(run, node, status, "buried")
 
     # ------------------------------------------------------------------
@@ -702,12 +658,7 @@ class DagScheduler:
         executor._make_invoker().invoke_calls(
             executor.config.namespace, executor._runner_action, calls, futures
         )
-        if self.journal is not None:
-            for future in futures:
-                run._fired_batch.append(
-                    [future.callset_id, future.call_id, future.activation_id,
-                     max(1, future.invoke_count)]
-                )
+        executor._journal_invoked(futures, dag_id=run.dag_id)
 
     def _redrive_orphans(self, run: DagRun, now: float) -> None:
         """Adopt delegated nodes whose handoff never produced a status.

@@ -33,29 +33,6 @@ class JournalConflictError(PyWrenError):
     """
 
 
-class COSJournalBackend:
-    """Append-once object log in COS (the durable default)."""
-
-    def __init__(self, storage: Any, executor_id: str) -> None:
-        self.storage = storage
-        self.executor_id = executor_id
-
-    def append(self, seq: int, text: str) -> None:
-        if not self.storage.append_journal_record(self.executor_id, seq, text):
-            raise JournalConflictError(
-                f"journal slot {seq} of {self.executor_id} is already "
-                "written — another driver owns this log"
-            )
-
-    def replay(self) -> list[EventRecord]:
-        records = []
-        for seq in self.storage.list_journal_seqs(self.executor_id):
-            text = self.storage.get_journal_record(self.executor_id, seq)
-            if text is not None:
-                records.append(EventRecord.from_json(text))
-        return records
-
-
 class EventJournal:
     """The driver's handle on its orchestration log.
 
@@ -66,14 +43,14 @@ class EventJournal:
 
     def __init__(
         self,
-        backend: Any,
+        storage: Any,
         executor_id: str,
         kernel: Any,
         tracer: Any = None,
         start_seq: int = 0,
         alive: Any = None,
     ) -> None:
-        self.backend = backend
+        self.storage = storage
         self.executor_id = executor_id
         self.kernel = kernel
         self.tracer = tracer
@@ -84,7 +61,7 @@ class EventJournal:
         #: not race the adopter for journal slots
         self.alive = alive
         #: records appended by *this* process, in order (replay reads the
-        #: backend instead and also sees a predecessor's records)
+        #: log instead and also sees a predecessor's records)
         self.appended: list[EventRecord] = []
 
     def append(self, kind: str, **data: Any) -> Optional[EventRecord]:
@@ -100,12 +77,16 @@ class EventJournal:
             seq = self._seq
             self._seq += 1
             record = EventRecord(seq=seq, t=self.kernel.now(), kind=kind, data=data)
-        # The backend PUT spends *virtual* time; it must happen outside
-        # the slot lock.  The kernel only advances the clock when every
-        # task is parked in a kernel-aware wait — a second writer stuck
-        # on this (real) lock would freeze the very clock the PUT needs.
+        # The COS PUT spends *virtual* time; it must happen outside the
+        # slot lock.  The kernel only advances the clock when every task
+        # is parked in a kernel-aware wait — a second writer stuck on
+        # this (real) lock would freeze the very clock the PUT needs.
         text = record.to_json()
-        self.backend.append(seq, text)
+        if not self.storage.append_journal_record(self.executor_id, seq, text):
+            raise JournalConflictError(
+                f"journal slot {seq} of {self.executor_id} is already "
+                "written — another driver owns this log"
+            )
         with self._lock:
             self.appended.append(record)
             self.appended.sort(key=lambda r: r.seq)
@@ -121,8 +102,12 @@ class EventJournal:
             return self._seq
 
     def replay(self) -> list[EventRecord]:
-        """Re-read the whole log from the backend, ascending by seq."""
-        records = self.backend.replay()
+        """Re-read the whole log from COS (one LIST, one GET per record)."""
+        records = []
+        for seq in self.storage.list_journal_seqs(self.executor_id):
+            text = self.storage.get_journal_record(self.executor_id, seq)
+            if text is not None:
+                records.append(EventRecord.from_json(text))
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.point(
                 "events.replay", layer="events", n=len(records)
@@ -140,7 +125,7 @@ class EventJournal:
         driver is dead (read through the executor, so a journal built
         before reattach sees the adopter's new chaos epoch)."""
         return cls(
-            COSJournalBackend(executor._storage, executor.executor_id),
+            executor._storage,
             executor.executor_id,
             executor.kernel,
             tracer=getattr(executor.environment, "tracer", None),
@@ -150,5 +135,5 @@ class EventJournal:
 
     @classmethod
     def replay_for(cls, executor: Any) -> list[EventRecord]:
-        """Replay an executor id's log without constructing a live journal."""
-        return COSJournalBackend(executor._storage, executor.executor_id).replay()
+        """Replay an executor id's log through a throwaway untraced handle."""
+        return cls(executor._storage, executor.executor_id, executor.kernel).replay()

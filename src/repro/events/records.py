@@ -1,7 +1,11 @@
 """Event records: the deterministic unit the orchestration journal stores.
 
-Every externally-visible executor/DAG transition is appended to the
-journal as one :class:`EventRecord` — a ``(seq, t, kind, data)`` tuple
+The journal is a replay log: it holds exactly the facts a replacement
+driver needs to rebuild the job (:meth:`repro.events.JobLedger.from_records`
+reads every kind below but ``executor.created``, which marks the log's
+owner and seed).  What a call did is not journaled — its COS status
+object is the ground truth, and the trace spine has the audit trail.
+Each fact is one :class:`EventRecord` — a ``(seq, t, kind, data)`` tuple
 with a canonical JSON form.  Canonical means *byte-stable*: keys sorted,
 no whitespace, floats via ``repr`` round-trip — so two same-seed runs of
 the same workload produce byte-identical journals, which is the
@@ -29,13 +33,7 @@ __all__ = [
     "CALLS_INVOKED",
     "FUTURES_EXPOSED",
     "DAG_SUBMITTED",
-    "NODE_FIRED",
-    "NODE_BURIED",
-    "STATUS_OBSERVED",
-    "RESULTS_COLLECTED",
-    "DEADLETTER_PERSISTED",
     "RESUME_STARTED",
-    "RESUME_RECONCILED",
 ]
 
 # -- event kinds -----------------------------------------------------------
@@ -43,26 +41,15 @@ __all__ = [
 EXECUTOR_CREATED = "executor.created"
 #: a callset was serialized + uploaded: carries every call's params dict
 JOB_SUBMITTED = "job.submitted"
-#: invocations were issued for a callset (activation ids per call)
+#: invocations were issued (activation id and attempt per call); a DAG
+#: round's firings carry the DAG's ``dag_id``
 CALLS_INVOKED = "calls.invoked"
 #: futures became user-visible results, in exposure order
 FUTURES_EXPOSED = "futures.exposed"
-#: a DAG was submitted: node -> dependency edges
+#: a DAG was submitted: node -> dependency edges, and its ``node_retries``
 DAG_SUBMITTED = "dag.submitted"
-#: dependencies all committed: dependent node(s) invoked
-NODE_FIRED = "node.fired"
-#: node buried after an upstream terminal failure
-NODE_BURIED = "node.buried"
-#: the driver observed committed status objects in COS
-STATUS_OBSERVED = "status.observed"
-#: get_result finished collecting a set of futures
-RESULTS_COLLECTED = "results.collected"
-#: a FailureReport dead-letter object was written
-DEADLETTER_PERSISTED = "deadletter.persisted"
 #: a replacement driver adopted this journal (reattach)
 RESUME_STARTED = "resume.started"
-#: reattach reconciled the replayed log against committed COS statuses
-RESUME_RECONCILED = "resume.reconciled"
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,13 @@ events resume``):
 
 1. **Replay** the dead driver's journal into a :class:`JobLedger` — every
    call ever prepared (with its params, still referencing code and data
-   durably in COS), every invocation issued, every DAG edge, every
-   exposure.
+   durably in COS), every invocation issued, every DAG edge and retry
+   budget, every exposure.
 2. **Fold** the ledger into an ordinary :class:`~repro.dag.Dag`
    (:meth:`JobLedger.to_dag`): one node per journaled call, arriving with
-   its future and call params already set, edges from the journaled
-   ``dag.submitted`` records.  A plain ``map`` call is simply a node with
-   no dependencies.
+   its future, call params and retry budget already set, edges from the
+   journaled ``dag.submitted`` records.  A plain ``map`` call is simply a
+   node with no dependencies.
 3. **Adopt** it (:meth:`repro.dag.DagScheduler.adopt`): one LIST per
    callset finds the statuses that committed while nobody was watching.
    Committed calls are final — PR 1's conditional status PUT means no
@@ -74,6 +74,9 @@ class CallEntry:
     #: DAG dependencies (empty for plain calls and DAG roots)
     deps: tuple[CallKey, ...] = ()
     node_name: Optional[str] = None
+    #: error re-runs the call's DAG grants it (``dag.submitted``'s
+    #: ``node_retries``; 0 for plain calls)
+    node_retries: int = 0
 
     @property
     def invoked(self) -> bool:
@@ -116,7 +119,7 @@ class JobLedger:
                     entry = ledger.entry((callset_id, params["call_id"]))
                     entry.params = dict(params)
                     entry.max_retries = retries
-            elif record.kind in (ev.CALLS_INVOKED, ev.NODE_FIRED):
+            elif record.kind == ev.CALLS_INVOKED:
                 for cs, call_id, activation_id, attempt in data.get("calls", []):
                     entry = ledger.entry((cs, call_id))
                     entry.invoke_count = max(entry.invoke_count, int(attempt))
@@ -127,13 +130,16 @@ class JobLedger:
                     if key not in ledger.exposed:
                         ledger.exposed.append(key)
             elif record.kind == ev.DAG_SUBMITTED:
+                node_retries = int(data.get("node_retries", 0))
                 for spec in data.get("nodes", []):
-                    if spec.get("external") or not spec.get("deps"):
+                    if spec.get("external"):
                         continue
                     cs, call_id = spec["call"]
                     entry = ledger.entry((cs, call_id))
-                    entry.deps = tuple((d[0], d[1]) for d in spec["deps"])
-                    entry.node_name = spec.get("name")
+                    entry.node_retries = node_retries
+                    if spec.get("deps"):
+                        entry.deps = tuple((d[0], d[1]) for d in spec["deps"])
+                        entry.node_name = spec.get("name")
             elif record.kind == ev.RESUME_STARTED:
                 ledger.resumes += 1
         return ledger
@@ -142,9 +148,10 @@ class JobLedger:
         """The journaled job as an ordinary graph of already-prepared nodes.
 
         One node per call, its future (bound to ``executor``'s storage,
-        carrying the journaled attempts and activation id) and call params
-        set, so :meth:`~repro.dag.DagScheduler.adopt` has nothing to
-        serialize or upload.  Callsets are numbered from one per-executor
+        carrying the journaled attempts and activation id), call params
+        and error-retry budget set, so
+        :meth:`~repro.dag.DagScheduler.adopt` has nothing to serialize or
+        upload.  Callsets are numbered from one per-executor
         counter and a dependent is always prepared after its dependencies,
         so callset order is a topological order.
         """
@@ -168,6 +175,7 @@ class JobLedger:
             )
             node.future = future
             node.call_params = entry.params
+            node.node_retries = entry.node_retries
             for dep in node.deps:
                 dep.dependents.append(node)
             nodes[key] = node
@@ -177,7 +185,13 @@ class JobLedger:
 
 
 def attach(executor, job_id: str) -> "ResumedJob":
-    """Make ``executor`` adopt the journaled job ``job_id`` (see module doc)."""
+    """Make ``executor`` adopt the journaled job ``job_id`` (see module doc).
+
+    Each DAG node keeps the ``node_retries`` its DAG was submitted with.
+    The journal does not tell the error re-runs a node already spent
+    from lost-call re-invocations, so the adopter grants the whole
+    budget again.
+    """
     if executor.in_cloud:
         raise PyWrenError("reattach is a client-side (driver) operation")
     if not executor.config.events.enabled:

@@ -17,11 +17,11 @@ from repro.analytics.timeline import (
 
 class TestConcurrencyTimeline:
     def test_step_function(self):
-        timeline = concurrency_timeline([(0, 4), (2, 6)], resolution=2.0)
+        timeline = concurrency_timeline([(0, 4), (2, 6)])
         assert dict(timeline) == {0.0: 1, 2.0: 2, 4.0: 1, 6.0: 0}
 
     def test_origin_override(self):
-        timeline = concurrency_timeline([(10, 12)], resolution=1.0, t0=8.0)
+        timeline = concurrency_timeline([(10, 12)], t0=8.0)
         assert timeline[0] == (0.0, 0)
         assert dict(timeline)[2.0] == 1
 
@@ -30,7 +30,7 @@ class TestConcurrencyTimeline:
 
     def test_peak_matches_overlap(self):
         intervals = [(0, 10)] * 7
-        timeline = concurrency_timeline(intervals, resolution=1.0)
+        timeline = concurrency_timeline(intervals)
         assert max(level for _t, level in timeline) == 7
 
     def test_event_sweep_emits_exact_change_points(self):
@@ -41,7 +41,7 @@ class TestConcurrencyTimeline:
     def test_no_grid_snapping_on_fractional_times(self):
         # fixed-step sampling would snap 1.05 to the resolution grid (and
         # accumulate float drift on long horizons); the sweep does not
-        timeline = concurrency_timeline([(0.0, 1.05), (0.25, 7.3)], resolution=1.0)
+        timeline = concurrency_timeline([(0.0, 1.05), (0.25, 7.3)])
         assert timeline == [(0.0, 1), (0.25, 2), (1.05, 1), (7.3, 0)]
 
     def test_events_before_origin_fold_into_first_sample(self):
@@ -55,7 +55,7 @@ class TestConcurrencyTimeline:
     def test_cost_scales_with_intervals_not_horizon(self):
         # a week-long horizon at 1s resolution would be ~600k samples under
         # fixed-step sampling; the sweep emits only the change points
-        timeline = concurrency_timeline([(0.0, 604800.0)], resolution=1.0)
+        timeline = concurrency_timeline([(0.0, 604800.0)])
         assert timeline == [(0.0, 1), (604800.0, 0)]
 
 

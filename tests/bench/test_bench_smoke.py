@@ -37,7 +37,7 @@ class TestReporting:
 
     def test_concurrency_timeline(self):
         intervals = [(0.0, 10.0), (0.0, 10.0), (5.0, 15.0)]
-        timeline = concurrency_timeline(intervals, resolution=5.0)
+        timeline = concurrency_timeline(intervals)
         assert timeline[0] == (0.0, 2)
         # at t=5 the third interval started
         assert dict(timeline)[5.0] == 3

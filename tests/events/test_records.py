@@ -43,7 +43,7 @@ class TestCanonicalForm:
 class TestJsonl:
     def test_round_trip(self):
         records = [
-            EventRecord(seq=i, t=float(i), kind=ev.STATUS_OBSERVED, data={"i": i})
+            EventRecord(seq=i, t=float(i), kind=ev.CALLS_INVOKED, data={"i": i})
             for i in range(5)
         ]
         assert from_jsonl(to_jsonl(records)) == records
@@ -60,7 +60,7 @@ class TestJsonl:
 @given(
     seq=st.integers(min_value=0, max_value=10**9),
     t=st.floats(min_value=0, max_value=1e9, allow_nan=False),
-    kind=st.sampled_from([ev.JOB_SUBMITTED, ev.NODE_FIRED, ev.RESUME_STARTED]),
+    kind=st.sampled_from([ev.JOB_SUBMITTED, ev.CALLS_INVOKED, ev.RESUME_STARTED]),
     data=st.dictionaries(
         st.text(min_size=1, max_size=8),
         st.one_of(

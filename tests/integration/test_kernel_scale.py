@@ -90,5 +90,5 @@ def test_ten_thousand_function_map_on_one_kernel():
     # the trace stream proves all 10k really executed concurrently
     intervals = derive.execution_intervals(events)
     assert len(intervals) == N_FUNCTIONS
-    timeline = concurrency_timeline(intervals, resolution=1.0)
+    timeline = concurrency_timeline(intervals)
     assert max(level for _t, level in timeline) >= N_FUNCTIONS
