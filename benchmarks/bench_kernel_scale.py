@@ -15,8 +15,11 @@ Acceptance:
 The scheduler does O(1) work per function (the per-run ``tasks_spawned``
 and step counts scale exactly with N), so wall-clock is inherently
 linear-in-N plus a small super-linear residue: CPU cache pressure from the
-larger live heap (50k in-flight activations hold ~0.5 GB of generator
-frames, records, and per-endpoint RNG streams) and the timer heap's log N.
+larger live heap and the timer heap's log N.  Each run reports its peak
+RSS (``peak_rss_mb``) and what the run added to the process per function
+(``rss_kb_per_function``): an in-flight activation is its platform task's
+generator, its records, its in-cloud link with an 8-draw RNG prefix, and
+the client's future — a few KB, no Mersenne-Twister state.
 Per-run ``per_function_us`` is reported so that residue is inspectable —
 measured ~1.3x from 2k to 50k on a single-core host.  The point of the
 hybrid scheduler is the flat *thread* count: the previous thread-per-task
@@ -44,6 +47,24 @@ def _scale_task(_: object):
 
     yield vsleep(cost.FIG3_TASK_SECONDS)
     return 1
+
+
+def _reset_peak_rss() -> None:
+    """Start a new peak-RSS window, where the kernel allows it."""
+    try:
+        with open("/proc/self/clear_refs", "w") as knob:
+            knob.write("5")
+    except OSError:
+        pass
+
+
+def _status_kb(field: str) -> int:
+    """``VmRSS`` or ``VmHWM`` of this process, in KiB (Linux ``/proc``)."""
+    with open("/proc/self/status") as status:
+        for line in status:
+            if line.startswith(field + ":"):
+                return int(line.split()[1])
+    raise RuntimeError(f"no {field} in /proc/self/status")
 
 
 class _ThreadWatcher:
@@ -100,6 +121,9 @@ def run_scale(n_functions: int, seed: int = 42) -> dict:
         invoker_memory_mb=invoker_memory_mb,
     )
 
+    gc.collect()
+    _reset_peak_rss()
+    start_rss_kb = _status_kb("VmRSS")
     gc.disable()
     try:
         wall_t0 = time.perf_counter()
@@ -120,6 +144,7 @@ def run_scale(n_functions: int, seed: int = 42) -> dict:
         with _ThreadWatcher() as watcher:
             t0 = env.run(main)
         wall_s = time.perf_counter() - wall_t0
+        peak_rss_kb = _status_kb("VmHWM")
     finally:
         gc.enable()
     gc.collect()
@@ -146,6 +171,10 @@ def run_scale(n_functions: int, seed: int = 42) -> dict:
         "reached_full_concurrency": bool(peak_concurrency >= n_functions),
         "wall_clock_s": round(wall_s, 2),
         "per_function_us": round(1e6 * wall_s / n_functions, 1),
+        "peak_rss_mb": round(peak_rss_kb / 1024, 1),
+        "rss_kb_per_function": round(
+            (peak_rss_kb - start_rss_kb) / n_functions, 2
+        ),
         "kernel_pool_size": stats["pool_size"],
         "kernel_threads_created": stats["threads_created"],
         "kernel_threads_recycled": stats["threads_recycled"],

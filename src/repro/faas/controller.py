@@ -390,13 +390,7 @@ class CloudFunctions:
                         record.dispatch_time - record.submit_time, 6
                     ),
                 )
-            self.kernel.spawn_model(
-                self._execute,
-                action,
-                params,
-                record,
-                name=f"fn-{action.name}-{record.activation_id}",
-            )
+            self._spawn_activation(action, params, record)
 
     def _tenant_release(self, action: Action, record: ActivationRecord) -> None:
         """Return an activation's quota + dispatch credit (tenancy only)."""
@@ -514,13 +508,7 @@ class CloudFunctions:
                 action=action_name,
             )
         if tenants is None:
-            self.kernel.spawn_model(
-                self._execute,
-                action,
-                dict(params),
-                record,
-                name=f"fn-{action_name}-{activation_id}",
-            )
+            self._spawn_activation(action, dict(params), record)
         else:
             # multi-tenant: the invocation queues per namespace and leaves
             # in weighted-fair order as the dispatcher finds headroom
@@ -545,20 +533,36 @@ class CloudFunctions:
         fraction = min(1.0, current / max(1, self.limits.max_concurrent))
         return round(0.25 + 0.75 * fraction, 3)
 
-    def _execute(
+    def _spawn_activation(
         self, action: Action, params: dict[str, Any], record: ActivationRecord
-    ):
-        """Model-task body for one activation (a generator of kernel ops).
+    ) -> None:
+        """Start one activation's platform model task.
 
         Pure platform modelling — placement, image pull, cold boot, fault
         fates, billing — runs as a model task and holds no OS thread while
-        sleeping.  Only a plain (non-generator) user handler
-        occupies a pooled worker thread, and only for its own duration.
+        sleeping.  Only a plain (non-generator) user handler occupies a
+        pooled worker thread, and only for its own duration.  Untraced, the
+        task is :meth:`_execute_steps` itself: no wrapper frame per
+        in-flight activation.
         """
         tracer = self.tracer
         if tracer is None or not tracer.enabled:
-            yield from self._execute_steps(action, params, record, None)
-            return
+            body, tracer = self._execute_steps, None
+        else:
+            body = self._execute_traced
+        self.kernel.spawn_model(
+            body, action, params, record, tracer,
+            name=f"fn-{action.name}-{record.activation_id}",
+        )
+
+    def _execute_traced(
+        self,
+        action: Action,
+        params: dict[str, Any],
+        record: ActivationRecord,
+        tracer,
+    ):
+        """:meth:`_execute_steps` under the activation's causal ids."""
         # bind the causal ids ambiently so every span emitted below this
         # task — worker phases, COS requests, in-cloud link round trips —
         # is stamped with them automatically (plus the tenant dimension

@@ -45,19 +45,25 @@ class LatencyModel:
         return self.failure_prob > 0 and rng.random() < self.failure_prob
 
     # ------------------------------------------------------------------
-    # Profiles used throughout the reproduction (calibrated in DESIGN.md §5)
+    # Profiles used throughout the reproduction (calibrated in DESIGN.md §5).
+    # A model is immutable, so every caller shares one instance per profile.
     # ------------------------------------------------------------------
     @staticmethod
     def wan() -> "LatencyModel":
         """Client in a remote high-latency network (paper's default client)."""
-        return LatencyModel(rtt=0.220, jitter=0.15, failure_prob=0.02, name="wan")
+        return _WAN
 
     @staticmethod
     def lan() -> "LatencyModel":
         """Client inside IBM's low-latency internal network."""
-        return LatencyModel(rtt=0.004, jitter=0.25, failure_prob=0.0, name="lan")
+        return _LAN
 
     @staticmethod
     def in_cloud() -> "LatencyModel":
         """Function-to-service latency inside the cloud data center."""
-        return LatencyModel(rtt=0.004, jitter=0.25, failure_prob=0.0, name="in-cloud")
+        return _IN_CLOUD
+
+
+_WAN = LatencyModel(rtt=0.220, jitter=0.15, failure_prob=0.02, name="wan")
+_LAN = LatencyModel(rtt=0.004, jitter=0.25, failure_prob=0.0, name="lan")
+_IN_CLOUD = LatencyModel(rtt=0.004, jitter=0.25, failure_prob=0.0, name="in-cloud")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Optional
+from array import array
 
 from repro.net.latency import LatencyModel, TransientNetworkError
 from repro.vtime import Kernel
@@ -12,6 +12,61 @@ from repro.vtime.kernel import vsleep
 
 # Default service bandwidth seen by one flow (COS single-stream throughput).
 DEFAULT_BANDWIDTH_BPS = 100 * 1024 * 1024  # 100 MiB/s
+
+#: draws a link stream keeps before it falls back to a full Mersenne state.
+#: An activation's in-cloud link draws one per request: 4 for a map call, up
+#: to 8 for a DAG node.  The few links that draw more (client links, remote
+#: invokers, reducers) mostly draw hundreds, so a longer prefix would only
+#: delay their rebuild.
+_KEPT_DRAWS = 8
+
+
+def _first_draws(seed) -> array:
+    draw = random.Random(seed).random
+    return array("d", [draw() for _ in range(_KEPT_DRAWS)])
+
+
+class LinkStream:
+    """``random.Random(seed)``'s draws, exact but held compactly.
+
+    A seeded Mersenne-Twister state is ~2.5 KB, and every in-flight
+    activation owns a link.  Most links draw a handful of times, so at its
+    first draw the stream seeds one ``random.Random(seed)``, keeps its first
+    :data:`_KEPT_DRAWS` ``random()`` outputs in an ``array('d')`` and drops
+    the state.  A link that draws past the prefix re-seeds once, skips the
+    draws it has used and keeps the state from then on.  ``random()`` and
+    ``uniform()`` return exactly what ``random.Random(seed)`` would, draw
+    for draw, so the stream stands in for one wherever
+    :class:`LatencyModel` samples.
+    """
+
+    __slots__ = ("_seed", "_kept", "_used", "_rng")
+
+    def __init__(self, seed) -> None:
+        self._seed = seed
+        self._kept = None
+        self._used = 0
+        self._rng = None
+
+    def random(self) -> float:
+        if self._rng is not None:
+            return self._rng.random()
+        if self._kept is None:
+            self._kept = _first_draws(self._seed)
+        used = self._used
+        if used < _KEPT_DRAWS:
+            self._used = used + 1
+            return self._kept[used]
+        # past the prefix: rebuild the state once, and keep it
+        rng = self._rng = random.Random(self._seed)
+        for _ in range(used):
+            rng.random()
+        self._kept = None
+        return rng.random()
+
+    def uniform(self, a: float, b: float) -> float:
+        """CPython's ``Random.uniform``, over this stream."""
+        return a + (b - a) * self.random()
 
 
 class NetworkLink:
@@ -42,7 +97,7 @@ class NetworkLink:
         self.chaos = chaos
         #: optional :class:`repro.trace.Tracer` receiving ``net.request`` spans
         self.tracer = tracer
-        self._rng = random.Random(seed)
+        self._rng = LinkStream(seed)
         self._rng_lock = threading.Lock()
         self._requests = 0
         self._failures = 0
@@ -148,14 +203,3 @@ class NetworkLink:
     def transfer_time(self, payload_bytes: int) -> float:
         """Pure bandwidth cost (no RTT) for ``payload_bytes``, in seconds."""
         return payload_bytes / self.bandwidth_bps
-
-    def fork(self, seed_offset: int) -> "NetworkLink":
-        """A link with identical parameters but an independent RNG stream."""
-        return NetworkLink(
-            self.kernel,
-            self.latency,
-            self.bandwidth_bps,
-            seed=seed_offset * 7919 + 13,
-            chaos=self.chaos,
-            tracer=self.tracer,
-        )

@@ -39,6 +39,11 @@ def retryable_errors() -> tuple:
     return _RETRYABLE_ERRORS
 
 
+#: the schedule a policy built without a config follows: the config is
+#: frozen, so every such policy shares this one instance
+_DEFAULT_CONFIG = RetryConfig()
+
+
 def is_retryable(exc: BaseException) -> bool:
     """Classify an exception as transient (retry) or terminal (raise)."""
     return isinstance(exc, retryable_errors())
@@ -53,7 +58,7 @@ class RetryPolicy:
     """
 
     def __init__(self, config: Optional[RetryConfig] = None, seed: int = 0) -> None:
-        self.config = config or RetryConfig()
+        self.config = config or _DEFAULT_CONFIG
         self.config.validate()
         self._seed = seed
         # The jitter RNG materializes on first backoff: most policies never

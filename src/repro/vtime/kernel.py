@@ -49,15 +49,17 @@ The same "steps" generator can serve both worlds: a thread task runs it to
 completion with :meth:`Kernel.drive` (blocking at each op), while a model
 task delegates with ``yield from``.
 
-Ambient state (trace ids, the active cloud environment, the current task
-itself) lives in ``contextvars``.  Every task owns one
-:class:`contextvars.Context`, copied from its spawner at spawn — a child
-sees the spawner's state as it was then, and later changes on either side
-stay invisible to the other.  A thread task's function runs inside
-``context.run``; every resume and throw of a model task's generator is one
-``context.run`` too, so a binding held across a yield follows its task and
-is never seen by the next task stepped on the same thread or by a recycled
-pool worker.
+Ambient state (trace ids, the active cloud environment) lives in
+``contextvars``.  Every task owns one :class:`contextvars.Context`, copied
+from its spawner at spawn — a child sees the spawner's state as it was
+then, and later changes on either side stay invisible to the other.  A
+thread task's function runs inside ``context.run``; every resume and throw
+of a model task's generator is one ``context.run`` too, so a binding held
+across a yield follows its task and is never seen by the next task stepped
+on the same thread or by a recycled pool worker.  The current task itself
+is not in the context: the kernel records, per OS thread, which task's code
+that thread runs, so a task's context is a plain copy that shares its
+spawner's storage.
 """
 
 from __future__ import annotations
@@ -93,11 +95,22 @@ __all__ = [
     "live_kernels",
 ]
 
-# The task the calling code runs as: set once, inside the task's own
-# context, so ambient helpers like ``repro.sleep`` can find their kernel.
-_CURRENT_TASK: contextvars.ContextVar[Optional[Any]] = contextvars.ContextVar(
-    "repro.vtime.current_task", default=None
-)
+
+class _ThisThread(threading.local):
+    """The kernel task whose code the calling OS thread runs, if any, so
+    ambient helpers like ``repro.sleep`` can find their kernel.
+
+    The kernel sets it before a thread task's function starts, before each
+    model-task step, and when a blocked thread task returns from serving
+    the ready queue.  Between steps a serving thread's slot may still name
+    the last task it stepped; the kernel code running there reads nothing
+    of it.  Outside threads never set it and read ``None``.
+    """
+
+    task: Optional[Any] = None
+
+
+_THIS_THREAD = _ThisThread()
 
 # Every kernel constructed in this process (weakly referenced): the test
 # suite's thread-hygiene fixture uses this to shut down kernels a test
@@ -107,7 +120,7 @@ _LIVE_KERNELS: "weakref.WeakSet[Kernel]" = weakref.WeakSet()
 
 def current_task() -> Optional[Any]:
     """Return the kernel task the calling code runs as, or ``None``."""
-    return _CURRENT_TASK.get()
+    return _THIS_THREAD.task
 
 
 def current_kernel() -> Optional["Kernel"]:
@@ -119,13 +132,6 @@ def current_kernel() -> Optional["Kernel"]:
 def live_kernels() -> list["Kernel"]:
     """Every kernel object still alive in this process (weakly tracked)."""
     return list(_LIVE_KERNELS)
-
-
-def _task_context(task: Any) -> contextvars.Context:
-    """The calling code's ambient state as of now, with ``task`` current."""
-    context = contextvars.copy_context()
-    context.run(_CURRENT_TASK.set, task)
-    return context
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +217,7 @@ class Task:
         self.daemon = False
         self._state = Task._RUNNING
         # the spawner's ambient state, snapshotted now; dropped at finish
-        # (task -> context -> current-task variable -> task is a cycle)
-        self._context: Optional[contextvars.Context] = _task_context(self)
+        self._context: Optional[contextvars.Context] = contextvars.copy_context()
         # (fn, args, kwargs) until a pool thread starts the task
         self._job: Optional[tuple] = None
         # held while the task is parked; whoever resumes it releases it
@@ -281,7 +286,7 @@ class ModelTask:
         self._pending_exc: Optional[BaseException] = None
         self._resume_value_fn: Optional[Callable[[], Any]] = None
         # as Task._context: snapshot at spawn, dropped at finish
-        self._context: Optional[contextvars.Context] = _task_context(self)
+        self._context: Optional[contextvars.Context] = contextvars.copy_context()
         self._outcome_ready: Optional[threading.Event] = None  # as Task
         self._join_waiters: Optional[list[Waiter]] = None
         self._result: Any = None
@@ -472,7 +477,7 @@ class Kernel:
     def _outside(self) -> bool:
         """Whether the caller is no task of this kernel: then no holder is
         bound to reach what it queues, and the loop thread must."""
-        task = _CURRENT_TASK.get()
+        task = _THIS_THREAD.task
         return task is None or task.kernel is not self
 
     def _kick_loop_locked(self) -> None:
@@ -570,6 +575,7 @@ class Kernel:
         while task is not None:
             fn, args, kwargs = task._job
             task._job = None
+            _THIS_THREAD.task = task
             try:
                 task._result = task._context.run(fn, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - recorded, re-raised at join
@@ -645,6 +651,7 @@ class Kernel:
         op: Any = None
         finished = False
         run = task._context.run
+        _THIS_THREAD.task = task
         try:
             if task._pending_exc is not None:
                 exc, task._pending_exc = task._pending_exc, None
@@ -926,6 +933,7 @@ class Kernel:
             if nxt is not None:
                 self._hand_off(nxt)
             task._park.acquire()
+        _THIS_THREAD.task = task
         exc = task._wake_exc
         if exc is not None:
             task._wake_exc = None

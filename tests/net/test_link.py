@@ -90,13 +90,3 @@ class TestHelpers:
     def test_transfer_time(self, kernel):
         link = make_link(kernel, bandwidth=1024)
         assert link.transfer_time(2048) == pytest.approx(2.0)
-
-    def test_fork_independent_rng(self, kernel):
-        def main():
-            base = NetworkLink(kernel, LatencyModel.wan(), seed=1)
-            fork = base.fork(2)
-            assert fork.latency == base.latency
-            assert fork is not base
-            return True
-
-        assert kernel.run(main)
