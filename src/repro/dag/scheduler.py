@@ -119,8 +119,15 @@ class DagRun:
         return [n for n in self.dag.nodes if n.state == NodeState.FAILED]
 
     def join(self, timeout: Optional[float] = None) -> bool:
-        """Block (virtual time) until every node reached a terminal state."""
-        return self._event.wait(timeout)
+        """Block (virtual time) until every node reached a terminal state.
+
+        Raises :class:`~repro.core.errors.ClientCrashError` once
+        client-crash chaos has killed the driver: the watcher wakes its
+        joiners when it dies with it.
+        """
+        done = self._event.wait(timeout)
+        self._scheduler.executor._check_client()
+        return done
 
     def _finish(self) -> None:
         if not self._finished:
@@ -415,8 +422,10 @@ class DagScheduler:
             yield vsleep(self.poll_interval)
             if self.executor._client_dead():
                 # The driver died (client-crash chaos): the watcher dies
-                # with it, silently, leaving the DAG orphaned exactly as a
-                # real process crash would.  reattach() adopts it later.
+                # with it, leaving the DAG orphaned exactly as a real
+                # process crash would (reattach() adopts it later), and
+                # wakes its joiners so they raise the crash.
+                run._event.set()
                 return
             task = self.kernel.spawn(
                 self._round_guard, run, name=f"dag-round-{run.dag_id}"

@@ -19,6 +19,7 @@ bytes — which is what the paper's one-tenant experiments use.
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import itertools
 import random
@@ -52,15 +53,8 @@ IMAGE_PULL_MBPS = 50.0
 COLD_START_MIN = 0.35
 COLD_START_MAX = 0.90
 
-
-def _call_ids(params: dict[str, Any]) -> dict[str, Any]:
-    """Causal ids a runner-call params dict carries (absent keys skipped)."""
-    ids = {}
-    for key in ("executor_id", "callset_id", "call_id"):
-        value = params.get(key)
-        if value is not None:
-            ids[key] = value
-    return ids
+#: the causal ids a runner call's params carry
+_CALL_IDS = ("executor_id", "callset_id", "call_id")
 
 
 def _run_handler_boxed(
@@ -380,11 +374,7 @@ class CloudFunctions:
             if tracer is not None and tracer.enabled:
                 tracer.point(
                     "controller.dispatch", "controller",
-                    ids={
-                        **_call_ids(params),
-                        "activation_id": record.activation_id,
-                        "tenant": namespace,
-                    },
+                    ids=self._activation_ids(params, record),
                     action=action.name,
                     queued_s=round(
                         record.dispatch_time - record.submit_time, 6
@@ -497,13 +487,10 @@ class CloudFunctions:
             self._completion[activation_id] = None
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
-            ids = {**_call_ids(params), "activation_id": activation_id}
-            if tenants is not None:
-                ids["tenant"] = namespace
             tracer.point(
                 "controller.accept",
                 "controller",
-                ids=ids,
+                ids=self._activation_ids(params, record),
                 namespace=namespace,
                 action=action_name,
             )
@@ -533,6 +520,17 @@ class CloudFunctions:
         fraction = min(1.0, current / max(1, self.limits.max_concurrent))
         return round(0.25 + 0.75 * fraction, 3)
 
+    def _activation_ids(
+        self, params: dict[str, Any], record: ActivationRecord
+    ) -> dict[str, Any]:
+        """An activation's causal ids: its runner call's (absent keys
+        skipped), its own and, in a multi-tenant region, its tenant's."""
+        ids = {k: params[k] for k in _CALL_IDS if params.get(k) is not None}
+        ids["activation_id"] = record.activation_id
+        if self.tenants is not None:
+            ids["tenant"] = record.namespace
+        return ids
+
     def _spawn_activation(
         self, action: Action, params: dict[str, Any], record: ActivationRecord
     ) -> None:
@@ -541,37 +539,23 @@ class CloudFunctions:
         Pure platform modelling — placement, image pull, cold boot, fault
         fates, billing — runs as a model task and holds no OS thread while
         sleeping.  Only a plain (non-generator) user handler occupies a
-        pooled worker thread, and only for its own duration.  Untraced, the
-        task is :meth:`_execute_steps` itself: no wrapper frame per
-        in-flight activation.
+        pooled worker thread, and only for its own duration.  Traced or
+        not, the task is :meth:`_execute_steps` itself: no wrapper frame
+        per in-flight activation.
         """
-        tracer = self.tracer
+        tracer, scope = self.tracer, contextlib.nullcontext()
         if tracer is None or not tracer.enabled:
-            body, tracer = self._execute_steps, None
+            tracer = None
         else:
-            body = self._execute_traced
-        self.kernel.spawn_model(
-            body, action, params, record, tracer,
-            name=f"fn-{action.name}-{record.activation_id}",
-        )
-
-    def _execute_traced(
-        self,
-        action: Action,
-        params: dict[str, Any],
-        record: ActivationRecord,
-        tracer,
-    ):
-        """:meth:`_execute_steps` under the activation's causal ids."""
-        # bind the causal ids ambiently so every span emitted below this
-        # task — worker phases, COS requests, in-cloud link round trips —
-        # is stamped with them automatically (plus the tenant dimension
-        # when the region is multi-tenant)
-        ids = _call_ids(params)
-        if self.tenants is not None:
-            ids["tenant"] = record.namespace
-        with tracer.bind(**ids, activation_id=record.activation_id):
-            yield from self._execute_steps(action, params, record, tracer)
+            # the task copies this context at spawn, so every span emitted
+            # below it — worker phases, COS requests, in-cloud link round
+            # trips — is stamped with the activation's causal ids
+            scope = tracer.bind(**self._activation_ids(params, record))
+        with scope:
+            self.kernel.spawn_model(
+                self._execute_steps, action, params, record, tracer,
+                name=f"fn-{action.name}-{record.activation_id}",
+            )
 
     def _execute_steps(
         self,
@@ -634,91 +618,58 @@ class CloudFunctions:
             # reaps the unresponsive container after ``fate_delay``.
             yield vsleep(fate_delay)
             record.end_time = self.kernel.now()
-            record.status = ActivationStatus.ERROR
+            status = ActivationStatus.ERROR
             record.error = (
                 "infrastructure failure: container crashed"
                 if fate == "crash"
                 else "infrastructure failure: container hung and was reaped"
             )
-            self.billing.record(
-                record.activation_id,
-                action.name,
-                action.memory_mb,
-                record.end_time - record.start_time,
-                namespace=record.namespace,
-            )
-            if tracer is not None:
-                tracer.point(
-                    "container.fault", "container", t=record.start_time,
-                    fate=fate,
-                )
-                # billed window: crashed containers still cost GB-seconds
-                tracer.span_at(
-                    "container.execute", "container",
-                    record.start_time, record.end_time,
-                    action=action.name,
-                    memory_mb=action.memory_mb,
-                    cold=placement.cold,
-                    invoker_id=node.node_id,
-                    status=fate,
-                )
-            node.discard(placement.container, crashed=True)
-            with self._act_lock:
-                self._active[record.namespace] -= 1
-                self._active_total -= 1
-                event = self._completion[record.activation_id]
-            if event is not None:
-                event.set()
-            with self._capacity:
-                self._capacity.notify_all()
-            self._tenant_release(action, record)
-            return
-
-        ctx = ExecutionContext(self, record.namespace, record, action)
-        status = ActivationStatus.SUCCESS
-        if inspect.isgeneratorfunction(action.handler):
-            # a steps-style handler runs inline on the model task: the whole
-            # activation is threadless end to end
-            try:
-                record.result = yield from action.handler(params, ctx)
-            except Exception:  # noqa: BLE001 - the platform reports, not crashes
-                status = ActivationStatus.ERROR
-                record.error = traceback.format_exc()
         else:
-            # a plain blocking handler gets a pooled worker thread for
-            # exactly its own duration; ambient context (trace bind) is
-            # captured from this step and follows it
-            box: dict[str, Any] = {}
-            handler_task = self.kernel.spawn(
-                _run_handler_boxed,
-                action.handler,
-                params,
-                ctx,
-                box,
-                name=f"hnd-{action.name}-{record.activation_id}",
-            )
-            yield vjoin(handler_task)
-            if handler_task._exception is not None:
-                # non-Exception BaseException (or kernel teardown): this
-                # activation's platform task dies with it, as before
-                raise handler_task._exception
-            if "error" in box:
-                status = ActivationStatus.ERROR
-                record.error = box["error"]
+            ctx = ExecutionContext(self, record.namespace, record, action)
+            status = ActivationStatus.SUCCESS
+            if inspect.isgeneratorfunction(action.handler):
+                # a steps-style handler runs inline on the model task: the whole
+                # activation is threadless end to end
+                try:
+                    record.result = yield from action.handler(params, ctx)
+                except Exception:  # noqa: BLE001 - the platform reports, not crashes
+                    status = ActivationStatus.ERROR
+                    record.error = traceback.format_exc()
             else:
-                record.result = box.get("result")
-        record.end_time = self.kernel.now()
+                # a plain blocking handler gets a pooled worker thread for
+                # exactly its own duration; ambient context (trace bind) is
+                # captured from this step and follows it
+                box: dict[str, Any] = {}
+                handler_task = self.kernel.spawn(
+                    _run_handler_boxed,
+                    action.handler,
+                    params,
+                    ctx,
+                    box,
+                    name=f"hnd-{action.name}-{record.activation_id}",
+                )
+                yield vjoin(handler_task)
+                if handler_task._exception is not None:
+                    # non-Exception BaseException (or kernel teardown): this
+                    # activation's platform task dies with it, as before
+                    raise handler_task._exception
+                if "error" in box:
+                    status = ActivationStatus.ERROR
+                    record.error = box["error"]
+                else:
+                    record.result = box.get("result")
+            record.end_time = self.kernel.now()
 
-        limit = min(action.timeout_s, self.limits.max_exec_seconds)
-        if record.end_time - record.start_time > limit:
-            # The real platform would have killed the function at the limit;
-            # we label the activation and clamp its recorded interval.
-            status = ActivationStatus.TIMEOUT
-            record.error = (
-                f"function exceeded execution limit of {limit:.0f}s"
-            )
-            record.result = None
-            record.end_time = record.start_time + limit
+            limit = min(action.timeout_s, self.limits.max_exec_seconds)
+            if record.end_time - record.start_time > limit:
+                # The real platform would have killed the function at the limit;
+                # we label the activation and clamp its recorded interval.
+                status = ActivationStatus.TIMEOUT
+                record.error = (
+                    f"function exceeded execution limit of {limit:.0f}s"
+                )
+                record.result = None
+                record.end_time = record.start_time + limit
         record.status = status
         self.billing.record(
             record.activation_id,
@@ -728,6 +679,12 @@ class CloudFunctions:
             namespace=record.namespace,
         )
         if tracer is not None:
+            if fate != "run":
+                tracer.point(
+                    "container.fault", "container", t=record.start_time,
+                    fate=fate,
+                )
+            # the billed window: crashed containers still cost GB-seconds
             tracer.span_at(
                 "container.execute", "container",
                 record.start_time, record.end_time,
@@ -735,12 +692,14 @@ class CloudFunctions:
                 memory_mb=action.memory_mb,
                 cold=placement.cold,
                 invoker_id=node.node_id,
-                status=status,
+                status=status if fate == "run" else fate,
             )
-
-        node.release(placement.container, self.kernel.now())
-        fqn = placement.container.action_fqn
-        self._warm_idle[fqn] = self._warm_idle.get(fqn, 0) + 1
+        if fate != "run":
+            node.discard(placement.container, crashed=True)
+        else:
+            node.release(placement.container, self.kernel.now())
+            fqn = placement.container.action_fqn
+            self._warm_idle[fqn] = self._warm_idle.get(fqn, 0) + 1
         with self._act_lock:
             self._active[record.namespace] -= 1
             self._active_total -= 1

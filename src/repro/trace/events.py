@@ -1,16 +1,17 @@
 """The trace event model: structured spans and points on the virtual clock.
 
 Emission is raw and the canonical form is built on read: the tracer records
-an event's seven fields as they were passed (``ids`` and ``attrs`` still
-mappings) and a :class:`TraceEvent` is materialised from them only when the
-stream is read.  An event holds them as dicts and sorts them into ``(key,
-value)`` tuples whenever they are asked for, so two runs that produce the
-same causal history produce *equal* events, and a deterministically sorted
-stream is byte-stable across runs of the same seed.
+an event's seven fields with ``ids`` and ``attrs`` as a shared dict or
+``marshal`` bytes, and a :class:`TraceEvent` is materialised from them only
+when the stream is read.  An event decodes them on first use, holds dicts
+and sorts them into ``(key, value)`` tuples whenever they are asked for, so
+two runs that produce the same causal history produce *equal* events, and a
+deterministically sorted stream is byte-stable across runs of the same seed.
 """
 
 from __future__ import annotations
 
+import marshal
 from itertools import groupby
 from typing import Any, Iterable, Mapping, Optional, Union
 
@@ -39,6 +40,8 @@ KIND_POINT = "point"
 
 
 _Items = tuple[tuple[str, Any], ...]
+_Raw = Union[Mapping[str, Any], _Items, bytes, None]
+_KEPT = frozenset((dict, bytes, type(None)))  # kept as given, decoded on use
 
 
 class TraceEvent:
@@ -51,32 +54,41 @@ class TraceEvent:
     tuples so events hash, compare and serialize deterministically.  They
     are held as dicts and sorted when read; a dict passed in is kept, not
     copied (the tracer shares one ambient-ids dict between events), so
-    neither it nor the event may be mutated afterwards.
+    neither it nor the event may be mutated afterwards.  ``marshal`` bytes
+    of a dict (what the tracer records) are decoded on first use.
     """
 
     __slots__ = ("t", "name", "layer", "kind", "dur", "_ids", "_attrs")
 
     def __init__(
         self, t: float, name: str, layer: str, kind: str = KIND_POINT,
-        dur: Optional[float] = None,
-        ids: Union[Mapping[str, Any], _Items, None] = (),
-        attrs: Union[Mapping[str, Any], _Items, None] = (),
+        dur: Optional[float] = None, ids: _Raw = None, attrs: _Raw = None,
     ) -> None:
         self.t = t
         self.name = name
         self.layer = layer
         self.kind = kind
         self.dur = dur
-        self._ids = ids if type(ids) is dict else dict(ids or ())
-        self._attrs = attrs if type(attrs) is dict else dict(attrs or ())
+        self._ids = ids if type(ids) in _KEPT else dict(ids)
+        self._attrs = attrs if type(attrs) in _KEPT else dict(attrs)
+
+    def _id_map(self) -> dict[str, Any]:
+        if type(self._ids) is not dict:
+            self._ids = {} if self._ids is None else marshal.loads(self._ids)
+        return self._ids
+
+    def _attr_map(self) -> dict[str, Any]:
+        if type(self._attrs) is not dict:
+            self._attrs = {} if self._attrs is None else marshal.loads(self._attrs)
+        return self._attrs
 
     @property
     def ids(self) -> _Items:
-        return tuple(sorted(self._ids.items()))
+        return tuple(sorted(self._id_map().items()))
 
     @property
     def attrs(self) -> _Items:
-        return tuple(sorted(self._attrs.items()))
+        return tuple(sorted(self._attr_map().items()))
 
     def _content(self) -> tuple:
         return (self.t, self.name, self.layer, self.kind, self.dur,
@@ -102,16 +114,16 @@ class TraceEvent:
         return self.t + (self.dur or 0.0)
 
     def id_dict(self) -> dict[str, Any]:
-        return dict(self._ids)
+        return dict(self._id_map())
 
     def attr_dict(self) -> dict[str, Any]:
-        return dict(self._attrs)
+        return dict(self._attr_map())
 
     def get_id(self, key: str, default: Any = None) -> Any:
-        return self._ids.get(key, default)
+        return self._id_map().get(key, default)
 
     def get_attr(self, key: str, default: Any = None) -> Any:
-        return self._attrs.get(key, default)
+        return self._attr_map().get(key, default)
 
     def _sort_prefix(self) -> tuple:
         return (

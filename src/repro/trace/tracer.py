@@ -8,10 +8,12 @@ tracer.enabled`` so a disabled spine costs two attribute loads per site.
 An enabled one costs one flat append per event: the seven raw fields
 ``(t, name, layer, kind, dur, ids, attrs)`` go onto one list in a single
 ``list.extend`` — atomic under the interpreter lock, so emitters take no
-lock — and nothing is sorted, copied or wrapped.  Reading (:meth:`Tracer.
-events`, :meth:`Tracer.raw_events`) folds the pending records into
-:class:`TraceEvent` objects and keeps the sorted snapshot until the next
-emission, so the canonical form is paid for once, by the reader.
+lock — and nothing kept is a container the collector counts: ``attrs``
+and explicit ``ids=`` are kept as ``marshal.dumps`` bytes, ambient ids as
+the shared dict.  Reading (:meth:`Tracer.events`, :meth:`Tracer.
+raw_events`) folds the pending records into :class:`TraceEvent` objects
+and keeps the sorted snapshot until the next emission, so the canonical
+form is paid for once, by the reader.
 
 Causal ids flow *ambiently*: :meth:`Tracer.bind` sets one context variable
 to a new id mapping for the enclosed block.  Every kernel task runs in its
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import marshal
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
@@ -44,15 +47,35 @@ _IDS: contextvars.ContextVar[Optional[dict[str, Any]]] = contextvars.ContextVar(
 _FIELDS = 7
 
 
+def _pack(name: str, values: dict[str, Any]) -> bytes:
+    try:
+        return marshal.dumps(values)
+    except ValueError:
+        for key, value in values.items():
+            try:
+                marshal.dumps(value)
+            except ValueError:
+                raise TypeError(
+                    f"trace event {name!r}: {key}={value!r} is not marshal-encodable"
+                ) from None
+        raise
+
+
 class Tracer:
-    """Append-only collector of trace events; emission is lock-free."""
+    """Append-only collector of trace events; emission is lock-free.
+
+    Id and attr values are what ``marshal`` encodes (``None``, ``bool``,
+    ``int``, ``float``, ``str`` and lists, tuples and dicts of them); an
+    emission that packs any other value raises :class:`TypeError`, naming
+    the key.
+    """
 
     def __init__(self, kernel: Kernel, enabled: bool = False) -> None:
         self.kernel = kernel
         #: the master switch every emission site checks first
         self.enabled = bool(enabled)
-        #: raw records not read yet, ``_FIELDS`` slots each: floats, strings
-        #: and shared or atomic-valued dicts — nothing the collector tracks
+        #: raw records not read yet, ``_FIELDS`` slots each: floats, strings,
+        #: bytes and shared dicts — nothing the collector counts
         self._pending: list[Any] = []
         self._lock = threading.Lock()  # readers and subscribe(); never emitters
         self._seen: list[ev.TraceEvent] = []    # materialised, append order
@@ -68,12 +91,11 @@ class Tracer:
         ids: Optional[Mapping[str, Any]], attrs: dict[str, Any],
     ) -> None:
         ambient = _IDS.get()
-        if not ids:
-            ids = ambient
-        elif ambient:
-            ids = {**ambient, **ids}
+        if ids:
+            ids = _pack(name, {**ambient, **ids} if ambient else ids)
         else:
-            ids = dict(ids)
+            ids = ambient
+        attrs = _pack(name, attrs) if attrs else None
         self._pending.extend((t, name, layer, kind, dur, ids, attrs))
         for callback, names in self._subscribers:
             if names is None or name in names:

@@ -521,7 +521,6 @@ class TestResumedDagKeepsNodeRetries:
             try:
                 run = DagScheduler(executor, node_retries=2).submit(builder.build())
                 run.expose(flaky)
-                executor.wait([run.future(root)])  # a crash checkpoint
                 run.join()
                 return "done", executor.get_result()
             except pw.ClientCrashError:
@@ -536,6 +535,27 @@ class TestResumedDagKeepsNodeRetries:
     def test_failed_dependent_is_retried_after_reattach(self):
         assert self._run(NEVER) == ("done", 101)
         assert self._run(5.0) == ("resumed", 101)
+
+
+class TestJoinOnCrashedDriver:
+    """The DAG watcher dies with its driver and wakes the joiners: a
+    ``join()`` in flight when client-crash chaos strikes raises the crash
+    instead of leaving the kernel with nothing to wake it."""
+
+    def test_join_raises_client_crash(self):
+        from repro.dag import DagBuilder, DagScheduler
+
+        env = _make_env(5.0)
+
+        def main():
+            builder = DagBuilder()
+            builder.call(_ten_second_identity, 1)
+            run = DagScheduler(pw.ibm_cf_executor()).submit(builder.build())
+            with pytest.raises(pw.ClientCrashError):
+                run.join()
+            return env.kernel.now()
+
+        assert 5.0 <= env.run(main) < 10.0
 
 
 class TestKillAtEveryRecordBoundary:

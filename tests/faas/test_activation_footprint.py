@@ -9,9 +9,12 @@ per-activation footprint.
 
 from __future__ import annotations
 
+import functools
 import gc
 import random
 import tracemalloc
+import types
+from typing import NamedTuple
 
 import repro as pw
 from repro.core.worker import RUNNER_ACTION_BASENAME
@@ -28,9 +31,16 @@ def _hold(x):
     return x
 
 
-def _in_flight_footprint(n: int) -> tuple[int, int]:
-    """(traced heap bytes, live ``random.Random`` objects) while ``n``
-    mapped functions are all running."""
+class Footprint(NamedTuple):
+    heap_bytes: int  # tracemalloc's traced heap
+    tracked: int  # objects the garbage collector tracks
+    generators: int
+    randoms: int  # live ``random.Random`` objects
+
+
+@functools.lru_cache(maxsize=None)
+def _in_flight_footprint(n: int, trace: bool = False) -> Footprint:
+    """What the process holds while ``n`` mapped functions are all running."""
     limits = SystemLimits(
         max_concurrent=n + 64, invoker_count=-(-n // 400) + 2,
         invoker_memory_mb=102_400,
@@ -48,17 +58,23 @@ def _in_flight_footprint(n: int) -> tuple[int, int]:
         ]
         assert len(running) == n
         gc.collect()
-        randoms = sum(
-            1 for obj in gc.get_objects() if isinstance(obj, random.Random)
-        )
-        seen.append((tracemalloc.get_traced_memory()[0], randoms))
+        heap_bytes = tracemalloc.get_traced_memory()[0]
+        objects = gc.get_objects()
+        seen.append(Footprint(
+            heap_bytes,
+            len(objects),
+            sum(1 for obj in objects if type(obj) is types.GeneratorType),
+            sum(1 for obj in objects if isinstance(obj, random.Random)),
+        ))
+        del objects
         assert executor.get_result(futures) == list(range(n))
 
     gc.collect()
     tracemalloc.start()
     try:
         env = pw.CloudEnvironment.create(
-            client_latency=LatencyModel.wan(), limits=limits, seed=42
+            client_latency=LatencyModel.wan(), limits=limits, seed=42,
+            trace=trace,
         )
         env.run(main)
     finally:
@@ -68,15 +84,33 @@ def _in_flight_footprint(n: int) -> tuple[int, int]:
 
 class TestInFlightFootprint:
     """Design property, no timing: an in-flight activation holds no
-    Mersenne-Twister state and a few KB in all."""
+    Mersenne-Twister state and a few KB in all, traced or not."""
 
     SMALL, LARGE = 300, 900
     #: heap bytes per in-flight activation, client future and params included
     MAX_BYTES_PER_ACTIVATION = 6 * 1024
+    #: the same with the trace spine on: its ~22 emitted events included
+    MAX_TRACED_BYTES_PER_ACTIVATION = 9.5 * 1024
+
+    def _per_activation(self, trace: bool) -> Footprint:
+        small = _in_flight_footprint(self.SMALL, trace)
+        large = _in_flight_footprint(self.LARGE, trace)
+        return Footprint(*(
+            (b - a) / (self.LARGE - self.SMALL) for a, b in zip(small, large)
+        ))
 
     def test_in_flight_activations_stay_small(self):
-        small_bytes, small_randoms = _in_flight_footprint(self.SMALL)
-        large_bytes, large_randoms = _in_flight_footprint(self.LARGE)
-        per_activation = (large_bytes - small_bytes) / (self.LARGE - self.SMALL)
-        assert per_activation <= self.MAX_BYTES_PER_ACTIVATION
-        assert large_randoms == small_randoms
+        per_activation = self._per_activation(trace=False)
+        assert per_activation.heap_bytes <= self.MAX_BYTES_PER_ACTIVATION
+        assert per_activation.randoms == 0
+
+    def test_a_traced_activation_runs_the_untraced_task(self):
+        """Tracing binds the activation's ids around its spawn instead of
+        wrapping its task, and its events keep nothing the collector
+        tracks: the in-flight heap differs only by the events' bytes."""
+        traced = self._per_activation(trace=True)
+        untraced = self._per_activation(trace=False)
+        # whole objects: fixed costs cancel only to a few hundredths
+        assert round(traced.tracked) == round(untraced.tracked)
+        assert round(traced.generators) == round(untraced.generators)
+        assert traced.heap_bytes <= self.MAX_TRACED_BYTES_PER_ACTIVATION

@@ -242,23 +242,32 @@ class TestEmissionCost:
     (deterministic: no timing)."""
 
     def test_emission_leaves_nothing_for_the_collector(self, kernel):
-        tracer = Tracer(kernel, enabled=True)
-        gc.collect()
-        gc.disable()
-        try:
-            before = len(gc.get_objects())
-            with tracer.bind(executor_id="exec-1", callset_id="M000"):
-                for i in range(5_000):
-                    tracer.point("client.invoke", "client", attempt=1, size=i)
-                    tracer.span_at(
-                        "cos.put", "cos", float(i), i + 0.5,
-                        key=f"jobs/{i}", bytes=i, ok=True,
-                    )
-            grown = len(gc.get_objects()) - before
-        finally:
-            gc.enable()
-        assert len(tracer) == 10_000
-        assert grown < 100  # the eager TraceEvent left >= 9 per event
+        """Every GC-allocated object kept raises generation 0's count for
+        good, tracked or not, and buys extra full collections over the
+        heap of in-flight activations: emission keeps none."""
+        for ids in (None, {"call_id": "00007"}):
+            tracer = Tracer(kernel, enabled=True)
+            gc.collect()
+            gc.disable()
+            try:
+                with tracer.bind(executor_id="exec-1", callset_id="M000"):
+                    before = gc.get_count()[0], len(gc.get_objects())
+                    for i in range(5_000):
+                        tracer.point(
+                            "client.invoke", "client", ids=ids, attempt=1, size=i
+                        )
+                        tracer.span_at(
+                            "cos.put", "cos", float(i), i + 0.5, ids=ids,
+                            key=f"jobs/{i}", bytes=i, ok=True,
+                        )
+                    counted = gc.get_count()[0] - before[0]
+                    grown = len(gc.get_objects()) - before[1]
+            finally:
+                gc.enable()
+            assert len(tracer) == 10_000
+            assert grown < 100  # the eager TraceEvent left >= 9 per event
+            # kept kwargs dicts (and merged ids dicts) counted >= 1 per event
+            assert counted < 100, (ids, counted)
 
     def test_real_threads_lose_and_tear_nothing(self, kernel):
         threads, per_thread = 8, 5_000
