@@ -64,12 +64,15 @@ bench:
 paper-check:
 	PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
 
-# same-seed determinism against host timing (nightly CI job, ~3 min): the
-# swarm trace test and the one-task-at-a-time tests, 50 fresh interpreters
-# each; stops at the first failure and prints its output
+# same-seed determinism against host timing (nightly CI job, ~5 min): the
+# swarm trace test, the one-task-at-a-time tests, the thread-task spawn
+# sites and the exact hand-off count, 50 fresh interpreters each; stops at
+# the first failure and prints its output
 DETERMINISM_TESTS = \
 	tests/dag/test_swarm.py::TestTracing::test_same_seed_swarm_traces_byte_identical \
-	tests/vtime/test_step_order.py::TestOneTaskAtATime
+	tests/vtime/test_step_order.py::TestOneTaskAtATime \
+	tests/dag/test_handoffs.py::TestThreadTaskSpawnSites \
+	tests/dag/test_handoffs.py::TestHandoffBudget::test_the_count_is_exact_under_a_seed
 
 determinism:
 	@for test in $(DETERMINISM_TESTS); do \

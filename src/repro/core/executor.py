@@ -367,9 +367,9 @@ class FunctionExecutor:
         if self._client_dead():
             self.environment.chaos.kill_client(self.kernel.now())
 
-    def _journal_invoked(self, futures: Sequence[ResponseFuture],
-                         recovered: bool = False,
-                         dag_id: Optional[str] = None) -> None:
+    def _journal_invoked_steps(self, futures: Sequence[ResponseFuture],
+                               recovered: bool = False,
+                               dag_id: Optional[str] = None):
         """Journal issued invocations: ``[callset, call, activation, attempt]``.
 
         A DAG round's firings carry the ``dag_id``, which replay counts so
@@ -380,7 +380,7 @@ class FunctionExecutor:
         from repro.events import records as ev
 
         ids = {} if dag_id is None else {"dag_id": dag_id}
-        self.journal.append(
+        yield from self.journal.append_steps(
             ev.CALLS_INVOKED,
             calls=[
                 [f.callset_id, f.call_id, f.activation_id,
@@ -460,6 +460,9 @@ class FunctionExecutor:
     # Lost-call recovery
     # ------------------------------------------------------------------
     def _reinvoke_lost(self, pending: Sequence[ResponseFuture]) -> None:
+        self.kernel.drive(self._reinvoke_lost_steps(pending))
+
+    def _reinvoke_lost_steps(self, pending: Sequence[ResponseFuture]):
         """One recovery scan, run between polling rounds.
 
         A call is *lost* when its activation reached a dead terminal state
@@ -482,7 +485,7 @@ class FunctionExecutor:
         if not candidates:
             return
         fs = list(candidates.values())
-        records = self._functions.get_activations(
+        records = yield from self._functions.get_activations_steps(
             [future.activation_id for future in fs]
         )
         reinvoke: list[ResponseFuture] = []
@@ -495,10 +498,10 @@ class FunctionExecutor:
             if future.invoke_count <= future.max_retries:
                 reinvoke.append(future)
             else:
-                self._bury(future, record)
+                yield from self._bury_steps(future, record)
         tracer = self.tracer
         for future in reinvoke:
-            activation_id = self._functions.invoke(
+            activation_id = yield from self._functions.invoke_steps(
                 self.config.namespace, self._runner_action, future._call_params
             )
             future.mark_invoked(activation_id)
@@ -515,9 +518,9 @@ class FunctionExecutor:
                     },
                     recovered=True,
                 )
-        self._journal_invoked(reinvoke, recovered=True)
+        yield from self._journal_invoked_steps(reinvoke, recovered=True)
 
-    def _bury(self, future: ResponseFuture, record) -> None:
+    def _bury_steps(self, future: ResponseFuture, record):
         """Exhausted retry budget: publish a synthetic ``lost`` status.
 
         Written conditionally to COS so it also unblocks in-cloud waiters
@@ -535,9 +538,9 @@ class FunctionExecutor:
             container_id=record.container_id,
             cold_start=record.cold_start,
         )
-        if self._storage.commit_status(
+        if (yield from self._storage.commit_status_steps(
             self.executor_id, future.callset_id, future.call_id, status
-        ):
+        )):
             future._ingest_status(status)
             tracer = self.tracer
             if tracer is not None and tracer.enabled:
@@ -808,7 +811,7 @@ class FunctionExecutor:
                 )
         if discard:
             for future in futures:
-                self._discard_attempt(future)
+                self.kernel.drive(self._discard_attempt_steps(future))
         if futures:
             self._make_invoker().invoke_calls(
                 self.config.namespace,
@@ -818,7 +821,7 @@ class FunctionExecutor:
             )
         return futures
 
-    def _discard_attempt(self, future: ResponseFuture) -> None:
+    def _discard_attempt_steps(self, future: ResponseFuture):
         """Forget ``future``'s finished attempt so a new one can run.
 
         Resets the future to "invoked, nothing known" and removes the old
@@ -842,7 +845,7 @@ class FunctionExecutor:
             ),
         ):
             try:
-                self._cos.delete_object(self.config.storage_bucket, key)
+                yield from self._cos.delete_object_steps(self.config.storage_bucket, key)
             except NoSuchKey:
                 pass
             # exchange-tier copies of the deleted objects are stale now
@@ -918,7 +921,7 @@ class FunctionExecutor:
                 self.config.namespace, self._runner_action, calls, futures
             )
             self.futures.extend(futures)
-            self._journal_invoked(futures)
+            self.kernel.drive(self._journal_invoked_steps(futures))
             self._journal_exposed(futures)
         return futures
 

@@ -181,6 +181,10 @@ class ResponseFuture:
     # pickles the instance dict, and pickled size feeds modelled transfer time.
     _status_seen = False
     _exhausted = False
+    #: a DAG node's :class:`~repro.vtime.VEvent` until its watcher settles
+    #: the node (done, or failed for good); set only while the watcher may
+    #: still retry an error, so a waiter cannot judge a status on its own
+    _verdict = None
 
     def __init__(
         self,
@@ -228,6 +232,7 @@ class ResponseFuture:
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         state["_storage"] = None  # futures travel as pure references
+        state.pop("_verdict", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -291,10 +296,16 @@ class ResponseFuture:
 
         Polls the status object every ``poll_interval``; raises
         :class:`ResultTimeoutError` once ``timeout`` virtual seconds pass.
-        A status only seen (LISTed) is read once, with no poll first.
+        A status only seen (LISTed) is read once, with no poll first.  A DAG
+        node that its watcher may still retry is the watcher's to judge: the
+        wait starts once the watcher settled it.
         """
         kernel = self._require_storage().cos.link.kernel
         deadline = None if timeout is None else kernel.now() + timeout
+        if self._verdict is not None and not (yield from self._verdict.wait_steps(timeout)):
+            raise ResultTimeoutError(
+                f"DAG node call {self.call_id} was not settled within {timeout}s"
+            )
         while self._status is None and (yield from self.poll_steps()) is None:
             assert not self._status_seen, "a LISTed status cannot vanish"
             if deadline is not None and kernel.now() >= deadline:

@@ -10,7 +10,7 @@
   in-cloud invoker with a ``pool_size`` pool of its own: the paper's
   first attempt (REMOTE, ~20 s for 1000 calls).
 
-The client's pools (LOCAL calls, MASSIVE groups) are :func:`repro.vtime.fan_out`
+The client's pools (LOCAL calls, MASSIVE groups) are :func:`repro.vtime.fan_out_steps`
 lanes: model tasks that hold no OS thread and take work in ``(vtime, seq)`` order.
 Invokers treat call params as opaque: when a locality-providing exchange
 backend supplies a ``placement_hint`` (see :mod:`repro.dag.locality`),
@@ -25,14 +25,14 @@ from typing import Any, Optional, Sequence
 from repro.core.futures import ResponseFuture
 from repro.core.worker import REMOTE_INVOKER_ACTION
 from repro.faas.gateway import CloudFunctionsClient
-from repro.vtime import Kernel, fan_out
+from repro.vtime import Kernel, fan_out_steps
 
 
 class Invoker:
     """Strategy interface: issue one invocation per call-params dict.
 
     ``pool_size`` invocations are in flight at once: the client's
-    :func:`~repro.vtime.fan_out` width (LOCAL calls, MASSIVE groups), or
+    :func:`~repro.vtime.fan_out_steps` width (LOCAL calls, MASSIVE groups), or
     the lone in-cloud invoker's own pool (REMOTE).
     """
 
@@ -56,7 +56,7 @@ class Invoker:
         calls: Sequence[dict[str, Any]],
         futures: Sequence[ResponseFuture],
     ) -> None:
-        raise NotImplementedError
+        self.kernel.drive(self.invoke_calls_steps(namespace, action, calls, futures))
 
     def _trace_invoke(self, future: ResponseFuture) -> None:
         """Record one ``client.invoke`` attempt for ``future``."""
@@ -76,7 +76,7 @@ class Invoker:
 class LocalInvoker(Invoker):
     """Client-side invocation, ``pool_size`` requests in flight."""
 
-    def invoke_calls(
+    def invoke_calls_steps(
         self,
         namespace: str,
         action: str,
@@ -91,7 +91,7 @@ class LocalInvoker(Invoker):
             future.mark_invoked(activation_id)
             self._trace_invoke(future)
 
-        fan_out(
+        yield from fan_out_steps(
             self.kernel, _invoke_steps, zip(calls, futures), self.pool_size,
             name="invoker",
         )
@@ -121,7 +121,7 @@ class MassiveInvoker(Invoker):
         super().__init__(kernel, functions, pool_size, tracer)
         self.group_size = group_size
 
-    def invoke_calls(
+    def invoke_calls_steps(
         self,
         namespace: str,
         action: str,
@@ -149,7 +149,7 @@ class MassiveInvoker(Invoker):
                 namespace, REMOTE_INVOKER_ACTION, params
             )
 
-        fan_out(
+        yield from fan_out_steps(
             self.kernel, _invoke_group_steps, groups, self.pool_size,
             name="massive-invoker",
         )

@@ -89,9 +89,6 @@ class InternalStorage:
     def get_blob_steps(self, key: str):
         return (yield from self.cos.get_object_steps(self.bucket, key))
 
-    def blob_exists(self, key: str) -> bool:
-        return self.cos.object_exists(self.bucket, key)
-
     # -- aggregated call data -------------------------------------------------
     def put_agg_data(self, executor_id: str, callset_id: str, blob: bytes) -> str:
         key = self.agg_data_key(executor_id, callset_id)
@@ -111,13 +108,6 @@ class InternalStorage:
         blob = serializer.serialize(status)
         self.cos.put_object(
             self.bucket, self.status_key(executor_id, callset_id, call_id), blob
-        )
-
-    def commit_status(
-        self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
-    ) -> bool:
-        return self.cos.link.kernel.drive(
-            self.commit_status_steps(executor_id, callset_id, call_id, status)
         )
 
     def commit_status_steps(
@@ -159,10 +149,15 @@ class InternalStorage:
         return serializer.deserialize(blob)
 
     def list_done_call_ids(self, executor_id: str, callset_id: str) -> set[str]:
+        return self.cos.link.kernel.drive(
+            self.list_done_call_ids_steps(executor_id, callset_id)
+        )
+
+    def list_done_call_ids_steps(self, executor_id: str, callset_id: str):
         """Call ids with a status object, via one LIST request (§4.2 wait)."""
         prefix = self.callset_prefix(executor_id, callset_id) + "/"
         done = set()
-        for key in self.cos.list_keys(self.bucket, prefix):
+        for key in (yield from self.cos.list_keys_steps(self.bucket, prefix)):
             if key.endswith("/status.pickle"):
                 parts = key[len(prefix):].split("/")
                 if len(parts) == 2:
@@ -249,19 +244,17 @@ class InternalStorage:
     def journal_key(self, executor_id: str, seq: int) -> str:
         return f"{self.journal_prefix(executor_id)}{seq:08d}.json"
 
-    def append_journal_record(
-        self, executor_id: str, seq: int, text: str
-    ) -> bool:
+    def append_journal_record_steps(self, executor_id: str, seq: int, text: str):
         """Durably append one event record at position ``seq``.
 
         The write is conditional (``If-None-Match: *``, the same primitive
-        as :meth:`commit_status`), so the log is append-once: two drivers
+        as :meth:`commit_status_steps`), so the log is append-once: two drivers
         racing for the same slot cannot silently overwrite each other —
         the loser learns it lost and must re-read the log.  Returns
         whether this append won the slot.
         """
         try:
-            self.cos.put_object(
+            yield from self.cos.put_object_steps(
                 self.bucket,
                 self.journal_key(executor_id, seq),
                 text.encode("utf-8"),
@@ -350,7 +343,7 @@ class InternalStorage:
         """Decrement one dependency counter: create the edge's done marker.
 
         Conditional (``If-None-Match: *``, the same append-once primitive
-        as :meth:`commit_status` and :meth:`append_journal_record`), so a
+        as :meth:`commit_status_steps` and :meth:`append_journal_record_steps`), so a
         re-run of the producing node cannot decrement twice.  Returns
         whether this attempt created the marker.
         """
@@ -390,9 +383,7 @@ class InternalStorage:
             return False
         return True
 
-    def swarm_token_claimed(
-        self, executor_id: str, dag_id: str, node_key: str
-    ) -> bool:
+    def swarm_token_claimed_steps(self, executor_id: str, dag_id: str, node_key: str):
         """Whether some worker already claimed ``node_key``'s fire token.
 
         Client side: the supervisor checks this before re-driving an
@@ -400,9 +391,9 @@ class InternalStorage:
         (almost certainly) happened and the node is merely still running,
         so the redrive fuse is extended rather than fired.
         """
-        return self.cos.object_exists(
+        return (yield from self.cos.object_exists_steps(
             self.bucket, self.swarm_token_key(executor_id, dag_id, node_key)
-        )
+        ))
 
     def count_swarm_markers_steps(
         self, executor_id: str, dag_id: str, node_key: str

@@ -84,7 +84,10 @@ class COSClient:
         )
 
     def delete_object(self, bucket: str, key: str) -> None:
-        self._request(0, op="delete")
+        self.link.kernel.drive(self.delete_object_steps(bucket, key))
+
+    def delete_object_steps(self, bucket: str, key: str):
+        yield from self._request_steps(0, op="delete")
         self.store.delete_object(bucket, key)
 
     # -- read path -----------------------------------------------------------
@@ -134,13 +137,19 @@ class COSClient:
         return obj.read(start, end)
 
     def head_object(self, bucket: str, key: str) -> ObjectSummary:
-        self._request(0, op="head")
+        return self.link.kernel.drive(self.head_object_steps(bucket, key))
+
+    def head_object_steps(self, bucket: str, key: str):
+        yield from self._request_steps(0, op="head")
         obj = self.store.get_object(bucket, key)
         return ObjectSummary(bucket, obj.key, obj.size, obj.etag, obj.last_modified)
 
     def object_exists(self, bucket: str, key: str) -> bool:
+        return self.link.kernel.drive(self.object_exists_steps(bucket, key))
+
+    def object_exists_steps(self, bucket: str, key: str):
         try:
-            self.head_object(bucket, key)
+            yield from self.head_object_steps(bucket, key)
             return True
         except NoSuchKey:
             return False

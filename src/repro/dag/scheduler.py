@@ -20,6 +20,7 @@ hanging.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Optional
 
 from repro.core import context as ambient
@@ -28,8 +29,8 @@ from repro.dag import locality as _locality
 from repro.dag.graph import Dag
 from repro.dag.node import ARG_DEP, ARG_DEPS, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
 from repro.retry import RetryPolicy
-from repro.vtime import VEvent, fan_out
-from repro.vtime.kernel import vjoin, vsleep
+from repro.vtime import VEvent, fan_out_steps
+from repro.vtime.kernel import vsleep
 
 
 def _dag_node_call(payload: dict[str, Any]) -> Any:
@@ -159,8 +160,6 @@ class DagScheduler:
         retries: Optional[int] = None,
         scheduler: Optional[str] = None,
     ) -> None:
-        from repro.config import DagConfig
-
         self.executor = executor
         self.kernel = executor.kernel
         self.label = label
@@ -168,14 +167,9 @@ class DagScheduler:
         self.retries = retries
         self.poll_interval = executor.config.poll_interval
         dag_config = executor.config.dag
-        self.scheduler = (
-            scheduler if scheduler is not None else dag_config.scheduler
-        )
-        if self.scheduler not in DagConfig.SCHEDULERS:
-            raise ValueError(
-                f"scheduler must be one of {DagConfig.SCHEDULERS}, "
-                f"got {self.scheduler!r}"
-            )
+        if scheduler is not None:
+            dataclasses.replace(dag_config, scheduler=scheduler).validate()
+        self.scheduler = scheduler or dag_config.scheduler
         #: swarm mode: workers fire dependents in-cloud, this object is
         #: only the supervisor (recovery, retries, burials, re-drives)
         self.swarm = self.scheduler == "swarm"
@@ -235,6 +229,9 @@ class DagScheduler:
                     NodeState.READY if node.unresolved == 0 else NodeState.PENDING
                 )
 
+        for node in internal:
+            if node.node_retries:
+                node.future._verdict = VEvent(self.kernel)
         if self.swarm:
             self._ship_schedule(dag, dag_id)
 
@@ -286,7 +283,7 @@ class DagScheduler:
 
         # First round runs synchronously in the caller: roots are in flight
         # before submit() returns, exactly like a plain executor.map.
-        self._round(run)
+        self.kernel.drive(self._round_steps(run))
         if not run.finished:
             self.kernel.spawn_model(
                 self._watch_steps, run, name=f"dag-watch-{dag_id}"
@@ -333,25 +330,27 @@ class DagScheduler:
         executor = self.executor
         run = DagRun(dag, self, self._next_dag_id())
         with executor._trace_scope():
-            self._reconcile(run)
+            self.kernel.drive(self._reconcile_steps(run))
             for node in dag.nodes:
                 if node.state in NodeState.TERMINAL:
                     continue
                 future = node.future
+                if node.node_retries and not node.external:
+                    future._verdict = VEvent(self.kernel)
                 if future.activation_id is not None:
                     node.state = NodeState.SUBMITTED
                 elif future.invoke_count or node.unresolved == 0:
                     node.state = NodeState.READY
                 else:
                     node.state = NodeState.PENDING
-            self._drive(run)
+            self.kernel.drive(self._drive_steps(run))
         if not run.finished:
             self.kernel.spawn_model(
                 self._watch_steps, run, name=f"dag-watch-{run.dag_id}"
             )
         return run
 
-    def _reconcile(self, run: DagRun) -> None:
+    def _reconcile_steps(self, run: DagRun):
         """Fold the statuses already committed in COS into ``run``.
 
         COS is ground truth: a call with a committed status object is
@@ -361,9 +360,9 @@ class DagScheduler:
         never re-buries a dependent whose burial already committed.
         """
         executor = self.executor
-        committed = self._discover(run.dag.nodes)
+        committed = yield from self._discover_steps(run.dag.nodes)
         for node in sorted(committed, key=lambda n: n.node_id, reverse=True):
-            self._complete(run, node)
+            yield from self._complete_steps(run, node)
         run.reconciled = [
             [n.future.callset_id, n.future.call_id, n.state == NodeState.DONE]
             for n in committed
@@ -413,10 +412,11 @@ class DagScheduler:
     # Dependency watcher
     # ------------------------------------------------------------------
     def _watch_steps(self, run: DagRun):
-        """Model task: wake each poll interval, run one round off-thread.
+        """Model task: wake each poll interval and run one round, in place.
 
-        The round itself uses the blocking storage/gateway APIs, so it runs
-        as a short-lived thread task; between rounds no OS thread is held.
+        Between rounds it is a timer entry; during one, the same task steps
+        through the round's LIST, status reads, invocations and journal
+        appends, so no OS thread is ever held for the watcher.
         """
         while not run.finished:
             yield vsleep(self.poll_interval)
@@ -425,25 +425,20 @@ class DagScheduler:
                 # with it, leaving the DAG orphaned exactly as a real
                 # process crash would (reattach() adopts it later), and
                 # wakes its joiners so they raise the crash.
+                for node in run.dag.nodes:
+                    self._settle(node)
                 run._event.set()
                 return
-            task = self.kernel.spawn(
-                self._round_guard, run, name=f"dag-round-{run.dag_id}"
-            )
-            yield vjoin(task)
-            if run.error is not None:
-                break
+            try:
+                yield from self._round_steps(run)
+            except Exception as exc:  # noqa: BLE001 - surfaced on run.error
+                # A broken round must not leave waiters pending forever in
+                # virtual time: fail every unfinished node, then surface.
+                run.error = exc
+                yield from self._abort_steps(run, f"DAG scheduler aborted: {exc!r}")
+                return
 
-    def _round_guard(self, run: DagRun) -> None:
-        try:
-            self._round(run)
-        except BaseException as exc:
-            # A broken round must not leave waiters pending forever in
-            # virtual time: fail every unfinished node, then surface.
-            run.error = exc
-            self._abort(run, f"DAG scheduler aborted: {exc!r}")
-
-    def _round(self, run: DagRun) -> None:
+    def _round_steps(self, run: DagRun):
         executor = self.executor
         if executor._client_dead():
             # the driver died while this round was in flight: a real crash
@@ -451,10 +446,13 @@ class DagScheduler:
             # no journal appends) and let the watcher notice and exit
             return
         with executor._trace_scope():
-            self._poll(run)
-            self._drive(run)
+            # discovery: judge every in-flight node that finished
+            in_flight = [n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT]
+            for node in (yield from self._discover_steps(in_flight)):
+                yield from self._complete_steps(run, node)
+            yield from self._drive_steps(run)
 
-    def _drive(self, run: DagRun) -> None:
+    def _drive_steps(self, run: DagRun):
         """What a round does with what it discovered: recover, then fire."""
         executor = self.executor
         if executor._recovery:
@@ -464,7 +462,7 @@ class DagScheduler:
                 if n.state == NodeState.SUBMITTED and not n.external
             ]
             if in_flight:
-                executor._reinvoke_lost(in_flight)
+                yield from executor._reinvoke_lost_steps(in_flight)
                 # recovery buries exhausted calls by ingesting a
                 # synthetic status directly — pick those up now
                 for node in run.dag.nodes:
@@ -472,23 +470,18 @@ class DagScheduler:
                         node.state == NodeState.SUBMITTED
                         and node.future._status is not None
                     ):
-                        self._complete(run, node)
-        self._submit_ready(run)
+                        yield from self._complete_steps(run, node)
+        yield from self._submit_ready_steps(run)
         if run.finished:
             run._finish()
 
-    def _poll(self, run: DagRun) -> None:
-        """One round's discovery: judge every in-flight node that finished."""
-        in_flight = [n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT]
-        for node in self._discover(in_flight):
-            self._complete(run, node)
-
-    def _discover(self, nodes: list[DagNode]) -> list[DagNode]:
+    def _discover_steps(self, nodes: list[DagNode]):
         """The ``nodes`` whose status committed (now ingested), in LIST order.
 
         One LIST per callset whose statuses are not all known, then one
-        fan-out reads every status revealed, so a round pays about one round
-        trip however many nodes finished.  A partial commit waits a round.
+        fan-out of ``config.result_fetch_pool_size`` lanes reads every status
+        revealed, so a round pays about one round trip however many nodes
+        finished.  A partial commit waits a round.
         """
         groups: dict[tuple[str, str], list[DagNode]] = {}
         for node in nodes:
@@ -500,27 +493,24 @@ class DagScheduler:
             if all(n.future.status_known for n in group):
                 found += group
                 continue
-            done_ids = self.executor._storage.list_done_call_ids(*key)
+            done_ids = yield from self.executor._storage.list_done_call_ids_steps(*key)
             found += [
                 n for n in group
                 if n.future.status_known or n.future.call_id in done_ids
             ]
-        self._read_statuses([n.future for n in found if n.future._status is None])
-        return [n for n in found if n.future._status is not None]
-
-    def _read_statuses(self, futures: list) -> None:
-        """GET and ingest the statuses of ``futures``, concurrently: one
-        :func:`~repro.vtime.fan_out` of ``config.result_fetch_pool_size``."""
-        fan_out(
-            self.kernel, ResponseFuture.poll_steps, futures,
+        yield from fan_out_steps(
+            self.kernel, ResponseFuture.poll_steps,
+            [n.future for n in found if n.future._status is None],
             self.executor.config.result_fetch_pool_size, name="dag-status",
         )
+        return [n for n in found if n.future._status is not None]
 
-    def _complete(self, run: DagRun, node: DagNode) -> None:
+    def _complete_steps(self, run: DagRun, node: DagNode):
         future = node.future
         status = future._status
         if status.get("success"):
             node.state = NodeState.DONE
+            self._settle(node)
             _locality.record_invoker(node, status)
             self._trace_node(run, node, status, "done")
             for dependent in node.dependents:
@@ -531,7 +521,7 @@ class DagScheduler:
                 ):
                     dependent.state = self._ready_state(dependent)
         else:
-            self._on_failure(run, node, status)
+            yield from self._on_failure_steps(run, node, status)
 
     def _ready_state(self, node: DagNode) -> str:
         """Where a dependency-complete node goes next.
@@ -542,20 +532,17 @@ class DagScheduler:
         external dependencies (invisible to workers) stay supervisor-fired.
         """
         if self.swarm:
-            from repro import vtime
             from repro.dag import swarm as _swarm
 
             if _swarm.is_drivable(node):
-                node.swarm_ready_at = vtime.now()
+                node.swarm_ready_at = self.kernel.now()
                 return NodeState.DELEGATED
         return NodeState.READY
 
     # ------------------------------------------------------------------
     # Failure handling
     # ------------------------------------------------------------------
-    def _on_failure(self, run: DagRun, node: DagNode, status: dict) -> None:
-        from repro import vtime
-
+    def _on_failure_steps(self, run: DagRun, node: DagNode, status: dict):
         executor = self.executor
         if (
             not node.external
@@ -563,8 +550,8 @@ class DagScheduler:
             and node.error_attempts < node.node_retries
         ):
             node.error_attempts += 1
-            executor._discard_attempt(node.future)
-            node.retry_at = vtime.now() + self._policy.backoff(node.error_attempts)
+            yield from executor._discard_attempt_steps(node.future)
+            node.retry_at = self.kernel.now() + self._policy.backoff(node.error_attempts)
             node.state = NodeState.READY
             executor._retries_total += 1
             tracer = executor.tracer
@@ -583,10 +570,11 @@ class DagScheduler:
                 )
             return
         node.state = NodeState.FAILED
+        self._settle(node)
         self._trace_node(run, node, status, "failed")
-        self._bury_dependents(run, node, status)
+        yield from self._bury_dependents_steps(run, node, status)
 
-    def _bury_dependents(self, run: DagRun, node: DagNode, status: dict) -> None:
+    def _bury_dependents_steps(self, run: DagRun, node: DagNode, status: dict):
         reason = (
             f"upstream DAG node '{node.display_name}' failed: "
             f"{status.get('error')}"
@@ -596,47 +584,51 @@ class DagScheduler:
             dependent = queue.pop(0)
             if dependent.state in NodeState.TERMINAL:
                 continue
-            self._bury_node(run, dependent, reason)
+            yield from self._bury_node_steps(run, dependent, reason)
             queue.extend(dependent.dependents)
 
-    def _abort(self, run: DagRun, reason: str) -> None:
+    def _abort_steps(self, run: DagRun, reason: str):
         for node in run.dag.nodes:
             if node.state not in NodeState.TERMINAL:
-                self._bury_node(run, node, reason)
+                yield from self._bury_node_steps(run, node, reason)
         run._finish()
 
-    def _bury_node(self, run: DagRun, node: DagNode, reason: str) -> None:
+    def _bury_node_steps(self, run: DagRun, node: DagNode, reason: str):
         """Synthesize an error status so every waiter unblocks.
 
         One conditional status commit and no result blob (see
         :func:`~repro.core.futures.synthetic_status`): a real status that
         landed first wins; a still-running node's late result is ignored.
         """
-        from repro import vtime
-
         storage = self.executor._storage
         future = node.future
         node.state = NodeState.FAILED
-        now = vtime.now()
+        now = self.kernel.now()
         status = synthetic_status(future, reason, "buried", now, now)
-        if storage.commit_status(
+        if (yield from storage.commit_status_steps(
             future.executor_id, future.callset_id, future.call_id, status
-        ):
+        )):
             future._ingest_status(status)
         else:
             future.mark_done()  # a real status exists; use it
+        self._settle(node)
         self._trace_node(run, node, status, "buried")
+
+    def _settle(self, node: DagNode) -> None:
+        """Wake the waiters of ``node``: judged for good, or unwatched now."""
+        verdict = node.future._verdict
+        if verdict is not None:
+            node.future._verdict = None
+            verdict.set()
 
     # ------------------------------------------------------------------
     # Node submission
     # ------------------------------------------------------------------
-    def _submit_ready(self, run: DagRun) -> None:
-        from repro import vtime
-
+    def _submit_ready_steps(self, run: DagRun):
         executor = self.executor
-        now = vtime.now()
+        now = self.kernel.now()
         if self.swarm:
-            self._redrive_orphans(run, now)
+            yield from self._redrive_orphans_steps(run, now)
         ready = sorted(
             (
                 n
@@ -664,12 +656,12 @@ class DagScheduler:
             node.submit_time = now
             calls.append(params)
             futures.append(node.future)
-        executor._make_invoker().invoke_calls(
+        yield from executor._make_invoker().invoke_calls_steps(
             executor.config.namespace, executor._runner_action, calls, futures
         )
-        executor._journal_invoked(futures, dag_id=run.dag_id)
+        yield from executor._journal_invoked_steps(futures, dag_id=run.dag_id)
 
-    def _redrive_orphans(self, run: DagRun, now: float) -> None:
+    def _redrive_orphans_steps(self, run: DagRun, now: float):
         """Adopt delegated nodes whose handoff never produced a status.
 
         A worker that died between committing its own status and invoking
@@ -705,7 +697,7 @@ class DagScheduler:
                 continue
             if not node.swarm_token_seen:
                 future = node.future
-                claimed = self.executor._storage.swarm_token_claimed(
+                claimed = yield from self.executor._storage.swarm_token_claimed_steps(
                     future.executor_id,
                     run.dag_id,
                     _swarm.node_key(future.callset_id, future.call_id),
@@ -742,10 +734,8 @@ class DagScheduler:
         start = status.get("start_time")
         end = status.get("end_time")
         if start is None or end is None:
-            from repro import vtime
-
             start = node.submit_time
-            end = vtime.now()
+            end = self.kernel.now()
         tracer.span_at(
             "dag.node", "dag", start, end,
             ids={

@@ -65,6 +65,9 @@ class EventJournal:
         self.appended: list[EventRecord] = []
 
     def append(self, kind: str, **data: Any) -> Optional[EventRecord]:
+        return self.kernel.drive(self.append_steps(kind, **data))
+
+    def append_steps(self, kind: str, **data: Any):
         """Durably append one event; returns the stored record.
 
         Returns ``None`` without writing when this driver is already dead
@@ -82,7 +85,7 @@ class EventJournal:
         # is parked in a kernel-aware wait — a second writer stuck on
         # this (real) lock would freeze the very clock the PUT needs.
         text = record.to_json()
-        if not self.storage.append_journal_record(self.executor_id, seq, text):
+        if not (yield from self.storage.append_journal_record_steps(self.executor_id, seq, text)):
             raise JournalConflictError(
                 f"journal slot {seq} of {self.executor_id} is already "
                 "written — another driver owns this log"

@@ -173,17 +173,13 @@ class CloudFunctionsClient:
         activation_id = self.invoke(namespace, action_name, params)
         return self.wait(activation_id, timeout=timeout)
 
-    def get_activations(
-        self, activation_ids: list[str]
-    ) -> list[Optional[ActivationRecord]]:
+    def get_activations_steps(self, activation_ids: list[str]):
         """Bulk-fetch activation records: one round trip for the whole batch.
 
         ``None`` for unknown ids.  The executor's lost-call detector scans an
         entire callset per polling round with this, instead of N requests.
         """
-        self.platform.kernel.drive(
-            self._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
-        )
+        yield from self._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
         return self.platform.get_activations_bulk(activation_ids)
 
     def wait(

@@ -42,6 +42,7 @@ from repro.vtime.sync import (
     VQueue,
     VSemaphore,
     fan_out,
+    fan_out_steps,
     gather,
 )
 
@@ -64,6 +65,7 @@ __all__ = [
     "QueueEmpty",
     "gather",
     "fan_out",
+    "fan_out_steps",
     "current_kernel",
     "current_task",
     "sleep",

@@ -13,9 +13,12 @@ import collections
 import threading
 from typing import Any, Callable, Iterable, Optional
 
-from repro.vtime.kernel import Kernel, Task, Waiter, current_task, vwait
+from repro.vtime.kernel import Kernel, Task, Waiter, current_task, vjoin, vwait
 
-__all__ = ["VCondition", "VEvent", "VSemaphore", "VQueue", "QueueEmpty", "gather", "fan_out"]
+__all__ = [
+    "VCondition", "VEvent", "VSemaphore", "VQueue", "QueueEmpty", "gather",
+    "fan_out", "fan_out_steps",
+]
 
 
 class QueueEmpty(Exception):
@@ -238,37 +241,34 @@ def gather(tasks: Iterable[Any]) -> list[Any]:
     Accepts thread tasks and model tasks (anything with ``join()`` and the
     kernel outcome attributes).  Raises the first task exception encountered
     (after joining all, so no task is left running unobserved).  Not callable
-    from inside a model task — yield ``vjoin`` per task instead.
+    from inside a model task — yield ``vjoin`` per task instead, as
+    :func:`fan_out_steps` does.
     """
     tasks = list(tasks)
     for task in tasks:
         task.join()
-    first_exc: Optional[BaseException] = None
-    results: list[Any] = []
     for task in tasks:
-        if task._exception is not None and first_exc is None:
-            first_exc = task._exception
-        results.append(task._result)
-    if first_exc is not None:
-        raise first_exc
-    return results
+        if task._exception is not None:
+            raise task._exception
+    return [task._result for task in tasks]
 
 
-def fan_out(
+def fan_out_steps(
     kernel: Kernel,
     steps_fn: Callable[[Any], Any],
     items: Iterable[Any],
     width: int,
     name: str = "fan-out",
-) -> list[Any]:
+):
     """``yield from steps_fn(item)`` for every item; results in input order.
 
     At most ``width`` model-task lanes pull ``(index, item)`` from one
     shared iterator (work stealing, like a client thread pool draining its
     queue), stepped in ``(vtime, seq)`` order: which lane takes which item
-    never depends on host thread timing.  A lone lane runs on the caller's
-    own thread.  The first lane exception is raised once every lane has
-    been joined.  Not callable from inside a model task.
+    never depends on host thread timing.  A lone lane runs on the calling
+    task itself.  The first lane exception is raised once every lane has
+    been joined.  A steps generator: a model task ``yield from``s it, a
+    thread task calls :func:`fan_out`.
     """
     items = list(items)
     results: list[Any] = [None] * len(items)
@@ -280,8 +280,23 @@ def fan_out(
 
     width = min(width, len(items))
     if width <= 1:
-        if items:
-            kernel.drive(lane())
-    else:
-        gather([kernel.spawn_model(lane, name=name) for _ in range(width)])
+        yield from lane()
+        return results
+    lanes = [kernel.spawn_model(lane, name=name) for _ in range(width)]
+    for task in lanes:
+        yield vjoin(task)
+    for task in lanes:
+        if task._exception is not None:
+            raise task._exception
     return results
+
+
+def fan_out(
+    kernel: Kernel,
+    steps_fn: Callable[[Any], Any],
+    items: Iterable[Any],
+    width: int,
+    name: str = "fan-out",
+) -> list[Any]:
+    """:func:`fan_out_steps` from a thread task (or an outside thread)."""
+    return kernel.drive(fan_out_steps(kernel, steps_fn, items, width, name))

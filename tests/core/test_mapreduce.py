@@ -11,7 +11,9 @@ from repro.core.environment import CloudEnvironment
 from repro.core.errors import PyWrenError
 from repro.core.storage_client import InternalStorage
 from repro.dag import DagScheduler
+from repro.dag import scheduler as scheduler_module
 from repro.net import LatencyModel
+from repro.vtime import fan_out_steps
 
 
 def put_text(env, bucket, objects):
@@ -281,18 +283,19 @@ class TestOneDagPerMapReduce:
         put_text(env, "cities", {key: "x" * 400 for key in CITIES})
         lists = collections.Counter()
         rounds = collections.Counter()
-        list_done, poll = InternalStorage.list_done_call_ids, DagScheduler._poll
+        list_done = InternalStorage.list_done_call_ids_steps
+        round_steps = DagScheduler._round_steps
 
         def counting_list(storage, executor_id, callset_id):
             lists[callset_id] += 1
-            return list_done(storage, executor_id, callset_id)
+            return (yield from list_done(storage, executor_id, callset_id))
 
-        def counting_poll(scheduler, run):
+        def counting_round(scheduler, run):
             rounds[run.dag_id] += 1
-            return poll(scheduler, run)
+            return (yield from round_steps(scheduler, run))
 
-        monkeypatch.setattr(InternalStorage, "list_done_call_ids", counting_list)
-        monkeypatch.setattr(DagScheduler, "_poll", counting_poll)
+        monkeypatch.setattr(InternalStorage, "list_done_call_ids_steps", counting_list)
+        monkeypatch.setattr(DagScheduler, "_round_steps", counting_round)
 
         def main():
             executor = pw.ibm_cf_executor()
@@ -321,13 +324,13 @@ class TestOneDagPerMapReduce:
         self, monkeypatch
     ):
         batches = []
-        read = DagScheduler._read_statuses
 
-        def recording(scheduler, futures):
-            batches.append(len(futures))
-            return read(scheduler, futures)
+        def recording(kernel, steps_fn, items, width, name="fan-out"):
+            if name == "dag-status":
+                batches.append(len(items))
+            return fan_out_steps(kernel, steps_fn, items, width, name)
 
-        monkeypatch.setattr(DagScheduler, "_read_statuses", recording)
+        monkeypatch.setattr(scheduler_module, "fan_out_steps", recording)
         first = self._traced_run()
         second = self._traced_run()
         assert first[0] == [400, 400, 400]

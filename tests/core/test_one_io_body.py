@@ -30,18 +30,20 @@ from repro.config import ExchangeConfig
 from repro.core import serializer
 from repro.core.errors import ResultTimeoutError
 from repro.core.futures import ResponseFuture, synthetic_status
+from repro.core.invokers import LocalInvoker, MassiveInvoker
 from repro.core.storage_client import InternalStorage
+from repro.core.worker import REMOTE_INVOKER_ACTION
 from repro.cos import CloudObjectStorage, COSClient
+from repro.events.journal import EventJournal
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
 from repro.exchange.base import ExchangeBackend
 from repro.faas import CloudFunctions, CloudFunctionsClient
-from repro.faas.gateway import INVOKE_PAYLOAD_BYTES
 from repro.mq.broker import MessageBroker
 from repro.mq.client import MQClient
 from repro.net import LatencyModel, NetworkLink
 from repro.retry import RetryPolicy
 from repro.trace.tracer import Tracer
-from repro.vtime import Kernel, vsleep
+from repro.vtime import Kernel, fan_out, fan_out_steps, vsleep
 
 BUCKET = "io"
 DATA = bytes(range(256)) * 40  # 10 KiB
@@ -135,6 +137,59 @@ def cos_list(w: World) -> Case:
     )
 
 
+def cos_delete(w: World) -> Case:
+    return Case(
+        lambda: w.store.put_object(BUCKET, "k/delete", DATA),
+        lambda: w.cos.delete_object(BUCKET, "k/delete"),
+        lambda: w.cos.delete_object_steps(BUCKET, "k/delete"),
+        lambda: w.store.object_exists(BUCKET, "k/delete"),
+    )
+
+
+def cos_head(w: World) -> Case:
+    return Case(
+        lambda: w.store.put_object(BUCKET, "k/head", DATA),
+        lambda: w.cos.head_object(BUCKET, "k/head"),
+        lambda: w.cos.head_object_steps(BUCKET, "k/head"),
+        _nothing,
+    )
+
+
+def cos_exists(w: World) -> Case:
+    def steps():
+        found = yield from w.cos.object_exists_steps(BUCKET, "k/exists")
+        return found, (yield from w.cos.object_exists_steps(BUCKET, "k/none"))
+
+    return Case(
+        lambda: w.store.put_object(BUCKET, "k/exists", DATA),
+        lambda: (
+            w.cos.object_exists(BUCKET, "k/exists"),
+            w.cos.object_exists(BUCKET, "k/none"),
+        ),
+        steps,
+        _nothing,
+    )
+
+
+def cos_fan_out(w: World) -> Case:
+    """Three GETs on two lanes: the pool helper, both ways."""
+    keys = [f"k/fan/{i}" for i in range(3)]
+
+    def setup():
+        for i, key in enumerate(keys):
+            w.store.put_object(BUCKET, key, DATA[: 100 * (i + 1)])
+
+    def get(key):
+        return w.cos.get_object_steps(BUCKET, key)
+
+    return Case(
+        setup,
+        lambda: fan_out(w.kernel, get, keys, 2),
+        lambda: fan_out_steps(w.kernel, get, keys, 2),
+        _nothing,
+    )
+
+
 # -- internal storage ---------------------------------------------------------
 def _commit(w: World, lost: bool) -> Case:
     storage = InternalStorage(w.cos, BUCKET)
@@ -145,9 +200,11 @@ def _commit(w: World, lost: bool) -> Case:
         if lost:  # a predecessor already committed
             w.store.put_object(BUCKET, key, b"first")
 
+    # no blocking name is left (every caller is a steps generator): a
+    # thread task drives the steps form
     return Case(
         setup,
-        lambda: storage.commit_status("e", "M000", "00000", status),
+        lambda: w.kernel.drive(storage.commit_status_steps("e", "M000", "00000", status)),
         lambda: storage.commit_status_steps("e", "M000", "00000", status),
         _stored(w, key),
     )
@@ -174,6 +231,31 @@ def status_found(w: World) -> Case:
         lambda: storage.get_status("e", "M000", "00000"),
         lambda: storage.get_status_steps("e", "M000", "00000"),
         _nothing,
+    )
+
+
+def status_listed(w: World) -> Case:
+    storage = InternalStorage(w.cos, BUCKET)
+
+    def setup():
+        for call_id in ("00000", "00002"):
+            w.store.put_object(BUCKET, storage.status_key("e", "M000", call_id), b"s")
+
+    return Case(
+        setup,
+        lambda: storage.list_done_call_ids("e", "M000"),
+        lambda: storage.list_done_call_ids_steps("e", "M000"),
+        _nothing,
+    )
+
+
+def journal_append(w: World) -> Case:
+    journal = EventJournal(InternalStorage(w.cos, BUCKET), "e", w.kernel, tracer=w.tracer)
+    return Case(
+        _nothing,
+        lambda: journal.append("calls_invoked", calls=[["M000", "00000"]]),
+        lambda: journal.append_steps("calls_invoked", calls=[["M000", "00000"]]),
+        lambda: (journal.export_jsonl(), _stored(w, journal.storage.journal_key("e", 0))()),
     )
 
 
@@ -346,13 +428,23 @@ def mq_publish(w: World) -> Case:
     )
 
 
-def get_activations(w: World) -> Case:
+def _functions(w: World, *actions: str):
     platform = CloudFunctions(w.kernel, w.store, seed=2)
     client = CloudFunctionsClient(platform, w.cos.link)
+
+    def setup():
+        for action in actions:
+            platform.create_action("guest", action, lambda params, ctx: None)
+
+    return platform, client, setup
+
+
+def get_activations(w: World) -> Case:
+    platform, client, deploy = _functions(w, "noop")
     ids: list[str] = []
 
     def setup():
-        platform.create_action("guest", "noop", lambda params, ctx: None)
+        deploy()
         ids.append(platform.invoke("guest", "noop", {}))
         platform.wait_activation(ids[0])
         ids.append("act-unknown")
@@ -361,16 +453,39 @@ def get_activations(w: World) -> Case:
         return [None if r is None else (r.activation_id, r.status) for r in records]
 
     def steps():
-        # get_activations has no steps form of its own: it drives this
-        yield from client._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
-        return summary(platform.get_activations_bulk(ids))
+        return summary((yield from client.get_activations_steps(ids)))
 
-    return Case(
+    return Case(  # as commit_status_steps: no blocking name is left
         setup,
-        lambda: summary(client.get_activations(ids)),
+        lambda: w.kernel.drive(steps()),
         steps,
         lambda: client.policy.retries,
     )
+
+
+def _invoke_calls(w: World, invoker_cls, **kwargs) -> Case:
+    """Five calls through one invoker strategy; the platform runs a no-op."""
+    platform, client, setup = _functions(w, "noop", REMOTE_INVOKER_ACTION)
+    invoker = invoker_cls(w.kernel, client, pool_size=2, tracer=w.tracer, **kwargs)
+    calls = [{"call_id": f"{i:05d}"} for i in range(5)]
+    futures = [ResponseFuture("e", "M000", call["call_id"]) for call in calls]
+    return Case(
+        setup,
+        lambda: invoker.invoke_calls("guest", "noop", calls, futures),
+        lambda: invoker.invoke_calls_steps("guest", "noop", calls, futures),
+        lambda: (
+            [(f.state, f.activation_id, f.invoke_count) for f in futures],
+            sorted((r.action_name, r.status) for r in platform.activations()),
+        ),
+    )
+
+
+def invoke_calls_local(w: World) -> Case:
+    return _invoke_calls(w, LocalInvoker)
+
+
+def invoke_calls_massive(w: World) -> Case:
+    return _invoke_calls(w, MassiveInvoker, group_size=2)
 
 
 CASES = [
@@ -378,10 +493,16 @@ CASES = [
     cos_get,
     cos_range,
     cos_list,
+    cos_delete,
+    cos_head,
+    cos_exists,
+    cos_fan_out,
     commit_won,
     commit_lost,
     status_found,
     result_found,
+    status_listed,
+    journal_append,
     *FUTURE_CASES,
     *[
         _exchange_case(backend, op, in_cloud)
@@ -391,6 +512,8 @@ CASES = [
     ],
     mq_publish,
     get_activations,
+    invoke_calls_local,
+    invoke_calls_massive,
 ]
 
 
@@ -483,6 +606,9 @@ GUARDED = {
     "CloudFunctionsClient",
     "CloudFunctions",
     "MQClient",
+    "Invoker",
+    "EventJournal",
+    "FunctionExecutor",
 }
 
 #: blocking names allowed a body of their own, and why

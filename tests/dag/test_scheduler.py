@@ -241,16 +241,16 @@ class TestFailureSemantics:
         def main():
             executor = pw.ibm_cf_executor()
             storage = executor._storage
-            list_done = storage.list_done_call_ids
+            list_done = storage.list_done_call_ids_steps
             calls = []
 
             def third_list_breaks(*args):
                 calls.append(args)
                 if len(calls) == 3:
                     raise RuntimeError("boom")
-                return list_done(*args)
+                return (yield from list_done(*args))
 
-            monkeypatch.setattr(storage, "list_done_call_ids", third_list_breaks)
+            monkeypatch.setattr(storage, "list_done_call_ids_steps", third_list_breaks)
             builder = DagBuilder()
             node = builder.call(staged_task, {"sleep": 30, "value": 7})
             run = DagScheduler(executor).submit(builder.build())
@@ -275,9 +275,6 @@ class TestFailureSemantics:
             node = builder.call(flaky_once, 1)
             scheduler = DagScheduler(executor, node_retries=2)
             run = scheduler.submit(builder.build())
-            # join() first: a result() wait racing the watcher can ingest
-            # the transient error status before the retry resets it
-            run.join()
             value = run.future(node).result()
             return value, node.error_attempts, executor.resilience_stats()
 
@@ -285,6 +282,42 @@ class TestFailureSemantics:
         assert value == 101
         assert attempts == 1
         assert stats["invocation_retries"] >= 1
+
+    @pytest.mark.parametrize("way", ["future", "get_result"])
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_waiter_takes_the_watchers_verdict_on_a_retried_error(self, seed, way):
+        """A waiter that reads the first attempt's error before the watcher
+        judged it does not raise it: the watcher retries the node, and the
+        waiter returns the retry's value, through either call path."""
+        env = CloudEnvironment.create(seed=seed)
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            node = builder.call(flaky_once, 1)
+            run = DagScheduler(executor, node_retries=2).submit(builder.build())
+            if way == "future":
+                value = run.future(node).result()
+            else:
+                value = executor.get_result(run.expose(node))
+            return value, node.error_attempts, run.finished
+
+        assert env.run(main) == (101, 1, True)
+
+    def test_a_final_error_still_raises_through_the_waiter(self, env):
+        """With the retry budget spent the watcher's verdict is final, and
+        the waiter raises the node's own error."""
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            node = builder.call(boom, 1)
+            run = DagScheduler(executor, node_retries=1).submit(builder.build())
+            with pytest.raises(FunctionError, match="boom"):
+                run.future(node).result()
+            return node.error_attempts, node.state
+
+        assert env.run(main) == (1, NodeState.FAILED)
 
     def test_no_retries_by_default(self, env):
         def main():

@@ -250,7 +250,7 @@ class TestKillMidMapReduce:
             job = adopter.reattach(job_id)
             # reattach ran the first round; the second one breaks
             with monkeypatch.context() as patch:
-                patch.setattr(adopter._storage, "list_done_call_ids", boom)
+                patch.setattr(adopter._storage, "list_done_call_ids_steps", boom)
                 assert job.join(timeout=30)
             assert isinstance(job.error, RuntimeError)
             with pytest.raises(FunctionError, match="aborted.*boom"):

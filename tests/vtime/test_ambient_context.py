@@ -1,11 +1,12 @@
 """Ambient state follows the task, not the OS thread.
 
 Every kernel task owns one ``contextvars.Context`` copied from its spawner;
-the environment stack (``repro.core.context``), the trace ids
-(``Tracer.bind``) and ``current_task()`` all live in it.  These tests pin
-the semantics across steps, spawns, recycled pool workers and shutdown, and
-the design property that makes a model-task step cheap: stepping a task
-calls nothing outside the kernel.
+the environment stack (``repro.core.context``) and the trace ids
+(``Tracer.bind``) live in it.  ``current_task()`` does not: the kernel
+keeps it in a per-OS-thread slot that it sets before each step.  These
+tests pin the semantics across steps, spawns, recycled pool workers and
+shutdown, and the design property that makes a model-task step cheap:
+stepping a task calls nothing outside the kernel.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ class TestThreadsAndTasks:
         assert current_task() is None
 
     def test_finished_tasks_drop_their_context(self, kernel):
-        """task -> context -> current-task variable -> task is a cycle; a
-        finished task must not wait for the cyclic collector."""
+        """A finished task lets go of its context, so the ambient state it
+        ran with (environment stack, trace ids) does not live on for as
+        long as somebody holds the task handle."""
         def model():
             yield vsleep(1.0)
 
