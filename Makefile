@@ -66,13 +66,14 @@ paper-check:
 
 # same-seed determinism against host timing (nightly CI job, ~5 min): the
 # swarm trace test, the one-task-at-a-time tests, the thread-task spawn
-# sites and the exact hand-off count, 50 fresh interpreters each; stops at
-# the first failure and prints its output
+# sites, the exact hand-off count and the one-judge request counts, 50 fresh
+# interpreters each; stops at the first failure and prints its output
 DETERMINISM_TESTS = \
 	tests/dag/test_swarm.py::TestTracing::test_same_seed_swarm_traces_byte_identical \
 	tests/vtime/test_step_order.py::TestOneTaskAtATime \
 	tests/dag/test_handoffs.py::TestThreadTaskSpawnSites \
-	tests/dag/test_handoffs.py::TestHandoffBudget::test_the_count_is_exact_under_a_seed
+	tests/dag/test_handoffs.py::TestHandoffBudget::test_the_count_is_exact_under_a_seed \
+	tests/core/test_one_judge.py
 
 determinism:
 	@for test in $(DETERMINISM_TESTS); do \

@@ -34,7 +34,6 @@ class InvokerMode:
     ALL = (LOCAL, REMOTE, MASSIVE)
 
 
-@dataclass
 class MonitoringTransport:
     """How the client learns about function completions.
 

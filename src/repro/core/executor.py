@@ -26,6 +26,7 @@ from repro.core import serializer
 from repro.core.errors import PyWrenError
 from repro.core.futures import (
     ALL_COMPLETED,
+    ALWAYS,
     CallFailure,
     CallState,
     FailureReport,
@@ -36,7 +37,7 @@ from repro.core.invokers import Invoker, LocalInvoker, MassiveInvoker
 from repro.core.partitioner import StoragePartition, build_partitions
 from repro.core.progress import ProgressBar
 from repro.core.storage_client import InternalStorage
-from repro.core.wait import ListSource, QueueSource, _wait as wait_loop
+from repro.core.wait import ListSource, QueueSource, Watcher
 from repro.config import InvokerMode, MonitoringTransport, PyWrenConfig
 from repro.cos.client import COSClient
 from repro.faas.activation import ActivationStatus
@@ -119,7 +120,10 @@ class FunctionExecutor:
         if self.config.invoker_mode != InvokerMode.LOCAL:
             environment.ensure_remote_invoker_action()
 
-        self._completions = self._completion_source()
+        #: the one judge of this executor's calls (``repro.core.wait``)
+        self._watcher = Watcher(self.kernel, self._completion_source(),
+                                self.config.poll_interval, self)
+        self._storage.watcher = self._watcher.ref
 
         self.futures: list[ResponseFuture] = []
         self._callset_seq = 0
@@ -320,7 +324,7 @@ class FunctionExecutor:
         """One DAG: each ``(function, name, inputs)`` reducer over its maps.
 
         Each map future is one external node however many reducers read
-        it, so the one dependency watcher LISTs each map callset once per
+        it, so the executor's one watcher LISTs each map callset once per
         round and submits each reducer the moment the last of *its* inputs
         commits: a reducer activation starts with its inputs resolved and
         spends no cloud time polling.  Returns the reducer futures, in order.
@@ -361,7 +365,7 @@ class FunctionExecutor:
         """Die here if client-crash chaos scheduled this driver's death.
 
         Checked at every externally-visible client step (submission,
-        polling rounds); raises :class:`~repro.core.errors.ClientCrashError`
+        watcher rounds); raises :class:`~repro.core.errors.ClientCrashError`
         once the seeded virtual crash time has passed.
         """
         if self._client_dead():
@@ -417,7 +421,7 @@ class FunctionExecutor:
     ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
         """Block until the unlock condition holds (§4.2)."""
         fs = list(futures) if futures is not None else list(self.futures)
-        return self._wait(fs, return_when, timeout)
+        return self.kernel.drive(self._watcher.wait_steps(fs, return_when, timeout))
 
     def _trace_scope(self):
         """Ambient ``executor_id`` binding for client-side trace emission."""
@@ -437,33 +441,11 @@ class FunctionExecutor:
         mq = self.environment.mq_client(in_cloud=self.in_cloud)
         return QueueSource(self._storage, mq, self.executor_id)
 
-    def _wait(
-        self,
-        fs: list[ResponseFuture],
-        return_when: int,
-        timeout: Optional[float],
-        on_progress=None,
-    ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
-        with self._trace_scope():
-            return wait_loop(
-                fs,
-                self._completions,
-                return_when=return_when,
-                poll_interval=self.config.poll_interval,
-                timeout=timeout,
-                on_progress=on_progress,
-                lost_detector=self._reinvoke_lost if self._recovery else None,
-                on_round=lambda _futures: self._check_client(),
-            )
-
     # ------------------------------------------------------------------
     # Lost-call recovery
     # ------------------------------------------------------------------
-    def _reinvoke_lost(self, pending: Sequence[ResponseFuture]) -> None:
-        self.kernel.drive(self._reinvoke_lost_steps(pending))
-
     def _reinvoke_lost_steps(self, pending: Sequence[ResponseFuture]):
-        """One recovery scan, run between polling rounds.
+        """One recovery scan, run once per watcher round.
 
         A call is *lost* when its activation reached a dead terminal state
         (infrastructure error/timeout) without the worker writing a status
@@ -614,7 +596,7 @@ class FunctionExecutor:
         tracing = tracer is not None and tracer.enabled
         unsubscribe = None
         if tracing:
-            # the progress bar sits on the spine: the wait loop emits
+            # the progress bar sits on the spine: the watcher emits
             # ``client.progress`` points and a subscriber renders them
             def _on_trace_event(event) -> None:
                 if event.get_id("executor_id") == self.executor_id:
@@ -635,7 +617,7 @@ class FunctionExecutor:
                 _render(done)
 
         try:
-            self._wait(fs, ALL_COMPLETED, timeout, on_progress=_on_progress)
+            self.kernel.drive(self._watcher.wait_steps(fs, ALL_COMPLETED, timeout, _on_progress))
         finally:
             # also on §4.2's keyboard interruption, which cancels retrieval
             progress.close()
@@ -835,7 +817,7 @@ class FunctionExecutor:
         future._value_loaded = False
         future._value = None
         future._state = CallState.INVOKED
-        self._completions.forget(future)
+        self._watcher.source.forget(future)
         for key in (
             self._storage.status_key(
                 future.executor_id, future.callset_id, future.call_id
@@ -864,7 +846,7 @@ class FunctionExecutor:
         slow-but-alive call is possible and harmless — both attempts write
         the same keys.
         """
-        return self._reinvoke([f for f in futures if not f.done()], discard=False)
+        return self._reinvoke(self.wait(futures, ALWAYS)[1], discard=False)
 
     # ------------------------------------------------------------------
     # Cleanup
@@ -968,8 +950,8 @@ class FunctionExecutor:
             "prefix": self.config.storage_prefix,
             "func_key": func_key,
         }
-        if self._completions.queue is not None:
-            common["monitor_queue"] = self._completions.queue
+        if self._watcher.source.queue is not None:
+            common["monitor_queue"] = self._watcher.source.queue
 
         if partitions is not None:
             for i, partition in enumerate(partitions):

@@ -2,15 +2,15 @@
 
 All three computing methods return futures "to track the status of the
 executors and get the results when available".  A future is a *pure
-reference*: executor id + callset id + call id.  It discovers completion by
-polling the status object in COS, which makes it picklable — a function can
-return futures from a nested executor, ship them through COS, and the
-client's composition-aware ``get_result`` resolves them transparently.
+reference*: executor id + callset id + call id, judged by its executor's
+watcher from the status object in COS (without one it polls), so it
+is picklable — a function can return futures from a nested executor, ship
+them through COS, and the client's composition-aware ``get_result``
+resolves them transparently.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -168,12 +168,6 @@ def synthetic_status(
     }
 
 
-#: ticks once per status any future in the process learns (per process: an
-#: unpickled future knows no kernel); ``next`` reads and ticks it.  A wait that
-#: saw it move only by its own discoveries knows nobody else learned a status.
-LEARNED = itertools.count()
-
-
 class ResponseFuture:
     """Handle for one function executor's eventual result."""
 
@@ -181,10 +175,6 @@ class ResponseFuture:
     # pickles the instance dict, and pickled size feeds modelled transfer time.
     _status_seen = False
     _exhausted = False
-    #: a DAG node's :class:`~repro.vtime.VEvent` until its watcher settles
-    #: the node (done, or failed for good); set only while the watcher may
-    #: still retry an error, so a waiter cannot judge a status on its own
-    _verdict = None
 
     def __init__(
         self,
@@ -232,7 +222,6 @@ class ResponseFuture:
     def __getstate__(self) -> dict[str, Any]:
         state = self.__dict__.copy()
         state["_storage"] = None  # futures travel as pure references
-        state.pop("_verdict", None)
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -259,7 +248,13 @@ class ResponseFuture:
         The success/error split happens when the status is actually read.
         """
         self._status_seen = True
-        next(LEARNED)
+
+    def _judge(self):
+        """The :class:`~repro.core.wait.Watcher` of the executor that prepared
+        this call, found through its binding (``None``: the future polls)."""
+        watcher = self._storage.watcher() if self._storage is not None else None
+        executor = watcher and watcher._executor()
+        return watcher if getattr(executor, "executor_id", None) == self.executor_id else None
 
     @property
     def status_known(self) -> bool:
@@ -267,9 +262,12 @@ class ResponseFuture:
         return self._status is not None or self._status_seen
 
     def done(self) -> bool:
-        """One status check (no blocking)."""
+        """One status check: a watched future's is its watcher's next round."""
         if self.status_known:
             return True
+        watcher = self._judge()
+        if watcher is not None:
+            return bool(watcher.kernel.drive(watcher.wait_steps([self], ALWAYS))[0])
         kernel = self._require_storage().cos.link.kernel
         return kernel.drive(self.poll_steps()) is not None
 
@@ -286,7 +284,6 @@ class ResponseFuture:
     def _ingest_status(self, status: dict[str, Any]) -> None:
         self._status = status
         self._state = CallState.SUCCESS if status.get("success") else CallState.ERROR
-        next(LEARNED)
 
     def status(self, timeout: Optional[float] = None) -> dict[str, Any]:
         return self._require_storage().cos.link.kernel.drive(self.status_steps(timeout))
@@ -294,18 +291,16 @@ class ResponseFuture:
     def status_steps(self, timeout: Optional[float] = None):
         """Wait for the call to finish; return a copy of its status dict.
 
-        Polls the status object every ``poll_interval``; raises
+        A watched future parks until its watcher judged the call; any other
+        polls the status object every ``poll_interval``.  Either raises
         :class:`ResultTimeoutError` once ``timeout`` virtual seconds pass.
-        A status only seen (LISTed) is read once, with no poll first.  A DAG
-        node that its watcher may still retry is the watcher's to judge: the
-        wait starts once the watcher settled it.
+        A status only seen (LISTed) is read once, with no poll first.
         """
+        watcher = self._judge()
+        if watcher is not None and not self.status_known:
+            yield from watcher.wait_steps([self], ALL_COMPLETED, timeout)
         kernel = self._require_storage().cos.link.kernel
         deadline = None if timeout is None else kernel.now() + timeout
-        if self._verdict is not None and not (yield from self._verdict.wait_steps(timeout)):
-            raise ResultTimeoutError(
-                f"DAG node call {self.call_id} was not settled within {timeout}s"
-            )
         while self._status is None and (yield from self.poll_steps()) is None:
             assert not self._status_seen, "a LISTed status cannot vanish"
             if deadline is not None and kernel.now() >= deadline:

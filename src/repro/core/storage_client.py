@@ -38,6 +38,8 @@ from repro.cos.errors import NoSuchKey, PreconditionFailed
 class InternalStorage:
     """Key-schema-aware wrapper over a :class:`COSClient`."""
 
+    watcher = staticmethod(lambda: None)  # the owning executor's watcher, weakly
+
     def __init__(
         self,
         cos: COSClient,
@@ -147,11 +149,6 @@ class InternalStorage:
         except NoSuchKey:
             return None
         return serializer.deserialize(blob)
-
-    def list_done_call_ids(self, executor_id: str, callset_id: str) -> set[str]:
-        return self.cos.link.kernel.drive(
-            self.list_done_call_ids_steps(executor_id, callset_id)
-        )
 
     def list_done_call_ids_steps(self, executor_id: str, callset_id: str):
         """Call ids with a status object, via one LIST request (§4.2 wait)."""

@@ -1,4 +1,4 @@
-"""The ``wait()`` API method (§4.2): one loop over one completion source.
+"""The ``wait()`` API method (§4.2) and the one watcher that answers it.
 
 Three unlock policies, verbatim from the paper:
 
@@ -7,83 +7,45 @@ Three unlock policies, verbatim from the paper:
 2. ``ANY_COMPLETED`` — resume as soon as at least one invocation finished;
 3. ``ALL_COMPLETED`` — resume when every result is available in COS.
 
-The loop (:func:`_wait`) owns everything that defines *when a call is
-over*: binding, the policies, the deadline, progress, the executor's
-per-round journal hook and its lost-call scan.  *How* completions are
-learned sits behind a completion source with two operations, built once
-per executor from ``config.monitoring``:
+Every executor has one :class:`Watcher`, one model task whose round is the
+only judge of its calls: it discovers completions through the executor's
+completion source, has each live DAG run judge its nodes (fire, retry,
+bury), runs lost-call recovery and the client-crash check once, and wakes
+the waiters whose policy now holds.  ``wait()``, ``get_result()``,
+``ResponseFuture.result()`` / ``done()`` and ``DagRun.join()`` send no LIST
+or status GET of their own for a watched future: they park until a round
+judged it.  Rounds run only while a DAG run is live or a waiter is parked;
+a waiter that finds the watcher idle gets a round at once.
 
-``discover(pending)``
-    yield ``(future, status_or_None)`` for each pending future whose status
-    exists by now.  The loop records a pair the moment it is yielded, so a
-    future found by one LIST is marked before the next LIST goes out —
-    futures are shared (a ``map_reduce`` reducer future also belongs to its
-    DAG watcher, which skips its own LIST once the status is known).
-``idle(seconds, pending, need)``
+The completion source, built from ``config.monitoring``, has two operations:
+
+``discover_steps(keys)``
+    for each ``(executor_id, callset_id)`` key, the calls finished so far,
+    as ``call_id -> status`` (``None``: seen, not read);
+``idle_steps(seconds, arrived)``
     let up to ``seconds`` pass; a source that hears completions meanwhile
-    may return once ``need`` of ``pending`` have finished.
+    returns once ``arrived(key, call_id)`` says a waiter can be woken.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence
+import contextlib
+import weakref
+from typing import Any, Callable, Collection, Iterable, Optional, Sequence
 
 from repro import vtime
 from repro.core.errors import ResultTimeoutError
-from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, LEARNED, ResponseFuture
+from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, CallState, ResponseFuture
 from repro.core.storage_client import InternalStorage
+from repro.vtime import VEvent, vsleep
 
 __all__ = ["wait", "ALWAYS", "ANY_COMPLETED", "ALL_COMPLETED"]
 
-Discovery = Iterator[tuple[ResponseFuture, Optional[dict[str, Any]]]]
+Key = tuple[str, str]
 
 
-class Pending:
-    """The futures one wait still waits on, indexed so that a round costs
-    O(callsets + completions): by input position, and per callset by call
-    id.  :meth:`listed` takes out what a LIST revealed; what anyone else
-    learned meanwhile (another waiter, a DAG watcher sharing the futures,
-    a burial) is swept out by :meth:`sync`, which re-reads every future
-    only when :data:`~repro.core.futures.LEARNED` moved by more than this
-    wait's own discoveries.
-    """
-
-    def __init__(self, futures: Sequence[ResponseFuture]) -> None:
-        self._index(enumerate(futures))
-        self._tick, self._own = next(LEARNED), 0
-
-    def _index(self, items: Iterable[tuple[int, ResponseFuture]]) -> None:
-        #: position -> future, and (executor_id, callset_id) -> call_id ->
-        #: positions; a callset's first call id holds its first position
-        self.order: dict[int, ResponseFuture] = {}
-        self.callsets: dict[tuple[str, str], dict[str, list[int]]] = {}
-        for position, future in items:
-            if not future.status_known:
-                self.order[position] = future
-                ids = self.callsets.setdefault((future.executor_id, future.callset_id), {})
-                ids.setdefault(future.call_id, []).append(position)
-
-    def sync(self) -> None:
-        tick = next(LEARNED)
-        if tick != self._tick + 1 + self._own:
-            self._index(list(self.order.items()))
-        self._tick, self._own = tick, 0
-
-    def futures(self) -> list[ResponseFuture]:
-        return list(self.order.values())
-
-    def keys(self) -> list[tuple[str, str]]:
-        """The callsets with a pending future, by their first one."""
-        return sorted(self.callsets, key=lambda key: next(iter(self.callsets[key].values())))
-
-    def listed(self, key: tuple[str, str], done_ids: set[str]) -> list[ResponseFuture]:
-        """Take out (in input order) ``key``'s futures a LIST found done."""
-        ids = self.callsets[key]
-        hits = sorted(p for call_id in ids.keys() & done_ids for p in ids.pop(call_id))
-        if not ids:
-            del self.callsets[key]
-        self._own += len(hits)
-        return [self.order.pop(position) for position in hits]
+def _key(future: ResponseFuture) -> Key:
+    return future.executor_id, future.callset_id
 
 
 class ListSource:
@@ -99,16 +61,14 @@ class ListSource:
     def __init__(self, storage: InternalStorage) -> None:
         self.storage = storage
 
-    def discover(self, pending: Pending, keys: Optional[list] = None) -> Discovery:
-        """One LIST per callset (of ``keys``) that has a pending future."""
-        for key in pending.keys() if keys is None else keys:
-            done_ids = self.storage.list_done_call_ids(*key)
-            if done_ids:
-                for future in pending.listed(key, done_ids):
-                    yield future, None
+    def discover_steps(self, keys: Iterable[Key]):
+        found = {}
+        for key in keys:
+            found[key] = dict.fromkeys((yield from self.storage.list_done_call_ids_steps(*key)))
+        return found
 
-    def idle(self, seconds: float, pending: Pending, need: int) -> None:
-        vtime.sleep(seconds)
+    def idle_steps(self, seconds: float, arrived: Callable[[Key, str], bool]):
+        yield vsleep(seconds)
 
     def forget(self, future: ResponseFuture) -> None:
         """Drop anything learned about ``future``'s discarded attempt."""
@@ -117,10 +77,10 @@ class ListSource:
 class QueueSource(ListSource):
     """``mq_push``: workers publish their committed status to ``queue``.
 
-    One queue per executor, shared by every waiter on it: a consumed
-    message nobody in *this* waited set asked for is kept in ``_delivered``
-    for the waiter that does (a later callset, another client thread).
-    Futures of another executor are never announced here: they are LISTed.
+    One queue per executor, consumed by its watcher alone; every status
+    consumed is kept per callset, so a later waiter (or DAG node) finds it
+    as a LIST would.  Calls of another executor are never announced here:
+    they are LISTed.
     """
 
     def __init__(self, storage: InternalStorage, mq, executor_id: str) -> None:
@@ -129,123 +89,247 @@ class QueueSource(ListSource):
         self._mq = mq
         self._executor_id = executor_id
         mq.declare_queue(self.queue)
-        #: consumed, not yet claimed: ``(callset_id, call_id) -> status``
-        self._delivered: dict[tuple[str, str], dict[str, Any]] = {}
+        #: consumed statuses: ``callset_id -> call_id -> status``
+        self._delivered: dict[str, dict[str, dict[str, Any]]] = {}
 
-    def _receive(self, timeout: Optional[float]):
+    def _receive_steps(self, timeout: Optional[float]):
         """Consume one message (charges no request); raises ``QueueEmpty``."""
-        status = self._mq.consume(self.queue, timeout=timeout)
-        return (status["callset_id"], status["call_id"]), status
+        status = yield from self._mq.consume_steps(self.queue, timeout)
+        self._delivered.setdefault(status["callset_id"], {})[status["call_id"]] = status
+        return (self._executor_id, status["callset_id"]), status["call_id"]
 
-    def discover(self, pending: Pending) -> Discovery:
-        waiting: dict[tuple[str, str], ResponseFuture] = {}
-        for future in pending.futures():
-            if future.status_known or future.executor_id != self._executor_id:
-                continue
-            key = (future.callset_id, future.call_id)
-            status = self._delivered.pop(key, None)
-            if status is not None:
-                yield future, status
-            else:
-                waiting[key] = future
-        # drain what has been delivered since (ALWAYS must see it)
-        while waiting:
-            try:
-                key, status = self._receive(0)
-            except vtime.QueueEmpty:
-                break
-            future = waiting.pop(key, None)
-            if future is not None:
-                yield future, status
-            else:
-                self._delivered[key] = status
-        yield from super().discover(
-            pending, [key for key in pending.keys() if key[0] != self._executor_id]
-        )
+    def discover_steps(self, keys: Collection[Key]):
+        own = [key for key in keys if key[0] == self._executor_id]
+        if own:
+            # drain what has been delivered since (ALWAYS must see it)
+            with contextlib.suppress(vtime.QueueEmpty):
+                while True:
+                    yield from self._receive_steps(0)
+        found = yield from super().discover_steps(key for key in keys if key not in own)
+        for key in own:
+            found[key] = self._delivered.get(key[1], {})
+        return found
 
-    def idle(self, seconds: float, pending: Pending, need: int) -> None:
-        """Block on the queue; return once ``need`` of ``pending`` arrived."""
-        waiting = {
-            (future.callset_id, future.call_id)
-            for future in pending.order.values()
-            if future.executor_id == self._executor_id
-        }
+    def idle_steps(self, seconds: float, arrived: Callable[[Key, str], bool]):
+        """Block on the queue until ``arrived`` says so, or ``seconds`` pass."""
         end = vtime.now() + seconds
-        while need > 0:
-            remaining = end - vtime.now()
-            if remaining <= 0:
-                return
-            try:
-                key, status = self._receive(remaining)
-            except vtime.QueueEmpty:
-                return
-            self._delivered[key] = status
-            if key in waiting:
-                waiting.discard(key)
-                need -= 1
+        with contextlib.suppress(vtime.QueueEmpty):
+            while (remaining := end - vtime.now()) > 0:
+                if arrived(*(yield from self._receive_steps(remaining))):
+                    return
 
     def forget(self, future: ResponseFuture) -> None:
-        self._delivered.pop((future.callset_id, future.call_id), None)
+        self._delivered.get(future.callset_id, {}).pop(future.call_id, None)
 
 
-def _wait(
-    futures: list[ResponseFuture],
-    source: ListSource,
-    return_when: int = ALL_COMPLETED,
-    poll_interval: float = 1.0,
-    timeout: Optional[float] = None,
-    on_progress=None,
-    lost_detector=None,
-    on_round=None,
-) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
-    """The one wait loop; :func:`wait` documents the hooks.
+class _Wait:
+    """One parked wait: its futures indexed by input position and, per
+    callset, by call id, so a round costs O(callsets + completions)."""
 
-    A round is: discover (recording each completion as it is found) →
-    ``on_round`` → policy → deadline → ``lost_detector`` → idle.
-    """
-    if not futures:
-        return [], []
-    for future in futures:
-        if not future.bound:
-            future.bind(source.storage, poll_interval)
+    def __init__(self, kernel, futures: list[ResponseFuture], return_when: int,
+                 on_progress) -> None:
+        self.futures, self.return_when, self.on_progress = futures, return_when, on_progress
+        self._event = VEvent(kernel)
+        self.error: Optional[BaseException] = None
+        self.refresh()
 
-    deadline = None if timeout is None else vtime.now() + timeout
-    # carried from round to round, so a round costs O(callsets + completions)
-    pending = Pending(futures)
-    while True:
-        pending.sync()
-        for future, status in source.discover(pending):
-            if status is None:
-                future.mark_done()
-            else:
-                future._ingest_status(status)
-        if on_round is not None:
-            on_round(futures)
-        pending.sync()
-        done_count = len(futures) - len(pending.order)
-        if on_progress is not None:
-            on_progress(done_count, len(futures))
-        if (
-            return_when == ALWAYS
-            or (return_when == ANY_COMPLETED and done_count)
-            or (return_when == ALL_COMPLETED and not pending.order)
-        ):
-            return [f for f in futures if f.status_known], pending.futures()
-        if deadline is not None and vtime.now() >= deadline:
+    def refresh(self) -> None:
+        """Index the unknown futures by position, and per callset by call id."""
+        self.pending = {p: f for p, f in enumerate(self.futures) if not f.status_known}
+        self.callsets: dict[Key, dict[str, list[int]]] = {}
+        for position, future in self.pending.items():
+            ids = self.callsets.setdefault(_key(future), {})
+            ids.setdefault(future.call_id, []).append(position)
+
+    def keys(self) -> list[Key]:
+        """The callsets with a pending future, by their first one."""
+        return sorted(self.callsets, key=lambda key: next(iter(self.callsets[key].values())))
+
+    def take(self, key: Key, found: dict[str, Any], judged: set) -> None:
+        """Take out what discovery found of ``key`` (a DAG node once judged)."""
+        ids = self.callsets[key]
+        for call_id in ids.keys() & found.keys():
+            positions = ids[call_id]
+            for position in list(positions):
+                future = self.pending[position]
+                if future in judged:
+                    if not future.status_known:
+                        continue
+                elif found[call_id] is None:
+                    future.mark_done()
+                else:
+                    future._ingest_status(found[call_id])
+                positions.remove(position)
+                del self.pending[position]
+            if not positions:
+                del ids[call_id]
+        if not ids:
+            del self.callsets[key]
+
+    def settled(self) -> bool:
+        return not self.pending or (
+            self.return_when == ANY_COMPLETED and len(self.pending) < len(self.futures)
+        )
+
+    def progress(self) -> None:
+        if self.on_progress is not None:
+            self.on_progress(len(self.futures) - len(self.pending), len(self.futures))
+
+
+class Watcher:
+    """The one judge of an executor's calls (see the module docstring);
+    without an ``executor`` (:func:`wait` on unwatched futures) it neither
+    recovers lost calls nor checks for a client crash."""
+
+    def __init__(self, kernel, source: ListSource, poll_interval: float,
+                 executor=None) -> None:
+        self.kernel, self.source, self.poll_interval = kernel, source, poll_interval
+        #: both weak: the executor holds its watcher, and futures outlive both
+        self._executor = (lambda: None) if executor is None else weakref.ref(executor)
+        self.ref = weakref.ref(self)
+        #: live DAG runs in submission order, and the parked waits
+        self.runs: list = []
+        self.waits: list[_Wait] = []
+        self.task = None
+
+    # -- entry points ----------------------------------------------------------
+    def wait_steps(self, futures: Sequence[ResponseFuture], return_when: int = ALL_COMPLETED,
+                   timeout: Optional[float] = None, on_progress=None):
+        """Park until the rounds settle ``futures`` under ``return_when``;
+        returns ``(done, not_done)``.  ``ALWAYS`` parks for one round unless
+        every status is already known."""
+        futures = list(futures)
+        if not futures:
+            return [], []
+        for future in (f for f in futures if not f.bound):
+            future.bind(self.source.storage, self.poll_interval)
+        wait = _Wait(self.kernel, futures, return_when, on_progress)
+        woke = True
+        if wait.settled():
+            wait.progress()
+        else:
+            self.waits.append(wait)
+            self._start(round_now=True)
+            woke = yield from wait._event.wait_steps(timeout)
+            if not woke:
+                self.waits.remove(wait)
+        if (executor := self._executor()) is not None:
+            executor._check_client()
+        if wait.error is not None:
+            raise wait.error
+        if not woke:
             raise ResultTimeoutError(
-                f"wait() timed out with {len(pending.order)} of "
+                f"wait() timed out with {len(wait.pending)} of "
                 f"{len(futures)} futures unfinished"
             )
-        if lost_detector is not None:
-            lost_detector(pending.futures())
-            # an exhausted call got its synthetic status ingested directly
-            pending.sync()
-        step = poll_interval
-        if deadline is not None:
-            # the last idle before the deadline is clipped to it
-            step = min(step, max(0.0, deadline - vtime.now()))
-        need = 1 if return_when == ANY_COMPLETED else len(pending.order)
-        source.idle(step, pending, need)
+        return [f for f in futures if f.status_known], list(wait.pending.values())
+
+    def watch(self, run) -> None:
+        """Judge ``run``'s nodes from the next round on, until it finishes."""
+        self.runs.append(run)
+        self._start(round_now=False)
+
+    def _start(self, round_now: bool) -> None:
+        executor = self._executor()
+        if self.task is None:
+            with executor._trace_scope() if executor else contextlib.nullcontext():
+                self.task = self.kernel.spawn_model(self._watch_steps, round_now, executor)
+
+    # -- the task --------------------------------------------------------------
+    def _watch_steps(self, round_now: bool, executor):
+        """Model task: a round, then one poll interval of idle, while anything
+        is live, holding the executor meanwhile and no OS thread at all."""
+        try:
+            while self.runs or self.waits:
+                if round_now:
+                    yield from self._round_steps(executor)
+                round_now = True
+                if self.runs or self.waits:
+                    yield from self._idle_steps()
+        finally:
+            self.task = None
+
+    def _idle_steps(self):
+        # a pushed completion ends the idle once a waiter has all it needs
+        need = {w: 1 if w.return_when == ANY_COMPLETED else len(w.pending) for w in self.waits}
+
+        def arrived(key: Key, call_id: str) -> bool:
+            for wait in need:
+                need[wait] -= call_id in wait.callsets.get(key, ())
+            return min(need.values(), default=1) <= 0
+
+        yield from self.source.idle_steps(self.poll_interval, arrived)
+
+    def _round_steps(self, executor):
+        if executor is not None and executor._client_dead():
+            # the driver died (client-crash chaos): the watcher dies with it,
+            # orphaning its DAGs for reattach(), and wakes everyone parked
+            self._release(None)
+            return
+        try:
+            yield from self._drive_steps(executor)
+        except Exception as exc:  # noqa: BLE001 - surfaced on runs and waits
+            # A broken round must not leave anyone pending forever in
+            # virtual time: surface it, then fail every unfinished node.
+            runs = self.runs
+            self._release(exc)
+            for run in runs:
+                yield from run._scheduler._abort_steps(run, exc)
+
+    def judge_steps(self, runs: list, waits: Sequence[_Wait] = ()):
+        """Discover and judge: the callsets of ``runs``' DAG nodes in flight,
+        then those of ``waits``' calls not known to be unfired (prepared, not
+        invoked), one LIST each; returns the node futures judged."""
+        flights = [(run, sorted(run.in_flight(), key=lambda n: _key(n.future))) for run in runs]
+        nodes = [node.future for _, flight in flights for node in flight]
+        judged = set(nodes)
+        keys = {_key(f): None for f in nodes if not f.status_known}
+        for wait in waits:
+            for key in wait.keys():
+                invoked = (f.state != CallState.NEW or not hasattr(f, "_call_params")
+                           for ps in wait.callsets[key].values() for f in map(wait.pending.get, ps))
+                if key not in keys and any(invoked):
+                    keys[key] = None
+        found = yield from self.source.discover_steps(keys)
+        for run, flight in flights:
+            hits = []
+            for node in flight:
+                future, ids = node.future, found.get(_key(node.future), {})
+                if future.status_known or future.call_id in ids:
+                    hits.append((node, future._status or ids.get(future.call_id)))
+            yield from run._scheduler._judge_steps(run, hits)
+        for wait in waits:
+            for key in wait.keys():
+                if key in found:
+                    wait.take(key, found[key], judged)
+        return nodes
+
+    def _drive_steps(self, executor):
+        runs = list(self.runs)
+        nodes = yield from self.judge_steps(runs, self.waits)
+        if executor is not None and executor._recovery:
+            pending = [f for wait in self.waits for f in wait.pending.values()]
+            yield from executor._reinvoke_lost_steps(pending + nodes)
+        for run in runs:
+            yield from run._scheduler._fire_steps(run)
+            if run._finished:
+                self.runs.remove(run)
+        for wait in list(self.waits):
+            if runs or (executor is not None and executor._recovery):
+                # statuses judged outside discovery: nodes, burials
+                wait.refresh()
+            wait.progress()
+            if wait.return_when == ALWAYS or wait.settled():
+                self.waits.remove(wait)
+                wait._event.set()
+
+    def _release(self, error: Optional[BaseException]) -> None:
+        """Stop watching: wake every joiner and waiter (with ``error``)."""
+        for wait in self.waits:
+            wait.error = error
+        for parked in self.runs + self.waits:  # DAG joiners and waiters
+            parked._event.set()
+        self.runs, self.waits = [], []
 
 
 def wait(
@@ -255,35 +339,26 @@ def wait(
     poll_interval: float = 1.0,
     timeout: Optional[float] = None,
     on_progress=None,
-    lost_detector=None,
-    on_round=None,
 ) -> tuple[list[ResponseFuture], list[ResponseFuture]]:
     """Wait on futures; returns the 2-tuple ``(done, not_done)`` of §4.2.
 
-    Completion is polled from COS (``executor.wait`` runs the same loop
-    over the executor's own completion source).  ``storage`` defaults to
-    the binding of the first future.  ``timeout`` bounds the blocking
-    policies and raises :class:`ResultTimeoutError` at the deadline.
+    Futures an executor prepared are judged by that executor's watcher
+    (``executor.wait`` is the same call); others by a watcher of their own
+    that polls COS every ``poll_interval``.  ``storage`` defaults to the
+    binding of the first future.  ``timeout`` bounds the blocking policies
+    and raises :class:`ResultTimeoutError` at the deadline.
     ``on_progress(done_count, total)`` is called once per round —
     ``get_result`` drives its progress bar with it.
-
-    ``lost_detector(not_done)`` is called once per round with the
-    still-pending futures.  The executor hooks its lost-call recovery in
-    here: activations that died without writing a status object get
-    re-invoked (or declared dead), otherwise ``ALL_COMPLETED`` would block
-    forever on a crashed container.
-
-    ``on_round(futures)`` is called right after each round's discovery,
-    before the unlock policy is evaluated.  The executor hooks its
-    client-crash chaos check in here (it may raise).
     """
     futures = list(futures)
-    if storage is None and futures:
-        bound = next((f for f in futures if f.bound), None)
-        if bound is None:
-            raise RuntimeError("wait() needs bound futures or an explicit storage")
-        storage = bound._storage
-    return _wait(
-        futures, ListSource(storage), return_when, poll_interval, timeout,
-        on_progress, lost_detector, on_round,
-    )
+    watcher = next((w for w in map(ResponseFuture._judge, futures) if w is not None), None)
+    if watcher is None and futures:
+        if storage is None:
+            bound = next((f for f in futures if f.bound), None)
+            if bound is None:
+                raise RuntimeError("wait() needs bound futures or an explicit storage")
+            storage = bound._storage
+        watcher = Watcher(storage.cos.link.kernel, ListSource(storage), poll_interval)
+    if not futures:
+        return [], []
+    return watcher.kernel.drive(watcher.wait_steps(futures, return_when, timeout, on_progress))

@@ -2,11 +2,12 @@
 
 The scheduler uploads every node's code and payload up front (one
 content-addressed function blob, one aggregated data object per
-topological level), then drives the graph with a *dependency watcher*: a
-model task on the virtual-time kernel that wakes every poll interval,
-discovers finished nodes with one LIST per in-flight callset, reads their
-statuses in one concurrent fan-out, and invokes each dependent the moment
-its last in-edge resolves.  There is no client-side barrier between
+topological level), invokes the roots, and hands the run to the
+executor's one watcher (:class:`repro.core.wait.Watcher`): each of its
+rounds discovers the finished nodes through the executor's completion
+source, and the run reads their statuses in one concurrent fan-out,
+judges them and invokes each dependent the moment its last in-edge
+resolves.  There is no client-side barrier between
 stages — a reducer launches while sibling branches are still running,
 which is the pipelining Wukong and the serverless DAG-engine papers measure.
 
@@ -24,13 +25,13 @@ import dataclasses
 from typing import Any, Optional
 
 from repro.core import context as ambient
-from repro.core.futures import ResponseFuture, synthetic_status
+from repro.core.futures import synthetic_status
+from repro.core.wait import ListSource
 from repro.dag import locality as _locality
 from repro.dag.graph import Dag
 from repro.dag.node import ARG_DEP, ARG_DEPS, ARG_FUTURES, ARG_VALUE, DagNode, NodeState
 from repro.retry import RetryPolicy
 from repro.vtime import VEvent, fan_out_steps
-from repro.vtime.kernel import vsleep
 
 
 def _dag_node_call(payload: dict[str, Any]) -> Any:
@@ -116,6 +117,10 @@ class DagRun:
             self._scheduler.executor._journal_exposed([future])
         return future
 
+    def in_flight(self) -> list[DagNode]:
+        """The nodes believed running in the cloud, whose status a round seeks."""
+        return [n for n in self.dag.nodes if n.state in NodeState.IN_FLIGHT]
+
     def failed_nodes(self) -> list[DagNode]:
         return [n for n in self.dag.nodes if n.state == NodeState.FAILED]
 
@@ -123,8 +128,8 @@ class DagRun:
         """Block (virtual time) until every node reached a terminal state.
 
         Raises :class:`~repro.core.errors.ClientCrashError` once
-        client-crash chaos has killed the driver: the watcher wakes its
-        joiners when it dies with it.
+        client-crash chaos has killed the driver: the executor's watcher
+        wakes the joiners when it dies with it.
         """
         done = self._event.wait(timeout)
         self._scheduler.executor._check_client()
@@ -165,7 +170,6 @@ class DagScheduler:
         self.label = label
         self.node_retries = int(node_retries)
         self.retries = retries
-        self.poll_interval = executor.config.poll_interval
         dag_config = executor.config.dag
         if scheduler is not None:
             dataclasses.replace(dag_config, scheduler=scheduler).validate()
@@ -187,7 +191,7 @@ class DagScheduler:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, dag: Dag) -> DagRun:
-        """Upload all nodes, invoke the roots, start the watcher."""
+        """Upload all nodes, invoke the roots, hand the run to the watcher."""
         with self.executor._trace_scope():
             return self._submit_inner(dag)
 
@@ -229,9 +233,6 @@ class DagScheduler:
                     NodeState.READY if node.unresolved == 0 else NodeState.PENDING
                 )
 
-        for node in internal:
-            if node.node_retries:
-                node.future._verdict = VEvent(self.kernel)
         if self.swarm:
             self._ship_schedule(dag, dag_id)
 
@@ -281,13 +282,12 @@ class DagScheduler:
                 nodes=specs,
             )
 
-        # First round runs synchronously in the caller: roots are in flight
-        # before submit() returns, exactly like a plain executor.map.
-        self.kernel.drive(self._round_steps(run))
+        # Roots, and dependents of external calls already over, are in
+        # flight before submit() returns; the watcher's rounds take over.
+        self.kernel.drive(executor._watcher.judge_steps([run]))
+        self.kernel.drive(self._fire_steps(run))
         if not run.finished:
-            self.kernel.spawn_model(
-                self._watch_steps, run, name=f"dag-watch-{dag_id}"
-            )
+            executor._watcher.watch(run)
         return run
 
     def _next_dag_id(self) -> str:
@@ -335,19 +335,18 @@ class DagScheduler:
                 if node.state in NodeState.TERMINAL:
                     continue
                 future = node.future
-                if node.node_retries and not node.external:
-                    future._verdict = VEvent(self.kernel)
                 if future.activation_id is not None:
                     node.state = NodeState.SUBMITTED
                 elif future.invoke_count or node.unresolved == 0:
                     node.state = NodeState.READY
                 else:
                     node.state = NodeState.PENDING
-            self.kernel.drive(self._drive_steps(run))
-        if not run.finished:
-            self.kernel.spawn_model(
-                self._watch_steps, run, name=f"dag-watch-{run.dag_id}"
-            )
+            if executor._recovery:  # probe the journaled activations now
+                in_flight = [n.future for n in run.in_flight()]
+                self.kernel.drive(executor._reinvoke_lost_steps(in_flight))
+            self.kernel.drive(self._fire_steps(run))
+            if not run.finished:
+                executor._watcher.watch(run)
         return run
 
     def _reconcile_steps(self, run: DagRun):
@@ -355,14 +354,22 @@ class DagScheduler:
 
         COS is ground truth: a call with a committed status object is
         final whatever the journal last said about it, so *every* callset
-        is consulted, not just the ones believed in flight.  Statuses are
+        is LISTed — even under ``mq_push``, whose queue the dead driver may
+        have drained — not just the ones believed in flight.  Statuses are
         all read before any is judged, dependents first, so a failure
         never re-buries a dependent whose burial already committed.
         """
         executor = self.executor
-        committed = yield from self._discover_steps(run.dag.nodes)
-        for node in sorted(committed, key=lambda n: n.node_id, reverse=True):
-            yield from self._complete_steps(run, node)
+        callset = lambda n: (n.future.executor_id, n.future.callset_id)
+        nodes = sorted(run.dag.nodes, key=callset)
+        found = yield from ListSource(executor._storage).discover_steps(
+            dict.fromkeys(map(callset, nodes)))
+        committed = [n for n in nodes if n.future.call_id in found[callset(n)]]
+        statuses = yield from self._read_steps(committed)
+        for node, status in sorted(
+            zip(committed, statuses), key=lambda pair: pair[0].node_id, reverse=True
+        ):
+            yield from self._complete_steps(run, node, status)
         run.reconciled = [
             [n.future.callset_id, n.future.call_id, n.state == NodeState.DONE]
             for n in committed
@@ -409,108 +416,43 @@ class DagScheduler:
         return payload
 
     # ------------------------------------------------------------------
-    # Dependency watcher
+    # Judging (each round of the executor's watcher)
     # ------------------------------------------------------------------
-    def _watch_steps(self, run: DagRun):
-        """Model task: wake each poll interval and run one round, in place.
+    def _judge_steps(self, run: DagRun, found: list[tuple[DagNode, Optional[dict]]]):
+        """Judge the in-flight nodes a round found finished, in order.
 
-        Between rounds it is a timer entry; during one, the same task steps
-        through the round's LIST, status reads, invocations and journal
-        appends, so no OS thread is ever held for the watcher.
+        ``found`` pairs each node with its status, ``None`` where it was
+        only seen: those are read in one fan-out, so a round pays about one
+        round trip however many finished.  A status reaches the future only
+        once judged final: no waiter sees an error the run will retry.
         """
-        while not run.finished:
-            yield vsleep(self.poll_interval)
-            if self.executor._client_dead():
-                # The driver died (client-crash chaos): the watcher dies
-                # with it, leaving the DAG orphaned exactly as a real
-                # process crash would (reattach() adopts it later), and
-                # wakes its joiners so they raise the crash.
-                for node in run.dag.nodes:
-                    self._settle(node)
-                run._event.set()
-                return
-            try:
-                yield from self._round_steps(run)
-            except Exception as exc:  # noqa: BLE001 - surfaced on run.error
-                # A broken round must not leave waiters pending forever in
-                # virtual time: fail every unfinished node, then surface.
-                run.error = exc
-                yield from self._abort_steps(run, f"DAG scheduler aborted: {exc!r}")
-                return
+        unread = [node for node, status in found if status is None]
+        read = dict(zip(unread, (yield from self._read_steps(unread))))
+        for node, status in found:
+            yield from self._complete_steps(run, node, status or read[node])
 
-    def _round_steps(self, run: DagRun):
-        executor = self.executor
-        if executor._client_dead():
-            # the driver died while this round was in flight: a real crash
-            # stops mid-round, so do nothing more (no invokes, no burials,
-            # no journal appends) and let the watcher notice and exit
-            return
-        with executor._trace_scope():
-            # discovery: judge every in-flight node that finished
-            in_flight = [n for n in run.dag.nodes if n.state in NodeState.IN_FLIGHT]
-            for node in (yield from self._discover_steps(in_flight)):
-                yield from self._complete_steps(run, node)
-            yield from self._drive_steps(run)
+    def _read_steps(self, nodes: list[DagNode]):
+        def read(node: DagNode):
+            f = node.future
+            return self.executor._storage.get_status_steps(f.executor_id, f.callset_id, f.call_id)
 
-    def _drive_steps(self, run: DagRun):
-        """What a round does with what it discovered: recover, then fire."""
-        executor = self.executor
-        if executor._recovery:
-            in_flight = [
-                n.future
-                for n in run.dag.nodes
-                if n.state == NodeState.SUBMITTED and not n.external
-            ]
-            if in_flight:
-                yield from executor._reinvoke_lost_steps(in_flight)
-                # recovery buries exhausted calls by ingesting a
-                # synthetic status directly — pick those up now
-                for node in run.dag.nodes:
-                    if (
-                        node.state == NodeState.SUBMITTED
-                        and node.future._status is not None
-                    ):
-                        yield from self._complete_steps(run, node)
+        width = self.executor.config.result_fetch_pool_size
+        return (yield from fan_out_steps(self.kernel, read, nodes, width, name="dag-status"))
+
+    def _fire_steps(self, run: DagRun):
+        """After the round's judging and recovery: fire what is ready."""
+        for node in run.in_flight() if self.executor._recovery else ():
+            # recovery buried an exhausted call with a synthetic status
+            if node.future._status is not None:
+                yield from self._complete_steps(run, node, node.future._status)
         yield from self._submit_ready_steps(run)
         if run.finished:
             run._finish()
 
-    def _discover_steps(self, nodes: list[DagNode]):
-        """The ``nodes`` whose status committed (now ingested), in LIST order.
-
-        One LIST per callset whose statuses are not all known, then one
-        fan-out of ``config.result_fetch_pool_size`` lanes reads every status
-        revealed, so a round pays about one round trip however many nodes
-        finished.  A partial commit waits a round.
-        """
-        groups: dict[tuple[str, str], list[DagNode]] = {}
-        for node in nodes:
-            future = node.future
-            groups.setdefault((future.executor_id, future.callset_id), []).append(node)
-        found: list[DagNode] = []
-        for key in sorted(groups):
-            group = groups[key]
-            if all(n.future.status_known for n in group):
-                found += group
-                continue
-            done_ids = yield from self.executor._storage.list_done_call_ids_steps(*key)
-            found += [
-                n for n in group
-                if n.future.status_known or n.future.call_id in done_ids
-            ]
-        yield from fan_out_steps(
-            self.kernel, ResponseFuture.poll_steps,
-            [n.future for n in found if n.future._status is None],
-            self.executor.config.result_fetch_pool_size, name="dag-status",
-        )
-        return [n for n in found if n.future._status is not None]
-
-    def _complete_steps(self, run: DagRun, node: DagNode):
-        future = node.future
-        status = future._status
+    def _complete_steps(self, run: DagRun, node: DagNode, status: dict):
         if status.get("success"):
+            node.future._ingest_status(status)
             node.state = NodeState.DONE
-            self._settle(node)
             _locality.record_invoker(node, status)
             self._trace_node(run, node, status, "done")
             for dependent in node.dependents:
@@ -569,8 +511,8 @@ class DagScheduler:
                     attempt=node.error_attempts,
                 )
             return
+        node.future._ingest_status(status)
         node.state = NodeState.FAILED
-        self._settle(node)
         self._trace_node(run, node, status, "failed")
         yield from self._bury_dependents_steps(run, node, status)
 
@@ -587,10 +529,11 @@ class DagScheduler:
             yield from self._bury_node_steps(run, dependent, reason)
             queue.extend(dependent.dependents)
 
-    def _abort_steps(self, run: DagRun, reason: str):
+    def _abort_steps(self, run: DagRun, exc: Exception):
+        run.error = exc  # before the first yield: the joiners are awake
         for node in run.dag.nodes:
             if node.state not in NodeState.TERMINAL:
-                yield from self._bury_node_steps(run, node, reason)
+                yield from self._bury_node_steps(run, node, f"DAG scheduler aborted: {exc!r}")
         run._finish()
 
     def _bury_node_steps(self, run: DagRun, node: DagNode, reason: str):
@@ -611,15 +554,7 @@ class DagScheduler:
             future._ingest_status(status)
         else:
             future.mark_done()  # a real status exists; use it
-        self._settle(node)
         self._trace_node(run, node, status, "buried")
-
-    def _settle(self, node: DagNode) -> None:
-        """Wake the waiters of ``node``: judged for good, or unwatched now."""
-        verdict = node.future._verdict
-        if verdict is not None:
-            node.future._verdict = None
-            verdict.set()
 
     # ------------------------------------------------------------------
     # Node submission

@@ -13,15 +13,14 @@ events resume``):
    journaled ``dag.submitted`` records.  A plain ``map`` call is simply a
    node with no dependencies.
 3. **Adopt** it (:meth:`repro.dag.DagScheduler.adopt`): one LIST per
-   callset finds the statuses that committed while nobody was watching.
-   Committed calls are final — PR 1's conditional status PUT means no
-   replacement attempt can ever overwrite them, so *committed work is
-   never re-executed*.  From there the same rounds that drive a freshly
-   submitted DAG drive this one: probe journaled activation ids through
-   the executor's lost-call recovery, re-invoke calls whose activations
-   are unknown or dead (safe: a surviving twin loses the conditional
-   PUT), fire nodes whose dependencies are now all committed, bury the
-   dependents of terminal failures.
+   callset, under ``mq_push`` too, finds the statuses that committed while
+   nobody was watching.  Committed calls are final — PR 1's conditional
+   status PUT means no replacement attempt can ever overwrite them, so
+   *committed work is never re-executed*.  From there the executor's
+   watcher drives it like a fresh DAG: probe journaled activation ids
+   through lost-call recovery, re-invoke calls whose activations are
+   unknown or dead (safe: a surviving twin loses the conditional PUT), fire
+   nodes whose dependencies all committed, bury terminal failures' dependents.
 
 The adopting executor *becomes* the dead driver: it takes over its
 executor id, journal (appending after the replayed tail) and monitor
@@ -222,7 +221,7 @@ def attach(executor, job_id: str) -> "ResumedJob":
     # must not collide — a reused dag id would overwrite the swarm
     # schedule object the dead driver's workers still read) and
     # uploaded-function digests (skip redundant WAN uploads).
-    executor._completions = executor._completion_source()
+    executor._watcher.source = executor._completion_source()
     for attempt in range(RESUME_APPEND_ATTEMPTS):
         ledger = JobLedger.from_records(replayed)
         executor.journal = EventJournal.for_executor(

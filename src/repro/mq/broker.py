@@ -56,7 +56,10 @@ class MessageBroker:
 
     def consume(self, queue: str, timeout: Optional[float] = None) -> Any:
         """Blocking (virtual-time) consume; raises QueueEmpty on timeout."""
-        message = self._queue(queue).get(timeout=timeout)
+        return self.kernel.drive(self.consume_steps(queue, timeout))
+
+    def consume_steps(self, queue: str, timeout: Optional[float] = None):
+        message = yield from self._queue(queue).get_steps(timeout)
         with self._lock:
             self._consumed += 1
         return message

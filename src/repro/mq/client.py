@@ -7,7 +7,7 @@ from typing import Any, Optional
 
 from repro.mq.broker import MessageBroker, QueueNotFound
 from repro.net.link import NetworkLink
-from repro.vtime import QueueEmpty
+from repro.vtime import vsleep
 
 #: approximate wire size of a status message
 STATUS_MESSAGE_BYTES = 512
@@ -54,26 +54,31 @@ class MQClient:
         )
 
     def subscribe(self, queue: str) -> None:
+        self.link.kernel.drive(self.subscribe_steps(queue))
+
+    def subscribe_steps(self, queue: str):
         """Open the channel (one round trip, then deliveries are pushed)."""
         if queue not in self._subscribed:
-            self.link.request_with_retries(0)
+            yield from self.link.request_with_retries_steps(0)
             self._subscribed.add(queue)
 
     def consume(self, queue: str, timeout: Optional[float] = None) -> Any:
+        return self.link.kernel.drive(self.consume_steps(queue, timeout))
+
+    def consume_steps(self, queue: str, timeout: Optional[float] = None):
         """Receive one message; blocks in virtual time until delivery.
 
         Pays the *remaining* delivery delay of the message (publish time +
         half an RTT), so back-to-back deliveries do not serialize.
         """
-        self.subscribe(queue)
-        message = self.broker.consume(queue, timeout=timeout)
-        kernel = self.link.kernel
+        yield from self.subscribe_steps(queue)
+        message = yield from self.broker.consume_steps(queue, timeout)
         if isinstance(message, _Envelope):
             arrival = message.sent_at + self.link.latency.rtt / 2.0
-            delay = arrival - kernel.now()
+            delay = arrival - self.link.kernel.now()
             if delay > 0:
-                kernel.sleep(delay)
+                yield vsleep(delay)
             return message.payload
         # a raw broker-level message: charge a fresh half-RTT delivery
-        kernel.sleep(self.link.latency.rtt / 2.0)
+        yield vsleep(self.link.latency.rtt / 2.0)
         return message

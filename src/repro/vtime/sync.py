@@ -87,6 +87,21 @@ class VCondition:
             result = predicate()
         return bool(result)
 
+    def acquire_when_steps(self, predicate, timeout: Optional[float] = None):
+        """Acquire the lock once ``predicate()`` holds or ``timeout`` passed,
+        from a model task; returns its final value, the lock still held."""
+        deadline = None if timeout is None else self._kernel.now() + timeout
+        while True:
+            self.acquire()
+            result = predicate()
+            remaining = None if deadline is None else deadline - self._kernel.now()
+            if result or (remaining is not None and remaining <= 0):
+                return bool(result)
+            waiter = Waiter(current_task())
+            self.register_waiter(waiter)
+            self.release()
+            yield vwait(waiter, remaining)
+
     def register_waiter(self, waiter: Waiter) -> None:
         """Register an externally created waiter for ``notify`` delivery.
 
@@ -150,20 +165,9 @@ class VEvent:
 
     def wait_steps(self, timeout: Optional[float] = None):
         """Wait for the flag from a model task (``yield from``)."""
-        kernel = self._cond._kernel
-        deadline = None if timeout is None else kernel.now() + timeout
-        while True:
-            with self._cond:
-                if self._flag:
-                    return True
-                remaining = None if deadline is None else deadline - kernel.now()
-                if remaining is not None and remaining <= 0:
-                    return False
-                waiter = Waiter(current_task())
-                self._cond.register_waiter(waiter)
-            yield vwait(waiter, remaining)
-            if waiter.timed_out:
-                return self.is_set()
+        flag = yield from self._cond.acquire_when_steps(lambda: self._flag, timeout)
+        self._cond.release()
+        return flag
 
 
 class VSemaphore:
@@ -226,13 +230,18 @@ class VQueue:
             return True
 
     def get(self, timeout: Optional[float] = None) -> Any:
-        with self._cond:
-            ok = self._cond.wait_for(lambda: len(self._items) > 0, timeout)
-            if not ok:
-                raise QueueEmpty("VQueue.get timed out")
-            item = self._items.popleft()
-            self._cond.notify_all()
-            return item
+        return self._cond._kernel.drive(self.get_steps(timeout))
+
+    def get_steps(self, timeout: Optional[float] = None):
+        """Take the next item, waiting up to ``timeout``; raises
+        :class:`QueueEmpty` then (``yield from`` it in a model task)."""
+        ready = yield from self._cond.acquire_when_steps(lambda: self._items, timeout)
+        item = self._items.popleft() if ready else None
+        self._cond.release()
+        if not ready:
+            raise QueueEmpty("VQueue.get timed out")
+        self._cond.notify_all()
+        return item
 
 
 def gather(tasks: Iterable[Any]) -> list[Any]:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.config import ExchangeConfig, InvokerMode, PyWrenConfig
+from repro.config import ExchangeConfig, InvokerMode, MonitoringTransport, PyWrenConfig
 
 
 class TestDefaults:
@@ -40,6 +42,12 @@ class TestValidation:
     def test_all_invoker_modes_accepted(self):
         for mode in InvokerMode.ALL:
             PyWrenConfig(invoker_mode=mode).validate()
+
+
+    @pytest.mark.parametrize("constants", [InvokerMode, MonitoringTransport])
+    def test_mode_names_are_plain_constants(self, constants):
+        assert not dataclasses.is_dataclass(constants)
+        assert all(isinstance(name, str) for name in constants.ALL)
 
 
 class TestExchangeConfig:

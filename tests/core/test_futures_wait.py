@@ -302,16 +302,16 @@ class TestWait:
     ):
         """Per round: one LIST per callset that still has a pending future,
         in the order of each callset's first pending future in the caller's
-        list; a future settled by a hook is dropped before the next LIST;
+        list; a future found done is dropped before the next LIST;
         ``done`` / ``not_done`` keep the caller's order."""
-        listed, progress, lost_seen = [], [], []
-        list_done = storage.list_done_call_ids
+        listed, progress = [], []
+        list_done = storage.list_done_call_ids_steps
 
         def spy(executor_id, callset_id):
             listed.append(callset_id)
-            return list_done(executor_id, callset_id)
+            return (yield from list_done(executor_id, callset_id))
 
-        storage.list_done_call_ids = spy
+        storage.list_done_call_ids_steps = spy
 
         def main():
             r0, m0, r1, m1, x0 = futures = [
@@ -323,22 +323,16 @@ class TestWait:
             ]
             for future in (m0, m1):
                 complete_call(storage, future, value=0).join()
+            complete_call(storage, x0, success=False, error=ValueError("x"), delay=0.2)
             complete_call(storage, r0, value=0, delay=0.7)
             complete_call(storage, r1, value=0, delay=1.2)
-
-            def lost_detector(not_done):
-                lost_seen.append(list(not_done))
-                if not x0.status_known:  # never ran: bury it
-                    x0._ingest_status({"success": False, "lost": True})
 
             done, not_done = wait(
                 futures, storage, poll_interval=0.5,
                 on_progress=lambda d, t: progress.append((d, t)),
-                lost_detector=lost_detector,
             )
-            assert lost_seen == [[r0, r1, x0], [r0, r1], [r1]]
             return done == futures and not_done == []
 
         assert kernel.run(main)
-        assert listed == ["R000", "M000", "X000", "R000", "R000", "R000"]
+        assert listed == ["R000", "M000", "X000", "R000", "X000", "R000", "R000"]
         assert progress == [(2, 5), (3, 5), (4, 5), (5, 5)]

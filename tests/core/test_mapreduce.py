@@ -10,7 +10,7 @@ import repro as pw
 from repro.core.environment import CloudEnvironment
 from repro.core.errors import PyWrenError
 from repro.core.storage_client import InternalStorage
-from repro.dag import DagScheduler
+from repro.core.wait import Watcher
 from repro.dag import scheduler as scheduler_module
 from repro.net import LatencyModel
 from repro.vtime import fan_out_steps
@@ -279,23 +279,24 @@ class TestOneDagPerMapReduce:
 
     def test_one_list_of_the_maps_per_watcher_round(self, env, monkeypatch):
         """3 objects x 4 chunks: the map callset is LISTed at most once per
-        round of the busiest watcher (a DAG per object LISTs it per DAG)."""
+        round of the executor's one watcher (a DAG per object, or a wait
+        beside the DAG, would LIST it again)."""
         put_text(env, "cities", {key: "x" * 400 for key in CITIES})
         lists = collections.Counter()
-        rounds = collections.Counter()
+        rounds = []
         list_done = InternalStorage.list_done_call_ids_steps
-        round_steps = DagScheduler._round_steps
+        round_steps = Watcher._round_steps
 
         def counting_list(storage, executor_id, callset_id):
             lists[callset_id] += 1
             return (yield from list_done(storage, executor_id, callset_id))
 
-        def counting_round(scheduler, run):
-            rounds[run.dag_id] += 1
-            return (yield from round_steps(scheduler, run))
+        def counting_round(watcher, executor):
+            rounds.append(watcher)
+            return (yield from round_steps(watcher, executor))
 
         monkeypatch.setattr(InternalStorage, "list_done_call_ids_steps", counting_list)
-        monkeypatch.setattr(DagScheduler, "_round_steps", counting_round)
+        monkeypatch.setattr(Watcher, "_round_steps", counting_round)
 
         def main():
             executor = pw.ibm_cf_executor()
@@ -303,7 +304,8 @@ class TestOneDagPerMapReduce:
 
         assert env.run(main) == [400, 400, 400]
         assert lists["M000"] > 3  # the maps span several rounds
-        assert lists["M000"] <= max(rounds.values())
+        assert len(set(rounds)) == 1
+        assert lists["M000"] <= len(rounds)
 
     @staticmethod
     def _traced_run():

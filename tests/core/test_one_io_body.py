@@ -243,7 +243,7 @@ def status_listed(w: World) -> Case:
 
     return Case(
         setup,
-        lambda: storage.list_done_call_ids("e", "M000"),
+        lambda: w.kernel.drive(storage.list_done_call_ids_steps("e", "M000")),
         lambda: storage.list_done_call_ids_steps("e", "M000"),
         _nothing,
     )

@@ -135,15 +135,33 @@ class TestPushLatencyAdvantage:
         assert push < polling
 
     def test_push_skips_status_lists(self, cloud):
+        """The watcher learns flat calls *and* DAG nodes from the queue: a
+        map and a two-level DAG on one executor send no client LIST."""
         env = cloud(seed=62)
 
         def main():
             executor = push_executor()
-            lists_before = env.storage.get_count
-            executor.get_result(executor.map(lambda x: x, [1] * 10))
-            return True
+            storage = executor._storage
+            listed = []
+            list_done = storage.list_done_call_ids_steps
 
-        assert env.run(main)
+            def spy(executor_id, callset_id):
+                listed.append(callset_id)
+                return (yield from list_done(executor_id, callset_id))
+
+            storage.list_done_call_ids_steps = spy
+            values = executor.get_result(executor.map(lambda x: x, [1] * 10))
+            builder = pw.DagBuilder()
+            leaves = [builder.call(lambda x: x * 2, x) for x in range(3)]
+            root = builder.reduce(sum, leaves)
+            run = builder.submit(executor)
+            total = run.expose(root).result()
+            callsets = {n.future.callset_id for n in run.dag.nodes}
+            return values, total, len(callsets), listed
+
+        values, total, levels, listed = env.run(main)
+        assert (values, total, levels) == ([1] * 10, 6, 2)
+        assert listed == []
         # statuses still land in COS (authoritative), but the *client*
         # discovered completion via the queue
-        assert env.broker.consumed == 10
+        assert env.broker.consumed == 14

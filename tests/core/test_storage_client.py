@@ -85,19 +85,19 @@ class TestListing:
             for call_id in ["00000", "00003", "00007"]:
                 storage.put_status("e1", "M000", call_id, {"success": True})
             storage.put_status("e1", "M001", "00001", {"success": True})
-            return storage.list_done_call_ids("e1", "M000")
+            return kernel.drive(storage.list_done_call_ids_steps("e1", "M000"))
 
         assert kernel.run(main) == {"00000", "00003", "00007"}
 
     def test_list_empty_callset(self, kernel, storage):
         def main():
-            return storage.list_done_call_ids("e1", "NONE")
+            return kernel.drive(storage.list_done_call_ids_steps("e1", "NONE"))
 
         assert kernel.run(main) == set()
 
     def test_callsets_isolated_per_executor(self, kernel, storage):
         def main():
             storage.put_status("e1", "M000", "00000", {"success": True})
-            return storage.list_done_call_ids("e2", "M000")
+            return kernel.drive(storage.list_done_call_ids_steps("e2", "M000"))
 
         assert kernel.run(main) == set()

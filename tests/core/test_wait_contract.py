@@ -1,17 +1,15 @@
 """The §4.2 wait contract, once, under both completion transports.
 
-``repro.core.wait._wait`` is the only wait loop; ``cos_polling`` and
-``mq_push`` differ only in the completion source the executor hands it.
-Every case here runs under both through one fixture, so the transports
-cannot drift apart again: same policies, same deadline, one ``on_progress``
-and one journal record per round, the same lost-call recovery, and the same
-answer whoever submitted the futures and however many threads wait.
+An executor's one ``repro.core.wait.Watcher`` answers every wait;
+``cos_polling`` and ``mq_push`` differ only in the completion source it
+discovers through.  Every case here runs under both through one fixture,
+so the transports cannot drift apart again: same policies, same deadline,
+one ``on_progress`` per round, the same journal records, the same lost-call
+recovery, and the same answer whoever submitted the futures and however
+many threads wait.
 """
 
 from __future__ import annotations
-
-import sys
-import threading
 
 import pytest
 
@@ -19,7 +17,7 @@ import repro as pw
 from repro.chaos import ChaosProfile
 from repro.core.errors import FunctionError, ResultTimeoutError
 from repro.core.futures import ALL_COMPLETED, ALWAYS, ANY_COMPLETED, ResponseFuture
-from repro.core.wait import Pending, _wait as wait_loop
+from repro.core.wait import Watcher, wait
 
 TRANSPORTS = ["cos_polling", "mq_push"]
 
@@ -32,6 +30,20 @@ def transport(request) -> str:
 def sleeper(seconds):
     pw.sleep(float(seconds))
     return seconds
+
+
+@pytest.fixture()
+def rounds(monkeypatch) -> list[int]:
+    """One entry per watcher round (the number of waits parked in it)."""
+    seen: list[int] = []
+    round_steps = Watcher._round_steps
+
+    def counted(watcher, executor):
+        seen.append(len(watcher.waits))
+        return (yield from round_steps(watcher, executor))
+
+    monkeypatch.setattr(Watcher, "_round_steps", counted)
+    return seen
 
 
 class TestWaitContract:
@@ -92,21 +104,15 @@ class TestWaitContract:
 
         assert 15.0 <= env.run(main) < 15.5
 
-    def test_on_progress_once_per_round(self, env, transport):
+    def test_on_progress_once_per_round(self, env, transport, rounds):
         def main():
             executor = pw.ibm_cf_executor(monitoring=transport)
             futures = executor.map(sleeper, [1] * 10 + [6] * 10)
-            rounds, progress = [], []
-            wait_loop(
-                futures,
-                executor._completions,
-                poll_interval=executor.config.poll_interval,
-                on_progress=lambda done, total: progress.append((done, total)),
-                on_round=lambda fs: rounds.append(len(fs)),
-            )
-            return rounds, progress
+            progress = []
+            wait(futures, on_progress=lambda done, total: progress.append((done, total)))
+            return progress
 
-        rounds, progress = env.run(main)
+        progress = env.run(main)
         assert len(progress) == len(rounds) < 20  # per round, not per call
         assert progress[-1] == (20, 20)
         assert progress == sorted(progress)
@@ -183,7 +189,7 @@ class TestTransportsAgree:
         return env.run(main)
 
     def test_journal_records_do_not_grow_with_rounds_under_both(self):
-        """The wait loop appends nothing, however it learns of completions
+        """The watcher appends nothing, however it learns of completions
         — push once appended one record per call (200 WAN PUTs), making
         the faster transport 4x slower — so both journal the same four
         submission records and push stays no slower than polling."""
@@ -247,7 +253,7 @@ class TestPollRoundCost:
     """A round costs O(callsets + completions): the pending futures stay
     indexed per callset across rounds, so nothing re-reads all of them."""
 
-    def test_a_round_does_not_scan_the_pending_futures(self, env, monkeypatch):
+    def test_a_round_does_not_scan_the_pending_futures(self, env, monkeypatch, rounds):
         n = 400
         reads = []
         status_known = ResponseFuture.status_known
@@ -260,17 +266,10 @@ class TestPollRoundCost:
             executor = pw.ibm_cf_executor()
             futures = executor.map(sleeper, [i % 40 for i in range(n)])
             monkeypatch.setattr(ResponseFuture, "status_known", property(counted))
-            rounds = []
-            wait_loop(
-                futures,
-                executor._completions,
-                poll_interval=executor.config.poll_interval,
-                on_round=lambda fs: rounds.append(len(fs)),
-            )
-            return len(rounds)
+            executor.wait(futures)
 
-        rounds = env.run(main)
-        assert rounds >= 10
+        env.run(main)
+        assert len(rounds) >= 10
         # one read per future to index them, one to report them done
         assert len(reads) <= 2 * n
 
@@ -282,19 +281,17 @@ class TestPollRoundCost:
             a = executor.map(sleeper, [0, 100])
             b = executor.map(sleeper, [50, 50])
             storage = executor._storage
-            list_done = storage.list_done_call_ids
+            list_done = storage.list_done_call_ids_steps
 
             def recording(executor_id, callset_id):
                 listed[-1].append(callset_id)
-                return list_done(executor_id, callset_id)
+                return (yield from list_done(executor_id, callset_id))
 
-            storage.list_done_call_ids = recording
+            storage.list_done_call_ids_steps = recording
             listed.append([])
-            done, _ = wait_loop(
+            done, _ = wait(
                 [a[0], b[0], a[1], b[1]],
-                executor._completions,
-                poll_interval=executor.config.poll_interval,
-                on_round=lambda fs: listed.append([]),
+                on_progress=lambda done, total: listed.append([]),
             )
             return [f.call_id for f in done], a[0].callset_id, b[0].callset_id
 
@@ -308,25 +305,16 @@ class TestPollRoundCost:
         assert rounds.index([b, a]) < rounds.index([a])
         assert rounds[-1] == [a] and [a, b] not in rounds[1:]
 
-    def test_statuses_learned_on_other_threads_are_swept(self):
-        """The index re-reads every future only when ``LEARNED`` moved by
-        more than the wait's own discoveries; threads racing to learn
-        statuses (with a tiny switch interval) must never slip past it."""
-        futures = [ResponseFuture("e", f"M{i % 3:03d}", f"{i:05d}") for i in range(3000)]
-        pending = Pending(futures)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=lambda k=k: [f.mark_done() for f in futures[k::8]])
-                for k in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        pending.sync()
-        assert pending.order == {} and pending.keys() == []
+    def test_statuses_judged_by_a_dag_run_are_swept(self, env):
+        """A waited map future that is also an external node of a live DAG
+        is judged by the run (which reads its status), not by the wait's
+        discovery; the wait still sees it."""
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            executor.map_reduce(sleeper, [i % 4 for i in range(40)], lambda values: sum(values))
+            maps = [f for f in executor.futures if f.callset_id == "M000"]
+            done, not_done = executor.wait(maps)
+            return len(maps), done == maps, not_done, all(f._status for f in maps)
+
+        assert env.run(main) == (40, True, [], True)

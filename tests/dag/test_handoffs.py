@@ -127,16 +127,17 @@ SHAPES = {
     "wide": (build_wide, sum(range(8)) + 4),
 }
 
-# measured since the DAG watcher runs its rounds on its own model task (a
-# thread task per round cost 67 / 62 / 71 / 64 / 59 / 47); a change that
-# needs more hand-offs than these has to say why
+# measured since one watcher judges every call and result() parks until
+# it has (a thread task per round cost 67 / 62 / 71 / 64 / 59 / 47; a
+# result() that polled its own status every interval, 39 / 25 / 45 / 33 /
+# 39 / 31); a change that needs more hand-offs than these has to say why
 HANDOFF_BUDGET = {
-    ("chain", "centralized"): 39,
-    ("chain", "swarm"): 25,
-    ("tree", "centralized"): 45,
-    ("tree", "swarm"): 33,
-    ("wide", "centralized"): 39,
-    ("wide", "swarm"): 31,
+    ("chain", "centralized"): 3,
+    ("chain", "swarm"): 3,
+    ("tree", "centralized"): 25,
+    ("tree", "swarm"): 24,
+    ("wide", "centralized"): 18,
+    ("wide", "swarm"): 18,
 }
 
 

@@ -304,6 +304,41 @@ class TestFailureSemantics:
 
         assert env.run(main) == (101, 1, True)
 
+    @pytest.mark.parametrize(
+        "return_when", [pw.ALL_COMPLETED, pw.ANY_COMPLETED], ids=["all", "any"]
+    )
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_wait_returns_only_after_the_retry_committed(self, seed, return_when):
+        """``executor.wait`` on a node with retry budget does not report the
+        first attempt's error: the watcher is the only judge, so the wait
+        returns once the retry's status is in, and ``result()`` reads it
+        with no status GET of its own."""
+        env = CloudEnvironment.create(seed=seed)
+
+        def main():
+            executor = pw.ibm_cf_executor()
+            builder = DagBuilder()
+            node = builder.call(flaky_once, 1)
+            run = DagScheduler(executor, node_retries=2).submit(builder.build())
+            future = run.expose(node)
+            done, not_done = executor.wait([future], return_when=return_when)
+            waited_until = pw.now()
+            storage = executor._storage
+            reads = []
+            get_status = storage.get_status_steps
+
+            def counted(*args):
+                reads.append(args)
+                return (yield from get_status(*args))
+
+            storage.get_status_steps = counted
+            value = future.result()
+            status = future.status()
+            return (done == [future], not_done, future.state, node.error_attempts,
+                    value, reads, waited_until >= status["end_time"])
+
+        assert env.run(main) == (True, [], "success", 1, 101, [], True)
+
     def test_a_final_error_still_raises_through_the_waiter(self, env):
         """With the retry budget spent the watcher's verdict is final, and
         the waiter raises the node's own error."""

@@ -166,6 +166,23 @@ class TestKillMidMapReduce:
         assert job.stats["buried"] == 0
         _assert_no_reexecution(crash_records, job)
 
+    @pytest.mark.parametrize("map_fn", [_square, _slow_square], ids=["done", "in_flight"])
+    def test_resume_under_push_matches_uninterrupted(self, map_fn):
+        """Under ``mq_push`` the dead driver's watcher consumed part of the
+        queue: the adopter reconciles by LIST, then learns the rest from
+        the queue it took over, and finishes with the uninterrupted answer."""
+        env = _make_env(NEVER, trace=True, monitoring="mq_push")
+        outcome, baseline, records, _ = _run_map_reduce(env, self.ITEMS, map_fn)
+        assert outcome == "done"
+        exposed, end = _submission_window(env, records)
+
+        outcome, resumed, crash_records, job = _run_map_reduce(
+            _make_env((exposed + end) / 2.0, monitoring="mq_push"), self.ITEMS, map_fn
+        )
+        assert outcome == "resumed"
+        assert pickle.dumps(resumed) == pickle.dumps(baseline)
+        _assert_no_reexecution(crash_records, job)
+
     @pytest.mark.parametrize("invoker_mode", ["local", "remote", "massive"])
     def test_resume_with_maps_in_flight(self, invoker_mode):
         """Same, with the maps still running when the adopter arrives.

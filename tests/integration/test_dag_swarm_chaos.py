@@ -117,9 +117,9 @@ class TestClientCrashResume:
             run = builder.submit(executor, fuse=False, scheduler="swarm")
             future = run.expose(tail)
             try:
-                # collect through the executor: its wait loop carries the
-                # client-crash checkpoint (a bare future.result() polls
-                # statuses directly and would never observe its own death)
+                # collect through the executor: its watcher's rounds carry
+                # the client-crash checkpoint, which wakes the waiter to
+                # raise it
                 return "done", executor.get_result(future)
             except pw.ClientCrashError:
                 adopter = env.executor()
