@@ -1,4 +1,4 @@
-.PHONY: install test lint loc chaos perf perf-selftest perf-trace perf-shuffle perf-airbnb bench paper-check determinism bench-trace bench-kernel-scale bench-dag bench-dag-swarm bench-cache bench-resume bench-exchange bench-tenant-storm bench-workloads bench-workloads-smoke docs-check examples all clean
+.PHONY: install test lint loc chaos perf perf-selftest perf-trace perf-shuffle perf-airbnb bench paper-check determinism docs-check examples all clean
 
 install:
 	pip install -e . --no-build-isolation || \
@@ -83,70 +83,6 @@ determinism:
 	  done; \
 	  echo "determinism: $$test passed 50/50"; \
 	done
-
-# tracing overhead: same workload with the spine disabled vs enabled;
-# writes BENCH_trace_overhead.json (acceptance: disabled adds <5%)
-bench-trace:
-	PYTHONPATH=src python benchmarks/bench_trace_overhead.py
-
-# hybrid-scheduler scale runs (Fig. 3 shape at 2k/10k/50k concurrency);
-# writes BENCH_kernel_scale.json (acceptance: 10k at full concurrency with
-# peak OS threads < 2x the kernel pool, near-linear wall growth to 50k)
-bench-kernel-scale:
-	PYTHONPATH=src python benchmarks/bench_kernel_scale.py
-
-# barriered executor vs barrier-free DAG scheduler on Fig. 4-shaped
-# mergesort + shuffle wordcount; writes BENCH_dag_pipeline.json
-# (acceptance: DAG wins mergesort wall-clock, same-seed traces identical)
-bench-dag:
-	PYTHONPATH=src python benchmarks/bench_dag_pipeline.py
-
-# centralized vs worker-driven (swarm) DAG scheduling on the Fig. 4
-# merge tree, a 100-level chain, and a wide-then-deep ML graph; writes
-# BENCH_dag_swarm.json (acceptance: swarm wins the chain wall-clock with
-# one client invocation total, no duplicate activations, same-seed swarm
-# traces byte-identical)
-bench-dag-swarm:
-	PYTHONPATH=src python benchmarks/bench_dag_swarm.py
-
-# COS-only vs memory-tier cached intermediate exchange on the Fig. 4
-# mergesort + shuffle wordcount; writes BENCH_cache_exchange.json
-# (acceptance: cached wins intermediate-read time, per-mode same-seed
-# traces byte-identical)
-bench-cache:
-	PYTHONPATH=src python benchmarks/bench_cache_exchange.py
-
-# exchange-backend matrix: shuffle volume x fan-out x backend (cos /
-# cached-cos / vm); writes BENCH_exchange_matrix.json (acceptance: VM
-# plane wins a large-volume cell on wall time, direct COS Pareto-wins a
-# small cell, per-backend same-seed traces byte-identical)
-bench-exchange:
-	PYTHONPATH=src python benchmarks/bench_exchange_matrix.py
-
-# weighted-fair dispatch vs first-come under a 200-tenant overload storm;
-# writes BENCH_tenant_storm.json (acceptance: DRR Jain >= 0.9 with the
-# first-come baseline clearly below, equal aggregate throughput)
-bench-tenant-storm:
-	PYTHONPATH=src python benchmarks/bench_tenant_storm.py
-
-# BI/analytics workload suite: pushdown-scan sweep (selectivity x
-# partitions x exchange backend) vs full-scan+client-filter, plus the
-# windowed-streaming reuse sweep; writes BENCH_workloads.json
-# (acceptance: pushdown wins wall and bytes at <=10% selectivity,
-# overlapping windows reuse cached partials, same-seed scan and
-# streaming traces byte-identical)
-bench-workloads:
-	PYTHONPATH=src python benchmarks/bench_workloads.py
-
-# reduced matrix for CI; does not rewrite BENCH_workloads.json
-bench-workloads-smoke:
-	PYTHONPATH=src python benchmarks/bench_workloads.py --smoke
-
-# event-journal overhead (off vs on, Fig. 3-shaped map) plus
-# time-to-recover after a client crash; writes BENCH_resume_overhead.json
-# (acceptance: journal enabled adds <5% executor wall-clock overhead)
-bench-resume:
-	PYTHONPATH=src python benchmarks/bench_resume_overhead.py
 
 # documentation guards: no dead relative links in README/docs, every
 # public repro.* symbol documented in docs/API.md

@@ -11,8 +11,8 @@ manifest), then answers the same BI question two ways:
   filters and aggregates (what naive map-over-objects code does).
 
 Both return the same answer; pushdown reads and moves a fraction of the
-bytes.  ``make bench-workloads`` sweeps this over selectivity ×
-partitioning × exchange backend.
+bytes.  ``tests/bench/test_workloads_smoke.py`` sweeps this over
+selectivity × partitioning × exchange backend.
 
 Run:  python examples/scan_pushdown.py
 """

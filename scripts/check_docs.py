@@ -15,8 +15,12 @@ Six checks, all offline:
 3. **Example coverage** — every ``examples/*.py`` must be referenced by
    name from at least one doc (README.md or docs/*.md).  New examples
    therefore fail CI until a doc says what they demonstrate.
-4. **Bench report coverage** — every committed ``BENCH_*.json`` must be
-   named in docs/PERFORMANCE.md, which explains what each number means.
+4. **Claim tests** — every row of docs/REPRODUCING.md's "Beyond the
+   paper" table names its test as ``path::name``, and every such id in
+   that doc resolves statically: the file exists and each ``::`` part is
+   a ``def`` or ``class`` nested in the one before it (a ``[param]``
+   suffix is ignored).  A claim whose test is renamed or deleted
+   therefore fails CI until the doc says so.
 5. **Knob surface** — the names in the first column of docs/API.md's
    ``PyWrenConfig`` table (split on ``/``) must be exactly
    ``PyWrenConfig``'s fields, and the keywords of its
@@ -42,6 +46,8 @@ REPO = Path(__file__).resolve().parent.parent
 DOC_FILES = [REPO / "README.md", *sorted((REPO / "docs").glob("*.md"))]
 API_DOC = REPO / "docs" / "API.md"
 ARCHITECTURE_DOC = REPO / "docs" / "ARCHITECTURE.md"
+REPRODUCING_DOC = REPO / "docs" / "REPRODUCING.md"
+CLAIMS_HEADING = "## Beyond the paper"
 RECORDS_SRC = REPO / "src" / "repro" / "events" / "records.py"
 PACKAGE_INIT = REPO / "src" / "repro" / "__init__.py"
 CONFIG_SRC = REPO / "src" / "repro" / "config.py"
@@ -54,6 +60,8 @@ LOG_PARAGRAPH = "**The log.**"
 # [text](target) — but not images' inner parens and not reference defs
 LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$", re.MULTILINE)
+# `tests/x/test_y.py::TestZ::test_w[param]`
+TEST_ID_RE = re.compile(r"`([\w/.-]+\.py(?:::\w+)+)(?:\[[^\]`]*\])?`")
 
 
 def github_anchor(heading: str) -> str:
@@ -122,14 +130,37 @@ def check_example_references() -> list[str]:
     ]
 
 
-def check_bench_reports() -> list[str]:
-    performance = (REPO / "docs" / "PERFORMANCE.md").read_text(
-        encoding="utf-8"
-    )
-    return [
-        f"{report.name}: not mentioned in docs/PERFORMANCE.md"
-        for report in sorted(REPO.glob("BENCH_*.json"))
-        if report.name not in performance
+def resolves(test_id: str) -> bool:
+    """True if ``path::name[::name]`` names a def or class in that file."""
+    path, *names = test_id.split("::")
+    if not (REPO / path).is_file():
+        return False
+    body = ast.parse((REPO / path).read_text(encoding="utf-8")).body
+    for name in names:
+        defs = (node for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        body = next((node.body for node in defs if node.name == name), None)
+        if body is None:
+            return False
+    return True
+
+
+def check_claim_tests() -> list[str]:
+    text = REPRODUCING_DOC.read_text(encoding="utf-8")
+    rel = REPRODUCING_DOC.relative_to(REPO)
+    _, _, section = text.partition(CLAIMS_HEADING)
+    lines = [line for line in section.split("\n## ", 1)[0].splitlines() if line.startswith("|")]
+    rows = [  # neither a separator nor the header row above one
+        line for line, after in zip(lines, lines[1:] + [""])
+        if not line.startswith("|---") and not after.startswith("|---")
+    ]
+    errors = [
+        f"{rel}: claim row names no test id: {row[:60]!r}"
+        for row in rows if not TEST_ID_RE.search(row)
+    ]
+    return errors + [
+        f"{rel}: test id {test_id!r} does not resolve"
+        for test_id in sorted(set(TEST_ID_RE.findall(text)))
+        if not resolves(test_id)
     ]
 
 
@@ -246,7 +277,7 @@ def main() -> int:
         check_links()
         + check_api_coverage()
         + check_example_references()
-        + check_bench_reports()
+        + check_claim_tests()
         + check_knob_surface()
         + check_record_kinds()
     )
@@ -257,7 +288,7 @@ def main() -> int:
         print(f"{len(errors)} documentation problem(s) in: {checked}")
         return 1
     print(
-        "docs OK: links + API + example + bench-report + knob + record-kind "
+        "docs OK: links + API + example + claim-test + knob + record-kind "
         "coverage over "
         f"{checked}"
     )

@@ -25,7 +25,7 @@ emulates that plane:
 * **Accounting.**  The cluster accrues VM-seconds (``vm_nodes`` × time
   since boot) on the billing/cost layer — the flip side of the COS
   path's per-request charges; the crossover between the two is what
-  ``benchmarks/bench_exchange_matrix.py`` measures.  Traffic is emitted
+  ``tests/bench/test_exchange_matrix_smoke.py`` measures.  Traffic is emitted
   as ``exchange.*`` events on the "exchange" trace layer.
 
 Like every backend, the tier only engages for callers that pass an

@@ -20,8 +20,8 @@ actually made of underneath:
   composing scan → tone analysis → per-city roll-ups over the Airbnb
   dataset, runnable under the centralized and swarm DAG schedulers.
 
-See ``docs/WORKLOADS.md`` for the guide and ``make bench-workloads`` for
-the measured claims (BENCH_workloads.json).
+See ``docs/WORKLOADS.md`` for the guide and
+``tests/bench/test_workloads_smoke.py`` for the measured claims.
 """
 
 from repro.workloads.reviewlens import review_analytics

@@ -21,8 +21,8 @@ The pieces:
   source objects.  Each object's map partial is computed once and adopted
   into later window DAGs as an external node, so overlapping windows
   re-read the same small result object — which the ``cached-cos``
-  exchange tier serves from memory (``make bench-workloads`` measures the
-  hit rate).
+  exchange tier serves from memory
+  (``tests/bench/test_workloads_smoke.py`` pins the hit counts).
 
 Ingests, fires, and late events are stamped on the ``stream`` trace layer.
 """

@@ -4,7 +4,9 @@ The fair dispatcher and per-tenant accounting must hold up while the
 region has a bad day: synthetic 429 storms, container crashes and hangs,
 inflated WAN latency.  Every tenant's job still completes, every fault
 is stamped with the tenant it hit, and a (seed, chaos seed) pair
-reproduces the identical fault timeline.
+reproduces the identical fault timeline.  ``TestStormAtScale`` runs the
+200-tenant overload storm of :mod:`tests.bench.storm` under DRR with the
+profile on top: fairness must survive a region having a bad day.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import repro as pw
 from repro.chaos import ChaosProfile
 from repro.config import TenantConfig
 from repro.core.cost import tenant_billing_rollup
+from tests.bench import storm
 
 pytestmark = pytest.mark.slow
 
@@ -98,3 +101,22 @@ class TestTenantStorm:
             env3.chaos.fault_counts_by_tenant()
             != env1.chaos.fault_counts_by_tenant()
         )
+
+
+class TestStormAtScale:
+    @pytest.fixture(scope="class")
+    def report(self):
+        return storm.run_mode(
+            "drr", chaos=ChaosProfile("tenant-storm", seed=storm.CHAOS_SEED)
+        )
+
+    def test_storm_still_fair(self, report):
+        assert report["jain_fairness_index"] == 0.9721
+        assert report["window_dispatches"] == (188, 1, 7, 0)
+        # 216 faults across 132 tenants; per-tenant bills sum to the region's
+        assert report["faults"] == (216, 132)
+        billing = report["billing"]
+        assert billing["tenant_gb_seconds"] == billing["region_gb_seconds"] == 23425.6
+
+    def test_storm_absorbed_throttles(self, report):
+        assert report["throttle_retries"] == 174
