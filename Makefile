@@ -36,7 +36,7 @@ perf-selftest:
 
 # what leaving the trace spine on costs: 10,000-call map, spine off then
 # on; the last stdout line is a JSON record whose trace.overhead_pct the
-# nightly CI job holds under 45 (expected 20-30).  ~40 s.
+# nightly CI job (trace-overhead) fails over 35 (expected 30-37).  ~40 s.
 perf-trace:
 	python3 perf/run.py --workload map_fanout --seconds 20 --trace 1
 

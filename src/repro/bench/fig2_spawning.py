@@ -22,14 +22,6 @@ from repro.faas.limits import SystemLimits
 from repro.net.latency import LatencyModel
 
 
-def fig2_task(_: object) -> int:
-    """The paper's 'arbitrary compute-bound task of 50-seconds duration'."""
-    import repro
-
-    repro.sleep(cost.FIG2_TASK_SECONDS)
-    return 1
-
-
 @dataclass
 class SpawningResult:
     """Measured outcome of one spawning run."""

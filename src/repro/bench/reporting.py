@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Sequence
 
 
 @dataclass
@@ -94,40 +94,3 @@ def _fmt(value: Any) -> str:
 # through the reporting layer
 from repro.analytics.timeline import concurrency_timeline  # noqa: E402,F401
 
-
-def concurrency_series_from_trace(
-    events: Iterable,
-    label: str = "total concurrent",
-    executor_id: Optional[str] = None,
-    callset_id: Optional[str] = None,
-) -> Series:
-    """A figure series built straight off the trace spine.
-
-    Derives execution intervals from the event stream and sweeps them into
-    the Fig. 2/3-style concurrency curve — no activation-record scraping.
-    """
-    from repro.trace import derive
-
-    intervals = derive.execution_intervals(events, executor_id, callset_id)
-    series = Series(label)
-    for t, level in concurrency_timeline(intervals):
-        series.add(t, level)
-    return series
-
-
-def job_stats_table_from_trace(events: Iterable, title: str = "Job statistics") -> Table:
-    """Render trace-derived :class:`JobStats` as a reporting table."""
-    from repro.trace import derive
-
-    stats = derive.job_stats_from_events(events)
-    table = Table(title, ("metric", "value"))
-    table.add_row("calls", stats.n_calls)
-    table.add_row("spawn spread (s)", stats.spawn_spread)
-    table.add_row("makespan (s)", stats.makespan)
-    table.add_row("mean duration (s)", stats.mean_duration)
-    table.add_row("p50 duration (s)", stats.p50_duration)
-    table.add_row("p95 duration (s)", stats.p95_duration)
-    table.add_row("max duration (s)", stats.max_duration)
-    table.add_row("retries", stats.retries_total)
-    table.add_row("failed calls", stats.failed_calls)
-    return table

@@ -8,8 +8,9 @@ registers the client task, and the runner worker registers each function
 execution with ``in_cloud=True`` so nested executors get in-cloud network
 links automatically.
 
-The stack of bindings is one context variable holding an immutable tuple.
-A kernel task runs in its own copy of its spawner's context
+The stack of bindings is the tail of the kernel's one ambient tuple
+(:data:`repro.vtime.kernel.AMBIENT`; its head is the trace ids).  A kernel
+task runs in its own copy of its spawner's context
 (:mod:`repro.vtime.kernel`), so a task spawned with an active environment
 inherits it — client code may fan out its own kernel tasks and still call
 ``ibm_cf_executor()`` inside them — and pushes made afterwards stay with
@@ -18,11 +19,11 @@ the side that made them.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass
 from typing import Any, Optional
 
 from repro.core.errors import NoActiveEnvironmentError
+from repro.vtime.kernel import AMBIENT
 
 
 @dataclass(frozen=True)
@@ -42,11 +43,6 @@ class AmbientContext:
     execution_context: Any = None
 
 
-_STACK: contextvars.ContextVar[tuple[AmbientContext, ...]] = contextvars.ContextVar(
-    "repro.core.context.stack", default=()
-)
-
-
 def push_context(
     environment: Any,
     in_cloud: bool,
@@ -54,19 +50,19 @@ def push_context(
     execution_context: Any = None,
 ) -> None:
     ctx = AmbientContext(environment, in_cloud, call_info, execution_context)
-    _STACK.set(_STACK.get() + (ctx,))
+    AMBIENT.set(AMBIENT.get() + (ctx,))
 
 
 def pop_context() -> None:
-    stack = _STACK.get()
-    if not stack:
+    state = AMBIENT.get()
+    if len(state) == 1:
         raise RuntimeError("pop_context() with no pushed context")
-    _STACK.set(stack[:-1])
+    AMBIENT.set(state[:-1])
 
 
 def current_context() -> Optional[AmbientContext]:
-    stack = _STACK.get()
-    return stack[-1] if stack else None
+    state = AMBIENT.get()
+    return state[-1] if len(state) > 1 else None
 
 
 def require_context() -> AmbientContext:

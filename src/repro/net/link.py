@@ -125,7 +125,9 @@ class NetworkLink:
 
         All RNG draws happen up front under the link lock — exactly the
         blocking path's draw order — then the latency is paid via kernel
-        ops, so a transfer in flight holds no OS thread.
+        ops, so a transfer in flight holds no OS thread.  A successful
+        request books its RTT and its payload's transfer as one kernel
+        timer; a failed one pays only the RTT.
         """
         with self._rng_lock:
             rtt = self.latency.sample_rtt(self._rng)
@@ -150,8 +152,8 @@ class NetworkLink:
                 self._bytes_moved += payload_bytes
         tracer = self.tracer
         t0 = self.kernel.now() if tracer is not None and tracer.enabled else None
-        yield vsleep(rtt)
         if fails:
+            yield vsleep(rtt)
             if t0 is not None:
                 tracer.span_at(
                     "net.request", "net", t0, self.kernel.now(),
@@ -160,8 +162,7 @@ class NetworkLink:
             raise TransientNetworkError(
                 f"transient failure on {self.latency.name} link"
             )
-        if payload_bytes > 0:
-            yield vsleep(payload_bytes / self.bandwidth_bps)
+        yield vsleep(rtt, payload_bytes / self.bandwidth_bps)
         if t0 is not None:
             tracer.span_at(
                 "net.request", "net", t0, self.kernel.now(),

@@ -15,7 +15,8 @@ raw_events`) folds the pending records into :class:`TraceEvent` objects
 and keeps the sorted snapshot until the next emission, so the canonical
 form is paid for once, by the reader.
 
-Causal ids flow *ambiently*: :meth:`Tracer.bind` sets one context variable
+Causal ids flow *ambiently*: :meth:`Tracer.bind` sets the head of the
+kernel's one ambient context variable (:data:`repro.vtime.kernel.AMBIENT`)
 to a new id mapping for the enclosed block.  Every kernel task runs in its
 own copy of its spawner's context (:mod:`repro.vtime.kernel`; the same
 mechanism ``repro.core.context`` uses), so a spawned task starts with the
@@ -29,18 +30,12 @@ one, and tasks and events share the one they were handed.
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import marshal
 import threading
 from typing import Any, Callable, Iterable, Iterator, Mapping, Optional
 
 from repro.trace import events as ev
-from repro.vtime.kernel import Kernel
-
-#: the ambient ids of the calling code: a shared dict, or ``None``
-_IDS: contextvars.ContextVar[Optional[dict[str, Any]]] = contextvars.ContextVar(
-    "repro.trace.ids", default=None
-)
+from repro.vtime.kernel import AMBIENT, Kernel
 
 
 #: fields of one raw record in ``Tracer._pending``
@@ -90,7 +85,7 @@ class Tracer:
         self, t: float, name: str, layer: str, kind: str, dur: Optional[float],
         ids: Optional[Mapping[str, Any]], attrs: dict[str, Any],
     ) -> None:
-        ambient = _IDS.get()
+        ambient = AMBIENT.get()[0]  # the calling code's ids: a shared dict, or None
         if ids:
             ids = _pack(name, {**ambient, **ids} if ambient else ids)
         else:
@@ -153,12 +148,13 @@ class Tracer:
         if not self.enabled or not ids:
             yield
             return
-        previous = _IDS.get()
-        _IDS.set({**previous, **ids} if previous else dict(ids))
+        state = AMBIENT.get()
+        previous = state[0]
+        AMBIENT.set(({**previous, **ids} if previous else dict(ids),) + state[1:])
         try:
             yield
         finally:
-            _IDS.set(previous)
+            AMBIENT.set((previous,) + AMBIENT.get()[1:])
 
     # ------------------------------------------------------------------
     # Consumption

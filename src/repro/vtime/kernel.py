@@ -49,17 +49,17 @@ The same "steps" generator can serve both worlds: a thread task runs it to
 completion with :meth:`Kernel.drive` (blocking at each op), while a model
 task delegates with ``yield from``.
 
-Ambient state (trace ids, the active cloud environment) lives in
-``contextvars``.  Every task owns one :class:`contextvars.Context`, copied
-from its spawner at spawn — a child sees the spawner's state as it was
-then, and later changes on either side stay invisible to the other.  A
-thread task's function runs inside ``context.run``; every resume and throw
-of a model task's generator is one ``context.run`` too, so a binding held
-across a yield follows its task and is never seen by the next task stepped
-on the same thread or by a recycled pool worker.  The current task itself
-is not in the context: the kernel records, per OS thread, which task's code
-that thread runs, so a task's context is a plain copy that shares its
-spawner's storage.
+Ambient state (trace ids, the active cloud environment) lives in one
+context variable, :data:`AMBIENT`.  Every task owns one
+:class:`contextvars.Context`, copied from its spawner at spawn — a child
+sees the spawner's state as it was then, and later changes on either side
+stay invisible to the other.  A thread task's function runs inside
+``context.run``; every resume and throw of a model task's generator is
+one ``context.run`` too, so a binding held across a yield follows its
+task and is never seen by the next task stepped on the same thread or by
+a recycled pool worker.  The current task itself is not in the context:
+the kernel records, per OS thread, which task's code that thread runs, so
+a task's context is a plain copy that shares its spawner's storage.
 """
 
 from __future__ import annotations
@@ -118,6 +118,16 @@ _THIS_THREAD = _ThisThread()
 _LIVE_KERNELS: "weakref.WeakSet[Kernel]" = weakref.WeakSet()
 
 
+#: The task-local ambient state of the layers above, as one tuple:
+#: ``(trace ids or None, *environment bindings)`` — ``repro.trace.tracer``
+#: owns slot 0, ``repro.core.context`` the rest.  One variable, so a
+#: function activation that binds its trace ids and pushes its environment
+#: rewrites one key of its context whether it is traced or not.
+AMBIENT: contextvars.ContextVar[tuple] = contextvars.ContextVar(
+    "repro.ambient", default=(None,)
+)
+
+
 def current_task() -> Optional[Any]:
     """Return the kernel task the calling code runs as, or ``None``."""
     return _THIS_THREAD.task
@@ -138,15 +148,24 @@ def live_kernels() -> list["Kernel"]:
 # Kernel ops: what a model task (or a steps generator) yields to block.
 # ---------------------------------------------------------------------------
 class SleepOp:
-    """Block for ``duration`` virtual seconds."""
+    """Block for ``duration`` and then ``then`` more virtual seconds.
 
-    __slots__ = ("duration",)
+    The two legs are booked as one timer at ``now + duration + then``
+    (each clamped at zero), the instant two back-to-back sleeps would wake
+    at, bit for bit, at the cost of one step instead of two.  Only the
+    order among timers due at that same instant can differ: the timer
+    takes its place in that order when the op is booked, where a second
+    sleep would take it when the first leg ends.
+    """
 
-    def __init__(self, duration: float) -> None:
+    __slots__ = ("duration", "then")
+
+    def __init__(self, duration: float, then: float = 0.0) -> None:
         self.duration = float(duration)
+        self.then = float(then)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SleepOp({self.duration!r})"
+        return f"SleepOp({self.duration!r}, then={self.then!r})"
 
 
 class WaitOp:
@@ -184,9 +203,10 @@ class JoinOp:
         return f"JoinOp({self.task!r}, timeout={self.timeout!r})"
 
 
-def vsleep(duration: float) -> SleepOp:
-    """Op: sleep ``duration`` virtual seconds (``yield vsleep(5)``)."""
-    return SleepOp(duration)
+def vsleep(duration: float, then: float = 0.0) -> SleepOp:
+    """Op: sleep ``duration`` virtual seconds (``yield vsleep(5)``), then
+    ``then`` more on the same timer (``yield vsleep(rtt, transfer)``)."""
+    return SleepOp(duration, then)
 
 
 def vwait(waiter: "Waiter", timeout: Optional[float] = None) -> WaitOp:
@@ -678,7 +698,16 @@ class Kernel:
                 waiter: Optional[Waiter] = None
                 timeout: Optional[float] = None
                 if isinstance(op, SleepOp):
-                    waiter, timeout = Waiter(task), op.duration
+                    # both legs on one timer, added left to right: the
+                    # instant two back-to-back sleeps would wake at
+                    waiter = Waiter(task)
+                    heapq.heappush(
+                        self._timers,
+                        (
+                            self._now + max(0.0, op.duration) + max(0.0, op.then),
+                            next(self._seq), waiter,
+                        ),
+                    )
                 elif isinstance(op, WaitOp):
                     if op.waiter.task is not task:
                         task._pending_exc = VTimeUsageError(
@@ -753,7 +782,7 @@ class Kernel:
             exc = None
             try:
                 if isinstance(op, SleepOp):
-                    self.sleep(op.duration)
+                    self.sleep(op.duration, op.then)
                 elif isinstance(op, WaitOp):
                     self.block_on(op.waiter, op.timeout)
                 elif isinstance(op, JoinOp):
@@ -863,12 +892,16 @@ class Kernel:
     # ------------------------------------------------------------------
     # Blocking primitives (used by repro.vtime.sync and sleep)
     # ------------------------------------------------------------------
-    def sleep(self, duration: float) -> None:
-        """Block the calling thread task for ``duration`` virtual seconds."""
+    def sleep(self, duration: float, then: float = 0.0) -> None:
+        """Block the calling thread task for ``duration`` virtual seconds,
+        then ``then`` more on the same timer (see :class:`SleepOp`)."""
         task = self._require_current_task()
         with self._lock:
             waiter = Waiter(task)
-            self._add_timer_locked(self._now + max(0.0, float(duration)), waiter)
+            self._add_timer_locked(
+                self._now + max(0.0, float(duration)) + max(0.0, float(then)),
+                waiter,
+            )
             nxt = self._block_current_locked(task)
         self._serve(task, nxt)
 

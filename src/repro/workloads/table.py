@@ -1,10 +1,11 @@
 """Partitioned tabular dataset with zone maps — the scan substrate.
 
 A "listings" table is hosted as one fixed-width-row CSV virtual object per
-city (same hosting trick as the Airbnb reviews: true size, content
-generated deterministically per byte range) plus a *zone-map manifest*: a
-JSON sidecar recording, for every row group, its byte range and the
-min/max of every column.  Fixed-width rows make the byte layout algebraic
+city (content generated deterministically from a per-group seed, drawn
+and encoded once when the table is loaded, and sliced per byte range)
+plus a *zone-map manifest*: a JSON sidecar recording, for every row group,
+its byte range and the min/max of every column.  Fixed-width rows make the
+byte layout algebraic
 — row group ``g`` of an object occupies exactly
 ``[g * rows_per_group * ROW_BYTES, ...)`` — so a scan planner can turn
 "which row groups might match" directly into COS byte ranges without ever
@@ -53,8 +54,9 @@ _PRICE_RANGE = (20, 500)
 _STARS_RANGE = (1, 5)
 _NIGHTS_RANGE = (1, 30)
 
-#: widest city name must fit the fixed-width city field
-_CITY_WIDTH = 13
+#: one row's fixed-width CSV line: id, day, city, price, stars, nights;
+#: the widest city name must fit the 13-byte city field
+_ROW_TEMPLATE = b"%08d,%03d,%-13s,%03d,%d,%02d\n"
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,10 @@ class TableInfo:
 
 def format_row(values: dict) -> bytes:
     """Fixed-width CSV encoding of one row (exactly ``ROW_BYTES`` bytes)."""
-    line = (
-        f"{values['id']:08d},{values['day']:03d},"
-        f"{values['city']:<{_CITY_WIDTH}s},{values['price']:03d},"
-        f"{values['stars']:d},{values['nights']:02d}\n"
+    encoded = _ROW_TEMPLATE % (
+        values["id"], values["day"], values["city"].encode("ascii"),
+        values["price"], values["stars"], values["nights"],
     )
-    encoded = line.encode("ascii")
     if len(encoded) != ROW_BYTES:
         raise ValueError(f"row {values!r} encodes to {len(encoded)} bytes")
     return encoded
@@ -149,28 +149,6 @@ def _group_stats(rows: list[dict]) -> dict:
     return stats
 
 
-def make_table_content_fn(city: str, object_rows: int, rows_per_group: int):
-    """Deterministic byte-range generator for one table object."""
-    group_bytes = rows_per_group * ROW_BYTES
-
-    def content_fn(start: int, end: int) -> bytes:
-        if end <= start:
-            return b""
-        first = start // group_bytes
-        last = (end - 1) // group_bytes
-        blob = b"".join(
-            b"".join(
-                format_row(row)
-                for row in group_rows(city, g, object_rows, rows_per_group)
-            )
-            for g in range(first, last + 1)
-        )
-        offset = start - first * group_bytes
-        return blob[offset : offset + (end - start)]
-
-    return content_fn
-
-
 def load_table(
     storage: CloudObjectStorage,
     bucket: str = DEFAULT_BUCKET,
@@ -204,16 +182,9 @@ def load_table(
             continue
         key = f"rows/{city}.csv"
         keys.append(key)
-        storage.put_virtual_object(
-            bucket,
-            key,
-            object_rows * ROW_BYTES,
-            content_fn=make_table_content_fn(city, object_rows, rows_per_group),
-            metadata={"city": city, "rows": str(object_rows)},
-        )
         groups = []
-        n_groups = -(-object_rows // rows_per_group)
-        for g in range(n_groups):
+        encoded = []
+        for g in range(-(-object_rows // rows_per_group)):
             rows = group_rows(city, g, object_rows, rows_per_group)
             start = g * rows_per_group * ROW_BYTES
             groups.append(
@@ -224,6 +195,16 @@ def load_table(
                     **_group_stats(rows),
                 }
             )
+            encoded += map(format_row, rows)
+        # drawn and encoded once, here; a read slices the object's bytes
+        data = b"".join(encoded)
+        storage.put_virtual_object(
+            bucket,
+            key,
+            object_rows * ROW_BYTES,
+            content_fn=lambda start, end, data=data: data[start:end],
+            metadata={"city": city, "rows": str(object_rows)},
+        )
         manifest["objects"][key] = {
             "rows": object_rows,
             "size": object_rows * ROW_BYTES,

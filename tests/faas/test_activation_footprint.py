@@ -9,6 +9,7 @@ per-activation footprint.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import gc
 import random
@@ -29,6 +30,10 @@ SETTLE_S = 120.0  # the client looks this long after map() returned
 def _hold(x):
     yield vsleep(HOLD_S)
     return x
+
+
+def _context_keys(_):
+    return sorted(var.name for var in contextvars.copy_context())
 
 
 class Footprint(NamedTuple):
@@ -114,3 +119,20 @@ class TestInFlightFootprint:
         assert round(traced.tracked) == round(untraced.tracked)
         assert round(traced.generators) == round(untraced.generators)
         assert traced.heap_bytes <= self.MAX_TRACED_BYTES_PER_ACTIVATION
+
+
+class TestActivationContext:
+    def test_a_traced_activation_sets_no_extra_context_key(self):
+        """Tracing rewrites the ambient variable an untraced activation
+        already sets.  A key more would cost a traced activation one more
+        HAMT node whenever the keys' salted hashes collide."""
+        keys = {}
+        for trace in (False, True):
+            env = pw.CloudEnvironment.create(seed=42, trace=trace)
+
+            def main():
+                executor = pw.ibm_cf_executor()
+                return executor.get_result(executor.map(_context_keys, range(2)))
+
+            keys[trace] = env.run(main)
+        assert keys[True] == keys[False]

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
+from repro.cos import CloudObjectStorage, COSClient
 from repro.net import LatencyModel, NetworkLink, TransientNetworkError
 from repro.net.link import DEFAULT_BANDWIDTH_BPS
+from repro.vtime import Kernel
 
 
 def make_link(kernel, rtt=0.1, jitter=0.0, failure=0.0, bandwidth=DEFAULT_BANDWIDTH_BPS):
@@ -90,3 +94,41 @@ class TestHelpers:
     def test_transfer_time(self, kernel):
         link = make_link(kernel, bandwidth=1024)
         assert link.transfer_time(2048) == pytest.approx(2.0)
+
+
+class TestOneTimerPerRequest:
+    """Count, don't time: a request's RTT and its payload's transfer wake
+    the task once, so a model task doing N GETs with a payload is stepped
+    N + 1 times (two timers per request would step it 2N + 1 times)."""
+
+    GETS = 25
+
+    def test_n_gets_with_a_payload_step_n_plus_one_times(self):
+        step_code = Kernel._step_model.__code__
+        steps: list[int] = []
+
+        def profiler(frame, event, _arg):
+            if event == "call" and frame.f_code is step_code:
+                steps.append(1)
+
+        def reader(client):
+            for _ in range(self.GETS):
+                data = yield from client.get_object_steps("b", "k")
+                assert data == b"z" * 4000
+
+        # model tasks are stepped on whichever kernel thread holds the run,
+        # so every thread the kernel starts from here on is profiled
+        threading.setprofile(profiler)
+        try:
+            kernel = Kernel()
+            store = CloudObjectStorage(kernel)
+            store.create_bucket("b")
+            store.put_object("b", "k", b"z" * 4000)
+            link = make_link(kernel, rtt=0.25, bandwidth=1000)
+            kernel.run(lambda: kernel.spawn_model(reader, COSClient(store, link)))
+        finally:
+            threading.setprofile(None)
+
+        assert len(steps) == self.GETS + 1
+        assert link.requests == self.GETS
+        assert kernel.now() == pytest.approx(self.GETS * (0.25 + 4.0))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -290,3 +291,40 @@ class TestHybridScheduleProperties:
         # main's thread task + each thread_job holds a thread; the loop
         # thread and a little pool slack is all the kernel may add
         assert observed[0] <= before + n_thread + 4
+
+
+#: non-negative finite virtual durations, down to subnormals
+durations = st.floats(
+    min_value=0.0, max_value=1e9, allow_nan=False, allow_infinity=False
+)
+
+
+class TestTwoLegSleep:
+    """``vsleep(first, then)`` books one timer where two back-to-back
+    sleeps book two, and wakes at the very same float instant."""
+
+    @pytest.mark.parametrize("kind", ["model", "thread"])
+    @settings(max_examples=60, deadline=None)
+    @given(start=durations, first=durations, then=durations)
+    def test_one_timer_wakes_where_two_sleeps_wake(self, kind, start, first, then):
+        kernel = Kernel()
+        woke = {}
+
+        def legs(one_timer):
+            yield vsleep(start)
+            if one_timer:
+                yield vsleep(first, then)
+            else:
+                yield vsleep(first)
+                yield vsleep(then)
+            woke[one_timer] = now()
+
+        def main():
+            for one_timer in (True, False):
+                if kind == "model":
+                    kernel.spawn_model(legs, one_timer)
+                else:
+                    kernel.spawn(kernel.drive, legs(one_timer))
+
+        kernel.run(main)
+        assert woke[True].hex() == woke[False].hex()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cos.object_store import CloudObjectStorage
+from repro.vtime import Kernel
 from repro.workloads import table as tbl
 
 
@@ -55,12 +57,17 @@ class TestRowLayout:
         self, object_rows, rows_per_group, window
     ):
         """Any byte range equals the same slice of the full object."""
-        fn = tbl.make_table_content_fn("venice", object_rows, rows_per_group)
+        storage = CloudObjectStorage(Kernel())
+        info = tbl.load_table(
+            storage, total_rows=object_rows, n_cities=1,
+            rows_per_group=rows_per_group,
+        )
+        obj = storage.get_object(info.bucket, info.keys[0])
         size = object_rows * tbl.ROW_BYTES
-        full = fn(0, size)
+        full = obj.read()
         assert len(full) == size
         start, end = sorted(w % (size + 1) for w in window)
-        assert fn(start, end) == full[start:end]
+        assert obj.read(start, end) == full[start:end]
 
 
 class TestLoadTable:
@@ -105,3 +112,27 @@ class TestLoadTable:
             tbl.load_table(storage, n_cities=99)
         with pytest.raises(ValueError):
             tbl.load_table(storage, rows_per_group=0)
+
+
+class TestTableBytesPinned:
+    """The bytes a scan reads and the manifest it prunes with, pinned by
+    sha256: drawing and encoding each row once, at load, moves no byte."""
+
+    def test_loaded_table_bytes_pinned(self, storage):
+        info = tbl.load_table(
+            storage, total_rows=500, n_cities=3, rows_per_group=32
+        )
+        digests = {
+            key: hashlib.sha256(storage.get_object(info.bucket, key).read()).hexdigest()
+            for key in (tbl.MANIFEST_KEY,) + info.keys
+        }
+        assert digests == {
+            tbl.MANIFEST_KEY:
+                "a8dfb918b9cfe38c2eb5bc76a7f4cc2e734da359704d5b163f5632ac13215a19",
+            "rows/new-york.csv":
+                "7057bc5e3e61fe77e90216d709acbe3b3ed5f34ffe213a96ea0a6486352f3f04",
+            "rows/paris.csv":
+                "6520610ec5c45a7beb39a2ed1b32afae7a1c103d88274db6e983f6ae782aa9b9",
+            "rows/london.csv":
+                "7f1c6e7ce16fbe3836fbc220a56119ecb0d25415833d8fde9ead5b49c2fbe8d1",
+        }
