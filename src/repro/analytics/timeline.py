@@ -58,21 +58,6 @@ def concurrency_timeline(
     return timeline
 
 
-def intervals_from_events(
-    events: Iterable,
-    executor_id: Optional[str] = None,
-    callset_id: Optional[str] = None,
-) -> list[tuple[float, float]]:
-    """(start, end) execution windows from a trace-event stream.
-
-    Thin delegate to :func:`repro.trace.derive.execution_intervals`, so
-    timeline figures can be driven directly from an exported trace.
-    """
-    from repro.trace import derive
-
-    return derive.execution_intervals(events, executor_id, callset_id)
-
-
 #: per-stage line colors for the DAG-grouped timeline, cycled in order
 _STAGE_COLORS = ("#2563eb", "#16a34a", "#ca8a04", "#dc2626", "#7c3aed", "#0891b2")
 

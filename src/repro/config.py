@@ -115,12 +115,6 @@ class ExchangeConfig:
     #: ``"cached-cos"`` backend); LRU eviction on full, victim = oldest
     #: virtual touch, ties broken by key
     cache_node_budget_bytes: int = 64 * 1024 * 1024
-    #: fixed latency of a local memory hit (seconds)
-    cache_hit_latency_s: float = 200e-6
-    #: local memory streaming bandwidth (bytes/second)
-    cache_memory_bandwidth_bps: float = 2 * 1024**3
-    #: node-to-node transfer bandwidth for peer hits (bytes/second)
-    cache_peer_bandwidth_bps: float = 1 * 1024**3
     #: provisioned store-VM count (``"vm"`` backend)
     vm_nodes: int = 3
     #: memory capacity of each store VM (bytes); LRU eviction on full
@@ -128,13 +122,6 @@ class ExchangeConfig:
     #: cluster provisioning time — exchange traffic arriving earlier
     #: waits; also the rejoin delay after a chaos node crash (seconds)
     vm_startup_s: float = 5.0
-    #: fixed latency of a served VM read, on top of the round trip
-    vm_hit_latency_s: float = 200e-6
-    #: store-VM transfer bandwidth (bytes/second; ~10 GbE, an order
-    #: above the COS per-stream rate)
-    vm_bandwidth_bps: float = 1 * 1024**3
-    #: virtual points per node on the key-ownership consistent-hash ring
-    vm_ring_vnodes: int = 64
 
     BACKENDS = ("cos", "cached-cos", "vm")
 
@@ -146,24 +133,12 @@ class ExchangeConfig:
             )
         if self.cache_node_budget_bytes < 0:
             raise ValueError("cache_node_budget_bytes must be non-negative")
-        if self.cache_hit_latency_s < 0:
-            raise ValueError("cache_hit_latency_s must be non-negative")
-        if self.cache_memory_bandwidth_bps <= 0:
-            raise ValueError("cache_memory_bandwidth_bps must be positive")
-        if self.cache_peer_bandwidth_bps <= 0:
-            raise ValueError("cache_peer_bandwidth_bps must be positive")
         if self.vm_nodes <= 0:
             raise ValueError("vm_nodes must be positive")
         if self.vm_node_memory_bytes < 0:
             raise ValueError("vm_node_memory_bytes must be non-negative")
         if self.vm_startup_s < 0:
             raise ValueError("vm_startup_s must be non-negative")
-        if self.vm_hit_latency_s < 0:
-            raise ValueError("vm_hit_latency_s must be non-negative")
-        if self.vm_bandwidth_bps <= 0:
-            raise ValueError("vm_bandwidth_bps must be positive")
-        if self.vm_ring_vnodes <= 0:
-            raise ValueError("vm_ring_vnodes must be positive")
 
 
 @dataclass(frozen=True)

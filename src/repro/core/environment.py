@@ -21,7 +21,6 @@ from repro.core.storage_client import InternalStorage
 from repro.cos.client import COSClient
 from repro.cos.object_store import CloudObjectStorage
 from repro.faas.controller import CloudFunctions
-from repro.faas.gateway import CloudFunctionsClient
 from repro.faas.limits import SystemLimits
 from repro.faas.runtime import RuntimeRegistry
 from repro.net.latency import LatencyModel
@@ -209,9 +208,6 @@ class CloudEnvironment:
     def client_cos(self) -> COSClient:
         """A COS client as seen from the user's machine."""
         return COSClient(self.storage, self.new_client_link())
-
-    def client_functions(self) -> CloudFunctionsClient:
-        return CloudFunctionsClient(self.platform, self.new_client_link())
 
     def mq_client(self, in_cloud: bool = False):
         """A message-queue client over the appropriate network path."""

@@ -45,10 +45,6 @@ class StoragePartition:
     def size(self) -> int:
         return self.range_end - self.range_start
 
-    @property
-    def is_whole_object(self) -> bool:
-        return self.range_start == 0 and self.range_end == self.object_size
-
     #: how far past a range boundary we search for the next newline
     LINE_SCAN_WINDOW = 65_536
 

@@ -51,13 +51,6 @@ class JobStats:
         """First start to last finish."""
         return self.last_end - self.first_start
 
-    @property
-    def straggler_ratio(self) -> float:
-        """max / median duration — 1.0 means perfectly even executions."""
-        if self.p50_duration == 0:
-            return 1.0
-        return self.max_duration / self.p50_duration
-
 
 @dataclass(frozen=True)
 class CallRecord:

@@ -104,14 +104,6 @@ class InternalStorage:
         return (yield from self.cos.read_range_steps(self.bucket, key, start, end))
 
     # -- status ---------------------------------------------------------------
-    def put_status(
-        self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
-    ) -> None:
-        blob = serializer.serialize(status)
-        self.cos.put_object(
-            self.bucket, self.status_key(executor_id, callset_id, call_id), blob
-        )
-
     def commit_status_steps(
         self, executor_id: str, callset_id: str, call_id: str, status: dict[str, Any]
     ):
@@ -220,19 +212,6 @@ class InternalStorage:
         key = self.deadletter_key(executor_id, callset_id)
         self.cos.put_object(self.bucket, key, report.to_json().encode("utf-8"))
         return key
-
-    def get_deadletter(self, executor_id: str, callset_id: str) -> Any:
-        """The persisted :class:`~repro.core.futures.FailureReport`, or
-        ``None`` if the callset has none."""
-        try:
-            blob = self.cos.get_object(
-                self.bucket, self.deadletter_key(executor_id, callset_id)
-            )
-        except NoSuchKey:
-            return None
-        from repro.core.futures import FailureReport  # lazy: avoid cycle
-
-        return FailureReport.from_json(blob.decode("utf-8"))
 
     # -- event journal ---------------------------------------------------------
     def journal_prefix(self, executor_id: str) -> str:
@@ -409,16 +388,6 @@ class InternalStorage:
         key = self.trace_key(executor_id, callset_id)
         self.cos.put_object(self.bucket, key, jsonl.encode("utf-8"))
         return key
-
-    def get_trace(self, executor_id: str, callset_id: str) -> Optional[str]:
-        """The persisted trace JSONL, or ``None`` if the callset has none."""
-        try:
-            blob = self.cos.get_object(
-                self.bucket, self.trace_key(executor_id, callset_id)
-            )
-        except NoSuchKey:
-            return None
-        return blob.decode("utf-8")
 
     # -- results ---------------------------------------------------------------
     def put_result_steps(

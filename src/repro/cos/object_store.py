@@ -34,8 +34,6 @@ class CloudObjectStorage:
         self.tracer = None
         self._buckets: dict[str, Bucket] = {}
         self._lock = threading.Lock()
-        self._put_count = 0
-        self._get_count = 0
         self._request_counts: dict[str, int] = {}
 
     # -- buckets -----------------------------------------------------------
@@ -51,12 +49,6 @@ class CloudObjectStorage:
             self._buckets[name] = bucket
             return bucket
 
-    def delete_bucket(self, name: str) -> None:
-        with self._lock:
-            if name not in self._buckets:
-                raise NoSuchBucket(name)
-            del self._buckets[name]
-
     def bucket(self, name: str) -> Bucket:
         with self._lock:
             try:
@@ -67,10 +59,6 @@ class CloudObjectStorage:
     def bucket_exists(self, name: str) -> bool:
         with self._lock:
             return name in self._buckets
-
-    def list_buckets(self) -> list[str]:
-        with self._lock:
-            return sorted(self._buckets)
 
     # -- objects -----------------------------------------------------------
     def put_object(
@@ -93,7 +81,6 @@ class CloudObjectStorage:
             if if_none_match and b.contains(key):
                 raise PreconditionFailed(f"{bucket}/{key}")
             b.put(obj)
-            self._put_count += 1
         return obj
 
     def put_virtual_object(
@@ -115,15 +102,12 @@ class CloudObjectStorage:
         b = self.bucket(bucket)
         with self._lock:
             b.put(obj)
-            self._put_count += 1
         return obj
 
     def get_object(self, bucket: str, key: str) -> StoredObject:
         b = self.bucket(bucket)
         with self._lock:
-            obj = b.get(key)
-            self._get_count += 1
-            return obj
+            return b.get(key)
 
     def object_exists(self, bucket: str, key: str) -> bool:
         b = self.bucket(bucket)
@@ -163,7 +147,6 @@ class CloudObjectStorage:
             )
         with self._lock:
             dst.put(copied)
-            self._put_count += 1
         return copied
 
     def bucket_size(self, bucket: str, prefix: str = "") -> int:
@@ -173,14 +156,6 @@ class CloudObjectStorage:
             return b.total_size(prefix)
 
     # -- statistics ----------------------------------------------------------
-    @property
-    def put_count(self) -> int:
-        return self._put_count
-
-    @property
-    def get_count(self) -> int:
-        return self._get_count
-
     def count_request(self, op: str) -> None:
         """Tally one billed API request by operation name.
 

@@ -97,19 +97,6 @@ def city_sizes(total_size: int = TOTAL_SIZE) -> dict[str, int]:
     return sizes
 
 
-def city_comment_counts(total_comments: int = TOTAL_COMMENTS) -> dict[str, int]:
-    """Per-city comment counts, summing exactly to ``total_comments``."""
-    sizes = city_sizes()
-    counts: dict[str, int] = {}
-    allocated = 0
-    for city in CITIES[:-1]:
-        count = int(total_comments * sizes[city] / TOTAL_SIZE)
-        counts[city] = count
-        allocated += count
-    counts[CITIES[-1]] = total_comments - allocated
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Review content generation
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import threading
 from typing import Any, Optional
 
 from repro.core.errors import PyWrenError
-from repro.events.records import EventRecord, to_jsonl
+from repro.events.records import EventRecord
 
 
 class JournalConflictError(PyWrenError):
@@ -99,11 +99,6 @@ class EventJournal:
             )
         return record
 
-    @property
-    def next_seq(self) -> int:
-        with self._lock:
-            return self._seq
-
     def replay(self) -> list[EventRecord]:
         """Re-read the whole log from COS (one LIST, one GET per record)."""
         records = []
@@ -116,10 +111,6 @@ class EventJournal:
                 "events.replay", layer="events", n=len(records)
             )
         return records
-
-    def export_jsonl(self) -> str:
-        """The locally-appended records as canonical JSONL."""
-        return to_jsonl(self.appended)
 
     # -- construction --------------------------------------------------------
     @classmethod

@@ -32,6 +32,13 @@ from repro.vtime.kernel import vsleep
 
 __all__ = ["CachedCosExchange"]
 
+#: fixed latency of a local memory hit (seconds)
+CACHE_HIT_LATENCY_S = 200e-6
+#: local memory streaming bandwidth (bytes/second)
+CACHE_MEMORY_BANDWIDTH_BPS = 2 * 1024**3
+#: node-to-node transfer bandwidth for peer hits (bytes/second)
+CACHE_PEER_BANDWIDTH_BPS = 1 * 1024**3
+
 
 class CachedCosExchange(ExchangeBackend):
     """COS exchange with per-node memory caches in front of reads."""
@@ -46,7 +53,7 @@ class CachedCosExchange(ExchangeBackend):
         kernel: Any = None,
         tracer: Any = None,
     ) -> None:
-        #: the :class:`~repro.config.ExchangeConfig` with the ``cache_*`` knobs
+        #: the :class:`~repro.config.ExchangeConfig` (``cache_node_budget_bytes``)
         self.config = config
         #: optional :class:`repro.trace.Tracer`; tier traffic is emitted
         #: as ``cache.*`` events on the "cache" layer
@@ -151,14 +158,11 @@ class CachedCosExchange(ExchangeBackend):
     # ------------------------------------------------------------------
     def hit_delay(self, nbytes: int) -> float:
         """Local memory read: fixed latency + bytes / memory bandwidth."""
-        return (
-            self.config.cache_hit_latency_s
-            + nbytes / self.config.cache_memory_bandwidth_bps
-        )
+        return CACHE_HIT_LATENCY_S + nbytes / CACHE_MEMORY_BANDWIDTH_BPS
 
     def peer_transfer_delay(self, nbytes: int) -> float:
         """Node-to-node payload time (the RTT rides the reader's link)."""
-        return nbytes / self.config.cache_peer_bandwidth_bps
+        return nbytes / CACHE_PEER_BANDWIDTH_BPS
 
     # ------------------------------------------------------------------
     # Holder directory

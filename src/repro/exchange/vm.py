@@ -11,7 +11,7 @@ emulates that plane:
 * **Keyspace.**  A consistent-hash ring assigns each key one owner node
   (Redis-cluster style); readers and writers talk straight to the owner
   over their own in-cloud link (one round trip) with the payload at
-  ``vm_bandwidth_bps``.
+  ``VM_BANDWIDTH_BPS``.
 * **Memory capacity.**  Each node holds at most
   ``vm_node_memory_bytes`` in a byte-budgeted LRU; eviction-on-full
   drops the oldest entries.  Durability still belongs to COS — every
@@ -41,6 +41,14 @@ from repro.exchange.base import ExchangeBackend, Site
 from repro.exchange.memory import HashRing, NodeCache
 
 __all__ = ["VmExchange", "VmNode"]
+
+#: fixed latency of a served VM read, on top of the round trip (seconds)
+VM_HIT_LATENCY_S = 200e-6
+#: store-VM transfer bandwidth (bytes/second; ~10 GbE, an order above the
+#: COS per-stream rate)
+VM_BANDWIDTH_BPS = 1 * 1024**3
+#: virtual points per node on the key-ownership consistent-hash ring
+VM_RING_VNODES = 64
 
 
 class VmNode:
@@ -101,7 +109,7 @@ class VmExchange(ExchangeBackend):
         self.tracer = tracer
         self.chaos = chaos
         clock = kernel.now if kernel is not None else None
-        self.ring = HashRing(config.vm_nodes, config.vm_ring_vnodes)
+        self.ring = HashRing(config.vm_nodes, VM_RING_VNODES)
         self.nodes = [
             VmNode(
                 i,
@@ -154,7 +162,7 @@ class VmExchange(ExchangeBackend):
         t0 = kernel.now()
         # one round trip to the owner node, payload at the store bandwidth
         yield from cos.link.request_steps(0)
-        yield vsleep(len(blob) / self.config.vm_bandwidth_bps)
+        yield vsleep(len(blob) / VM_BANDWIDTH_BPS)
         now = kernel.now()
         self._apply_crash(node, now)
         if not node.up(now):
@@ -195,10 +203,7 @@ class VmExchange(ExchangeBackend):
         self._apply_crash(node, now)
         blob = node.store.get(key) if node.up(now) else None
         if blob is not None:
-            yield vsleep(
-                self.config.vm_hit_latency_s
-                + len(blob) / self.config.vm_bandwidth_bps
-            )
+            yield vsleep(VM_HIT_LATENCY_S + len(blob) / VM_BANDWIDTH_BPS)
             self._count("hits", bytes_from_vm=len(blob))
             self._trace_span(
                 "exchange.hit", t0, kernel.now(),

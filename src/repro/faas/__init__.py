@@ -15,7 +15,6 @@ from repro.faas.errors import (
     ActionNotFound,
     ActivationNotFound,
     FaaSError,
-    FunctionTimeoutError,
     NamespaceNotFound,
     RuntimeNotFound,
     ThrottledError,
@@ -56,7 +55,6 @@ __all__ = [
     "ActivationNotFound",
     "RuntimeNotFound",
     "ThrottledError",
-    "FunctionTimeoutError",
     "BillingMeter",
     "BillingEntry",
     "billed_duration",

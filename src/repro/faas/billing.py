@@ -94,19 +94,6 @@ class BillingMeter:
                 out[entry.action_name] = out.get(entry.action_name, 0.0) + entry.gb_seconds
             return out
 
-    def by_namespace(self) -> dict[str, float]:
-        """GB-seconds per namespace (the per-tenant billing dimension)."""
-        with self._lock:
-            out: dict[str, float] = {}
-            for entry in self._entries:
-                out[entry.namespace] = out.get(entry.namespace, 0.0) + entry.gb_seconds
-            return out
-
-    def entries_for(self, namespace: str) -> list[BillingEntry]:
-        """This namespace's metered activations, in record order."""
-        with self._lock:
-            return [e for e in self._entries if e.namespace == namespace]
-
     def entries(self) -> list[BillingEntry]:
         with self._lock:
             return list(self._entries)

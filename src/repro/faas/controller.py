@@ -130,10 +130,6 @@ class ExecutionContext:
         """Model compute time inside the handler."""
         self.kernel.sleep(seconds)
 
-    def sleep_steps(self, seconds: float):
-        """Model compute time inside a generator handler."""
-        yield vsleep(seconds)
-
     def compute_steps(self, seconds: float):
         """Model *CPU-bound* compute inside a generator handler."""
         yield vsleep(self._contended(seconds))
@@ -160,12 +156,6 @@ class ExecutionContext:
         """Append a line to this activation's log (like ``print`` in a
         real OpenWhisk action, retrievable from the activation record)."""
         self.record.logs.append((self.kernel.now(), str(message)))
-
-    def remaining_time(self) -> float:
-        """Seconds left before this activation hits its execution limit."""
-        limit = min(self.action.timeout_s, self.platform.limits.max_exec_seconds)
-        elapsed = self.kernel.now() - (self.record.start_time or self.kernel.now())
-        return max(0.0, limit - elapsed)
 
 
 class CloudFunctions:

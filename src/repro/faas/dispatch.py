@@ -80,10 +80,6 @@ class FairDispatchQueue:
         queue = self._queues.get(tenant)
         return len(queue) if queue else 0
 
-    def backlogged_tenants(self) -> list[str]:
-        """Tenants with a non-empty queue, in rotation order."""
-        return list(self._active)
-
     def weight(self, tenant: str) -> float:
         return self._weights.get(tenant, 1.0)
 

@@ -46,7 +46,3 @@ class RuntimeNotFound(FaaSError):
 
 class ActivationNotFound(FaaSError):
     """Unknown activation id."""
-
-
-class FunctionTimeoutError(FaaSError):
-    """The function exceeded the platform execution time limit."""

@@ -57,8 +57,6 @@ class CloudFunctionsClient:
         self.policy = RetryPolicy(retry, seed=link.seed)
         self._invocations = 0
         self._throttle_retries = 0
-        self._throttle_retries_by_ns: dict[str, int] = {}
-        self._throttle_reasons: dict[str, int] = {}
 
     @property
     def invocations(self) -> int:
@@ -67,15 +65,6 @@ class CloudFunctionsClient:
     @property
     def throttle_retries(self) -> int:
         return self._throttle_retries
-
-    def throttle_retries_by_namespace(self) -> dict[str, int]:
-        """429 retries this client absorbed, per target namespace."""
-        return dict(self._throttle_retries_by_ns)
-
-    def throttle_reasons(self) -> dict[str, int]:
-        """429 retries by refusal reason (tenant quotas name theirs;
-        plain capacity throttles count under ``"capacity"``)."""
-        return dict(self._throttle_reasons)
 
     def _network_round_trip_steps(self, payload_bytes: int):
         yield from self.policy.run_steps(
@@ -123,14 +112,7 @@ class CloudFunctionsClient:
             except ThrottledError as exc:
                 self._throttle_retries += 1
                 throttle_attempt += 1
-                self._throttle_retries_by_ns[namespace] = (
-                    self._throttle_retries_by_ns.get(namespace, 0) + 1
-                )
                 reason = getattr(exc, "reason", None)
-                reason_label = reason if reason is not None else "capacity"
-                self._throttle_reasons[reason_label] = (
-                    self._throttle_reasons.get(reason_label, 0) + 1
-                )
                 if tracer is not None:
                     attrs = dict(
                         action=action_name,
@@ -162,16 +144,6 @@ class CloudFunctionsClient:
                     throttles=throttle_attempt,
                 )
             return activation_id
-
-    def invoke_blocking(
-        self,
-        namespace: str,
-        action_name: str,
-        params: Optional[dict[str, Any]] = None,
-        timeout: Optional[float] = None,
-    ) -> ActivationRecord:
-        activation_id = self.invoke(namespace, action_name, params)
-        return self.wait(activation_id, timeout=timeout)
 
     def get_activations_steps(self, activation_ids: list[str]):
         """Bulk-fetch activation records: one round trip for the whole batch.

@@ -58,25 +58,11 @@ class InvokerNode:
         return not any(start <= now < end for start, end in self.blackouts)
 
     # -- image cache -------------------------------------------------------
-    def image_cached(self, runtime: str) -> bool:
-        with self._lock:
-            return runtime in self._cached_images
-
     def cache_image(self, runtime: str) -> None:
         with self._lock:
             self._cached_images.add(runtime)
 
     # -- capacity ------------------------------------------------------------
-    @property
-    def used_mb(self) -> int:
-        with self._lock:
-            return self._used_mb
-
-    @property
-    def free_mb(self) -> int:
-        with self._lock:
-            return self.memory_mb - self._used_mb
-
     def load_fraction(self) -> float:
         """Fraction of this node's memory held by containers (0..1).
 
@@ -85,10 +71,6 @@ class InvokerNode:
         """
         with self._lock:
             return self._used_mb / self.memory_mb if self.memory_mb else 0.0
-
-    def idle_count(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self._idle.values())
 
     # -- placement -----------------------------------------------------------
     def try_place_warm(self, action: Action, now: float) -> Optional[Placement]:
@@ -106,21 +88,6 @@ class InvokerNode:
         self._flush_doomed_containers()
         return placement
 
-    def try_place(self, action: Action, now: float) -> Optional[Placement]:
-        """Try to place an activation of ``action`` on this node.
-
-        Preference order, mirroring OpenWhisk's container pool:
-        1. reuse a warm idle container of the same action;
-        2. start a cold container if free memory allows;
-        3. evict idle containers (stalest first) to make room.
-
-        Returns ``None`` when the node cannot host the activation.
-        """
-        warm = self.try_place_warm(action, now)
-        if warm is not None:
-            return warm
-        return self.try_place_cold(action, now)
-
     def _flush_doomed_containers(self) -> None:
         """Report containers evicted while holding the lock to the exchange."""
         if not self._doomed_containers:
@@ -131,10 +98,12 @@ class InvokerNode:
             self.exchange.reclaim_container(self.node_id, container_id, reason)
 
     def try_place_cold(self, action: Action, now: float) -> Optional[Placement]:
-        """Start a cold container, evicting idle ones for room if needed.
+        """Start a cold container, evicting idle ones (stalest first) for
+        room if needed; ``None`` when the node cannot host the activation.
 
-        Skips the warm check: callers that already scanned the cluster for
-        warm containers (the controller's placement loop) use this directly.
+        No warm check: the controller's placement loop tries
+        :meth:`try_place_warm` on every node first, mirroring OpenWhisk's
+        container pool.
         """
         placement = None
         with self._lock:

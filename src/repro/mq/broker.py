@@ -38,10 +38,6 @@ class MessageBroker:
         with self._lock:
             self._queues.pop(name, None)
 
-    def queue_exists(self, name: str) -> bool:
-        with self._lock:
-            return name in self._queues
-
     def _queue(self, name: str) -> VQueue:
         with self._lock:
             try:

@@ -101,7 +101,6 @@ class NetworkLink:
         self._rng_lock = threading.Lock()
         self._requests = 0
         self._failures = 0
-        self._bytes_moved = 0
 
     # -- statistics ------------------------------------------------------
     @property
@@ -111,10 +110,6 @@ class NetworkLink:
     @property
     def failures(self) -> int:
         return self._failures
-
-    @property
-    def bytes_moved(self) -> int:
-        return self._bytes_moved
 
     # -- behaviour ---------------------------------------------------------
     def request(self, payload_bytes: int = 0, allow_failure: bool = True) -> None:
@@ -148,8 +143,6 @@ class NetworkLink:
             self._requests += 1
             if fails:
                 self._failures += 1
-            else:
-                self._bytes_moved += payload_bytes
         tracer = self.tracer
         t0 = self.kernel.now() if tracer is not None and tracer.enabled else None
         if fails:

@@ -130,9 +130,3 @@ class WatsonStudio:
         )
         self._notebooks[name] = notebook
         return notebook
-
-    def get_notebook(self, name: str) -> Notebook:
-        return self._notebooks[name]
-
-    def list_notebooks(self) -> list[str]:
-        return sorted(self._notebooks)

@@ -10,7 +10,7 @@ loads directly in Perfetto / ``chrome://tracing``: spans become complete
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.trace.events import (
     KIND_POINT, KIND_SPAN, LAYERS, TraceEvent, sort_events,
@@ -131,9 +131,3 @@ def write_chrome_trace(events: Iterable[TraceEvent], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-def write_jsonl(events: Sequence[TraceEvent], path: str) -> None:
-    """Write the flat JSONL dump to ``path``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(to_jsonl(events))

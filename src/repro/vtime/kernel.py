@@ -431,11 +431,6 @@ class Kernel:
         return self._now
 
     @property
-    def tasks_alive(self) -> int:
-        with self._lock:
-            return len(self._tasks)
-
-    @property
     def spawned_total(self) -> int:
         """Total number of tasks ever spawned on this kernel."""
         with self._lock:

@@ -73,6 +73,22 @@ class TestFig3Harness:
 
 
 class TestFig4Harness:
+    #: ``python -m repro.bench fig4`` at seed 42, one row per N, d=0..4, to
+    #: the one decimal EXPERIMENTS.md prints
+    GRID = {
+        500_000: (13.5, 9.8, 7.4, 7.4, 7.4),
+        1_000_000: (25.7, 15.9, 11.1, 9.8, 9.8),
+        5_000_000: (135.9, 69.0, 37.9, 24.5, 18.3),
+        10_000_000: (281.6, 140.8, 75.1, 43.5, 29.4),
+        25_000_000: (739.4, 366.2, 189.2, 104.4, 65.3),
+    }
+
+    def test_grid_matches_experiments_md(self):
+        grid: dict[int, list[float]] = {}
+        for point in fig4_mergesort.run_fig4(seed=42):
+            grid.setdefault(point.n, []).append(round(point.seconds, 1))
+        assert {n: tuple(row) for n, row in grid.items()} == self.GRID
+
     def test_single_point(self):
         point = fig4_mergesort.run_point(100_000, 1, seed=3)
         assert point.functions_spawned == 3
@@ -100,6 +116,7 @@ class TestTable3Harness:
         one DAG; > 100x over the 5,160 s baseline and at most 45 s."""
         row = table3_airbnb.run_airbnb("2MB")
         assert row.concurrency == 924
+        assert round(row.exec_time_s) == 43  # EXPERIMENTS.md, seed 42
         assert row.exec_time_s <= 45.0
         assert row.speedup > 100.0
 

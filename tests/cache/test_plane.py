@@ -6,6 +6,11 @@ import pytest
 
 from repro.config import ExchangeConfig
 from repro.exchange import CachedCosExchange
+from repro.exchange.cached import (
+    CACHE_HIT_LATENCY_S,
+    CACHE_MEMORY_BANDWIDTH_BPS,
+    CACHE_PEER_BANDWIDTH_BPS,
+)
 
 
 def make_plane(n_nodes=4, **overrides) -> CachedCosExchange:
@@ -107,13 +112,13 @@ class TestContainerReclaim:
 
 class TestCostModelAndStats:
     def test_delay_formulas(self):
-        plane = make_plane(
-            cache_hit_latency_s=1e-4,
-            cache_memory_bandwidth_bps=1000.0,
-            cache_peer_bandwidth_bps=500.0,
+        plane = make_plane()
+        assert plane.hit_delay(2**20) == pytest.approx(200e-6 + 2**-11)
+        assert plane.hit_delay(100) == (
+            CACHE_HIT_LATENCY_S + 100 / CACHE_MEMORY_BANDWIDTH_BPS
         )
-        assert plane.hit_delay(100) == pytest.approx(1e-4 + 0.1)
-        assert plane.peer_transfer_delay(100) == pytest.approx(0.2)
+        assert plane.peer_transfer_delay(2**20) == pytest.approx(2**-10)
+        assert plane.peer_transfer_delay(100) == 100 / CACHE_PEER_BANDWIDTH_BPS
 
     def test_note_read_aggregates_by_source(self):
         plane = make_plane()

@@ -67,8 +67,6 @@ class TestExchangeConfig:
             {"vm_nodes": 0},
             {"vm_node_memory_bytes": -1},
             {"vm_startup_s": -0.5},
-            {"vm_bandwidth_bps": 0},
-            {"vm_ring_vnodes": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -88,6 +86,23 @@ class TestExchangeConfig:
         with pytest.raises(ValueError, match="exchange"):
             PyWrenConfig.from_dict({"exchange": {"nodez": 3}})
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "cache_hit_latency_s",
+            "cache_memory_bandwidth_bps",
+            "cache_peer_bandwidth_bps",
+            "vm_hit_latency_s",
+            "vm_bandwidth_bps",
+            "vm_ring_vnodes",
+        ],
+    )
+    def test_model_constants_are_not_config_keys(self, key):
+        """Memory-tier and store-VM costs are constants of the exchange
+        modules, not settable values."""
+        with pytest.raises(ValueError, match="exchange"):
+            PyWrenConfig.from_dict({"exchange": {key: 1}})
+
     def test_roundtrips_through_dict(self):
         config = PyWrenConfig(exchange=ExchangeConfig(backend="cached-cos"))
         again = PyWrenConfig.from_dict(config.to_dict())
@@ -97,9 +112,6 @@ class TestExchangeConfig:
         "kwargs",
         [
             {"cache_node_budget_bytes": -1},
-            {"cache_hit_latency_s": -1e-6},
-            {"cache_memory_bandwidth_bps": 0},
-            {"cache_peer_bandwidth_bps": 0},
         ],
     )
     def test_invalid_cache_knobs_rejected(self, kwargs):

@@ -86,12 +86,10 @@ class TestCosDeadLetter:
                 executor.config.storage_bucket,
                 executor._storage.deadletter_key(executor.executor_id, "M000"),
             )
-            return (
-                executor._storage.get_deadletter(executor.executor_id, "M000"),
-                stored_raw,
-            )
+            return stored_raw
 
-        stored, raw = env.run(main)
+        raw = env.run(main)
+        stored = FailureReport.from_json(raw.decode("utf-8"))
         assert stored == report
         # the stored object itself is JSON text, not a pickle blob
         parsed = json.loads(raw.decode("utf-8"))
@@ -100,11 +98,12 @@ class TestCosDeadLetter:
     def test_missing_deadletter_is_none(self, env):
         def main():
             executor = pw.ibm_cf_executor()
-            return executor._storage.get_deadletter(
-                executor.executor_id, "M999"
+            return executor._cos.object_exists(
+                executor.config.storage_bucket,
+                executor._storage.deadletter_key(executor.executor_id, "M999"),
             )
 
-        assert env.run(main) is None
+        assert env.run(main) is False
 
     def test_key_is_json_named(self, env):
         def main():

@@ -45,17 +45,19 @@ def complete_call(storage, future, value=None, success=True, delay=0.0, error=No
                 future.executor_id, future.callset_id, future.call_id, payload
             )
         )
-        storage.put_status(
-            future.executor_id,
-            future.callset_id,
-            future.call_id,
-            {
-                "call_id": future.call_id,
-                "success": success,
-                "error": None if success else repr(error),
-                "start_time": 0.0,
-                "end_time": kernel.now(),
-            },
+        kernel.drive(
+            storage.commit_status_steps(
+                future.executor_id,
+                future.callset_id,
+                future.call_id,
+                {
+                    "call_id": future.call_id,
+                    "success": success,
+                    "error": None if success else repr(error),
+                    "start_time": 0.0,
+                    "end_time": kernel.now(),
+                },
+            )
         )
 
     return kernel.spawn(_complete, name=f"complete-{future.call_id}")
@@ -134,9 +136,9 @@ class TestResponseFuture:
             future = make_future(storage)
             complete_call(storage, future, value=[1, 2]).join()
             first = future.result()
-            gets_before = storage.cos.store.get_count
+            requests_before = storage.cos.store.request_counts()
             second = future.result()
-            return first, second, storage.cos.store.get_count == gets_before
+            return first, second, storage.cos.store.request_counts() == requests_before
 
         first, second, cached = kernel.run(main)
         assert first == second == [1, 2]

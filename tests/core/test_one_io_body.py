@@ -35,6 +35,7 @@ from repro.core.storage_client import InternalStorage
 from repro.core.worker import REMOTE_INVOKER_ACTION
 from repro.cos import CloudObjectStorage, COSClient
 from repro.events.journal import EventJournal
+from repro.events.records import to_jsonl
 from repro.exchange import CachedCosExchange, CosExchange, VmExchange
 from repro.exchange.base import ExchangeBackend
 from repro.faas import CloudFunctions, CloudFunctionsClient
@@ -255,7 +256,7 @@ def journal_append(w: World) -> Case:
         _nothing,
         lambda: journal.append("calls_invoked", calls=[["M000", "00000"]]),
         lambda: journal.append_steps("calls_invoked", calls=[["M000", "00000"]]),
-        lambda: (journal.export_jsonl(), _stored(w, journal.storage.journal_key("e", 0))()),
+        lambda: (to_jsonl(journal.appended), _stored(w, journal.storage.journal_key("e", 0))()),
     )
 
 

@@ -88,7 +88,7 @@ class TestPartitioning:
     def test_per_object_when_no_chunk_size(self):
         parts = partition_objects(summaries([100, 200]), None)
         assert len(parts) == 2
-        assert all(p.is_whole_object for p in parts)
+        assert all((p.range_start, p.range_end) == (0, p.object_size) for p in parts)
 
     def test_chunking_splits_large_objects(self):
         parts = partition_objects(summaries([250]), 100)
@@ -101,7 +101,7 @@ class TestPartitioning:
     def test_small_object_single_partition(self):
         parts = partition_objects(summaries([50]), 100)
         assert len(parts) == 1
-        assert parts[0].is_whole_object
+        assert (parts[0].range_start, parts[0].range_end) == (0, 50)
 
     def test_exact_multiple_has_no_empty_tail(self):
         parts = partition_objects(summaries([300]), 100)

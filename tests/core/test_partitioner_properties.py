@@ -94,7 +94,9 @@ class TestPartitionTiling:
         objects = _summaries(object_sizes)
         partitions = partition_objects(objects, None)
         assert len(partitions) == len(objects)
-        assert all(p.is_whole_object for p in partitions)
+        assert all(
+            (p.range_start, p.range_end) == (0, p.object_size) for p in partitions
+        )
 
 
 class _StubCOS:

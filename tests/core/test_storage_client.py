@@ -64,7 +64,7 @@ class TestRoundtrips:
     def test_status_roundtrip_and_missing(self, kernel, storage):
         def main():
             assert storage.get_status("e1", "M000", "00000") is None
-            storage.put_status("e1", "M000", "00000", {"success": True, "x": 1})
+            kernel.drive(storage.commit_status_steps("e1", "M000", "00000", {"success": True, "x": 1}))
             return storage.get_status("e1", "M000", "00000")
 
         assert kernel.run(main) == {"success": True, "x": 1}
@@ -83,8 +83,8 @@ class TestListing:
     def test_list_done_call_ids(self, kernel, storage):
         def main():
             for call_id in ["00000", "00003", "00007"]:
-                storage.put_status("e1", "M000", call_id, {"success": True})
-            storage.put_status("e1", "M001", "00001", {"success": True})
+                kernel.drive(storage.commit_status_steps("e1", "M000", call_id, {"success": True}))
+            kernel.drive(storage.commit_status_steps("e1", "M001", "00001", {"success": True}))
             return kernel.drive(storage.list_done_call_ids_steps("e1", "M000"))
 
         assert kernel.run(main) == {"00000", "00003", "00007"}
@@ -97,7 +97,7 @@ class TestListing:
 
     def test_callsets_isolated_per_executor(self, kernel, storage):
         def main():
-            storage.put_status("e1", "M000", "00000", {"success": True})
+            kernel.drive(storage.commit_status_steps("e1", "M000", "00000", {"success": True}))
             return kernel.drive(storage.list_done_call_ids_steps("e2", "M000"))
 
         assert kernel.run(main) == set()

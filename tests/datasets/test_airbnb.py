@@ -26,10 +26,6 @@ class TestShape:
         sizes = airbnb.city_sizes()
         assert sum(sizes.values()) == airbnb.TOTAL_SIZE == 1_900_000_000
 
-    def test_comment_counts_sum_exactly(self):
-        counts = airbnb.city_comment_counts()
-        assert sum(counts.values()) == airbnb.TOTAL_COMMENTS == 3_695_107
-
     def test_sizes_variable_with_heavy_head(self):
         """'Each city dataset has variable size.'"""
         sizes = airbnb.city_sizes()

@@ -123,10 +123,10 @@ class TestEventJournal:
         def main():
             executor = pw.ibm_cf_executor()
             journal = executor.journal
-            before = journal.next_seq
+            before = journal._seq
             pw.sleep(3.0)  # past the crash instant
             assert journal.append(ev.CALLS_INVOKED, calls=[]) is None
-            return before, journal.next_seq, len(journal.replay())
+            return before, journal._seq, len(journal.replay())
 
         before, after, stored = env.run(main)
         assert after == before  # no slot consumed

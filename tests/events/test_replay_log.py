@@ -107,7 +107,10 @@ def _dead_letters(env, executor):
     values, report = executor.get_result(throw_except=False)
     assert values == [None, None]
     key = report.failures[0].callset_id
-    assert executor._storage.get_deadletter(executor.executor_id, key) is not None
+    assert executor._cos.object_exists(
+        executor.config.storage_bucket,
+        executor._storage.deadletter_key(executor.executor_id, key),
+    )
 
 
 def _crash_and_reattach(env, executor):

@@ -38,41 +38,39 @@ class TestLifecycle:
     def test_serve_count_increments_on_release(self):
         node = InvokerNode(0, 1024, warm_idle_ttl=600)
         action = make_action()
-        placement = node.try_place(action, 0.0)
+        placement = node.try_place_cold(action, 0.0)
         node.release(placement.container, 1.0)
-        reused = node.try_place(action, 2.0)
+        reused = node.try_place_warm(action, 2.0)
         node.release(reused.container, 3.0)
         assert reused.container.activations_served == 2
 
     def test_discard_frees_memory_and_stops(self):
         node = InvokerNode(0, 512, warm_idle_ttl=600)
-        placement = node.try_place(make_action(memory=512), 0.0)
-        assert node.free_mb == 0
+        placement = node.try_place_cold(make_action(memory=512), 0.0)
+        assert node.load_fraction() == 1.0
         node.discard(placement.container)
-        assert node.free_mb == 512
+        assert node.load_fraction() == 0.0
         assert placement.container.state == Container.STOPPED
 
     def test_discarded_container_not_in_warm_pool(self):
         node = InvokerNode(0, 512, warm_idle_ttl=600)
         action = make_action(memory=512)
-        placement = node.try_place(action, 0.0)
+        placement = node.try_place_cold(action, 0.0)
         node.discard(placement.container)
-        fresh = node.try_place(action, 1.0)
-        assert fresh.cold
-        assert fresh.container is not placement.container
+        assert node.try_place_warm(action, 1.0) is None
 
     def test_load_fraction(self):
         node = InvokerNode(0, 1024, warm_idle_ttl=600)
         assert node.load_fraction() == 0.0
-        node.try_place(make_action(memory=512), 0.0)
+        node.try_place_cold(make_action(memory=512), 0.0)
         assert node.load_fraction() == pytest.approx(0.5)
 
     def test_warm_pool_lifo_reuse(self):
         """The most recently used container is reused first (cache warmth)."""
         node = InvokerNode(0, 1024, warm_idle_ttl=600)
         action = make_action()
-        a = node.try_place(action, 0.0).container
-        b = node.try_place(action, 0.0).container
+        a = node.try_place_cold(action, 0.0).container
+        b = node.try_place_cold(action, 0.0).container
         node.release(a, 1.0)
         node.release(b, 2.0)
         reused = node.try_place_warm(action, 3.0)

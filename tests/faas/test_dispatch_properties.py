@@ -210,7 +210,7 @@ class TestValidation:
         queue.push("b", 2)
         queue.push("a", 3)
         assert queue.pending("a") == 2
-        assert queue.backlogged_tenants() == ["a", "b"]
+        assert queue.pending("b") == 1
         assert queue.stats() == {"pushed": 3, "popped": 0, "pending": 3}
         queue.pop()
         assert queue.stats()["popped"] == 1

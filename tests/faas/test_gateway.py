@@ -64,7 +64,7 @@ class TestInvoke:
 
         def main():
             client = make_client(kernel, platform)
-            record = client.invoke_blocking("guest", "busy", {"t": 5, "v": "x"})
+            record = client.wait(client.invoke("guest", "busy", {"t": 5, "v": "x"}))
             return record.status, record.result, kernel.now()
 
         status, result, t = kernel.run(main)

@@ -110,7 +110,7 @@ class TestPlatformAuth:
         def main():
             link = NetworkLink(kernel, LatencyModel.lan(), seed=1)
             client = CloudFunctionsClient(platform, link, credentials=key)
-            record = client.invoke_blocking("alice", "echo", {"v": 9})
+            record = client.wait(client.invoke("alice", "echo", {"v": 9}))
             return record.result
 
         assert kernel.run(main) == {"v": 9}

@@ -40,7 +40,8 @@ class TestIamBoundary:
 
         assert env.run(main) == [2]
         # nothing of tenant-b's ever ran or was billed
-        assert "tenant-b" not in env.platform.billing.by_namespace()
+        billed = {entry.namespace for entry in env.platform.billing.entries()}
+        assert "tenant-b" not in billed
 
 
 class TestQuotaBlastRadius:

@@ -254,6 +254,6 @@ class TestPlatformAttachment:
             exa.get_result(fa), exb.get_result(fb)
 
         env.run(main)
-        by_ns = env.platform.billing.by_namespace()
-        assert set(by_ns) == {"tenant-a", "tenant-b"}
-        assert len(env.platform.billing.entries_for("tenant-a")) == 2
+        namespaces = [entry.namespace for entry in env.platform.billing.entries()]
+        assert set(namespaces) == {"tenant-a", "tenant-b"}
+        assert namespaces.count("tenant-a") == 2

@@ -162,9 +162,11 @@ class TestPartialResults:
             value = executor.get_result(futures, throw_except=throw_except)
             # the dead-letter object must be readable in the same run: the
             # kernel shuts down when the client program returns
-            stored = executor._storage.get_deadletter(
+            key = executor._storage.deadletter_key(
                 executor.executor_id, futures[0].callset_id
             )
+            raw = executor._cos.get_object(executor.config.storage_bucket, key)
+            stored = FailureReport.from_json(raw.decode("utf-8"))
             return value, stored
 
         return env.run(main), env

@@ -187,9 +187,9 @@ class TestPersistence:
             assert keys == [
                 executor._storage.trace_key(executor.executor_id, futures[0].callset_id)
             ]
-            stored = executor._storage.get_trace(
-                executor.executor_id, futures[0].callset_id
-            )
+            stored = executor._cos.get_object(
+                executor.config.storage_bucket, keys[0]
+            ).decode("utf-8")
             assert stored == executor.trace_jsonl(futures[0].callset_id)
             assert stored.endswith("\n")
 

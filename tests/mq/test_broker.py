@@ -27,7 +27,7 @@ class TestBroker:
     def test_declare_idempotent(self, broker):
         broker.declare_queue("q")
         broker.declare_queue("q")
-        assert broker.queue_exists("q")
+        assert broker.depth("q") == 0
 
     def test_unknown_queue_raises(self, kernel, broker):
         def main():
@@ -79,7 +79,8 @@ class TestBroker:
     def test_delete_queue(self, kernel, broker):
         broker.declare_queue("q")
         broker.delete_queue("q")
-        assert not broker.queue_exists("q")
+        with pytest.raises(QueueNotFound):
+            broker.depth("q")
 
     def test_many_producers_one_consumer(self, kernel, broker):
         def main():

@@ -52,9 +52,9 @@ class TestRequest:
             link = make_link(kernel, rtt=0.01)
             for _ in range(3):
                 link.request(100)
-            return link.requests, link.failures, link.bytes_moved
+            return link.requests, link.failures
 
-        assert kernel.run(main) == (3, 0, 300)
+        assert kernel.run(main) == (3, 0)
 
     def test_zero_bandwidth_rejected(self, kernel):
         with pytest.raises(ValueError):

@@ -57,7 +57,7 @@ class TestNotebookBasics:
         studio.create_notebook("nb")
         with pytest.raises(ValueError):
             studio.create_notebook("nb")
-        assert studio.list_notebooks() == ["nb"]
+        assert list(studio._notebooks) == ["nb"]
 
 
 class TestNotebookWithPyWren:

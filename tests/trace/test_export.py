@@ -43,11 +43,6 @@ class TestJsonl:
         (line,) = export.to_jsonl([SAMPLE[1]]).splitlines()
         assert "dur" not in json.loads(line)
 
-    def test_write_jsonl(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        export.write_jsonl(SAMPLE, str(path))
-        assert path.read_text() == export.to_jsonl(SAMPLE)
-
 
 class TestChromeTrace:
     def test_spans_become_complete_events(self):

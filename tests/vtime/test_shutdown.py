@@ -66,7 +66,7 @@ class TestShutdown:
             sleep(1)
 
         kernel.run(main)
-        assert kernel.tasks_alive == 0
+        assert not kernel._tasks
 
     def test_no_thread_leak(self):
         import threading
