@@ -57,13 +57,10 @@ def test_ablation_group_size(benchmark, emit):
         return {g: _run_group_size(g) for g in group_sizes}
 
     times = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = Table(
-        "Ablation — massive spawning group size (1,000 invocations)",
-        ["group size", "invoker functions", "invocation phase (s)"],
-    )
+    table = Table(["group size", "invoker functions", "invocation phase (s)"])
     for g in group_sizes:
         table.add_row(g, -(-1000 // g), round(times[g], 1))
-    emit(table)
+    emit(table, "Ablation — massive spawning group size (1,000 invocations)")
 
     # one giant group degenerates to the single-remote-invoker design
     assert times[1000] > times[100] * 1.5
@@ -96,13 +93,10 @@ def test_ablation_warm_start(benchmark, emit):
         return first, second, cold, warm
 
     first, second, cold, warm = benchmark.pedantic(main_wrapper(env, main), rounds=1, iterations=1)
-    table = Table(
-        "Ablation — cold vs warm container starts (50-call map, twice)",
-        ["round", "virtual time (s)", "cold starts", "warm starts"],
-    )
+    table = Table(["round", "virtual time (s)", "cold starts", "warm starts"])
     table.add_row("first (cold)", round(first, 1), cold, "-")
     table.add_row("second (warm)", round(second, 1), "-", warm)
-    emit(table)
+    emit(table, "Ablation — cold vs warm container starts (50-call map, twice)")
 
     assert warm >= 50  # the second round reused containers
     assert second < first
@@ -155,10 +149,7 @@ def test_ablation_cpu_contention(benchmark, emit):
         }
 
     stats = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = Table(
-        "Ablation — CPU contention (150 x 60 s nominal functions)",
-        ["configuration", "mean (s)", "p95 (s)", "max (s)"],
-    )
+    table = Table(["configuration", "mean (s)", "p95 (s)", "max (s)"])
     for label, s in stats.items():
         table.add_row(
             label,
@@ -166,7 +157,7 @@ def test_ablation_cpu_contention(benchmark, emit):
             round(s.p95_duration, 1),
             round(s.max_duration, 1),
         )
-    emit(table)
+    emit(table, "Ablation — CPU contention (150 x 60 s nominal functions)")
 
     assert stats["off (4 nodes)"].mean_duration == pytest.approx(60.0, abs=0.5)
     # denser packing -> slower means
@@ -217,13 +208,10 @@ def test_ablation_monitoring_transport(benchmark, emit):
         return rows
 
     rows = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = Table(
-        "Ablation — completion transport (50 x 2 s functions, WAN client)",
-        ["poll interval (s)", "COS polling (s)", "MQ push (s)"],
-    )
+    table = Table(["poll interval (s)", "COS polling (s)", "MQ push (s)"])
     for poll, polling, push in rows:
         table.add_row(poll, round(polling, 1), round(push, 1))
-    emit(table)
+    emit(table, "Ablation — completion transport (50 x 2 s functions, WAN client)")
 
     for poll, polling, push in rows:
         assert push <= polling + 0.5

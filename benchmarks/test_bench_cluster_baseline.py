@@ -42,14 +42,11 @@ def test_serverless_vs_cluster_cold_job(benchmark, emit):
     serverless, cluster, big_cluster = benchmark.pedantic(
         run_all, rounds=1, iterations=1
     )
-    table = Table(
-        "Serverless vs provisioned cluster — 1,000 x 50 s tasks (cold)",
-        ["platform", "total time (s)"],
-    )
+    table = Table(["platform", "total time (s)"])
     table.add_row("IBM-PyWren (massive spawning)", round(serverless, 1))
     table.add_row("64-VM cluster (256 slots)", round(cluster, 1))
     table.add_row("250-VM cluster (1,000 slots)", round(big_cluster, 1))
-    emit(table)
+    emit(table, "Serverless vs provisioned cluster — 1,000 x 50 s tasks (cold)")
 
     # serverless wins the cold bursty job even against a right-sized cluster
     assert serverless < big_cluster
@@ -74,13 +71,10 @@ def test_cluster_amortizes_for_long_jobs(benchmark, emit):
         return kernel.run(main)
 
     cold, warm = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = Table(
-        "Warm-cluster amortization — repeat job on the same cluster",
-        ["job", "total time (s)"],
-    )
+    table = Table(["job", "total time (s)"])
     table.add_row("first (cold cluster)", round(cold, 1))
     table.add_row("second (warm cluster)", round(warm, 1))
-    emit(table)
+    emit(table, "Warm-cluster amortization — repeat job on the same cluster")
 
     assert warm < cold
     assert warm == 50.0  # pure compute once provisioned

@@ -10,7 +10,6 @@ def test_fig2_local_vs_massive(benchmark, emit):
     """1,000 x 50 s functions: local WAN client vs massive spawning."""
     results = benchmark.pedantic(fig2.run_fig2, rounds=1, iterations=1)
     emit(fig2.report(results))
-    emit(fig2.concurrency_figure(results))
 
     local, massive = results
     assert local.mode == InvokerMode.LOCAL

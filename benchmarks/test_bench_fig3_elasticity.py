@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 from repro.bench import fig3_elasticity as fig3
+from repro.bench.reporting import documented
 from repro.core import cost
 
 
 def test_fig3_elasticity(benchmark, emit):
     """500/1000/1500/2000 x 60 s functions reach full concurrency."""
     results = benchmark.pedantic(fig3.run_fig3, rounds=1, iterations=1)
-    emit(fig3.report(results))
-    emit(fig3.concurrency_figure(results))
+    table = fig3.report(results).render()
+    emit(table)
+    assert table == documented("fig3"), f"EXPERIMENTS.md's fig3 block is stale:\n{table}"
 
     assert [r.n_functions for r in results] == list(fig3.WORKLOADS)
     for result in results:

@@ -9,7 +9,6 @@ def test_fig4_mergesort(benchmark, emit):
     """Execution time vs N for function-tree depths d=0..4."""
     points = benchmark.pedantic(fig4.run_fig4, rounds=1, iterations=1)
     emit(fig4.report(points))
-    emit(fig4.figure(points))
 
     by = {(p.n, p.depth): p.seconds for p in points}
     ns = sorted({p.n for p in points})

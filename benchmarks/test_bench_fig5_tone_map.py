@@ -11,7 +11,7 @@ from repro.bench import fig5_tone_map as fig5
 
 def test_fig5_new_york_tone_map(benchmark, emit, tmp_path):
     result = benchmark.pedantic(fig5.run_fig5, rounds=1, iterations=1)
-    emit(fig5.describe(result))
+    emit(fig5.report(result))
 
     artifact = tmp_path / "fig5_new_york.svg"
     artifact.write_text(result.svg)

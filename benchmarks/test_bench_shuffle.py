@@ -54,16 +54,16 @@ def test_shuffle_reducer_sweep(benchmark, emit):
         return {r: _run(r) for r in reducer_counts}
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    table = Table(
-        f"Shuffle ablation — {N_MAPS} maps x {N_KEYS} keys, "
-        f"{REDUCE_SECONDS_PER_KEY:.0f} s reduce/key",
-        ["reducers", "exec time (s)", "speedup vs 1 reducer"],
-    )
+    table = Table(["reducers", "exec time (s)", "speedup vs 1 reducer"])
     base_time = results[1][0]
     for r in reducer_counts:
         elapsed, _merged = results[r]
         table.add_row(r, round(elapsed, 1), f"{base_time / elapsed:.2f}x")
-    emit(table)
+    emit(
+        table,
+        f"Shuffle ablation — {N_MAPS} maps x {N_KEYS} keys, "
+        f"{REDUCE_SECONDS_PER_KEY:.0f} s reduce/key",
+    )
 
     # correctness is identical at every reducer count
     expected = {

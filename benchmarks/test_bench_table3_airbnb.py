@@ -3,13 +3,16 @@
 from __future__ import annotations
 
 from repro.bench import table3_airbnb as t3
+from repro.bench.reporting import documented
 from repro.datasets import airbnb
 
 
 def test_table3_airbnb(benchmark, emit):
     """Chunk-size sweep 64 MB -> 2 MB over the 1.9 GB 33-city dataset."""
     rows = benchmark.pedantic(t3.run_table3, rounds=1, iterations=1)
-    emit(t3.report(rows))
+    table = t3.report(rows).render()
+    emit(table)
+    assert table == documented("table3"), f"EXPERIMENTS.md's table3 block is stale:\n{table}"
 
     sequential, *parallel = rows
     assert sequential.chunk_size is None

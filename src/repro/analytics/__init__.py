@@ -1,6 +1,6 @@
 """Analytics substrate: tone analysis + map rendering (the §6.4 use case)."""
 
-from repro.analytics.geoplot import TONE_COLORS, render_city_map, tone_histogram
+from repro.analytics.geoplot import TONE_COLORS, render_city_map
 from repro.analytics.timeline import (
     intervals_from_records,
     render_execution_timeline,
@@ -26,7 +26,6 @@ __all__ = [
     "NEUTRAL",
     "NEGATIVE",
     "render_city_map",
-    "tone_histogram",
     "TONE_COLORS",
     "render_execution_timeline",
     "intervals_from_records",

@@ -8,7 +8,7 @@ Produces a self-contained SVG document (no external dependencies).
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from repro.analytics.tone import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -69,12 +69,3 @@ def render_city_map(
         for lat, lon, tone in points
     ]
     return header + "".join(circles) + "</svg>"
-
-
-def tone_histogram(points: Iterable[tuple[float, float, str]]) -> dict[str, int]:
-    """Count points per tone (legend data for a rendered map)."""
-    counts = {POSITIVE: 0, NEUTRAL: 0, NEGATIVE: 0}
-    for _lat, _lon, tone in points:
-        if tone in counts:
-            counts[tone] += 1
-    return counts

@@ -3,11 +3,12 @@
 * :mod:`repro.bench.fig2_spawning` — massive function spawning (Fig. 2 + §6.1)
 * :mod:`repro.bench.fig3_elasticity` — elasticity & concurrency (Fig. 3)
 * :mod:`repro.bench.fig4_mergesort` — dynamic composition (Fig. 4)
+* :mod:`repro.bench.fig5_tone_map` — the New York tone map (Fig. 5)
 * :mod:`repro.bench.table3_airbnb` — the real MapReduce job (Table 3)
 
-Each module exposes ``run_*`` functions returning structured results plus
-``report()``/``figure()`` renderers; the ``benchmarks/`` pytest-benchmark
-suite drives them and prints the paper-vs-measured comparisons.
+Each module exposes ``run_*`` functions returning structured results and
+one ``report()`` that builds its paper table: the one renderer of the
+tables in EXPERIMENTS.md (see :mod:`repro.bench.reporting`).
 """
 
 from repro.bench import (
@@ -17,7 +18,7 @@ from repro.bench import (
     fig5_tone_map,
     table3_airbnb,
 )
-from repro.bench.reporting import Figure, Series, Table, concurrency_timeline
+from repro.bench.reporting import Table
 
 __all__ = [
     "fig2_spawning",
@@ -26,7 +27,4 @@ __all__ = [
     "fig5_tone_map",
     "table3_airbnb",
     "Table",
-    "Figure",
-    "Series",
-    "concurrency_timeline",
 ]

@@ -1,10 +1,12 @@
-"""Command-line entry point: regenerate the paper's tables and figures.
+"""Command-line entry point: regenerate the paper's tables.
 
-Usage::
+Each experiment prints its table as the GitHub pipe table that
+EXPERIMENTS.md keeps between its ``<!-- generated: <exp> -->`` markers::
 
     python -m repro.bench fig2              # Fig. 2 + §6.1 sweep
     python -m repro.bench fig3              # Fig. 3 elasticity
     python -m repro.bench fig4 [--quick]    # Fig. 4 mergesort grid
+    python -m repro.bench fig5 [--out SVG]  # Fig. 5 tone map (+ the SVG)
     python -m repro.bench table3 [--chunks 64,8,2]
     python -m repro.bench all
 """
@@ -26,14 +28,11 @@ from repro.bench import (
 
 def _run_fig2(args: argparse.Namespace) -> None:
     results = fig2_spawning.run_invoker_sweep(n_functions=args.n, seed=args.seed)
-    fig2_spawning.report(results).print()
-    fig2_spawning.concurrency_figure(results).print()
+    print(fig2_spawning.report(results).render())
 
 
 def _run_fig3(args: argparse.Namespace) -> None:
-    results = fig3_elasticity.run_fig3(seed=args.seed)
-    fig3_elasticity.report(results).print()
-    fig3_elasticity.concurrency_figure(results).print()
+    print(fig3_elasticity.report(fig3_elasticity.run_fig3(seed=args.seed)).render())
 
 
 def _run_fig4(args: argparse.Namespace) -> None:
@@ -43,17 +42,15 @@ def _run_fig4(args: argparse.Namespace) -> None:
         sizes = sizes[:2]
         depths = depths[:3]
     points = fig4_mergesort.run_fig4(sizes, depths, seed=args.seed)
-    fig4_mergesort.report(points).print()
-    fig4_mergesort.figure(points).print()
+    print(fig4_mergesort.report(points).render())
 
 
 def _run_fig5(args: argparse.Namespace) -> None:
     result = fig5_tone_map.run_fig5(seed=args.seed)
-    print(fig5_tone_map.describe(result))
-    out = getattr(args, "out", None) or "fig5_new_york.svg"
-    with open(out, "w") as handle:
+    print(fig5_tone_map.report(result).render())
+    with open(args.out, "w") as handle:
         handle.write(result.svg)
-    print(f"SVG written to {out}")
+    print(f"SVG written to {args.out}", file=sys.stderr)
 
 
 def _run_table3(args: argparse.Namespace) -> None:
@@ -61,13 +58,13 @@ def _run_table3(args: argparse.Namespace) -> None:
     rows = table3_airbnb.run_table3(
         chunk_sizes_mb=chunks or table3_airbnb.CHUNK_SIZES_MB, seed=args.seed
     )
-    table3_airbnb.report(rows).print()
+    print(table3_airbnb.report(rows).render())
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Regenerate the paper's evaluation tables and figures.",
+        description="Regenerate the paper's evaluation tables.",
     )
     parser.add_argument("--seed", type=int, default=42)
     sub = parser.add_subparsers(dest="experiment", required=True)
@@ -81,7 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_fig4.add_argument("--quick", action="store_true", help="reduced grid")
 
     p_fig5 = sub.add_parser("fig5", help="New York tone map artifact")
-    p_fig5.add_argument("--out", default=None, help="output SVG path")
+    p_fig5.add_argument("--out", default="fig5_new_york.svg", help="output SVG path")
 
     p_t3 = sub.add_parser("table3", help="Airbnb MapReduce job")
     p_t3.add_argument(
@@ -98,20 +95,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "fig5": _run_fig5,
         "table3": _run_table3,
     }
-    if args.experiment == "all":
-        for name, runner in runners.items():
-            if name == "fig2":
-                args.n = 1000
-            if name == "fig4":
-                args.quick = False
-            if name == "fig5":
-                args.out = None
-            if name == "table3":
-                args.chunks = None
-            print(f"### {name}")
-            runner(args)
-    else:
+    if args.experiment != "all":
         runners[args.experiment](args)
+        return 0
+    for name, runner in runners.items():
+        print(f"### {name}")
+        runner(parser.parse_args(["--seed", str(args.seed), name]))
     return 0
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.bench.reporting import Figure, Table, concurrency_timeline
+from repro.analytics.timeline import concurrency_timeline, intervals_from_records
+from repro.bench.reporting import Table
 from repro.config import InvokerMode
 from repro.core import cost
 from repro.core.environment import CloudEnvironment
@@ -71,14 +72,10 @@ def run_spawning(
         t0 = env.now()
         futures = executor.map(_task, [0] * n_functions)
         executor.get_result(futures)
-        records = [
-            r
-            for r in env.platform.activations()
-            if r.action_name.startswith(RUNNER_ACTION_BASENAME)
-        ]
-        assert len(records) == n_functions
-        assert all(r.status == "success" for r in records)
-        intervals = [r.interval() for r in records]
+        intervals = intervals_from_records(
+            env.platform.activations(), RUNNER_ACTION_BASENAME
+        )
+        assert len(intervals) == n_functions
         last_start = max(start for start, _end in intervals)
         last_end = max(end for _start, end in intervals)
         return last_start - t0, last_end - t0, intervals
@@ -95,12 +92,13 @@ def run_spawning(
     )
 
 
-#: paper-reported numbers for the four §5.1/§6.1 configurations
+#: paper-reported (invocation phase, total) seconds for the four §5.1/§6.1
+#: configurations; ``None`` where the paper gives no number
 PAPER_NUMBERS = {
-    "local (wan client)": (38.0, 88.0),
-    "local (lan client)": (8.0, None),
-    "remote (wan client)": (20.0, None),
-    "massive (wan client)": (8.0, 58.0),
+    "local (wan client)": (38, 88),
+    "local (lan client)": (8, None),
+    "remote (wan client)": (20, None),
+    "massive (wan client)": (8, 58),
 }
 
 
@@ -130,32 +128,13 @@ def run_invoker_sweep(n_functions: int = 1000, seed: int = 42) -> list[SpawningR
 
 def report(results: list[SpawningResult]) -> Table:
     table = Table(
-        "Fig. 2 / §6.1 — invocation of 1,000 x 50 s functions",
         ["configuration", "invocation phase (s)", "total (s)", "paper inv. (s)", "paper total (s)"],
     )
     for result in results:
-        key = f"{result.mode} ({result.client} client)"
-        paper_inv, paper_total = PAPER_NUMBERS.get(key, (None, None))
         table.add_row(
             result.label,
-            round(result.invocation_phase_s, 1),
-            round(result.total_s, 1),
-            paper_inv if paper_inv is not None else "-",
-            paper_total if paper_total is not None else "-",
+            f"{result.invocation_phase_s:.1f}",
+            f"{result.total_s:.1f}",
+            *PAPER_NUMBERS.get(result.label, (None, None)),
         )
     return table
-
-
-def concurrency_figure(results: list[SpawningResult]) -> Figure:
-    fig = Figure(
-        "Fig. 2 — concurrent invocations over time",
-        x_label="time (s)",
-        y_label="concurrent functions",
-    )
-    for result in results:
-        series = fig.add_series(result.label)
-        # subsample to every 5 s to keep the rendering readable
-        for t, level in result.concurrency:
-            if int(t) % 5 == 0:
-                series.add(t, level)
-    return fig

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.reporting import Figure, Table, concurrency_timeline
+from repro.analytics.timeline import concurrency_timeline, intervals_from_records
+from repro.bench.reporting import Table
 from repro.config import InvokerMode
 from repro.core import cost
 from repro.core.environment import CloudEnvironment
@@ -58,13 +59,9 @@ def run_workload(n_functions: int, seed: int = 42) -> ElasticityResult:
         t0 = env.now()
         futures = executor.map(_task, [0] * n_functions)
         executor.get_result(futures)
-        records = [
-            r
-            for r in env.platform.activations()
-            if r.action_name.startswith(RUNNER_ACTION_BASENAME)
-        ]
-        assert all(r.status == "success" for r in records)
-        intervals = [r.interval() for r in records]
+        intervals = intervals_from_records(
+            env.platform.activations(), RUNNER_ACTION_BASENAME
+        )
         total = max(end for _s, end in intervals) - t0
         durations = [end - start for start, end in intervals]
         return intervals, total, durations
@@ -88,7 +85,6 @@ def run_fig3(workloads=WORKLOADS, seed: int = 42) -> list[ElasticityResult]:
 
 def report(results: list[ElasticityResult]) -> Table:
     table = Table(
-        "Fig. 3 — elasticity and concurrency (60 s functions)",
         [
             "workload",
             "peak concurrency",
@@ -102,21 +98,7 @@ def report(results: list[ElasticityResult]) -> Table:
             result.n_functions,
             result.peak_concurrency,
             "yes" if result.reached_full_concurrency else "NO",
-            round(result.total_s, 1),
-            round(result.mean_duration_s, 1),
+            f"{result.total_s:.1f}",
+            f"{result.mean_duration_s:.1f}",
         )
     return table
-
-
-def concurrency_figure(results: list[ElasticityResult]) -> Figure:
-    fig = Figure(
-        "Fig. 3 — concurrent functions over time per workload",
-        x_label="time (s)",
-        y_label="concurrent functions",
-    )
-    for result in results:
-        series = fig.add_series(f"{result.n_functions} invocations")
-        for t, level in result.concurrency:
-            if int(t) % 10 == 0:
-                series.add(t, level)
-    return fig

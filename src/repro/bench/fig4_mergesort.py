@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.bench.reporting import Figure, Table
+from repro.bench.reporting import Table
 from repro.core import cost
 from repro.core.environment import CloudEnvironment
 from repro.net.latency import LatencyModel
@@ -98,30 +98,11 @@ def run_fig4(
     ]
 
 
-def figure(points: list[MergesortPoint]) -> Figure:
-    fig = Figure(
-        "Fig. 4 — mergesort execution time vs array length",
-        x_label="integers sorted",
-        y_label="execution time (s)",
-    )
-    for depth in sorted({p.depth for p in points}):
-        series = fig.add_series(f"depth d={depth}")
-        for point in sorted((p for p in points if p.depth == depth), key=lambda p: p.n):
-            series.add(point.n, round(point.seconds, 1))
-    return fig
-
-
 def report(points: list[MergesortPoint]) -> Table:
-    table = Table(
-        "Fig. 4 — mergesort sort times (s) by depth",
-        ["N"] + [f"d={d}" for d in sorted({p.depth for p in points})],
-    )
+    table = Table(["N"] + [f"d={d}" for d in sorted({p.depth for p in points})])
     by_n: dict[int, dict[int, float]] = {}
     for point in points:
         by_n.setdefault(point.n, {})[point.depth] = point.seconds
     for n in sorted(by_n):
-        row = [f"{n:,}"] + [
-            round(by_n[n][d], 1) for d in sorted(by_n[n])
-        ]
-        table.add_row(*row)
+        table.add_row(f"{n:,}", *(f"{by_n[n][d]:.1f}" for d in sorted(by_n[n])))
     return table

@@ -12,14 +12,19 @@ from dataclasses import dataclass
 
 from repro.analytics.geoplot import TONE_COLORS, render_city_map
 from repro.analytics.tone import NEGATIVE, NEUTRAL, POSITIVE, ToneStats
+from repro.bench.reporting import Table
 from repro.bench.table3_airbnb import make_tone_map
 from repro.config import InvokerMode
 from repro.core.environment import CloudEnvironment
 from repro.datasets import airbnb
 from repro.net.latency import LatencyModel
-from repro.utils.sizes import parse_size
+from repro.utils.sizes import format_size, parse_size
 
 CITY = "new-york"
+
+#: the paper's legend: "Green points are good comments, blue points are
+#: neutral comments and red points are bad comments"
+PAPER_LEGEND = {POSITIVE: "green", NEUTRAL: "blue", NEGATIVE: "red"}
 
 
 @dataclass
@@ -85,19 +90,21 @@ def run_fig5(
     )
 
 
-def describe(result: ToneMapResult) -> str:
-    counts = result.tone_counts
-    total = sum(counts.values()) or 1
-    lines = [
-        f"Fig. 5 — tone map of {result.city}",
-        f"  map executors : {result.map_executors}",
-        f"  exec time     : {result.exec_time_s:.1f}s virtual",
-        f"  comments (est): {result.comments_estimated:,}",
-        f"  plotted points: {result.points}",
-    ]
+def report(result: ToneMapResult) -> Table:
+    table = Table(["quantity", "measured", "paper"])
+    table.add_row(
+        "review object", format_size(airbnb.city_sizes()[result.city]), None
+    )
+    table.add_row("map executors", result.map_executors, None)
+    table.add_row("exec. time (s)", f"{result.exec_time_s:.1f}", None)
+    table.add_row("comments (est.)", f"{result.comments_estimated:,}", None)
+    table.add_row("plotted points", result.points, None)
+    total = sum(result.tone_counts.values()) or 1
     for tone, label in ((POSITIVE, "good"), (NEUTRAL, "neutral"), (NEGATIVE, "bad")):
-        share = 100.0 * counts.get(tone, 0) / total
-        lines.append(
-            f"  {label:<8} {share:5.1f}%  (color {TONE_COLORS[tone]})"
+        share = 100.0 * result.tone_counts.get(tone, 0) / total
+        table.add_row(
+            f"{label} comments",
+            f"{share:.1f}% ({TONE_COLORS[tone]})",
+            f"{PAPER_LEGEND[tone]} points",
         )
-    return "\n".join(lines)
+    return table

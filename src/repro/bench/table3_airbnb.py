@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.analytics.geoplot import render_city_map
-from repro.analytics.tone import ToneStats, analyze_csv_reviews
 from repro.bench.reporting import Table
 from repro.config import InvokerMode
 from repro.core import cost
@@ -226,7 +224,6 @@ def run_table3(
 
 def report(rows: list[AirbnbRow]) -> Table:
     table = Table(
-        "Table 3 — MapReduce job execution results (Airbnb tone analysis)",
         [
             "chunk size",
             "concurrency",
@@ -243,7 +240,7 @@ def report(rows: list[AirbnbRow]) -> Table:
                 "No / Sequential",
                 "0 executors",
                 round(row.exec_time_s),
-                "1.00x (base)",
+                "1.00× (base)",
                 "0 executors",
                 round(PAPER_SEQUENTIAL_S),
                 "(base)",
@@ -253,11 +250,9 @@ def report(rows: list[AirbnbRow]) -> Table:
         paper = PAPER_ROWS.get(chunk_mb)
         table.add_row(
             f"{chunk_mb}MB",
-            f"{row.concurrency} executors",
+            row.concurrency,
             round(row.exec_time_s),
-            f"{row.speedup:.2f}x",
-            f"{paper[0]} executors" if paper else "-",
-            paper[1] if paper else "-",
-            f"{paper[2]:.2f}x" if paper else "-",
+            f"{row.speedup:.2f}×",
+            *((paper[0], paper[1], f"{paper[2]:.2f}×") if paper else (None,) * 3),
         )
     return table

@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 __all__ = ["ChaosProfile", "ChaosPlane", "FaultEvent", "PROFILE_PRESETS"]

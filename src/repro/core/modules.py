@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import sys
 import types
-from typing import Iterable
 
 from repro.core.errors import PyWrenError
 from repro.faas.runtime import RuntimeImage

@@ -14,7 +14,6 @@ from repro.cos.errors import (
 )
 from repro.cos.obj import StoredObject
 from repro.cos.object_store import CloudObjectStorage
-from repro.cos.virtual import make_text_content_fn
 
 __all__ = [
     "Bucket",
@@ -22,7 +21,6 @@ __all__ = [
     "ObjectSummary",
     "StoredObject",
     "CloudObjectStorage",
-    "make_text_content_fn",
     "StorageError",
     "NoSuchBucket",
     "NoSuchKey",

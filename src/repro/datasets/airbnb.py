@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.cos.object_store import CloudObjectStorage
 

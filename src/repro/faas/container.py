@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from typing import Optional
 
 _container_ids = itertools.count(1)
 

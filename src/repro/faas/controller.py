@@ -34,7 +34,7 @@ from repro.faas.errors import (
     NamespaceNotFound,
     ThrottledError,
 )
-from repro.faas.invoker_node import InvokerNode, Placement
+from repro.faas.invoker_node import InvokerNode
 from repro.faas.limits import SystemLimits
 from repro.faas.runtime import DEFAULT_RUNTIME_NAME, RuntimeRegistry
 from repro.vtime import Kernel, VCondition, VEvent

@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.config import RetryConfig
-from repro.faas.activation import ActivationRecord
 from repro.faas.controller import CloudFunctions
 from repro.faas.errors import ThrottledError
 from repro.net.link import NetworkLink
@@ -153,11 +152,3 @@ class CloudFunctionsClient:
         """
         yield from self._network_round_trip_steps(INVOKE_PAYLOAD_BYTES)
         return self.platform.get_activations_bulk(activation_ids)
-
-    def wait(
-        self, activation_id: str, timeout: Optional[float] = None
-    ) -> ActivationRecord:
-        """Wait for an activation and fetch its record (one round trip)."""
-        record = self.platform.wait_activation(activation_id, timeout=timeout)
-        self.link.request_with_retries(0)
-        return record

@@ -8,7 +8,7 @@ functions can be increased if needed."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass

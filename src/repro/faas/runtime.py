@@ -10,7 +10,7 @@ registry").
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.faas.errors import RuntimeNotFound

@@ -5,7 +5,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Optional
 
-from repro.vtime import Kernel, QueueEmpty, VQueue
+from repro.vtime import Kernel, VQueue
 
 
 class QueueNotFound(Exception):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.mq.broker import MessageBroker, QueueNotFound
+from repro.mq.broker import MessageBroker
 from repro.net.link import NetworkLink
 from repro.vtime import vsleep
 

@@ -17,7 +17,7 @@ We model the two things the paper uses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro import vtime

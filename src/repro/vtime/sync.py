@@ -13,7 +13,7 @@ import collections
 import threading
 from typing import Any, Callable, Iterable, Optional
 
-from repro.vtime.kernel import Kernel, Task, Waiter, current_task, vjoin, vwait
+from repro.vtime.kernel import Kernel, Waiter, current_task, vjoin, vwait
 
 __all__ = [
     "VCondition", "VEvent", "VSemaphore", "VQueue", "QueueEmpty", "gather",

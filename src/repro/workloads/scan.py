@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Union
 
 from repro.core import context as ambient

@@ -51,13 +51,3 @@ class TestRenderCityMap:
         svg = geoplot.render_city_map("solo", [(40.0, -74.0, POSITIVE)])
         assert svg.count("<circle") == 1
         assert "nan" not in svg
-
-
-class TestHistogram:
-    def test_counts(self):
-        hist = geoplot.tone_histogram(sample_points())
-        assert hist == {POSITIVE: 1, NEUTRAL: 1, NEGATIVE: 1}
-
-    def test_unknown_tone_ignored(self):
-        hist = geoplot.tone_histogram([(0.0, 0.0, "weird")])
-        assert sum(hist.values()) == 0

@@ -1,39 +1,46 @@
 """Small-scale smoke tests of the benchmark harness modules.
 
-The real experiment scales live in ``benchmarks/``; here we verify the
-harness machinery (runners, reporting, timeline extraction) on tiny inputs
-so the unit suite stays fast.
+The full-size experiments live in ``benchmarks/``; here the harness runs
+on small inputs, except for the blocks of EXPERIMENTS.md that are cheap to
+compute at seed 42 (Fig. 2's sweep, Fig. 4, Fig. 5, and Table 3's
+sequential and 2 MB rows), which are compared with the document verbatim.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import fig2_spawning, fig3_elasticity, fig4_mergesort, table3_airbnb
-from repro.bench.reporting import Figure, Table, concurrency_timeline
+from repro.analytics.timeline import concurrency_timeline
+from repro.bench import (
+    fig2_spawning,
+    fig3_elasticity,
+    fig4_mergesort,
+    fig5_tone_map,
+    table3_airbnb,
+)
+from repro.bench.reporting import Table, documented
+
+
+def assert_documented(experiment: str, table: Table) -> None:
+    """The rendered table equals EXPERIMENTS.md's block, line for line."""
+    rendered = table.render()
+    assert rendered == documented(experiment), (
+        f"EXPERIMENTS.md's {experiment} block differs from the code; "
+        f"paste `python -m repro.bench {experiment}`:\n{rendered}"
+    )
 
 
 class TestReporting:
     def test_table_render(self):
-        table = Table("T", ["a", "b"])
-        table.add_row(1, 2.5)
-        table.add_row("x", 1_000_000)
-        text = table.render()
-        assert "T" in text
-        assert "2.5" in text
-        assert "1,000,000" in text
+        table = Table(["a", "b"])
+        table.add_row(1, "2.5")
+        table.add_row("x", None)
+        assert table.render() == "| a | b |\n|---|---|\n| 1 | 2.5 |\n| x | – |"
 
     def test_table_row_arity_checked(self):
-        table = Table("T", ["a", "b"])
+        table = Table(["a", "b"])
         with pytest.raises(ValueError):
             table.add_row(1)
-
-    def test_figure_render(self):
-        fig = Figure("F", x_label="x", y_label="y")
-        series = fig.add_series("s1")
-        series.add(1, 2)
-        text = fig.render()
-        assert "s1" in text and "(1, 2)" in text
 
     def test_concurrency_timeline(self):
         intervals = [(0.0, 10.0), (0.0, 10.0), (5.0, 15.0)]
@@ -61,7 +68,10 @@ class TestFig2Harness:
             mode="massive", n_functions=10, task_seconds=2.0, seed=1
         )
         table = fig2_spawning.report([result])
-        assert "massive" in table.render()
+        assert "| massive (wan client) |" in table.render()
+
+    def test_sweep_matches_experiments_md(self):
+        assert_documented("fig2", fig2_spawning.report(fig2_spawning.run_invoker_sweep()))
 
 
 class TestFig3Harness:
@@ -73,21 +83,8 @@ class TestFig3Harness:
 
 
 class TestFig4Harness:
-    #: ``python -m repro.bench fig4`` at seed 42, one row per N, d=0..4, to
-    #: the one decimal EXPERIMENTS.md prints
-    GRID = {
-        500_000: (13.5, 9.8, 7.4, 7.4, 7.4),
-        1_000_000: (25.7, 15.9, 11.1, 9.8, 9.8),
-        5_000_000: (135.9, 69.0, 37.9, 24.5, 18.3),
-        10_000_000: (281.6, 140.8, 75.1, 43.5, 29.4),
-        25_000_000: (739.4, 366.2, 189.2, 104.4, 65.3),
-    }
-
     def test_grid_matches_experiments_md(self):
-        grid: dict[int, list[float]] = {}
-        for point in fig4_mergesort.run_fig4(seed=42):
-            grid.setdefault(point.n, []).append(round(point.seconds, 1))
-        assert {n: tuple(row) for n, row in grid.items()} == self.GRID
+        assert_documented("fig4", fig4_mergesort.report(fig4_mergesort.run_fig4()))
 
     def test_single_point(self):
         point = fig4_mergesort.run_point(100_000, 1, seed=3)
@@ -100,10 +97,16 @@ class TestFig4Harness:
         assert deep.functions_spawned > shallow.functions_spawned
 
 
+class TestFig5Harness:
+    def test_block_matches_experiments_md(self):
+        assert_documented("fig5", fig5_tone_map.report(fig5_tone_map.run_fig5()))
+
+
 class TestTable3Harness:
     def test_sequential_baseline_near_paper(self):
         row = table3_airbnb.run_sequential_baseline(seed=4)
-        assert abs(row.exec_time_s - 5160) / 5160 < 0.05
+        paper = table3_airbnb.PAPER_SEQUENTIAL_S
+        assert abs(row.exec_time_s - paper) / paper < 0.05
 
     def test_one_parallel_row(self):
         row = table3_airbnb.run_airbnb("64MB", sample_cap=4096, seed=4)
@@ -113,18 +116,26 @@ class TestTable3Harness:
 
     def test_2mb_row_is_over_100x(self):
         """The paper's headline row: 924 maps hand off to 33 reducers of
-        one DAG; > 100x over the 5,160 s baseline and at most 45 s."""
-        row = table3_airbnb.run_airbnb("2MB")
-        assert row.concurrency == 924
-        assert round(row.exec_time_s) == 43  # EXPERIMENTS.md, seed 42
+        one DAG; > 100x over the sequential baseline and at most 45 s."""
+        sequential = table3_airbnb.run_sequential_baseline()
+        row = table3_airbnb.run_airbnb("2MB", sequential_s=sequential.exec_time_s)
         assert row.exec_time_s <= 45.0
         assert row.speedup > 100.0
+        rendered = table3_airbnb.report([sequential, row]).render().splitlines()
+        block = documented("table3").splitlines()
+        assert rendered == block[:3] + [line for line in block if line.startswith("| 2MB |")], (
+            "\n".join(rendered)
+        )
 
     def test_report_includes_paper_columns(self):
         rows = [
             table3_airbnb.run_sequential_baseline(seed=4),
             table3_airbnb.run_airbnb("64MB", sample_cap=4096, seed=4),
         ]
-        text = table3_airbnb.report(rows).render()
-        assert "No / Sequential" in text
-        assert "47 executors" in text  # the paper column
+        first, *_, last = table3_airbnb.report(rows).render().splitlines()
+        assert first == documented("table3").splitlines()[0]
+        # the paper's 64 MB cells, whatever this run measured
+        (paper_row,) = [
+            line for line in documented("table3").splitlines() if line.startswith("| 64MB |")
+        ]
+        assert last.split(" | ")[-3:] == paper_row.split(" | ")[-3:]

@@ -42,7 +42,7 @@ class TestInvoke:
         def main():
             client = make_client(kernel, platform)
             aid = client.invoke("guest", "busy", {"v": 7})
-            return client.wait(aid).result
+            return platform.wait_activation(aid).result
 
         assert kernel.run(main) == 7
 
@@ -64,7 +64,8 @@ class TestInvoke:
 
         def main():
             client = make_client(kernel, platform)
-            record = client.wait(client.invoke("guest", "busy", {"t": 5, "v": "x"}))
+            aid = client.invoke("guest", "busy", {"t": 5, "v": "x"})
+            record = platform.wait_activation(aid)
             return record.status, record.result, kernel.now()
 
         status, result, t = kernel.run(main)
@@ -91,7 +92,7 @@ class TestThrottleRetry:
         def main():
             client = make_client(kernel, platform)
             ids = [client.invoke("guest", "busy", {"t": 10}) for _ in range(4)]
-            records = [client.wait(a) for a in ids]
+            records = [platform.wait_activation(a) for a in ids]
             return (
                 [r.status for r in records],
                 client.throttle_retries,
@@ -168,7 +169,7 @@ class TestWaitTimeout:
         def main():
             client = make_client(kernel, platform)
             aid = client.invoke("guest", "busy", {"t": 100})
-            record = client.wait(aid, timeout=5)
+            record = platform.wait_activation(aid, timeout=5)
             return record.finished, kernel.now()
 
         finished, t = kernel.run(main)

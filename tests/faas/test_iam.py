@@ -110,7 +110,8 @@ class TestPlatformAuth:
         def main():
             link = NetworkLink(kernel, LatencyModel.lan(), seed=1)
             client = CloudFunctionsClient(platform, link, credentials=key)
-            record = client.wait(client.invoke("alice", "echo", {"v": 9}))
+            aid = client.invoke("alice", "echo", {"v": 9})
+            record = platform.wait_activation(aid)
             return record.result
 
         assert kernel.run(main) == {"v": 9}

@@ -1,4 +1,4 @@
-"""Every definition in ``src/repro`` has a user.
+"""Every definition and every import in ``src/repro`` has a user.
 
 A ``def`` or ``class`` whose name appears nowhere else — not in ``src/``
 outside its own definition and the packages' re-exports, nor in
@@ -9,6 +9,10 @@ shares its users with every same-named definition.
 
 Each file set is scanned once into a ``Counter`` of ``\\w+`` tokens, so
 the whole check is a dictionary lookup per definition.
+
+An import is dead when its module never names what it binds: every name a
+module under ``src/repro`` (packages' ``__init__`` re-exports aside) binds
+by ``import`` must appear in that module's code as a name.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ TOKEN = re.compile(r"\w+")
 ALLOWED_UNUSED = {
     "reducer_override": "pickle calls this hook on the serializer's Pickler subclass",
 }
+
+#: ``path:name`` imports that their module never names, each with the reason
+#: it stays
+ALLOWED_UNUSED_IMPORTS: dict[str, str] = {}
 
 
 def _files(root: Path, suffixes: tuple[str, ...]) -> list[Path]:
@@ -111,3 +119,29 @@ def test_every_definition_has_a_user():
 def test_allowlist_names_only_unused_definitions():
     stale = set(ALLOWED_UNUSED) - set(unused_definitions())
     assert not stale, f"ALLOWED_UNUSED entries that are used or gone: {stale}"
+
+
+def unused_imports() -> list[str]:
+    """``path:name`` for every import binding its module never names."""
+    found = []
+    for path in _files(SRC, (".py",)):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update(a.asname or a.name for a in node.names if a.name != "*")
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.relative_to(REPO)}:{name}" for name in sorted(bound - named)]
+    return found
+
+
+def test_every_import_is_used():
+    unused = [name for name in unused_imports() if name not in ALLOWED_UNUSED_IMPORTS]
+    assert not unused, (
+        "imports their module never uses (delete them, or add them to "
+        f"ALLOWED_UNUSED_IMPORTS with a reason): {unused}"
+    )
