@@ -8,7 +8,7 @@ secondary axis — the exact visual language of Fig. 3.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+from html import escape
 from typing import Iterable, Optional, Sequence
 
 _WIDTH = 900
@@ -112,7 +112,7 @@ def _render(
             parts.append(
                 f'<text x="4" y="{_y_row(row - 1) + 4:.1f}" font-size="11" '
                 f'fill="{color}" font-family="sans-serif">'
-                f"{escape(str(label))}</text>"
+                f"{escape(str(label), quote=False)}</text>"
             )
 
     timeline = concurrency_timeline(all_intervals, t0=t0)
@@ -156,7 +156,7 @@ def render_execution_timeline(
     intervals = list(intervals)
     return _render(
         [(None, "#bbbbbb", 1, intervals)],
-        f"{escape(str(title))} ({len(intervals)} functions)",
+        f"{escape(str(title), quote=False)} ({len(intervals)} functions)",
     )
 
 
@@ -178,7 +178,7 @@ def render_staged_timeline(
             (name, _STAGE_COLORS[index % len(_STAGE_COLORS)], 2, intervals)
             for index, (name, intervals) in enumerate(groups)
         ],
-        f"{escape(str(title))} ({nodes} nodes, {len(groups)} stages)",
+        f"{escape(str(title), quote=False)} ({nodes} nodes, {len(groups)} stages)",
     )
 
 

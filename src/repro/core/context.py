@@ -26,7 +26,7 @@ from repro.core.errors import NoActiveEnvironmentError
 from repro.vtime.kernel import AMBIENT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AmbientContext:
     """What the current thread knows about 'its' cloud.
 

@@ -93,7 +93,8 @@ def _rebuild_function(
     fn = types.FunctionType(code, fn_globals, name, defaults, closure)
     fn.__qualname__ = qualname
     fn.__kwdefaults__ = kwdefaults
-    fn.__dict__.update(fn_dict)
+    if fn_dict:
+        fn.__dict__.update(fn_dict)
     for self_name in self_names:
         fn_globals[self_name] = fn
     return fn

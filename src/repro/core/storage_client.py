@@ -35,10 +35,16 @@ from repro.cos.client import COSClient
 from repro.cos.errors import NoSuchKey, PreconditionFailed
 
 
+def _no_watcher() -> None:
+    return None
+
+
 class InternalStorage:
     """Key-schema-aware wrapper over a :class:`COSClient`."""
 
-    watcher = staticmethod(lambda: None)  # the owning executor's watcher, weakly
+    # a running function builds one: named slots, and a ``__dict__`` only
+    # for an instance whose methods a caller overrides
+    __slots__ = ("cos", "bucket", "prefix", "exchange", "site", "watcher", "__dict__")
 
     def __init__(
         self,
@@ -61,6 +67,8 @@ class InternalStorage:
         #: ``(invoker_id, container_id)`` of the function this storage
         #: serves, or ``None`` on the client side (no tier engages)
         self.site = site
+        #: the owning executor's watcher, weakly (set by the executor)
+        self.watcher = _no_watcher
 
     # -- key construction ---------------------------------------------------
     def callset_prefix(self, executor_id: str, callset_id: str) -> str:

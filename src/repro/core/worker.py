@@ -72,11 +72,58 @@ def _run_user_fn_boxed(fn: Any, argument: Any, box: dict) -> None:
         box["tb"] = traceback.format_exc()
 
 
+def _enabled_tracer(ctx: ExecutionContext):
+    tracer = ctx.platform.tracer
+    return tracer if tracer is not None and tracer.enabled else None
+
+
 def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
-    """Execute one function executor call (steps generator)."""
+    """Execute one function executor call (steps generator).
+
+    Loading (:func:`_load_steps`) and the commit (:func:`_commit_steps`)
+    run in frames of their own, so while user code runs this suspended
+    frame holds only what the commit needs.  User code sees ``params``
+    itself as its ``call_info`` — the controller's private copy of the
+    invocation — so everything the commit reads from it is read before
+    user code starts, and a function that mutates its ``call_info``
+    changes nothing the platform records.
+    """
+    storage, fn, argument = yield from _load_steps(params, ctx)
     executor_id = params["executor_id"]
     callset_id = params["callset_id"]
     call_id = params["call_id"]
+    swarm = params.get("swarm")
+    monitor_queue = params.get("monitor_queue")
+    ambient.push_context(
+        ctx.platform.environment, in_cloud=True, call_info=params,
+        execution_context=ctx,
+    )
+    start_time = ctx.kernel.now()
+    error_text = None
+    try:
+        if inspect.isgeneratorfunction(fn):
+            # a steps-style user function runs inline on the model task —
+            # the activation never touches a worker thread
+            try:
+                value: Any = yield from fn(argument)
+            except Exception as exc:  # noqa: BLE001 - shipped back
+                error_text = repr(exc)
+                value = (_picklable_or_none(exc), traceback.format_exc())
+        else:
+            value, error_text = yield from _run_blocking_steps(
+                fn, argument, call_id, ctx
+            )
+    finally:
+        ambient.pop_context()
+    return (yield from _commit_steps(
+        ctx, storage, executor_id, callset_id, call_id, start_time, value,
+        error_text, swarm, monitor_queue,
+    ))
+
+
+def _load_steps(params: dict[str, Any], ctx: ExecutionContext):
+    """Open the call's storage and load its function and input (steps
+    generator); returns ``(storage, fn, argument)``."""
     storage = InternalStorage(
         ctx.cos,
         params["bucket"],
@@ -84,10 +131,7 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
         exchange=getattr(ctx.platform, "exchange", None),
         site=(ctx.record.invoker_id, ctx.record.container_id),
     )
-    tracer = ctx.platform.tracer
-    if tracer is not None and not tracer.enabled:
-        tracer = None
-
+    tracer = _enabled_tracer(ctx)
     t_deser = ctx.kernel.now() if tracer is not None else None
     func_blob = yield from storage.get_blob_steps(params["func_key"])
     fn = serializer.deserialize(func_blob)
@@ -97,51 +141,51 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
             "worker.deserialize", "worker", t_deser, ctx.kernel.now(),
             func_bytes=len(func_blob),
         )
+    return storage, fn, argument
 
-    environment = ctx.platform.environment
-    ambient.push_context(
-        environment, in_cloud=True, call_info=dict(params), execution_context=ctx
-    )
-    start_time = ctx.kernel.now()
-    success = True
-    error_text = None
-    try:
-        if inspect.isgeneratorfunction(fn):
-            # a steps-style user function runs inline on the model task —
-            # the activation never touches a worker thread
-            try:
-                value: Any = yield from fn(argument)
-            except Exception as exc:  # noqa: BLE001 - shipped back
-                success = False
-                error_text = repr(exc)
-                value = (_picklable_or_none(exc), traceback.format_exc())
-        else:
-            # arbitrary blocking user code gets a pooled thread; the pushed
-            # ambient context is captured into it by the spawn.  A DAG
-            # node's dependency results load first, here on the model task
-            box: dict[str, Any] = {}
-            if fn is _dag_node_call:
-                try:
-                    argument = yield from dag_node_inputs_steps(argument)
-                except Exception as exc:  # noqa: BLE001 - shipped back
-                    box["exc"], box["tb"] = exc, traceback.format_exc()
-            if "exc" not in box:
-                task = ctx.kernel.spawn(
-                    _run_user_fn_boxed, fn, argument, box,
-                    name=f"usr-{call_id}",
-                )
-                yield vjoin(task)
-                if task._exception is not None:
-                    raise task._exception
-            if "exc" in box:
-                success = False
-                error_text = repr(box["exc"])
-                value = (_picklable_or_none(box["exc"]), box["tb"])
-            else:
-                value = box.get("value")
-    finally:
-        ambient.pop_context()
+
+def _run_blocking_steps(fn: Any, argument: Any, call_id: str, ctx: ExecutionContext):
+    """Run a plain (blocking) user function on a pooled thread (steps
+    generator); returns ``(value, error_text)``.
+
+    The pushed ambient context is captured into the thread by the spawn.
+    A DAG node's dependency results load first, here on the model task.
+    """
+    box: dict[str, Any] = {}
+    if fn is _dag_node_call:
+        try:
+            argument = yield from dag_node_inputs_steps(argument)
+        except Exception as exc:  # noqa: BLE001 - shipped back
+            box["exc"], box["tb"] = exc, traceback.format_exc()
+    if "exc" not in box:
+        task = ctx.kernel.spawn(
+            _run_user_fn_boxed, fn, argument, box, name=f"usr-{call_id}"
+        )
+        yield vjoin(task)
+        if task._exception is not None:
+            raise task._exception
+    if "exc" in box:
+        error_text = repr(box["exc"])
+        return (_picklable_or_none(box["exc"]), box["tb"]), error_text
+    return box.get("value"), None
+
+
+def _commit_steps(
+    ctx: ExecutionContext,
+    storage: InternalStorage,
+    executor_id: str,
+    callset_id: str,
+    call_id: str,
+    start_time: float,
+    value: Any,
+    error_text: Any,
+    swarm: Any,
+    monitor_queue: Any,
+):
+    """Write the call's result and status, then hand off (steps generator)."""
     end_time = ctx.kernel.now()
+    success = error_text is None
+    tracer = _enabled_tracer(ctx)
     if tracer is not None:
         tracer.span_at(
             "worker.run", "worker", start_time, end_time, success=success
@@ -186,22 +230,22 @@ def runner_handler(params: dict[str, Any], ctx: ExecutionContext):
             run_end=end_time,
         )
 
-    if params.get("swarm") is not None and committed and success:
+    if swarm is not None and committed and success:
         # swarm-scheduled DAG node: the winning, successful commit carries
         # the scheduling baton — decrement dependents' counters and invoke
         # whatever became ready, from inside the cloud (see repro.dag.swarm)
         from repro.dag.swarm import swarm_handoff_steps
 
-        yield from swarm_handoff_steps(params, ctx, storage, status)
+        yield from swarm_handoff_steps(swarm, ctx, storage, status)
 
-    monitor_queue = params.get("monitor_queue")
     if monitor_queue and committed:
         # push-monitoring transport: notify the client directly, in
         # addition to the authoritative COS status object
         from repro.mq.client import MQClient
 
         mq = MQClient(
-            environment.broker, ctx.platform.in_cloud_link_factory()
+            ctx.platform.environment.broker,
+            ctx.platform.in_cloud_link_factory(),
         )
         yield from mq.publish_steps(monitor_queue, dict(status))
     return {"call_id": call_id, "success": success}

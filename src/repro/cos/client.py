@@ -9,7 +9,6 @@ buckets over very different network paths.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +40,8 @@ class COSClient:
     configured by :class:`~repro.config.RetryConfig`.
     """
 
+    __slots__ = ("store", "link", "_retry", "_policy", "_req_seq")
+
     def __init__(
         self,
         store: CloudObjectStorage,
@@ -49,13 +50,18 @@ class COSClient:
     ) -> None:
         self.store = store
         self.link = link
-        self.policy = RetryPolicy(retry, seed=link.seed)
-        self._req_seq = itertools.count()
+        if retry is not None:
+            retry.validate()
+        self._retry = retry
+        # built at the first failed attempt: most clients never retry, and
+        # every in-flight activation owns a client
+        self._policy: Optional[RetryPolicy] = None
+        self._req_seq = 0
 
     @property
     def retries(self) -> int:
         """Backoff-retries this client has taken (observability)."""
-        return self.policy.retries
+        return 0 if self._policy is None else self._policy.retries
 
     # -- write path ----------------------------------------------------------
     def put_object(
@@ -196,43 +202,53 @@ class COSClient:
         ``op`` labels the resulting ``cos.<op>`` trace span.
         """
         self.store.count_request(op)
-        chaos = self.store.chaos
-        link = self.link
-
-        def attempt_steps():
-            fault = (
-                chaos.cos_fault(link.seed, next(self._req_seq))
-                if chaos is not None
-                else None
-            )
-            if fault is None:
-                yield from link.request_steps(payload_bytes)
-                return
-            kind, factor = fault
-            if kind in ("503", "slowdown"):
-                # the refusal still costs a round trip
-                yield from link.request_steps(0)
-                chaos.record(link.kernel.now(), "cos", kind, f"link-{link.seed}")
-                if kind == "503":
-                    raise ServiceUnavailable("chaos: COS answered 503")
-                raise SlowDown("chaos: COS asked the client to slow down")
-            # slow read/write: the transfer happens, at a fraction of the
-            # usual bandwidth
-            yield from link.request_steps(payload_bytes)
-            chaos.record(
-                link.kernel.now(), "cos", "slow-read", f"link-{link.seed}"
-            )
-            extra = (factor - 1.0) * link.transfer_time(payload_bytes)
-            if extra > 0:
-                yield vsleep(extra)
-
-        tracer = getattr(self.store, "tracer", None)
+        tracer = self.store.tracer
         if tracer is None or not tracer.enabled:
-            return (yield from self.policy.run_steps(attempt_steps))
-        t0 = link.kernel.now()
+            return (yield from self._attempts_steps(payload_bytes))
+        t0 = self.link.kernel.now()
         try:
-            yield from self.policy.run_steps(attempt_steps)
+            yield from self._attempts_steps(payload_bytes)
         finally:
             tracer.span_at(
-                f"cos.{op}", "cos", t0, link.kernel.now(), bytes=payload_bytes
+                f"cos.{op}", "cos", t0, self.link.kernel.now(), bytes=payload_bytes
             )
+
+    def _attempts_steps(self, payload_bytes: int):
+        """The first attempt runs bare; the retry policy joins only once an
+        attempt has failed."""
+        try:
+            return (yield from self._attempt_steps(payload_bytes))
+        except Exception as exc:  # noqa: BLE001 - classified by the policy
+            failure = exc
+        if self._policy is None:
+            self._policy = RetryPolicy(self._retry, seed=self.link.seed)
+        yield from self._policy.retry_steps(
+            failure, lambda: self._attempt_steps(payload_bytes)
+        )
+
+    def _attempt_steps(self, payload_bytes: int):
+        chaos = self.store.chaos
+        link = self.link
+        fault = None
+        if chaos is not None:
+            # no lock: one kernel thread runs task code at a time
+            fault = chaos.cos_fault(link.seed, self._req_seq)
+            self._req_seq += 1
+        if fault is None:
+            yield from link.request_steps(payload_bytes)
+            return
+        kind, factor = fault
+        if kind in ("503", "slowdown"):
+            # the refusal still costs a round trip
+            yield from link.request_steps(0)
+            chaos.record(link.kernel.now(), "cos", kind, f"link-{link.seed}")
+            if kind == "503":
+                raise ServiceUnavailable("chaos: COS answered 503")
+            raise SlowDown("chaos: COS asked the client to slow down")
+        # slow read/write: the transfer happens, at a fraction of the
+        # usual bandwidth
+        yield from link.request_steps(payload_bytes)
+        chaos.record(link.kernel.now(), "cos", "slow-read", f"link-{link.seed}")
+        extra = (factor - 1.0) * link.transfer_time(payload_bytes)
+        if extra > 0:
+            yield vsleep(extra)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from xml.sax.saxutils import escape
+from html import escape
 
 from repro.dag.graph import Dag
 from repro.dag.node import DagNode
@@ -142,12 +142,15 @@ def to_svg(dag: Dag) -> str:
         for col, node in enumerate(row):
             x = x0 + col * (box_w + gap_x)
             centers[node.node_id] = (x + box_w / 2, y + box_h / 2)
-            title = escape(f"{node.display_name} [{dag.stage_name(node)}]")
+            title = escape(
+                f"{node.display_name} [{dag.stage_name(node)}]", quote=False
+            )
             stroke_w = ""
             if len(node.fns) > 1:
                 title = escape(
                     f"{node.display_name} [{dag.stage_name(node)}]"
-                    f" — fused ×{len(node.fns)}"
+                    f" — fused ×{len(node.fns)}",
+                    quote=False,
                 )
                 stroke_w = ' stroke-width="2.5"'
             boxes.append(
@@ -157,11 +160,11 @@ def to_svg(dag: Dag) -> str:
                 f'<text x="{x + box_w / 2:.1f}" y="{y + box_h / 2 - 3:.1f}" '
                 f'text-anchor="middle" font-size="12" '
                 f'font-family="Helvetica,sans-serif">'
-                f"{escape(_clip(node.display_name))}</text>"
+                f"{escape(_clip(node.display_name), quote=False)}</text>"
                 f'<text x="{x + box_w / 2:.1f}" y="{y + box_h / 2 + 13:.1f}" '
                 f'text-anchor="middle" font-size="10" fill="#475569" '
                 f'font-family="Helvetica,sans-serif">'
-                f"{escape(dag.stage_name(node))}</text>"
+                f"{escape(dag.stage_name(node), quote=False)}</text>"
                 f"<title>{title}</title></g>"
             )
 

@@ -209,8 +209,11 @@ def ready_dependents_steps(
     return won
 
 
-def swarm_handoff_steps(params: dict[str, Any], ctx, storage, status: dict):
+def swarm_handoff_steps(info: dict[str, Any], ctx, storage, status: dict):
     """Worker-side handoff, run after a *winning, successful* status commit.
+
+    ``info`` is the node's ``call_params["swarm"]`` and ``status`` the
+    status object it just committed, which names the node's own call.
 
     Range-reads this node's own schedule slice over the in-cloud link
     (skipped when it has no drivable dependents), runs the counter
@@ -218,12 +221,11 @@ def swarm_handoff_steps(params: dict[str, Any], ctx, storage, status: dict):
     — the same trusted in-cloud gateway path the massive invoker uses —
     with a placement hint aimed at this worker's own invoker node.
     """
-    info = params["swarm"]
     if info["slice"] is None:
         return
-    executor_id = params["executor_id"]
+    executor_id = status["executor_id"]
     dag_id = info["dag_id"]
-    me = node_key(params["callset_id"], params["call_id"])
+    me = node_key(status["callset_id"], status["call_id"])
     record = yield from storage.get_swarm_slice_steps(
         executor_id, dag_id, *info["slice"]
     )

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.faas.errors import ActionNotFound
@@ -27,11 +27,12 @@ class Action:
     runtime: str
     memory_mb: int
     timeout_s: float
+    #: fully qualified name, e.g. ``guest/pywren_runner``: built once and
+    #: shared by every container of the action
+    fqn: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def fqn(self) -> str:
-        """Fully qualified name, e.g. ``guest/pywren_runner``."""
-        return f"{self.namespace}/{self.name}"
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fqn", f"{self.namespace}/{self.name}")
 
 
 class Namespace:

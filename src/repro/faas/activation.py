@@ -16,7 +16,7 @@ class ActivationStatus:
     ALL = (SUCCESS, ERROR, TIMEOUT)
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationRecord:
     """Everything the platform knows about one invocation.
 

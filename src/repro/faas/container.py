@@ -28,6 +28,11 @@ class Container:
     #: STOPPED it never returned to the warm pool
     CRASHED = "crashed"
 
+    __slots__ = (
+        "container_id", "action_fqn", "runtime", "memory_mb", "created",
+        "invoker_id", "state", "last_used", "activations_served",
+    )
+
     def __init__(
         self,
         action_fqn: str,

@@ -29,6 +29,7 @@ from typing import Any, Optional
 
 from repro.faas.action import Action, Handler, Namespace
 from repro.faas.activation import ActivationRecord, ActivationStatus
+from repro.faas.container import Container
 from repro.faas.errors import (
     ActivationNotFound,
     NamespaceNotFound,
@@ -80,17 +81,11 @@ class ExecutionContext:
     is the asymmetry the massive-spawning mechanism (§5.1) exploits.
     """
 
-    def __init__(
-        self,
-        platform: "CloudFunctions",
-        namespace: str,
-        record: ActivationRecord,
-        action: Action,
-    ) -> None:
+    __slots__ = ("platform", "record", "_cos", "_functions")
+
+    def __init__(self, platform: "CloudFunctions", record: ActivationRecord) -> None:
         self.platform = platform
-        self.namespace = namespace
         self.record = record
-        self.action = action
         self._cos = None
         self._functions = None
 
@@ -530,8 +525,9 @@ class CloudFunctions:
         fates, billing — runs as a model task and holds no OS thread while
         sleeping.  Only a plain (non-generator) user handler occupies a
         pooled worker thread, and only for its own duration.  Traced or
-        not, the task is :meth:`_execute_steps` itself: no wrapper frame
-        per in-flight activation.
+        not, the task is :meth:`_execute_steps` itself, named by the
+        activation id the record already holds: no wrapper frame and no
+        new name string per in-flight activation.
         """
         tracer, scope = self.tracer, contextlib.nullcontext()
         if tracer is None or not tracer.enabled:
@@ -544,7 +540,7 @@ class CloudFunctions:
         with scope:
             self.kernel.spawn_model(
                 self._execute_steps, action, params, record, tracer,
-                name=f"fn-{action.name}-{record.activation_id}",
+                name=record.activation_id,
             )
 
     def _execute_steps(
@@ -554,12 +550,48 @@ class CloudFunctions:
         record: ActivationRecord,
         tracer,
     ):
+        """One activation: start its container, run the handler, finish.
+
+        Set-up (:meth:`_start_steps`) and tear-down (:meth:`_finish`) have
+        frames of their own, so while the handler runs this suspended frame
+        holds only the container and the status.
+        """
+        container = yield from self._start_steps(action, params, record, tracer)
+        if container is None:
+            return  # the container crashed or hung; already wound up
+        status = ActivationStatus.SUCCESS
+        if inspect.isgeneratorfunction(action.handler):
+            # a steps-style handler runs inline on the model task: the whole
+            # activation is threadless end to end
+            try:
+                record.result = yield from action.handler(
+                    params, ExecutionContext(self, record)
+                )
+            except Exception:  # noqa: BLE001 - the platform reports, not crashes
+                status = ActivationStatus.ERROR
+                record.error = traceback.format_exc()
+        else:
+            status = yield from self._run_blocking_steps(action, params, record)
+        self._finish(action, record, container, status, "run", tracer)
+
+    def _start_steps(
+        self,
+        action: Action,
+        params: dict[str, Any],
+        record: ActivationRecord,
+        tracer,
+    ):
+        """Place, pull and boot the activation's container, then draw its
+        fault fate.  Returns the container to run the handler in, or
+        ``None`` once a crashed or hung container has been wound up.
+        """
         t_place = self.kernel.now()
         placement, node = yield from self._place_steps(
             action, params.get("placement_hint")
         )
+        container = placement.container
         record.invoker_id = node.node_id
-        record.container_id = placement.container.container_id
+        record.container_id = container.container_id
         record.cold_start = placement.cold
         record.image_pulled = placement.needs_pull
         if tracer is not None:
@@ -593,63 +625,68 @@ class CloudFunctions:
                 )
 
         record.start_time = self.kernel.now()
-        fate, fate_delay = "run", 0.0
-        if self.chaos is not None:
-            fate, fate_delay = self.chaos.container_fate(record.activation_id)
-            if fate != "run":
-                self.chaos.record(
-                    record.start_time, "container", fate, record.activation_id,
-                    tenant=record.namespace if self.tenants is not None else None,
-                )
-        if fate != "run":
-            # the container dies without the handler completing: no result,
-            # no status object in COS — the client only notices by absence.
-            # A crash dies within seconds; a hang wedges until the platform
-            # reaps the unresponsive container after ``fate_delay``.
-            yield vsleep(fate_delay)
-            record.end_time = self.kernel.now()
-            status = ActivationStatus.ERROR
-            record.error = (
-                "infrastructure failure: container crashed"
-                if fate == "crash"
-                else "infrastructure failure: container hung and was reaped"
-            )
-        else:
-            ctx = ExecutionContext(self, record.namespace, record, action)
-            status = ActivationStatus.SUCCESS
-            if inspect.isgeneratorfunction(action.handler):
-                # a steps-style handler runs inline on the model task: the whole
-                # activation is threadless end to end
-                try:
-                    record.result = yield from action.handler(params, ctx)
-                except Exception:  # noqa: BLE001 - the platform reports, not crashes
-                    status = ActivationStatus.ERROR
-                    record.error = traceback.format_exc()
-            else:
-                # a plain blocking handler gets a pooled worker thread for
-                # exactly its own duration; ambient context (trace bind) is
-                # captured from this step and follows it
-                box: dict[str, Any] = {}
-                handler_task = self.kernel.spawn(
-                    _run_handler_boxed,
-                    action.handler,
-                    params,
-                    ctx,
-                    box,
-                    name=f"hnd-{action.name}-{record.activation_id}",
-                )
-                yield vjoin(handler_task)
-                if handler_task._exception is not None:
-                    # non-Exception BaseException (or kernel teardown): this
-                    # activation's platform task dies with it, as before
-                    raise handler_task._exception
-                if "error" in box:
-                    status = ActivationStatus.ERROR
-                    record.error = box["error"]
-                else:
-                    record.result = box.get("result")
-            record.end_time = self.kernel.now()
+        if self.chaos is None:
+            return container
+        fate, fate_delay = self.chaos.container_fate(record.activation_id)
+        if fate == "run":
+            return container
+        self.chaos.record(
+            record.start_time, "container", fate, record.activation_id,
+            tenant=record.namespace if self.tenants is not None else None,
+        )
+        # the container dies without the handler completing: no result,
+        # no status object in COS — the client only notices by absence.
+        # A crash dies within seconds; a hang wedges until the platform
+        # reaps the unresponsive container after ``fate_delay``.
+        yield vsleep(fate_delay)
+        record.end_time = self.kernel.now()
+        record.error = (
+            "infrastructure failure: container crashed"
+            if fate == "crash"
+            else "infrastructure failure: container hung and was reaped"
+        )
+        self._finish(action, record, container, ActivationStatus.ERROR, fate, tracer)
+        return None
 
+    def _run_blocking_steps(
+        self, action: Action, params: dict[str, Any], record: ActivationRecord
+    ):
+        """Run a plain blocking handler on a pooled worker thread for
+        exactly its own duration; returns the activation status.  Ambient
+        context (trace bind) is captured from this step and follows it."""
+        box: dict[str, Any] = {}
+        handler_task = self.kernel.spawn(
+            _run_handler_boxed,
+            action.handler,
+            params,
+            ExecutionContext(self, record),
+            box,
+            name=f"hnd-{action.name}-{record.activation_id}",
+        )
+        yield vjoin(handler_task)
+        if handler_task._exception is not None:
+            # non-Exception BaseException (or kernel teardown): this
+            # activation's platform task dies with it, as before
+            raise handler_task._exception
+        if "error" in box:
+            record.error = box["error"]
+            return ActivationStatus.ERROR
+        record.result = box.get("result")
+        return ActivationStatus.SUCCESS
+
+    def _finish(
+        self,
+        action: Action,
+        record: ActivationRecord,
+        container: Container,
+        status: str,
+        fate: str,
+        tracer,
+    ) -> None:
+        """Close the activation: clamp a timeout, bill it, return (or
+        discard) its container and wake whoever waits on it."""
+        if fate == "run":
+            record.end_time = self.kernel.now()
             limit = min(action.timeout_s, self.limits.max_exec_seconds)
             if record.end_time - record.start_time > limit:
                 # The real platform would have killed the function at the limit;
@@ -680,15 +717,16 @@ class CloudFunctions:
                 record.start_time, record.end_time,
                 action=action.name,
                 memory_mb=action.memory_mb,
-                cold=placement.cold,
-                invoker_id=node.node_id,
+                cold=record.cold_start,
+                invoker_id=container.invoker_id,
                 status=status if fate == "run" else fate,
             )
+        node = self.invokers[container.invoker_id]
         if fate != "run":
-            node.discard(placement.container, crashed=True)
+            node.discard(container, crashed=True)
         else:
-            node.release(placement.container, self.kernel.now())
-            fqn = placement.container.action_fqn
+            node.release(container, self.kernel.now())
+            fqn = container.action_fqn
             self._warm_idle[fqn] = self._warm_idle.get(fqn, 0) + 1
         with self._act_lock:
             self._active[record.namespace] -= 1

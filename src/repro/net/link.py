@@ -11,7 +11,11 @@ from repro.vtime import Kernel
 from repro.vtime.kernel import vsleep
 
 # Default service bandwidth seen by one flow (COS single-stream throughput).
-DEFAULT_BANDWIDTH_BPS = 100 * 1024 * 1024  # 100 MiB/s
+DEFAULT_BANDWIDTH_BPS = 100.0 * 1024 * 1024  # 100 MiB/s
+
+#: guards every link's draws.  The critical section never blocks or nests,
+#: so one lock serves all links instead of one per in-flight activation.
+_DRAW_LOCK = threading.Lock()
 
 #: draws a link stream keeps before it falls back to a full Mersenne state.
 #: An activation's in-cloud link draws one per request: 4 for a map call, up
@@ -78,6 +82,11 @@ class NetworkLink:
     components create one per (endpoint, latency-profile) pair.
     """
 
+    __slots__ = (
+        "kernel", "latency", "bandwidth_bps", "seed", "chaos", "tracer",
+        "_rng", "_requests", "_failures",
+    )
+
     def __init__(
         self,
         kernel: Kernel,
@@ -98,7 +107,6 @@ class NetworkLink:
         #: optional :class:`repro.trace.Tracer` receiving ``net.request`` spans
         self.tracer = tracer
         self._rng = LinkStream(seed)
-        self._rng_lock = threading.Lock()
         self._requests = 0
         self._failures = 0
 
@@ -124,7 +132,7 @@ class NetworkLink:
         request books its RTT and its payload's transfer as one kernel
         timer; a failed one pays only the RTT.
         """
-        with self._rng_lock:
+        with _DRAW_LOCK:
             rtt = self.latency.sample_rtt(self._rng)
             fails = allow_failure and self.latency.sample_failure(self._rng)
             if self.chaos is not None:

@@ -57,6 +57,8 @@ class RetryPolicy:
     the simulation.
     """
 
+    __slots__ = ("config", "_seed", "_rng", "retries")
+
     def __init__(self, config: Optional[RetryConfig] = None, seed: int = 0) -> None:
         self.config = config or _DEFAULT_CONFIG
         self.config.validate()
@@ -103,16 +105,35 @@ class RetryPolicy:
         Backoff sleeps are yielded as ops, so the loop runs as — or inside —
         a model task, or under ``kernel.drive`` in a thread task.
         """
+        try:
+            return (yield from attempt_factory())
+        except Exception as exc:  # noqa: BLE001 - classified by retry_steps
+            failure = exc
+        return (yield from self.retry_steps(failure, attempt_factory, classify, on_retry))
+
+    def retry_steps(
+        self,
+        failure: BaseException,
+        attempt_factory: Callable[[], object],
+        classify: Callable[[BaseException], bool] = is_retryable,
+        on_retry: Optional[Callable[[int, BaseException, float], None]] = None,
+    ):
+        """:meth:`run_steps` from its first attempt's ``failure`` on.
+
+        A caller that runs its first attempt bare builds no policy, closure
+        or retry generator until that attempt fails.
+        """
         attempt = 1
         while True:
+            if not classify(failure) or attempt >= self.config.max_attempts:
+                raise failure
+            delay = self.backoff(attempt, getattr(failure, "retry_after", None))
+            self.retries += 1
+            if on_retry is not None:
+                on_retry(attempt, failure, delay)
+            yield vsleep(delay)
+            attempt += 1
             try:
                 return (yield from attempt_factory())
-            except Exception as exc:  # noqa: BLE001 - classified below
-                if not classify(exc) or attempt >= self.config.max_attempts:
-                    raise
-                delay = self.backoff(attempt, getattr(exc, "retry_after", None))
-                self.retries += 1
-                if on_retry is not None:
-                    on_retry(attempt, exc, delay)
-                yield vsleep(delay)
-                attempt += 1
+            except Exception as exc:  # noqa: BLE001 - classified above
+                failure = exc

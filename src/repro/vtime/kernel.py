@@ -296,6 +296,13 @@ class ModelTask:
     _BLOCKED = Task._BLOCKED
     _FINISHED = Task._FINISHED
 
+    # one per in-flight activation: no per-instance dict
+    __slots__ = (
+        "kernel", "name", "task_id", "daemon", "_state", "_gen",
+        "_pending_exc", "_resume_value_fn", "_context", "_outcome_ready",
+        "_join_waiters", "_result", "_exception",
+    )
+
     def __init__(self, kernel: "Kernel", name: str, task_id: int) -> None:
         self.kernel = kernel
         self.name = name

@@ -123,21 +123,43 @@ def group_rows(
     first = group * rows_per_group
     last = min(object_rows, first + rows_per_group)
     digest = hashlib.sha256(f"listings:{city}:{group}".encode()).digest()
-    rng = random.Random(digest)
+    getrandbits = random.Random(digest).getrandbits
+    price_low, price_n, price_k = _below_args(_PRICE_RANGE)
+    stars_low, stars_n, stars_k = _below_args(_STARS_RANGE)
+    nights_low, nights_n, nights_k = _below_args(_NIGHTS_RANGE)
     rows = []
     for rid in range(first, last):
+        # rng.randint(low, high) for each column, written out: CPython's
+        # randint(low, high) = low + below(n) for n = high - low + 1, and
+        # below(n) redraws getrandbits(n.bit_length()) until it is < n
+        price = getrandbits(price_k)
+        while price >= price_n:
+            price = getrandbits(price_k)
+        stars = getrandbits(stars_k)
+        while stars >= stars_n:
+            stars = getrandbits(stars_k)
+        nights = getrandbits(nights_k)
+        while nights >= nights_n:
+            nights = getrandbits(nights_k)
         rows.append(
             {
                 "id": rid,
                 # date-ordered: monotone non-decreasing over the object
                 "day": rid * DAYS // max(1, object_rows),
                 "city": city,
-                "price": rng.randint(*_PRICE_RANGE),
-                "stars": rng.randint(*_STARS_RANGE),
-                "nights": rng.randint(*_NIGHTS_RANGE),
+                "price": price_low + price,
+                "stars": stars_low + stars,
+                "nights": nights_low + nights,
             }
         )
     return rows
+
+
+def _below_args(bounds: tuple[int, int]) -> tuple[int, int, int]:
+    """``(low, n, bits)`` for drawing ``randint(*bounds)`` by hand."""
+    low, high = bounds
+    n = high - low + 1
+    return low, n, n.bit_length()
 
 
 def _group_stats(rows: list[dict]) -> dict:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -136,3 +137,43 @@ class TestTableBytesPinned:
             "rows/london.csv":
                 "7f1c6e7ce16fbe3836fbc220a56119ecb0d25415833d8fde9ead5b49c2fbe8d1",
         }
+
+
+def _reference_group_rows(
+    city: str, group: int, object_rows: int, rows_per_group: int
+) -> list[dict]:
+    """``group_rows`` with one ``random.Random.randint`` call per value,
+    the form its inline ``getrandbits`` draws must reproduce."""
+    first = group * rows_per_group
+    last = min(object_rows, first + rows_per_group)
+    digest = hashlib.sha256(f"listings:{city}:{group}".encode()).digest()
+    rng = random.Random(digest)
+    return [
+        {
+            "id": rid,
+            "day": rid * tbl.DAYS // max(1, object_rows),
+            "city": city,
+            "price": rng.randint(*tbl._PRICE_RANGE),
+            "stars": rng.randint(*tbl._STARS_RANGE),
+            "nights": rng.randint(*tbl._NIGHTS_RANGE),
+        }
+        for rid in range(first, last)
+    ]
+
+
+class TestGroupRowsDraws:
+    # 2,048-row groups: every column's rejected draws (price 481-511, stars
+    # 5-7, nights 30-31) come up, so an off-by-one in a redraw shows
+    @pytest.mark.parametrize("city", ["new-york", "paris", "tokyo"])
+    @pytest.mark.parametrize("group", [0, 1, 7, 311])
+    def test_rows_equal_the_per_call_randint_form(self, city, group):
+        object_rows = 1_000_000
+        assert tbl.group_rows(city, group, object_rows, 2048) == (
+            _reference_group_rows(city, group, object_rows, 2048)
+        )
+
+    def test_partial_last_group_equals_the_per_call_form(self):
+        # 100 rows in groups of 64: the last group holds 36
+        assert tbl.group_rows("london", 1, 100, 64) == (
+            _reference_group_rows("london", 1, 100, 64)
+        )
