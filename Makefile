@@ -64,16 +64,21 @@ bench:
 paper-check:
 	PYTHONPATH=src python -m pytest benchmarks -q --benchmark-disable
 
-# same-seed determinism against host timing (nightly CI job, ~5 min): the
-# swarm trace test, the one-task-at-a-time tests, the thread-task spawn
-# sites, the exact hand-off count and the one-judge request counts, 50 fresh
-# interpreters each; stops at the first failure and prints its output
+# same-seed determinism against host timing and hash seeds (nightly CI job,
+# ~8 min): the swarm trace test, the one-task-at-a-time tests, the
+# thread-task spawn sites, the exact hand-off count, the one-judge request
+# counts, the in-flight activation's tracked-object bound (a context
+# variable's salted hash can cost it one HAMT node) and same-seed container
+# ids, 50 fresh interpreters each; stops at the first failure and prints
+# its output
 DETERMINISM_TESTS = \
 	tests/dag/test_swarm.py::TestTracing::test_same_seed_swarm_traces_byte_identical \
 	tests/vtime/test_step_order.py::TestOneTaskAtATime \
 	tests/dag/test_handoffs.py::TestThreadTaskSpawnSites \
 	tests/dag/test_handoffs.py::TestHandoffBudget::test_the_count_is_exact_under_a_seed \
-	tests/core/test_one_judge.py
+	tests/core/test_one_judge.py \
+	tests/faas/test_activation_footprint.py::TestInFlightFootprint \
+	tests/faas/test_container.py::TestContainerIdsPerPlatform
 
 determinism:
 	@for test in $(DETERMINISM_TESTS); do \

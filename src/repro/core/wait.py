@@ -122,9 +122,17 @@ class QueueSource(ListSource):
         self._delivered.get(future.callset_id, {}).pop(future.call_id, None)
 
 
+def _positions(index: Any) -> tuple[int, ...]:
+    """The input positions a ``_Wait`` index entry names."""
+    return index if type(index) is tuple else (index,)
+
+
 class _Wait:
     """One parked wait: its futures indexed by input position and, per
-    callset, by call id, so a round costs O(callsets + completions)."""
+    callset, by call id, so a round costs O(callsets + completions).
+
+    A call id maps to its position, or to a tuple of positions for a call
+    listed more than once, so the index holds no list per call."""
 
     def __init__(self, kernel, futures: list[ResponseFuture], return_when: int,
                  on_progress) -> None:
@@ -136,32 +144,38 @@ class _Wait:
     def refresh(self) -> None:
         """Index the unknown futures by position, and per callset by call id."""
         self.pending = {p: f for p, f in enumerate(self.futures) if not f.status_known}
-        self.callsets: dict[Key, dict[str, list[int]]] = {}
+        self.callsets: dict[Key, dict[str, Any]] = {}
         for position, future in self.pending.items():
             ids = self.callsets.setdefault(_key(future), {})
-            ids.setdefault(future.call_id, []).append(position)
+            first = ids.setdefault(future.call_id, position)
+            if first != position:
+                ids[future.call_id] = (*_positions(first), position)
 
     def keys(self) -> list[Key]:
         """The callsets with a pending future, by their first one."""
-        return sorted(self.callsets, key=lambda key: next(iter(self.callsets[key].values())))
+        return sorted(
+            self.callsets, key=lambda key: _positions(next(iter(self.callsets[key].values())))
+        )
 
     def take(self, key: Key, found: dict[str, Any], judged: set) -> None:
         """Take out what discovery found of ``key`` (a DAG node once judged)."""
         ids = self.callsets[key]
         for call_id in ids.keys() & found.keys():
-            positions = ids[call_id]
-            for position in list(positions):
+            kept = ()
+            for position in _positions(ids[call_id]):
                 future = self.pending[position]
                 if future in judged:
                     if not future.status_known:
+                        kept += (position,)
                         continue
                 elif found[call_id] is None:
                     future.mark_done()
                 else:
                     future._ingest_status(found[call_id])
-                positions.remove(position)
                 del self.pending[position]
-            if not positions:
+            if kept:
+                ids[call_id] = kept[0] if len(kept) == 1 else kept
+            else:
                 del ids[call_id]
         if not ids:
             del self.callsets[key]
@@ -287,7 +301,8 @@ class Watcher:
         for wait in waits:
             for key in wait.keys():
                 invoked = (f.state != CallState.NEW or not hasattr(f, "_call_params")
-                           for ps in wait.callsets[key].values() for f in map(wait.pending.get, ps))
+                           for ps in wait.callsets[key].values()
+                           for f in map(wait.pending.get, _positions(ps)))
                 if key not in keys and any(invoked):
                     keys[key] = None
         found = yield from self.source.discover_steps(keys)

@@ -42,8 +42,19 @@ class ActivationRecord:
     status: Optional[str] = None
     result: Any = None
     error: Optional[str] = None
-    #: (virtual timestamp, message) pairs from ``ctx.log()``
-    logs: list[tuple[float, str]] = field(default_factory=list)
+    #: (virtual timestamp, message) pairs from ``ctx.log()``: a list made
+    #: at first access (see ``__getattr__``), as records live for the
+    #: whole run and most never log
+    logs: list[tuple[float, str]] = field(init=False)
+
+    def __getattr__(self, name: str) -> Any:
+        # called only for an unset slot: ``logs`` before its first access
+        if name != "logs":
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}"
+            )
+        logs = self.logs = []
+        return logs
 
     @property
     def finished(self) -> bool:

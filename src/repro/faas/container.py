@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
-_container_ids = itertools.count(1)
-
 
 class Container:
     """A (simulated) Docker container bound to one action.
@@ -35,13 +31,14 @@ class Container:
 
     def __init__(
         self,
+        container_id: str,
         action_fqn: str,
         runtime: str,
         memory_mb: int,
         created: float,
         invoker_id: int,
     ) -> None:
-        self.container_id = f"wsk-cont-{next(_container_ids):06d}"
+        self.container_id = container_id
         self.action_fqn = action_fqn
         self.runtime = runtime
         self.memory_mb = memory_mb

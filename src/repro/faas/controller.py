@@ -222,9 +222,11 @@ class CloudFunctions:
         # during a ramp-up).  May overcount after TTL expiry or eviction —
         # a scan that comes up empty resyncs it — but never undercounts.
         self._warm_idle: dict[str, int] = {}
+        container_ids = itertools.count(1)  # one numbering per platform
         self.invokers = [
             InvokerNode(
-                i, self.limits.invoker_memory_mb, self.limits.warm_idle_ttl
+                i, self.limits.invoker_memory_mb, self.limits.warm_idle_ttl,
+                container_ids,
             )
             for i in range(self.limits.invoker_count)
         ]

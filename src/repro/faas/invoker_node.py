@@ -9,7 +9,7 @@ paper's elasticity experiment (§6.2) exercises.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.faas.action import Action
 from repro.faas.container import Container
@@ -27,10 +27,22 @@ class Placement:
 
 
 class InvokerNode:
-    """One node of the Cloud Functions cluster."""
+    """One node of the Cloud Functions cluster.
 
-    def __init__(self, node_id: int, memory_mb: int, warm_idle_ttl: float) -> None:
+    ``container_ids`` numbers the containers the node starts; a platform
+    passes one counter to all its nodes, so ids are unique per platform
+    and equal across same-seed runs in one process.
+    """
+
+    def __init__(
+        self,
+        node_id: int,
+        memory_mb: int,
+        warm_idle_ttl: float,
+        container_ids: Iterator[int],
+    ) -> None:
         self.node_id = node_id
+        self._container_ids = container_ids
         self.memory_mb = memory_mb
         self.warm_idle_ttl = warm_idle_ttl
         self._used_mb = 0
@@ -110,7 +122,8 @@ class InvokerNode:
             if self._make_room_locked(action.memory_mb, now):
                 self._used_mb += action.memory_mb
                 container = Container(
-                    action.fqn, action.runtime, action.memory_mb, now, self.node_id
+                    f"wsk-cont-{next(self._container_ids):06d}",
+                    action.fqn, action.runtime, action.memory_mb, now, self.node_id,
                 )
                 self.cold_starts += 1
                 needs_pull = action.runtime not in self._cached_images

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import random
+import struct
 import threading
-from array import array
+from typing import Optional
 
 from repro.net.latency import LatencyModel, TransientNetworkError
 from repro.vtime import Kernel
@@ -17,60 +18,15 @@ DEFAULT_BANDWIDTH_BPS = 100.0 * 1024 * 1024  # 100 MiB/s
 #: so one lock serves all links instead of one per in-flight activation.
 _DRAW_LOCK = threading.Lock()
 
-#: draws a link stream keeps before it falls back to a full Mersenne state.
-#: An activation's in-cloud link draws one per request: 4 for a map call, up
+#: draws a link keeps before it falls back to a full Mersenne state.  An
+#: activation's in-cloud link draws one per request: 4 for a map call, up
 #: to 8 for a DAG node.  The few links that draw more (client links, remote
 #: invokers, reducers) mostly draw hundreds, so a longer prefix would only
 #: delay their rebuild.
 _KEPT_DRAWS = 8
-
-
-def _first_draws(seed) -> array:
-    draw = random.Random(seed).random
-    return array("d", [draw() for _ in range(_KEPT_DRAWS)])
-
-
-class LinkStream:
-    """``random.Random(seed)``'s draws, exact but held compactly.
-
-    A seeded Mersenne-Twister state is ~2.5 KB, and every in-flight
-    activation owns a link.  Most links draw a handful of times, so at its
-    first draw the stream seeds one ``random.Random(seed)``, keeps its first
-    :data:`_KEPT_DRAWS` ``random()`` outputs in an ``array('d')`` and drops
-    the state.  A link that draws past the prefix re-seeds once, skips the
-    draws it has used and keeps the state from then on.  ``random()`` and
-    ``uniform()`` return exactly what ``random.Random(seed)`` would, draw
-    for draw, so the stream stands in for one wherever
-    :class:`LatencyModel` samples.
-    """
-
-    __slots__ = ("_seed", "_kept", "_used", "_rng")
-
-    def __init__(self, seed) -> None:
-        self._seed = seed
-        self._kept = None
-        self._used = 0
-        self._rng = None
-
-    def random(self) -> float:
-        if self._rng is not None:
-            return self._rng.random()
-        if self._kept is None:
-            self._kept = _first_draws(self._seed)
-        used = self._used
-        if used < _KEPT_DRAWS:
-            self._used = used + 1
-            return self._kept[used]
-        # past the prefix: rebuild the state once, and keep it
-        rng = self._rng = random.Random(self._seed)
-        for _ in range(used):
-            rng.random()
-        self._kept = None
-        return rng.random()
-
-    def uniform(self, a: float, b: float) -> float:
-        """CPython's ``Random.uniform``, over this stream."""
-        return a + (b - a) * self.random()
+#: the kept draws, packed: ``bytes`` are never tracked by the collector
+_PACKED = struct.Struct(f"{_KEPT_DRAWS}d")
+_DRAW = struct.Struct("d")
 
 
 class NetworkLink:
@@ -80,11 +36,21 @@ class NetworkLink:
     Transient failures raise :class:`TransientNetworkError` *after* the RTT
     has been paid (the request had to travel to fail).  A link is cheap;
     components create one per (endpoint, latency-profile) pair.
+
+    The link is its own seeded stream: :meth:`random` and :meth:`uniform`
+    return exactly what ``random.Random(seed)`` would, draw for draw, so
+    :class:`LatencyModel` samples from the link itself.  A seeded
+    Mersenne-Twister state is ~2.5 KB and every in-flight activation owns a
+    link, yet most links draw a handful of times.  So at its first draw the
+    link seeds one ``random.Random(seed)``, keeps its first
+    :data:`_KEPT_DRAWS` ``random()`` outputs packed in ``bytes`` and drops
+    the state.  A link that draws past the prefix re-seeds once, skips the
+    draws it has used and keeps the state from then on.
     """
 
     __slots__ = (
         "kernel", "latency", "bandwidth_bps", "seed", "chaos", "tracer",
-        "_rng", "_requests", "_failures",
+        "_kept", "_used", "_rng", "_requests", "_failures",
     )
 
     def __init__(
@@ -106,7 +72,9 @@ class NetworkLink:
         self.chaos = chaos
         #: optional :class:`repro.trace.Tracer` receiving ``net.request`` spans
         self.tracer = tracer
-        self._rng = LinkStream(seed)
+        self._kept: Optional[bytes] = None
+        self._used = 0
+        self._rng: Optional[random.Random] = None
         self._requests = 0
         self._failures = 0
 
@@ -118,6 +86,29 @@ class NetworkLink:
     @property
     def failures(self) -> int:
         return self._failures
+
+    # -- the seeded stream ------------------------------------------------
+    def random(self) -> float:
+        """``random.Random(seed).random()``'s next draw."""
+        if self._rng is not None:
+            return self._rng.random()
+        if self._kept is None:
+            draw = random.Random(self.seed).random
+            self._kept = _PACKED.pack(*[draw() for _ in range(_KEPT_DRAWS)])
+        used = self._used
+        if used < _KEPT_DRAWS:
+            self._used = used + 1
+            return _DRAW.unpack_from(self._kept, used * _DRAW.size)[0]
+        # past the prefix: rebuild the state once, and keep it
+        rng = self._rng = random.Random(self.seed)
+        for _ in range(used):
+            rng.random()
+        self._kept = None
+        return rng.random()
+
+    def uniform(self, a: float, b: float) -> float:
+        """CPython's ``Random.uniform``, over this stream."""
+        return a + (b - a) * self.random()
 
     # -- behaviour ---------------------------------------------------------
     def request(self, payload_bytes: int = 0, allow_failure: bool = True) -> None:
@@ -133,8 +124,8 @@ class NetworkLink:
         timer; a failed one pays only the RTT.
         """
         with _DRAW_LOCK:
-            rtt = self.latency.sample_rtt(self._rng)
-            fails = allow_failure and self.latency.sample_failure(self._rng)
+            rtt = self.latency.sample_rtt(self)
+            fails = allow_failure and self.latency.sample_failure(self)
             if self.chaos is not None:
                 # chaos draws come from the plane's own streams, keyed by
                 # (link seed, request index): the link's RNG is untouched

@@ -4,7 +4,7 @@ Every simulated activity (a client, an invoker node, a running cloud
 function) is registered with the :class:`Kernel`.  Time is virtual: a task
 that sleeps does not consume wall-clock time.  When **every** registered
 task is blocked, the kernel advances the virtual clock to the earliest
-pending timer and wakes exactly one waiter.  This gives three properties the
+pending timer and wakes exactly one task.  This gives three properties the
 paper's experiments need:
 
 * user code stays *plain blocking Python* — a function running inside an
@@ -249,6 +249,8 @@ class Task:
         self._join_waiters: Optional[list[Waiter]] = None  # kernel tasks' join()s
         self._result: Any = None
         self._exception: Optional[BaseException] = None
+        # the seq of its pending sleep timer (None when it is not sleeping)
+        self._timer_seq: Optional[int] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Task {self.task_id} {self.name!r} {self._state}>"
@@ -300,7 +302,7 @@ class ModelTask:
     __slots__ = (
         "kernel", "name", "task_id", "daemon", "_state", "_gen",
         "_pending_exc", "_resume_value_fn", "_context", "_outcome_ready",
-        "_join_waiters", "_result", "_exception",
+        "_join_waiters", "_result", "_exception", "_timer_seq",
     )
 
     def __init__(self, kernel: "Kernel", name: str, task_id: int) -> None:
@@ -318,6 +320,7 @@ class ModelTask:
         self._join_waiters: Optional[list[Waiter]] = None
         self._result: Any = None
         self._exception: Optional[BaseException] = None
+        self._timer_seq: Optional[int] = None  # as Task
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ModelTask {self.task_id} {self.name!r} {self._state}>"
@@ -349,7 +352,8 @@ class VTimeUsageError(NotInKernelError):
 
 
 class Waiter:
-    """One pending reason a task is blocked (timer and/or condition slot).
+    """One pending reason a task is blocked in a wait or a join (timer
+    and/or condition slot).  A sleep needs none: its timer names the task.
 
     A waiter is *consumed* exactly once: either its timer fires, or the thing
     it waits on notifies it, whichever happens first.  ``payload`` carries an
@@ -403,7 +407,10 @@ class Kernel:
         self._tasks: dict[int, Any] = {}
         self._running = 0  # tasks currently in RUNNING state
         self._nondaemon_alive = 0
-        self._timers: list[tuple[float, int, Waiter]] = []
+        # (when, seq, waiter) for waits and joins with a timeout, and
+        # (when, seq, task) for a sleep: the task is its own timer, live
+        # while its ``_timer_seq`` is that seq
+        self._timers: list[tuple[float, int, Any]] = []
         # RUNNING tasks of both kinds waiting for the holder, FIFO
         self._ready: collections.deque[Any] = collections.deque()
         self._handoffs = 0  # times the holder role passed between OS threads
@@ -696,20 +703,18 @@ class Kernel:
                 self._finish_locked(task)
             else:
                 # a waiter to block on (its timer, if any, after `timeout`
-                # seconds), or None: the task runs again, still RUNNING
+                # seconds), or None: the task runs again, still RUNNING —
+                # unless it sleeps, on a timer entry naming the task itself
                 waiter: Optional[Waiter] = None
                 timeout: Optional[float] = None
+                blocked = False
                 if isinstance(op, SleepOp):
                     # both legs on one timer, added left to right: the
                     # instant two back-to-back sleeps would wake at
-                    waiter = Waiter(task)
-                    heapq.heappush(
-                        self._timers,
-                        (
-                            self._now + max(0.0, op.duration) + max(0.0, op.then),
-                            next(self._seq), waiter,
-                        ),
+                    self._add_sleep_locked(
+                        task, self._now + max(0.0, op.duration) + max(0.0, op.then)
                     )
+                    blocked = True
                 elif isinstance(op, WaitOp):
                     if op.waiter.task is not task:
                         task._pending_exc = VTimeUsageError(
@@ -730,16 +735,18 @@ class Kernel:
                         f"model task {task.name!r} yielded {op!r}; expected "
                         "vsleep()/vwait()/vjoin()"
                     )
-                if waiter is None:
-                    self._ready.append(task)
-                else:
+                if waiter is not None:
                     if timeout is not None:
                         heapq.heappush(
                             self._timers,
                             (self._now + max(0.0, timeout), next(self._seq), waiter),
                         )
+                    blocked = True
+                if blocked:
                     task._state = ModelTask._BLOCKED
                     self._running -= 1
+                else:
+                    self._ready.append(task)
             if self._running == 0:
                 self._advance_locked()
             if self._ready:
@@ -899,10 +906,8 @@ class Kernel:
         then ``then`` more on the same timer (see :class:`SleepOp`)."""
         task = self._require_current_task()
         with self._lock:
-            waiter = Waiter(task)
-            self._add_timer_locked(
-                self._now + max(0.0, float(duration)) + max(0.0, float(then)),
-                waiter,
+            self._add_sleep_locked(
+                task, self._now + max(0.0, float(duration)) + max(0.0, float(then))
             )
             nxt = self._block_current_locked(task)
         self._serve(task, nxt)
@@ -927,6 +932,12 @@ class Kernel:
 
     def _add_timer_locked(self, when: float, waiter: Waiter) -> None:
         heapq.heappush(self._timers, (when, next(self._seq), waiter))
+
+    def _add_sleep_locked(self, task: Any, when: float) -> None:
+        """Book ``task``'s sleep: a timer entry naming the task itself, live
+        while ``task._timer_seq`` is its seq (see :meth:`_advance_locked`)."""
+        seq = task._timer_seq = next(self._seq)
+        heapq.heappush(self._timers, (when, seq, task))
 
     def _add_join_waiter_locked(self, target: Any, waiter: Waiter) -> None:
         if target._join_waiters is None:
@@ -1028,27 +1039,40 @@ class Kernel:
             task._pending_exc = exc
         else:
             task._wake_exc = exc
+        task._timer_seq = None  # a pending sleep timer must not wake it again
         self._consume_waiter(Waiter(task))
 
     # ------------------------------------------------------------------
     # The clock advance
     # ------------------------------------------------------------------
     def _advance_locked(self) -> None:
-        """All tasks are blocked: move time forward and wake one waiter.
+        """All tasks are blocked: move time forward and wake one task.
 
-        Consumed (cancelled) timers are skipped.  If no live timer remains,
-        the simulation is deadlocked; every blocked task gets a
-        :class:`DeadlockError` so the failure is diagnosable.
+        Consumed (cancelled) timers are skipped, and so is a sleep timer
+        whose task was since woken another way (its ``_timer_seq`` moved
+        on).  If no live timer remains, the simulation is deadlocked; every
+        blocked task gets a :class:`DeadlockError` so the failure is
+        diagnosable.
         """
         while self._timers:
-            when, _seq, waiter = heapq.heappop(self._timers)
-            if waiter.done:
+            when, seq, entry = heapq.heappop(self._timers)
+            if entry.__class__ is Waiter:
+                if entry.done:
+                    continue
+            elif entry._timer_seq != seq:
                 continue
             if when < self._now:  # pragma: no cover - defensive
                 when = self._now
             self._now = when
-            waiter.timed_out = True
-            self._consume_waiter(waiter)
+            if entry.__class__ is Waiter:
+                entry.timed_out = True
+                self._consume_waiter(entry)
+            else:
+                # a sleep ends: its task runs again
+                entry._timer_seq = None
+                entry._state = Task._RUNNING
+                self._running += 1
+                self._ready.append(entry)
             return
         blocked = [t for t in self._tasks.values() if t._state == Task._BLOCKED]
         if not blocked:

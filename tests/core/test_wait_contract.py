@@ -91,6 +91,24 @@ class TestWaitContract:
 
         assert env.run(main) == (True, [], [1, 2, 3, 4])
 
+    def test_a_future_listed_twice(self, env, transport):
+        """Each listing is a position of its own, and both settle at once."""
+
+        def main():
+            executor = pw.ibm_cf_executor(monitoring=transport)
+            fast, slow = executor.map(sleeper, [0, 60])
+            listed = [slow, fast, slow, fast]
+            done, not_done = executor.wait(listed, return_when=ANY_COMPLETED)
+            first = [f.call_id for f in done], [f.call_id for f in not_done]
+            done, not_done = executor.wait(listed)
+            return first, [f.call_id for f in done], not_done, executor.get_result(listed)
+
+        first, done, not_done, results = env.run(main)
+        assert first == (["00000", "00000"], ["00001", "00001"])
+        assert done == ["00001", "00000", "00001", "00000"]
+        assert not_done == []
+        assert results == [60, 0, 60, 0]
+
     def test_timeout_fires_at_the_deadline(self, env, transport):
         """Not up to one ``poll_interval`` past it: the last idle is clipped."""
 

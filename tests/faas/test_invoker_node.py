@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.faas.action import Action
@@ -21,7 +23,7 @@ def make_action(name="fn", memory=256) -> Action:
 
 @pytest.fixture()
 def node() -> InvokerNode:
-    return InvokerNode(0, memory_mb=1024, warm_idle_ttl=600.0)
+    return InvokerNode(0, memory_mb=1024, warm_idle_ttl=600.0, container_ids=itertools.count(1))
 
 
 class TestColdPlacement:
