@@ -42,9 +42,12 @@ perf-trace:
 
 # where the shuffle data plane's host CPU goes: the last stdout line is a
 # JSON record with core.shuffle.host_cpu_self_s (grouping pairs into
-# buckets) and core.serializer.host_cpu_self_s (pickling them); the
-# no-timing guard on shuffle bytes per pair is tier-1
-# (tests/core/test_shuffle_properties.py::TestPartitionCost).  ~40 s.
+# buckets), core.serializer.host_cpu_self_s (pickling them before the
+# first PUT, unpickling them after the last GET) and py.gc_s; the
+# no-timing guards are tier-1: shuffle bytes per pair
+# (tests/core/test_shuffle_properties.py::TestPartitionCost) and no value
+# held across a shuffle request (tests/core/test_shuffle.py::
+# TestHeapBetweenRequests).  ~40 s.
 perf-shuffle:
 	python3 perf/run.py --workload shuffle_wordcount --seconds 20 --trace 1
 

@@ -885,12 +885,8 @@ class FunctionExecutor:
         retries: Optional[int] = None,
     ) -> list[ResponseFuture]:
         """Serialize + upload code and data, then invoke all calls."""
-        import types as _types
-
         with self._trace_scope():
-            if self.config.validate_runtime_packages and isinstance(
-                func, _types.FunctionType
-            ):
+            if self.config.validate_runtime_packages:
                 from repro.core.modules import validate_runtime
 
                 validate_runtime(func, self._runtime_image)

@@ -11,8 +11,10 @@ motivates the paper's custom-runtime feature.
 
 from __future__ import annotations
 
+import functools
 import sys
 import types
+from typing import Any, Callable
 
 from repro.core.errors import PyWrenError
 from repro.faas.runtime import RuntimeImage
@@ -38,15 +40,20 @@ def _code_names(code: types.CodeType, seen: set[int]) -> set[str]:
     return names
 
 
-def referenced_modules(fn: types.FunctionType, _depth: int = 0) -> set[str]:
+def referenced_modules(fn: Callable[..., Any], _depth: int = 0) -> set[str]:
     """Top-level module names a function (transitively) references.
 
     Collected from (a) module objects in the function's captured globals
     and (b) global names that resolve to live modules in this process
-    (covers ``import x`` statements inside the body).  Heuristic by design:
+    (covers ``import x`` statements inside the body).  A
+    :func:`functools.partial` is seen through: its function and every
+    function among its bound arguments count.  Heuristic by design:
     it can miss dynamic imports, and only ever *flags* names that really
     are importable modules here, so false positives are rare.
     """
+    if isinstance(fn, functools.partial):
+        parts = (fn.func, *fn.args, *fn.keywords.values())
+        return set().union(*(referenced_modules(part, _depth) for part in parts))
     if not isinstance(fn, types.FunctionType) or _depth > 3:
         return set()
     seen_codes: set[int] = set()
@@ -74,7 +81,7 @@ def referenced_modules(fn: types.FunctionType, _depth: int = 0) -> set[str]:
     return modules
 
 
-def missing_packages(fn: types.FunctionType, image: RuntimeImage) -> list[str]:
+def missing_packages(fn: Callable[..., Any], image: RuntimeImage) -> list[str]:
     """Modules ``fn`` needs that ``image`` does not provide."""
     missing = []
     for module in sorted(referenced_modules(fn)):
@@ -87,7 +94,7 @@ def missing_packages(fn: types.FunctionType, image: RuntimeImage) -> list[str]:
     return missing
 
 
-def validate_runtime(fn: types.FunctionType, image: RuntimeImage) -> None:
+def validate_runtime(fn: Callable[..., Any], image: RuntimeImage) -> None:
     """Raise :class:`RuntimePackageError` when ``fn`` cannot run on ``image``.
 
     The error message points at the fix the paper prescribes: build a
@@ -95,8 +102,9 @@ def validate_runtime(fn: types.FunctionType, image: RuntimeImage) -> None:
     """
     missing = missing_packages(fn, image)
     if missing:
+        name = getattr(getattr(fn, "func", fn), "__name__", fn)
         raise RuntimePackageError(
-            f"function {getattr(fn, '__name__', fn)!r} needs packages "
+            f"function {name!r} needs packages "
             f"{missing} not present in runtime {image.name!r}; build a "
             "custom runtime with registry.build_custom_runtime(...) and "
             "pass runtime=<name> to the executor (see §3.1)"

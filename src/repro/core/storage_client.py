@@ -176,32 +176,31 @@ class InternalStorage:
         callset_id: str,
         call_id: str,
         reducer: int,
-        bucket: dict,
+        blob: bytes,
     ) -> int:
-        blob = serializer.serialize(bucket)
+        """Write a map task's pickled bucket for one reducer."""
         key = self.shuffle_key(executor_id, callset_id, call_id, reducer)
         self.exchange.put(self.cos, self.bucket, key, blob, self.site)
         return len(blob)
 
     def get_shuffle_partition(
         self, executor_id: str, callset_id: str, call_id: str, reducer: int
-    ) -> dict:
-        """A map task's bucket for one reducer; missing means 'emitted none'.
+    ) -> bytes:
+        """A map task's pickled bucket for one reducer; ``b""`` means 'emitted none'.
 
         Served through the exchange backend (shuffle partitions are the
         intermediate the faster planes exist for); only in-cloud readers
         see a tier, everyone else gets the direct COS path.
         """
         try:
-            blob = self.exchange.get(
+            return self.exchange.get(
                 self.cos,
                 self.bucket,
                 self.shuffle_key(executor_id, callset_id, call_id, reducer),
                 self.site,
             )
         except NoSuchKey:
-            return {}
-        return serializer.deserialize(blob)
+            return b""
 
     # -- dead letters ----------------------------------------------------------
     def deadletter_key(self, executor_id: str, callset_id: str) -> str:

@@ -297,8 +297,6 @@ class DagScheduler:
         return dag_id
 
     def _validate_functions(self, nodes: list[DagNode]) -> None:
-        import types as _types
-
         executor = self.executor
         if not executor.config.validate_runtime_packages:
             return
@@ -306,8 +304,7 @@ class DagScheduler:
 
         for node in nodes:
             for fn in node.fns:
-                if isinstance(fn, _types.FunctionType):
-                    validate_runtime(fn, executor._runtime_image)
+                validate_runtime(fn, executor._runtime_image)
 
     # ------------------------------------------------------------------
     # Adoption

@@ -27,24 +27,24 @@ BACKENDS = ("cos", "cached-cos", "vm")
 #: cell -> backend -> (makespan s, COS requests get/list/put/range, total $)
 PINNED = {
     "2MiB/m4r4": {
-        "cos": (4.3443, (36, 3, 36, 8), 0.0002126),
-        "cached-cos": (4.3443, (20, 3, 36, 8), 0.0002062),
-        "vm": (4.3443, (20, 3, 36, 8), 0.00055012),
+        "cos": (4.3442, (36, 3, 36, 8), 0.0002126),
+        "cached-cos": (4.3442, (20, 3, 36, 8), 0.0002062),
+        "vm": (4.3442, (20, 3, 36, 8), 0.00055012),
     },
     "2MiB/m8r4": {
-        "cos": (3.8835, (60, 2, 60, 12), 0.0003388),
-        "cached-cos": (3.8835, (28, 2, 60, 12), 0.000326),
-        "vm": (3.8835, (28, 2, 60, 12), 0.00063344),
+        "cos": (3.8834, (60, 2, 60, 12), 0.0003388),
+        "cached-cos": (3.8834, (28, 2, 60, 12), 0.000326),
+        "vm": (3.8834, (28, 2, 60, 12), 0.00063344),
     },
     "128MiB/m4r4": {
-        "cos": (5.0672, (36, 5, 36, 8), 0.0002226),
-        "cached-cos": (4.597, (20, 4, 36, 8), 0.0002112),
-        "vm": (4.5639, (20, 4, 36, 8), 0.00057251),
+        "cos": (5.0671, (36, 5, 36, 8), 0.0002226),
+        "cached-cos": (4.5969, (20, 4, 36, 8), 0.0002112),
+        "vm": (4.5638, (20, 4, 36, 8), 0.0005725),
     },
     "128MiB/m8r4": {
         "cos": (4.1392, (60, 3, 60, 12), 0.0003438),
-        "cached-cos": (3.8835, (28, 2, 60, 12), 0.000326),
-        "vm": (3.8835, (28, 2, 60, 12), 0.00063344),
+        "cached-cos": (3.8834, (28, 2, 60, 12), 0.000326),
+        "vm": (3.8834, (28, 2, 60, 12), 0.00063344),
     },
 }
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 
 import pytest
@@ -60,6 +61,20 @@ class TestReferencedModules:
             return helper(x)
 
         assert "numpy" in referenced_modules(fn)
+
+    def test_partial_is_seen_through(self):
+        import numpy as np
+
+        def uses_numpy(x):
+            return np.asarray(x)
+
+        def apply(fn, x, scale=1):
+            return fn(x) * scale
+
+        assert "numpy" in referenced_modules(functools.partial(uses_numpy, 1))
+        assert "numpy" in referenced_modules(functools.partial(apply, uses_numpy))
+        assert "numpy" in referenced_modules(functools.partial(apply, fn=uses_numpy))
+        assert "numpy" not in referenced_modules(functools.partial(apply, len, scale=2))
 
     def test_closure_over_module(self):
         import numpy
@@ -126,6 +141,38 @@ class TestExecutorIntegration:
             executor = pw.ibm_cf_executor(runtime="bare:1")
             with pytest.raises(RuntimePackageError):
                 executor.map(lambda x: np.asarray(x), [1])
+            return True
+
+        assert env.run(main)
+
+    @pytest.mark.parametrize("side", ["map", "reduce"])
+    def test_shuffle_fails_fast_on_missing_package(self, env, side):
+        """The shuffle's shims are bound to the user's functions; checking
+        a shim checks the functions it carries."""
+        env.registry.publish(stripped_image())
+        import numpy as np
+
+        def emit(x):
+            return [(x, 1)]
+
+        def emit_numpy(x):
+            return [(x, int(np.sum(x)))]
+
+        def count(key, values):
+            return sum(values)
+
+        def count_numpy(key, values):
+            return int(np.sum(values))
+
+        def main():
+            executor = pw.ibm_cf_executor(runtime="bare:1")
+            with pytest.raises(RuntimePackageError, match="numpy"):
+                executor.map_reduce_shuffle(
+                    emit_numpy if side == "map" else emit,
+                    [1, 2],
+                    count_numpy if side == "reduce" else count,
+                    n_reducers=2,
+                )
             return True
 
         assert env.run(main)

@@ -2,16 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import threading
+import weakref
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as pw
+from repro.core import context as ambient
+from repro.core import serializer
 from repro.core.shuffle import (
+    make_shuffle_map,
+    make_shuffle_reduce_fetch,
     merge_shuffle_results,
     partition_pairs,
     stable_key_hash,
 )
+from repro.core.storage_client import InternalStorage
+from repro.cos.errors import NoSuchKey
 
 
 class TestPartitioning:
@@ -222,3 +233,119 @@ class TestEndToEnd:
             return merge_shuffle_results(executor.get_result(reducers))
 
         assert env.run(main) == {"k": [(7, 0), (7, 1), (7, 2)]}
+
+
+class _Sentinel:
+    """A weakref-able emitted value."""
+
+
+_UNPICKLED = [0]
+
+
+def _rebuild_counted():
+    _UNPICKLED[0] += 1
+    return _Counted()
+
+
+class _Counted:
+    """A value that counts its own unpickling."""
+
+    def __reduce__(self):
+        return (_rebuild_counted, ())
+
+
+class _ProbeExchange:
+    """An in-memory exchange that runs a probe before every request."""
+
+    def __init__(self, on_put=lambda key: None, on_get=lambda key: None):
+        self.objects = {}
+        self.on_put, self.on_get = on_put, on_get
+
+    def put(self, cos, bucket, key, blob, site=None):
+        self.on_put(key)
+        self.objects[key] = blob
+
+    def get(self, cos, bucket, key, site=None):
+        self.on_get(key)
+        if key not in self.objects:
+            raise NoSuchKey(key)
+        return self.objects[key]
+
+
+@contextlib.contextmanager
+def _in_cloud(exchange, call_info=None):
+    """Run shims against a real ``InternalStorage`` over ``exchange``."""
+    storage = InternalStorage(None, "bucket", exchange=exchange)
+    environment = SimpleNamespace(internal_storage_in_cloud=lambda: storage)
+    ambient.push_context(environment, in_cloud=True, call_info=call_info)
+    try:
+        yield storage
+    finally:
+        ambient.pop_context()
+
+
+MAP_INFO = {"executor_id": "e", "callset_id": "M000", "call_id": "00000"}
+
+
+class TestHeapBetweenRequests:
+    """No timing: a shim blocked on a shuffle request holds bytes, not the
+    value lists the cyclic collector would walk at every full pass."""
+
+    def test_a_map_holds_no_emitted_value_across_a_put(self):
+        refs, puts = [], []
+
+        def emit(n):
+            pairs = []
+            for i in range(n):
+                value = _Sentinel()
+                refs.append(weakref.ref(value))
+                pairs.append((f"k{i % 13}", value))
+            return pairs
+
+        def on_put(key):
+            puts.append(key)
+            assert [ref for ref in refs if ref() is not None] == []
+
+        with _in_cloud(_ProbeExchange(on_put=on_put), MAP_INFO):
+            out = make_shuffle_map(emit, 4)(60)
+        assert out == {"emitted": 60, "buckets_written": 4}
+        assert len(puts) == 4 and len(refs) == 60
+
+    def test_a_reducer_unpickles_nothing_before_its_last_get(self):
+        gets = []
+
+        def on_get(key):
+            gets.append(key)
+            assert _UNPICKLED[0] == 0
+
+        futures = [
+            SimpleNamespace(executor_id="e", callset_id="M000", call_id=f"{m:05d}")
+            for m in range(4)
+        ]
+        exchange = _ProbeExchange(on_get=on_get)
+        with _in_cloud(exchange) as storage:
+            for m, future in enumerate(futures[:3]):  # the last map emitted none
+                key = storage.shuffle_key("e", "M000", future.call_id, 1)
+                exchange.objects[key] = serializer.serialize(
+                    {"a": [_Counted() for _ in range(m + 1)], f"only-{m}": [_Counted()]}
+                )
+            _UNPICKLED[0] = 0
+            out = make_shuffle_reduce_fetch(lambda key, values: len(values), 1)(futures)
+        assert len(gets) == 4
+        assert out == {"a": 6, "only-0": 1, "only-1": 1, "only-2": 1}
+        assert list(out) == ["a", "only-0", "only-1", "only-2"]
+        assert _UNPICKLED[0] == 9  # one per value, after the last GET
+
+    def test_an_unpicklable_bucket_fails_the_map_before_any_put(self):
+        # the last bucket cannot be pickled; the three before it could
+        lock_key = next(
+            key for key in (f"lock{i}" for i in range(100)) if stable_key_hash(key) % 4 == 3
+        )
+        puts = []
+        with _in_cloud(_ProbeExchange(on_put=puts.append), MAP_INFO):
+            with pytest.raises(serializer.SerializationError, match="lock"):
+                make_shuffle_map(
+                    lambda n: [(f"k{i}", i) for i in range(n)] + [(lock_key, threading.Lock())],
+                    4,
+                )(40)
+        assert puts == []

@@ -12,8 +12,9 @@ The shuffle's correctness rests on three local invariants:
   textbook loop that hashes every pair and the reducer's per-pair grouping
   loop (``_reference_partition_pairs`` / ``_reference_group`` below), while
   hashing each distinct key only once per call; through the map and reduce
-  shims, every reducer calls ``reduce_function`` exactly as the per-pair
-  shuffle did;
+  shims, which ship each map's bucket as one pickled blob, every reducer
+  calls ``reduce_function`` exactly as the per-pair shuffle does when each
+  map's group crosses pickle once;
 * ``merge_shuffle_results`` is order-independent over the disjoint
   per-reducer dicts, and loudly rejects overlap (exactly-once violated).
 """
@@ -91,9 +92,15 @@ def _reference_group(buckets):
     return grouped
 
 
-def _reference_shuffle_reduce(buckets, reduce_function):
-    """The per-pair reducer: group every map's pairs, reduce per key."""
-    grouped = _reference_group(buckets)
+def _reference_shuffle_reduce(per_map_buckets, reduce_function):
+    """The per-pair reducer over the wire: each map's pairs grouped as the
+    map groups them, round-tripped through the serializer as the shuffle
+    plane ships them, merged in map order, reduced per key."""
+    grouped = {}
+    for bucket in per_map_buckets:
+        shipped = serializer.deserialize(serializer.serialize(_reference_group([bucket])))
+        for key, values in shipped.items():
+            grouped.setdefault(key, []).extend(values)
     return {
         key: reduce_function(key, values) for key, values in grouped.items()
     }
@@ -257,20 +264,22 @@ class TestPartitionPairs:
 
 
 class _FakeStorage:
-    """Holds each map's buckets as objects, as the shims address them."""
+    """Holds each map's pickled buckets as blobs, as the shuffle plane does."""
 
     def __init__(self):
         self.partitions = {}
 
-    def put_shuffle_partition(self, executor_id, callset_id, call_id, reducer, bucket):
-        self.partitions[executor_id, callset_id, call_id, reducer] = bucket
+    def put_shuffle_partition(self, executor_id, callset_id, call_id, reducer, blob):
+        assert type(blob) is bytes and blob
+        self.partitions[executor_id, callset_id, call_id, reducer] = blob
 
     def get_shuffle_partition(self, executor_id, callset_id, call_id, reducer):
-        return self.partitions.get((executor_id, callset_id, call_id, reducer), {})
+        return self.partitions.get((executor_id, callset_id, call_id, reducer), b"")
 
 
 def _run_shims(streams, n_reducers, reduce_function):
-    """Both shims end to end over in-memory storage: one result per reducer."""
+    """Both shims end to end over in-memory storage: one result per
+    reducer, and the storage holding every map's blobs."""
     storage = _FakeStorage()
     environment = SimpleNamespace(internal_storage_in_cloud=lambda: storage)
     futures = []
@@ -290,14 +299,17 @@ def _run_shims(streams, n_reducers, reduce_function):
             results.append(shim(futures))
     finally:
         ambient.pop_context()
-    return results
+    return results, storage
 
 
 class TestGroupedShuffleEquivalence:
     """Grouping on the map side and merging lists on the reduce side hands
     every reducer what the per-pair shuffle handed it: the same keys in
     the same first-seen order, with the same value lists, reduced by the
-    same ``reduce_function`` calls in the same order."""
+    same ``reduce_function`` calls in the same order.  Each map's group
+    crosses pickle once on both sides, so a NaN key never merges across
+    maps (one NaN object emitted by two maps is two keys), as in the real
+    plane."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -318,7 +330,7 @@ class TestGroupedShuffleEquivalence:
                 return len(into)
             return reduce_function
 
-        results = _run_shims(streams, n_reducers, record(calls))
+        results, storage = _run_shims(streams, n_reducers, record(calls))
         reference_buckets = [
             _reference_partition_pairs(stream, n_reducers) for stream in streams
         ]
@@ -330,18 +342,18 @@ class TestGroupedShuffleEquivalence:
             for slot in range(n_reducers)
         ]
         for slot in range(n_reducers):  # each map's bucket per slot
+            groups = [_reference_group([buckets[slot]]) for buckets in reference_buckets]
             _assert_same_groups(
-                [partition_pairs(stream, n_reducers)[slot] for stream in streams],
-                [_reference_group([buckets[slot]]) for buckets in reference_buckets],
+                [partition_pairs(stream, n_reducers)[slot] for stream in streams], groups
             )
-        assert [list(map(id, r)) for r in results] == [
-            list(map(id, r)) for r in reference_results
-        ]
-        assert results == reference_results
-        assert [id(key) for key, _ in calls] == [id(key) for key, _ in reference_calls]
-        assert [values for _, values in calls] == [
-            values for _, values in reference_calls
-        ]
+            # ... is what the map shipped: its pickle, or no object at all
+            assert [
+                storage.get_shuffle_partition("e", "M000", f"{call_id:05d}", slot)
+                for call_id in range(len(streams))
+            ] == [serializer.serialize(group) if group else b"" for group in groups]
+        # keys crossed pickle on both sides, so compare bytes: they tell
+        # 1 / 1.0 / True and 0.0 / -0.0 apart, and count NaN keys
+        assert serializer.serialize(results) == serializer.serialize(reference_results)
         assert serializer.serialize(calls) == serializer.serialize(reference_calls)
 
 

@@ -9,7 +9,11 @@ timestamps, same ordering, same JSON serialization.
 
 from __future__ import annotations
 
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 from tests.exchange.golden_workload import GOLDEN_PATH, run_traced
 
@@ -29,3 +33,43 @@ class TestGoldenDefaultExchange:
 
     def test_golden_run_is_self_deterministic(self):
         assert run_traced() == run_traced()
+
+
+class TestGoldenFromAnotherCheckout:
+    """The golden is a function of the seed, not of where the code sits:
+    nothing the workload ships embeds a source path, so a copy of the
+    checkout at a path of another length exports the same bytes."""
+
+    def test_copy_at_another_path_exports_the_committed_bytes(self, tmp_path):
+        repo = pathlib.Path(__file__).resolve().parents[2]
+        root = tmp_path / "checkout"
+        if len(str(root)) == len(str(repo)):
+            root = tmp_path / "another-checkout"
+        shutil.copytree(
+            repo / "src", root / "src", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        (root / "tests" / "exchange").mkdir(parents=True)
+        (root / "tests" / "__init__.py").touch()
+        (root / "tests" / "exchange" / "__init__.py").touch()
+        shutil.copy(
+            pathlib.Path(__file__).parent / "golden_workload.py",
+            root / "tests" / "exchange",
+        )
+        script = (
+            "import sys\n"
+            "from tests.exchange.golden_workload import run_traced\n"
+            "sys.stdout.write(run_traced())\n"
+        )
+        got = subprocess.run(
+            [sys.executable, "-c", script],
+            cwd=root,
+            env={
+                **os.environ,
+                "PYTHONPATH": f"{root / 'src'}{os.pathsep}{root}",
+                "PYTHONIOENCODING": "utf-8",
+            },
+            capture_output=True,
+            check=True,
+        ).stdout
+        assert len(str(root)) != len(str(repo))
+        assert got == GOLDEN.read_bytes()
